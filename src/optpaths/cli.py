@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -234,10 +235,12 @@ def cmd_solve(args) -> int:
         algebra = min_plus_algebra()
         regions, state, hda_rep = hda_multi(g, sources, algebra, with_tags=True)
         from .monarchy import classify_status, run_scheduler
+        t0 = time.perf_counter()
         statuses = classify_status(g, state, algebra, regions)
+        classify_ms = (time.perf_counter() - t0) * 1e3
         rep = run_scheduler(SchedulerKind(args.scheduler), g, regions, state,
                             statuses, algebra)
-        res = PipelineResult("multi", regions, state, hda_rep, 0.0,
+        res = PipelineResult("multi", regions, state, hda_rep, classify_ms,
                              statuses.origin_count, rep)
     else:
         res = run_pipeline(g, [args.source], args.algo, fast=args.fast,
@@ -412,7 +415,6 @@ def _run_from_shared(g, regions, state, hda_rep, algebra, algo) -> PipelineResul
     # compare re-uses one partition result across all optimizers
     from .evolve import eom, eom_two_course
     from .monarchy import classify_status, run_scheduler
-    import time
 
     if algo in ("eom", "eom2"):
         run = eom if algo == "eom" else eom_two_course
@@ -427,7 +429,7 @@ def _run_from_shared(g, regions, state, hda_rep, algebra, algo) -> PipelineResul
 
 
 def cmd_bench(args) -> int:
-    fast = fastlane.available() and not args.no_fast
+    fast = not args.no_fast and fastlane.available()
     specs = shape_sweep_specs(args.n_total, args.kc, seed=args.seed)
     out, close = _open_out(args.out)
     try:

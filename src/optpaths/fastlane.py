@@ -1,224 +1,160 @@
 """Compiled min-plus kernels for mega-scale runs.
 
 The reference solvers in :mod:`partition`, :mod:`evolve` and :mod:`monarchy`
-are generic over the cost algebra and carry debug hooks; these kernels are
-the same algorithms specialized to min-plus over int64 and jitted with
-numba.  They mirror the reference loops statement for statement -- including
-every counter -- and the test suite asserts exact equality of states and
-counters between the two lanes, so either lane certifies the other.
+are generic over the cost algebra and carry debug hooks; the kernels in
+``kernels.c`` are the same algorithms specialized to min-plus over int64.
+They mirror the reference loops statement for statement -- including every
+counter -- and the test suite asserts exact equality of states and counters
+between the two lanes, so either lane certifies the other.
 
-If numba is unavailable the kernels still run as plain Python (slowly); use
-``available()`` to decide whether the fast lane is worth routing to.
+The runtime dependencies are numpy plus, optionally, a C compiler.  On the
+first ``available()`` or ``FastRun`` call -- never at import -- the kernels
+are compiled with the system ``cc`` into ``$XDG_CACHE_HOME/optpaths``
+(default ``~/.cache/optpaths``) under a name keyed by a checksum of the
+source and the compile command, then loaded with ctypes; later processes
+load the cached object.  Without a compiler ``available()`` is false and
+``FastRun`` raises :class:`GraphError`; the reference lane serves every run.
+
+Costs are int64 here, so ``FastRun`` refuses a graph whose
+``max_weight * n`` exceeds ``2**63 - 1`` rather than let a cost wrap; the
+reference lane computes such instances exactly.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
 import time
-from typing import Sequence
+import zlib
+from pathlib import Path
+from typing import Optional, Sequence
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
 
 from .evolve import EomReport
 from .graph import Graph, GraphError
 from .monarchy import MonarchyReport, SchedulerKind, StatusMap, _KIND_CODE
 from .partition import HdaReport, Regions, SolverState
 
+INT64_MAX = 2**63 - 1
+
+#: compile command; ``-o <object> <source>`` is appended
+_BUILD = ("cc", "-O2", "-shared", "-fPIC")
+_SOURCE = Path(__file__).with_name("kernels.c")
+
+_P, _I = ctypes.c_void_p, ctypes.c_int64
+#: kernel name -> (argtypes, restype), matching kernels.c
+_SIGNATURES = {
+    "optpaths_hda": ([_P] * 6 + [_I] + [_P] * 9, _I),
+    "optpaths_classify": ([_P, _I] + [_P] * 5, _I),
+    "optpaths_eom": ([_P, _I] + [_P] * 8 + [_I, _P], None),
+    "optpaths_schedule": ([_I, _P, _I] + [_P] * 11, None),
+}
+
+
+def _cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(base) / "optpaths"
+
+
+def _build(path: Path) -> None:
+    """Compile the kernels to ``path``.
+
+    The compiler writes a private temporary file that is then renamed into
+    place, so concurrent builds of the same object cannot see a partial one.
+    """
+    import subprocess
+    import tempfile
+
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".build-", suffix=".so")
+    os.close(fd)
+    try:
+        proc = subprocess.run([*_BUILD, "-o", tmp, str(_SOURCE)],
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise OSError(f"{_BUILD[0]} exited {proc.returncode}: "
+                          f"{proc.stderr.strip()[-500:]}")
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
+def _load() -> ctypes.CDLL:
+    """Load the kernels from the cache, compiling them there first if needed."""
+    import platform
+
+    key = zlib.crc32(" ".join(_BUILD + (platform.machine(),)).encode()
+                     + _SOURCE.read_bytes())
+    path = _cache_dir() / f"kernels-{key:08x}.so"
+    if not path.exists():
+        _build(path)
+    lib = ctypes.CDLL(str(path))
+    for name, (argtypes, restype) in _SIGNATURES.items():
+        fn = getattr(lib, name)
+        fn.argtypes, fn.restype = argtypes, restype
+    return lib
+
+
+@functools.cache
+def _lane() -> tuple[Optional[ctypes.CDLL], str]:
+    """The kernel library, or None and the reason; resolved once per process."""
+    try:
+        return _load(), ""
+    except OSError as exc:
+        return None, str(exc)
+
 
 def available() -> bool:
-    return _HAS_NUMBA
+    """Whether the compiled kernels built or loaded (the first call may build)."""
+    return _lane()[0] is not None
 
 
-@njit(cache=True)
-def _hda_kernel(n, fptr, fdst, rptr, rsrc, rw, sources):
-    order = np.zeros(n, dtype=np.int64)
-    region = np.zeros(n + 1, dtype=np.int64)
-    pos = np.zeros(n + 1, dtype=np.int64)
-    parent = np.zeros(n + 1, dtype=np.int64)
-    cost = np.zeros(n + 1, dtype=np.int64)
-    wu = np.zeros(n + 1, dtype=np.int64)
-    status = np.zeros(n + 1, dtype=np.int64)
-    issrc = np.zeros(n + 1, dtype=np.int64)
-    count = 0
-    for s in sources:
-        issrc[s] = 1
-        order[count] = s
-        count += 1
-        region[s] = 1
-        pos[s] = count
-        status[s] = 1
-    inspections = 0
-    i = 0
-    while i < count:
-        u = order[i]
-        reg = region[u]
-        for k in range(fptr[u], fptr[u + 1]):
-            inspections += 1
-            v = fdst[k]
-            if region[v] == 0:
-                region[v] = reg + 1
-                order[count] = v
-                count += 1
-                pos[v] = count
-                status[v] = 1
-        for k in range(rptr[u], rptr[u + 1]):
-            inspections += 1
-            v = rsrc[k]
-            rv = region[v]
-            if 0 < rv < reg:
-                if issrc[u] == 0:
-                    w = cost[v] + rw[k]
-                    if parent[u] == 0 or w < cost[u]:
-                        parent[u] = v
-                        cost[u] = w
-                        wu[u] = rw[k]
-        i += 1
-    return order[:count], region, pos, parent, cost, wu, status, issrc, inspections
+def _library() -> ctypes.CDLL:
+    lib, why = _lane()
+    if lib is None:
+        raise GraphError(f"compiled lane unavailable ({why}); "
+                         f"use the reference lane")
+    return lib
 
 
-@njit(cache=True)
-def _classify_kernel(order, fptr, fdst, fw, cost):
-    n1 = len(cost)
-    status = np.zeros(n1, dtype=np.int64)
-    for idx in range(len(order)):
-        status[order[idx]] = 1
-    for idx in range(len(order)):
-        u = order[idx]
-        cu = cost[u]
-        improves_any = False
-        for k in range(fptr[u], fptr[u + 1]):
-            v = fdst[k]
-            if cu + fw[k] < cost[v]:
-                status[v] = 0
-                improves_any = True
-        if not improves_any:
-            status[u] = 0
-    origins = 0
-    for idx in range(len(order)):
-        if status[order[idx]] == 1:
-            origins += 1
-    return status, origins
+def _ptr(a: np.ndarray) -> int:
+    if a.dtype != np.int64 or not a.flags.c_contiguous:
+        raise GraphError("the compiled lane needs C-contiguous int64 arrays")
+    return a.ctypes.data
 
 
-@njit(cache=True)
-def _eom_kernel(order, region, rptr, rsrc, rw, parent, cost, wu, issrc,
-                two_course):
-    big_loops = 0
-    improvements = 0
-    node_scans = 0
-    arc_relax = 0
-    regular = 0
-    wrong = 0
-    n_order = len(order)
-    while True:
-        flag = 0
-        backwards = two_course and (big_loops % 2 == 1)
-        for idx in range(n_order):
-            u = order[n_order - 1 - idx] if backwards else order[idx]
-            node_scans += 1
-            ru = region[u]
-            for k in range(rptr[u], rptr[u + 1]):
-                v = rsrc[k]
-                if parent[v] == 0 and issrc[v] == 0:
-                    continue
-                arc_relax += 1
-                if issrc[u]:
-                    continue
-                w = cost[v] + rw[k]
-                if parent[u] == 0 or w < cost[u]:
-                    parent[u] = v
-                    cost[u] = w
-                    wu[u] = rw[k]
-                    flag += 1
-                    if ru > region[v]:
-                        regular += 1
-                    else:
-                        wrong += 1
-        big_loops += 1
-        improvements += flag
-        if flag == 0:
-            break
-    return big_loops, improvements, node_scans, arc_relax, regular, wrong
+def _check_bound(g: Graph) -> None:
+    """Refuse graphs on which an int64 path cost could overflow.
+
+    Every label starts at or below the cost of its BFS-tree path, at most
+    ``max_weight * (n - 1)``, and labels only decrease; so every candidate
+    ``cost + w`` any kernel forms is at most ``max_weight * n``.
+    """
+    w_max = int(g.fwd_w.max()) if g.E else 0
+    if w_max * g.n > INT64_MAX:
+        raise GraphError(
+            f"max weight {w_max} x {g.n} nodes exceeds 2**63 - 1, so int64 "
+            f"path costs could overflow; use the reference lane")
 
 
-@njit(cache=True)
-def _sched_kernel(code, order, region, pos, fptr, fdst, fw, parent, cost, wu,
-                  issrc, status):
-    n_order = len(order)
-    big_loops = 1
-    node_scans = 0
-    improvements = 0
-    regular = 0
-    wrong = 0
-    cycle_flag = 0
-    chase_start = 0
-    i = 1
-    while True:
-        if i > n_order:
-            if cycle_flag == 0:
-                break
-            cycle_flag = 0
-            big_loops += 1
-            chase_start = 0
-            i = 1
-            continue
-        u = order[i - 1]
-        node_scans += 1
-        if status[u] != 1:
-            i += 1
-            continue
-        best_pos = 0
-        ru = region[u]
-        cu = cost[u]
-        for k in range(fptr[u], fptr[u + 1]):
-            v = fdst[k]
-            if issrc[v]:
-                continue
-            w = cu + fw[k]
-            if parent[v] == 0 or w < cost[v]:
-                parent[v] = u
-                cost[v] = w
-                wu[v] = fw[k]
-                improvements += 1
-                cycle_flag += 1
-                status[v] = 1
-                if region[v] > ru:
-                    regular += 1
-                else:
-                    wrong += 1
-                pv = pos[v]
-                if best_pos == 0 or pv < best_pos:
-                    best_pos = pv
-        status[u] = 0
-        if best_pos:
-            if code == 0:
-                i = best_pos if best_pos < i else i + 1
-            else:
-                if code == 2 and chase_start == 0:
-                    chase_start = i
-                i = best_pos
-        else:
-            if code == 2 and chase_start:
-                i = chase_start + 1
-                chase_start = 0
-            else:
-                i += 1
-    return big_loops, node_scans, improvements, regular, wrong
+def _check_csr(g: Graph) -> None:
+    for ptr, idx, w in ((g.fwd_ptr, g.fwd_dst, g.fwd_w),
+                        (g.rev_ptr, g.rev_src, g.rev_w)):
+        if (len(ptr) != g.n + 2 or len(idx) != len(w)
+                or int(ptr[-1]) != len(idx)):
+            raise GraphError("malformed CSR adjacency")
 
 
 class FastRun:
-    """Array-backed pipeline state for one source set on one graph."""
+    """Array-backed pipeline state for one source set on one graph.
+
+    Raises :class:`GraphError` when the compiled lane is unavailable or the
+    graph is outside its int64 bound; it never falls back to Python loops.
+    """
 
     def __init__(self, g: Graph, sources: Sequence[int]):
         srcs = sorted(set(int(s) for s in sources))
@@ -227,53 +163,75 @@ class FastRun:
         for s in srcs:
             if not 1 <= s <= g.n:
                 raise GraphError(f"source {s} out of range 1..{g.n}")
+        _check_csr(g)
+        _check_bound(g)
+        self._lib = _library()
         self.g = g
         self.sources = np.array(srcs, dtype=np.int64)
         t0 = time.perf_counter()
-        (self.order, self.region, self.pos, self.parent, self.cost, self.wu,
-         self.status, self.issrc, inspections) = _hda_kernel(
-            g.n, g.fwd_ptr, g.fwd_dst, g.rev_ptr, g.rev_src, g.rev_w,
-            self.sources)
+        order = np.zeros(g.n, dtype=np.int64)
+        (self.region, self.pos, self.parent, self.cost, self.wu, self.status,
+         self.issrc) = (np.zeros(g.n + 1, dtype=np.int64) for _ in range(7))
+        inspections = np.zeros(1, dtype=np.int64)
+        count = self._lib.optpaths_hda(
+            _ptr(g.fwd_ptr), _ptr(g.fwd_dst), _ptr(g.rev_ptr),
+            _ptr(g.rev_src), _ptr(g.rev_w), _ptr(self.sources),
+            len(self.sources), _ptr(order), _ptr(self.region),
+            _ptr(self.pos), _ptr(self.parent), _ptr(self.cost),
+            _ptr(self.wu), _ptr(self.status), _ptr(self.issrc),
+            _ptr(inspections))
+        self.order = order[:count]
         self.hda_report = HdaReport(
-            reached_count=int(len(self.order)),
-            region_count=int(self.region[self.order[-1]]) if len(self.order) else 0,
-            arc_inspections=int(inspections),
+            reached_count=int(count),
+            region_count=int(self.region[self.order[-1]]) if count else 0,
+            arc_inspections=int(inspections[0]),
             wall_time_ms=(time.perf_counter() - t0) * 1e3,
         )
         self.origin_count = 0
         self.classify_ms = 0.0
 
     def classify(self) -> int:
+        g = self.g
         t0 = time.perf_counter()
-        self.status, origins = _classify_kernel(
-            self.order, self.g.fwd_ptr, self.g.fwd_dst, self.g.fwd_w, self.cost)
+        self.status = np.zeros(g.n + 1, dtype=np.int64)
+        origins = self._lib.optpaths_classify(
+            _ptr(self.order), len(self.order), _ptr(g.fwd_ptr),
+            _ptr(g.fwd_dst), _ptr(g.fwd_w), _ptr(self.cost),
+            _ptr(self.status))
         self.origin_count = int(origins)
         self.classify_ms = (time.perf_counter() - t0) * 1e3
         return self.origin_count
 
     def eom(self, two_course: bool = False) -> EomReport:
         g = self.g
+        out = np.zeros(6, dtype=np.int64)
         t0 = time.perf_counter()
-        bl, imp, scans, relax, reg, wrong = _eom_kernel(
-            self.order, self.region, g.rev_ptr, g.rev_src, g.rev_w,
-            self.parent, self.cost, self.wu, self.issrc, two_course)
+        self._lib.optpaths_eom(
+            _ptr(self.order), len(self.order), _ptr(self.region),
+            _ptr(g.rev_ptr), _ptr(g.rev_src), _ptr(g.rev_w),
+            _ptr(self.parent), _ptr(self.cost), _ptr(self.wu),
+            _ptr(self.issrc), int(two_course), _ptr(out))
+        bl, imp, scans, relax, reg, wrong = out.tolist()
         return EomReport(
-            big_loops=int(bl), improvements=int(imp), node_scans=int(scans),
-            arc_relaxations=int(relax), regular_way=int(reg),
-            wrong_way=int(wrong),
+            big_loops=bl, improvements=imp, node_scans=scans,
+            arc_relaxations=relax, regular_way=reg, wrong_way=wrong,
             wall_time_ms=(time.perf_counter() - t0) * 1e3)
 
     def schedule(self, kind: SchedulerKind) -> MonarchyReport:
         g = self.g
         code = _KIND_CODE[SchedulerKind(kind)]
+        out = np.zeros(5, dtype=np.int64)
         t0 = time.perf_counter()
-        bl, scans, imp, reg, wrong = _sched_kernel(
-            code, self.order, self.region, self.pos, g.fwd_ptr, g.fwd_dst,
-            g.fwd_w, self.parent, self.cost, self.wu, self.issrc, self.status)
+        self._lib.optpaths_schedule(
+            code, _ptr(self.order), len(self.order), _ptr(self.region),
+            _ptr(self.pos), _ptr(g.fwd_ptr), _ptr(g.fwd_dst), _ptr(g.fwd_w),
+            _ptr(self.parent), _ptr(self.cost), _ptr(self.wu),
+            _ptr(self.issrc), _ptr(self.status), _ptr(out))
+        bl, scans, imp, reg, wrong = out.tolist()
         return MonarchyReport(
-            big_loops=int(bl), node_scans=int(scans), improvements=int(imp),
+            big_loops=bl, node_scans=scans, improvements=imp,
             origins_after_classify=self.origin_count,
-            regular_way=int(reg), wrong_way=int(wrong), E=g.E,
+            regular_way=reg, wrong_way=wrong, E=g.E,
             wall_time_ms=(time.perf_counter() - t0) * 1e3)
 
     # -- conversions back into the reference dataclasses ---------------------

@@ -123,6 +123,15 @@ def _csr_by_key(key: np.ndarray, dst: np.ndarray, wts: np.ndarray, n: int):
     return ptr, dst[order].copy(), wts[order].copy()
 
 
+def _int64_overflow(arcs) -> str:
+    """Name the first arc with a field outside int64."""
+    lo, hi = -2**63, 2**63 - 1
+    for i, arc in enumerate(arcs):
+        if any(not lo <= int(x) <= hi for x in arc):
+            return f"arc {i} ({','.join(map(str, arc))}): value outside int64"
+    return "arc value outside int64"
+
+
 def build_graph(n: int,
                 arcs: Sequence[tuple[int, int, int]] | np.ndarray,
                 directed: bool = False) -> Graph:
@@ -133,7 +142,10 @@ def build_graph(n: int,
     """
     if n < 1:
         raise GraphError(f"node count must be >= 1, got {n}")
-    a = np.asarray(arcs, dtype=np.int64)
+    try:
+        a = np.asarray(arcs, dtype=np.int64)
+    except OverflowError:
+        raise GraphError(_int64_overflow(arcs)) from None
     if a.size == 0:
         a = a.reshape(0, 3)
     if a.ndim != 2 or a.shape[1] != 3:

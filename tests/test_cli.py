@@ -1,3 +1,5 @@
+import time
+
 import optpaths as op
 from optpaths.cli import (CSV_COLUMNS, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
                           main)
@@ -91,6 +93,45 @@ class TestSolve:
         with open(out) as fh:
             first = fh.readline().split()
         assert len(first) == 5 and first[4] == "1"
+
+    def test_multi_reports_measured_classify_time(self, tmp_path, capsys,
+                                                  monkeypatch):
+        slow = op.monarchy.classify_status
+
+        def classify_status(*args, **kwargs):
+            time.sleep(0.02)
+            return slow(*args, **kwargs)
+
+        monkeypatch.setattr(op.monarchy, "classify_status", classify_status)
+        inst = make_grid_instance(tmp_path, rows=3, cols=3, hzp=False)
+        assert run(["solve", "--instance", inst, "--algo", "multi",
+                    "--sources", "1,9", "--format", "csv"]) == EXIT_OK
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert float(row[CSV_COLUMNS.index("classify_ms")]) >= 20.0
+
+    def test_weight_beyond_int64_is_usage_error(self, tmp_path, capsys):
+        inst = tmp_path / "huge.txt"
+        inst.write_text(f"n 3 2 directed\n1 2 1\n2 3 {2**63}\n")
+        assert run(["solve", "--instance", str(inst),
+                    "--algo", "eom"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "arc 1 (2,3,9223372036854775808)" in err
+        assert "Traceback" not in err
+
+    def test_fast_lane_refuses_beyond_int64_bound(self, tmp_path, capsys):
+        # two arcs of 6e18: the sum wraps in int64, the reference lane is exact
+        inst = tmp_path / "big.txt"
+        inst.write_text("n 3 2 directed\n1 2 6000000000000000000\n"
+                        "2 3 6000000000000000000\n")
+        out = tmp_path / "res.txt"
+        for cmd in (["solve", "--algo", "eom", "--fast"],
+                    ["compare", "--fast"]):
+            assert run(cmd + ["--instance", str(inst)]) == EXIT_USAGE
+            assert "overflow" in capsys.readouterr().err
+        assert run(["solve", "--instance", str(inst), "--algo", "eom",
+                    "--out", str(out)]) == EXIT_OK
+        assert out.read_text().splitlines()[2].split()[3] \
+            == "12000000000000000000"
 
     def test_unknown_algo_is_usage_error(self, tmp_path, capsys):
         inst = make_grid_instance(tmp_path)

@@ -2,13 +2,19 @@
 reference solvers bit for bit -- states and counters alike -- so that either
 lane certifies the other."""
 
+import functools
+import os
+import subprocess
+import sys
+import threading
+
 import pytest
 
 import optpaths as op
-from optpaths import GraphError, SchedulerKind, fastlane
+from optpaths import GraphError, SchedulerKind, cli, fastlane
 
-pytestmark = pytest.mark.skipif(not fastlane.available(),
-                                reason="numba not installed")
+needs_lane = pytest.mark.skipif(not fastlane.available(),
+                                reason="no C compiler")
 
 
 def reference_run(g, source, algo, algebra):
@@ -40,6 +46,8 @@ def assert_counters_equal(a, b):
     assert ra.wrong_way == rb.wrong_way
     if hasattr(ra, "origins_after_classify"):
         assert ra.origins_after_classify == rb.origins_after_classify
+    if hasattr(ra, "arc_relaxations"):
+        assert ra.arc_relaxations == rb.arc_relaxations
 
 
 INSTANCES = [
@@ -49,6 +57,7 @@ INSTANCES = [
 ]
 
 
+@needs_lane
 @pytest.mark.parametrize("algo", op.ALGORITHMS)
 @pytest.mark.parametrize("spec_idx", range(len(INSTANCES)))
 def test_lane_equivalence_on_grids(algo, spec_idx, algebra):
@@ -60,6 +69,7 @@ def test_lane_equivalence_on_grids(algo, spec_idx, algebra):
     assert ref.hda_report.arc_inspections == fast.hda_report.arc_inspections
 
 
+@needs_lane
 @pytest.mark.parametrize("algo", op.ALGORITHMS)
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_lane_equivalence_on_random_multigraphs(algo, seed, algebra):
@@ -71,6 +81,7 @@ def test_lane_equivalence_on_random_multigraphs(algo, seed, algebra):
     assert_counters_equal(ref, fast)
 
 
+@needs_lane
 def test_fast_run_class_surface(algebra):
     g, source, _ = op.gen_grid(op.GridSpec(k_r=6, k_c=6, seed=8,
                                            plant_hzp=True))
@@ -97,3 +108,152 @@ def test_fast_run_validates_sources(triangle):
         fastlane.FastRun(triangle, [])
     with pytest.raises(GraphError, match="out of range"):
         fastlane.FastRun(triangle, [9])
+
+
+# -- the int64 bound: max_weight * n <= 2**63 - 1 ------------------------------
+
+def path_graph(weights):
+    arcs = [(i + 1, i + 2, w) for i, w in enumerate(weights)]
+    return op.build_graph(len(weights) + 1, arcs, directed=True)
+
+
+W_AT_BOUND = fastlane.INT64_MAX // 7  # 7 divides 2**63 - 1
+
+
+@needs_lane
+@pytest.mark.parametrize("algo", op.ALGORITHMS)
+def test_both_lanes_exact_at_the_int64_bound(algo, algebra):
+    g = path_graph([W_AT_BOUND] * 6)
+    assert W_AT_BOUND * g.n == fastlane.INT64_MAX
+    ref = reference_run(g, 1, algo, algebra)
+    fast = fast_run(g, 1, algo)
+    assert ref.state.cost[7] == 6 * W_AT_BOUND
+    assert_states_equal(ref, fast)
+    assert_counters_equal(ref, fast)
+
+
+@pytest.mark.parametrize("weights", [[W_AT_BOUND] * 5 + [W_AT_BOUND + 1],
+                                     [6 * 10**18] * 2])
+def test_compiled_lane_refuses_one_above_the_bound(weights, algebra):
+    g = path_graph(weights)
+    assert max(weights) * g.n > fastlane.INT64_MAX
+    with pytest.raises(GraphError, match="overflow"):
+        fastlane.FastRun(g, [1])
+    with pytest.raises(GraphError, match="overflow"):
+        fast_run(g, 1, "eom")
+    ref = reference_run(g, 1, "eom", algebra)
+    assert ref.state.cost[g.n] == sum(weights)
+
+
+# -- building and loading the shared object ------------------------------------
+
+@pytest.fixture()
+def fresh_lane(monkeypatch, tmp_path):
+    """Resolve the lane anew, with its cache under ``tmp_path``; call the
+    returned function to forget the loaded lane again."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+
+    def reset():
+        monkeypatch.setattr(fastlane, "_lane",
+                            functools.cache(fastlane._lane.__wrapped__))
+
+    reset()
+    return reset
+
+
+def broken_compiler(monkeypatch, command):
+    monkeypatch.setattr(fastlane, "_BUILD", (command, "-O2", "-shared", "-fPIC"))
+
+
+def cache_files(tmp_path):
+    return sorted(p.name for p in (tmp_path / "optpaths").iterdir())
+
+
+@needs_lane
+def test_second_load_reuses_the_cached_object(fresh_lane, monkeypatch,
+                                              tmp_path):
+    assert fastlane.available()
+    built = cache_files(tmp_path)
+    assert len(built) == 1 and built[0].endswith(".so")
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError(f"compiler invoked: {args}")
+
+    fresh_lane()
+    monkeypatch.setattr(subprocess, "run", no_compiler)
+    assert fastlane.available()
+    assert cache_files(tmp_path) == built
+
+
+@needs_lane
+def test_concurrent_builds_leave_one_complete_object(fresh_lane, tmp_path):
+    errors = []
+
+    def build():
+        try:
+            fastlane._load()
+        except OSError as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=build) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads) and not errors
+    built = cache_files(tmp_path)
+    assert len(built) == 1 and built[0].startswith("kernels-")
+    assert fastlane.available()
+
+
+@pytest.mark.parametrize("command", ["/nonexistent/cc", "false"])
+def test_missing_or_failing_compiler_disables_the_lane(
+        command, fresh_lane, monkeypatch, tmp_path, triangle, capsys):
+    broken_compiler(monkeypatch, command)
+    assert not fastlane.available()
+    assert not [f for f in cache_files(tmp_path) if f.startswith(".build-")]
+    # no silent fallback to Python loops
+    with pytest.raises(GraphError, match="compiled lane unavailable"):
+        fastlane.FastRun(triangle, [1])
+    with pytest.raises(GraphError, match="compiled lane unavailable"):
+        fast_run(triangle, 1, "ht")
+    inst = str(tmp_path / "tri.txt")
+    op.write_instance_file(triangle, inst)
+    assert cli.main(["solve", "--instance", inst, "--algo", "eom",
+                     "--fast"]) == cli.EXIT_USAGE
+    assert "compiled lane unavailable" in capsys.readouterr().err
+
+
+def bench_counters(tmp_path, name):
+    out = tmp_path / name
+    assert cli.main(["bench", "--n-total", "60", "--kc", "3,6,20",
+                     "--algos", "eom,eom2,hrp,fr,ht",
+                     "--out", str(out)]) == cli.EXIT_OK
+    timing = {cli.CSV_COLUMNS.index(c)
+              for c in ("hda_ms", "classify_ms", "schedule_ms")}
+    return [[f for i, f in enumerate(line.split(",")) if i not in timing]
+            for line in out.read_text().splitlines()]
+
+
+@needs_lane
+def test_bench_without_a_compiler_writes_the_same_counters(
+        fresh_lane, monkeypatch, tmp_path):
+    assert fastlane.available()
+    compiled = bench_counters(tmp_path, "compiled.csv")
+    broken_compiler(monkeypatch, "/nonexistent/cc")
+    fresh_lane()
+    assert not fastlane.available()
+    assert bench_counters(tmp_path, "reference.csv") == compiled
+    assert len(compiled) == 1 + 3 * 5
+
+
+def test_import_builds_and_loads_nothing(tmp_path):
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(sys.path))
+    code = ("import sys, optpaths.cli; "
+            "print(sorted(m for m in ('subprocess', 'hashlib') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+    assert not (tmp_path / "optpaths").exists()

@@ -26,6 +26,13 @@ class TestBuildValidation:
         with pytest.raises(GraphError, match=r"arc 2 \(3,3\).*self-loop"):
             op.build_graph(3, [(1, 2, 1), (2, 3, 1), (3, 3, 1)])
 
+    def test_rejects_value_outside_int64(self):
+        with pytest.raises(GraphError,
+                           match=r"arc 1 \(2,3,9223372036854775808\).*int64"):
+            op.build_graph(3, [(1, 2, 1), (2, 3, 2**63)])
+        g = op.build_graph(3, [(1, 2, 1), (2, 3, 2**63 - 1)])
+        assert op.leaves(g, 2)[-1] == (3, 2**63 - 1)
+
     def test_zero_weight_allowed(self):
         g = op.build_graph(2, [(1, 2, 0)])
         assert op.leaves(g, 1) == [(2, 0)]
