@@ -16,19 +16,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import fastlane
-from .evolve import EomReport
 from .generators import (GridSpec, gen_grid, gen_random_graph, grid_comments,
                          shape_sweep_specs)
-from .graph import (Graph, GraphError, InstanceFormatError, leaves,
-                    min_plus_algebra, read_instance_file, write_instance_file)
-from .monarchy import MonarchyReport, SchedulerKind
-from .oracles import VerificationReport
-from .partition import UNREACHED, export_results_file, hda_multi
+from .graph import (Graph, GraphError, InstanceFormatError, min_plus_algebra,
+                    read_instance_file)
+from .oracles import verify_export
+from .partition import UNREACHED, export_results_file
 from .pipeline import ALGORITHMS, InvariantViolation, PipelineResult, run_pipeline
 
 CSV_COLUMNS = [
@@ -106,7 +103,7 @@ def record_from_result(instance: str, g: Graph, res: PipelineResult,
         origins=res.origins,
     )
     rep = res.opt_report
-    if isinstance(rep, (EomReport, MonarchyReport)):
+    if rep is not None:  # hda alone has no optimizer report
         rec.schedule_ms = rep.wall_time_ms
         rec.big_loops = rep.big_loops
         rec.node_scans = rep.node_scans
@@ -178,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also require the no-improving-arc condition")
 
     c = sub.add_parser("compare",
-                       help="run all optimizers from one partition and compare")
+                       help="run all five optimizers and compare them")
     c.add_argument("--instance", required=True)
     c.add_argument("--source", type=int, default=1)
     c.add_argument("--format", choices=["csv", "text"], default="text")
@@ -230,21 +227,12 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     g, _ = read_instance_file(args.instance)
-    if args.algo == "multi":
-        sources = args.sources or [args.source]
-        algebra = min_plus_algebra()
-        regions, state, hda_rep = hda_multi(g, sources, algebra, with_tags=True)
-        from .monarchy import classify_status, run_scheduler
-        t0 = time.perf_counter()
-        statuses = classify_status(g, state, algebra, regions)
-        classify_ms = (time.perf_counter() - t0) * 1e3
-        rep = run_scheduler(SchedulerKind(args.scheduler), g, regions, state,
-                            statuses, algebra)
-        res = PipelineResult("multi", regions, state, hda_rep, classify_ms,
-                             statuses.origin_count, rep)
-    else:
-        res = run_pipeline(g, [args.source], args.algo, fast=args.fast,
-                           debug_invariants=args.debug_invariants)
+    multi = args.algo == "multi"
+    sources = (args.sources or [args.source]) if multi else [args.source]
+    res = run_pipeline(g, sources, args.scheduler if multi else args.algo,
+                       fast=args.fast, debug_invariants=args.debug_invariants)
+    if multi:
+        res.algo = "multi"
     if args.out:
         export_results_file(res.state, res.regions, args.out)
     rec = record_from_result(args.instance, g, res)
@@ -264,14 +252,13 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _parse_results(path: str, n: int, lineno_base: int = 1):
+def _parse_results(path: str, n: int):
     region = [0] * (n + 1)
     parent = [0] * (n + 1)
     cost: list[Optional[int]] = [None] * (n + 1)
-    tags = [0] * (n + 1)
     seen = [False] * (n + 1)
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=lineno_base):
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -282,116 +269,42 @@ def _parse_results(path: str, n: int, lineno_base: int = 1):
             try:
                 v, reg, par = int(parts[0]), int(parts[1]), int(parts[2])
                 c = None if parts[3] == UNREACHED else int(parts[3])
-                tag = int(parts[4]) if len(parts) == 5 else 0
+                if len(parts) == 5:
+                    int(parts[4])  # a tag must be an integer; no audit reads it
             except ValueError:
                 raise InstanceFormatError(f"line {lineno}: non-integer field") from None
             if not 1 <= v <= n or seen[v]:
                 raise InstanceFormatError(
                     f"line {lineno}: bad or duplicate node id {v}")
+            if not 0 <= par <= n:
+                raise InstanceFormatError(
+                    f"line {lineno}: parent {par} out of range 0..{n}")
             seen[v] = True
-            region[v], parent[v], cost[v], tags[v] = reg, par, c, tag
+            region[v], parent[v], cost[v] = reg, par, c
     missing = [v for v in range(1, n + 1) if not seen[v]]
     if missing:
         raise InstanceFormatError(f"results missing node(s) {missing[:5]}")
-    return region, parent, cost, tags
-
-
-def verify_export(g: Graph, region, parent, cost,
-                  fixpoint: bool = False) -> VerificationReport:
-    """Audit an exported result against its instance.
-
-    Roots are the reached nodes without a parent (the sources).  Checks:
-    parent arcs exist and are cost-consistent, parent chains are acyclic,
-    regions equal hop layers recomputed by an independent breadth-first
-    search from the roots, and optionally that no arc can still improve.
-    """
-    rep = VerificationReport()
-    n = g.n
-    roots = [v for v in range(1, n + 1) if region[v] > 0 and parent[v] == 0]
-    if not roots:
-        rep.add("roots", "export", "at least one parentless reached node", "none")
-        return rep
-    for v in range(1, n + 1):
-        if region[v] == 0:
-            if parent[v] != 0 or cost[v] is not None:
-                rep.add("unreached", f"node {v}", "no parent/cost", "labeled")
-            continue
-        if cost[v] is None:
-            rep.add("cost", f"node {v}", "finite cost for reached node", UNREACHED)
-            continue
-        p = parent[v]
-        if p == 0:
-            continue
-        if region[p] == 0 or cost[p] is None:
-            rep.add("parent", f"node {v}", "reached parent", f"unreached {p}")
-            continue
-        if not any(t == v and cost[p] + w == cost[v] for t, w in leaves(g, p)):
-            rep.add("parent-arc", f"node {v}",
-                    f"arc ({p},{v}) with weight {cost[v]}-{cost[p]}", "absent")
-    # acyclicity
-    for v in range(1, n + 1):
-        if region[v] == 0:
-            continue
-        u, steps = v, 0
-        while parent[u] != 0:
-            u = parent[u]
-            steps += 1
-            if steps >= n:
-                rep.add("acyclic", f"node {v}", "chain to a root", "cycle")
-                break
-    # regions == hop layers from the roots (independent BFS)
-    level = [0] * (n + 1)
-    frontier = list(roots)
-    for r in roots:
-        level[r] = 1
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v, _ in leaves(g, u):
-                if level[v] == 0:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    for v in range(1, n + 1):
-        if level[v] != region[v]:
-            rep.add("region", f"node {v}", level[v], region[v])
-    if fixpoint:
-        for u in range(1, n + 1):
-            if cost[u] is None:
-                continue
-            for v, w in leaves(g, u):
-                if cost[v] is None or cost[u] + w < cost[v]:
-                    rep.add("fixpoint", f"arc ({u},{v},{w})",
-                            f"cost[{v}] <= {cost[u] + w}", cost[v])
-    return rep
+    return region, parent, cost
 
 
 def cmd_verify(args) -> int:
     g, _ = read_instance_file(args.instance)
-    region, parent, cost, _tags = _parse_results(args.results, g.n)
-    rep = verify_export(g, region, parent, cost, fixpoint=args.fixpoint)
+    region, parent, cost = _parse_results(args.results, g.n)
+    rep = verify_export(g, region, parent, cost, min_plus_algebra(),
+                        fixpoint=args.fixpoint)
     print(rep.summary())
     return EXIT_OK if rep.ok else EXIT_VERIFY
 
 
 def cmd_compare(args) -> int:
     g, _ = read_instance_file(args.instance)
-    algebra = min_plus_algebra()
     algos = ["eom", "eom2", "hrp", "fr", "ht"]
     records = []
     costs = {}
-    if args.fast:
-        for algo in algos:
-            res = run_pipeline(g, [args.source], algo, fast=True)
-            records.append(record_from_result(args.instance, g, res))
-            costs[algo] = res.state.cost
-    else:
-        regions, state, hda_rep = hda_multi(g, [args.source], algebra)
-        for algo in algos:
-            st = state.clone()
-            res = _run_from_shared(g, regions, st, hda_rep, algebra, algo)
-            records.append(record_from_result(args.instance, g, res))
-            costs[algo] = st.cost
+    for algo in algos:
+        res = run_pipeline(g, [args.source], algo, fast=args.fast)
+        records.append(record_from_result(args.instance, g, res))
+        costs[algo] = res.state.cost
     base = costs[algos[0]]
     agree = all(costs[a] == base for a in algos[1:])
     out, close = _open_out(args.out)
@@ -409,23 +322,6 @@ def cmd_compare(args) -> int:
         if close:
             out.close()
     return EXIT_OK if agree else EXIT_VERIFY
-
-
-def _run_from_shared(g, regions, state, hda_rep, algebra, algo) -> PipelineResult:
-    # compare re-uses one partition result across all optimizers
-    from .evolve import eom, eom_two_course
-    from .monarchy import classify_status, run_scheduler
-
-    if algo in ("eom", "eom2"):
-        run = eom if algo == "eom" else eom_two_course
-        rep = run(g, regions, state, algebra)
-        return PipelineResult(algo, regions, state, hda_rep, 0.0, 0, rep)
-    t0 = time.perf_counter()
-    statuses = classify_status(g, state, algebra, regions)
-    classify_ms = (time.perf_counter() - t0) * 1e3
-    rep = run_scheduler(SchedulerKind(algo), g, regions, state, statuses, algebra)
-    return PipelineResult(algo, regions, state, hda_rep, classify_ms,
-                          statuses.origin_count, rep)
 
 
 def cmd_bench(args) -> int:

@@ -83,7 +83,7 @@ def _sweep_to_fixpoint(g, regions, state, algebra, two_course, debug_check):
                 if not state.labeled(v):
                     continue
                 arc_relaxations += 1
-                if comp_pull(state, g, algebra, u, v, rev_w[k]):
+                if comp_pull(state, algebra, u, v, rev_w[k]):
                     flag += 1
                     if ru > region_of[v]:
                         regular += 1

@@ -17,7 +17,9 @@ load the cached object.  Without a compiler ``available()`` is false and
 
 Costs are int64 here, so ``FastRun`` refuses a graph whose
 ``max_weight * n`` exceeds ``2**63 - 1`` rather than let a cost wrap; the
-reference lane computes such instances exactly.
+reference lane computes such instances exactly.  The lane keeps no per-node
+source tags either, so it solves from one source; multi-source runs use the
+reference lane.
 """
 
 from __future__ import annotations
@@ -34,11 +36,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .evolve import EomReport
-from .graph import Graph, GraphError
-from .monarchy import MonarchyReport, SchedulerKind, StatusMap, _KIND_CODE
+from .graph import INT64_MAX, Graph, GraphError
+from .monarchy import MonarchyReport, SchedulerKind, _KIND_CODE
 from .partition import HdaReport, Regions, SolverState
-
-INT64_MAX = 2**63 - 1
 
 #: compile command; ``-o <object> <source>`` is appended
 _BUILD = ("cc", "-O2", "-shared", "-fPIC")
@@ -47,7 +47,7 @@ _SOURCE = Path(__file__).with_name("kernels.c")
 _P, _I = ctypes.c_void_p, ctypes.c_int64
 #: kernel name -> (argtypes, restype), matching kernels.c
 _SIGNATURES = {
-    "optpaths_hda": ([_P] * 6 + [_I] + [_P] * 9, _I),
+    "optpaths_hda": ([_P] * 6 + [_I] + [_P] * 8, _I),
     "optpaths_classify": ([_P, _I] + [_P] * 5, _I),
     "optpaths_eom": ([_P, _I] + [_P] * 8 + [_I, _P], None),
     "optpaths_schedule": ([_I, _P, _I] + [_P] * 11, None),
@@ -150,10 +150,12 @@ def _check_csr(g: Graph) -> None:
 
 
 class FastRun:
-    """Array-backed pipeline state for one source set on one graph.
+    """Array-backed pipeline state for one source on one graph.
 
-    Raises :class:`GraphError` when the compiled lane is unavailable or the
-    graph is outside its int64 bound; it never falls back to Python loops.
+    Raises :class:`GraphError` when the compiled lane is unavailable, the
+    graph is outside its int64 bound, or two or more distinct sources would
+    need the per-node source tags this lane does not keep; it never falls
+    back to Python loops.
     """
 
     def __init__(self, g: Graph, sources: Sequence[int]):
@@ -163,6 +165,9 @@ class FastRun:
         for s in srcs:
             if not 1 <= s <= g.n:
                 raise GraphError(f"source {s} out of range 1..{g.n}")
+        if len(srcs) > 1:
+            raise GraphError("the compiled lane keeps no source tags; "
+                             "multi-source runs need the reference lane")
         _check_csr(g)
         _check_bound(g)
         self._lib = _library()
@@ -170,16 +175,15 @@ class FastRun:
         self.sources = np.array(srcs, dtype=np.int64)
         t0 = time.perf_counter()
         order = np.zeros(g.n, dtype=np.int64)
-        (self.region, self.pos, self.parent, self.cost, self.wu, self.status,
-         self.issrc) = (np.zeros(g.n + 1, dtype=np.int64) for _ in range(7))
+        (self.region, self.pos, self.parent, self.cost, self.wu,
+         self.issrc) = (np.zeros(g.n + 1, dtype=np.int64) for _ in range(6))
         inspections = np.zeros(1, dtype=np.int64)
         count = self._lib.optpaths_hda(
             _ptr(g.fwd_ptr), _ptr(g.fwd_dst), _ptr(g.rev_ptr),
             _ptr(g.rev_src), _ptr(g.rev_w), _ptr(self.sources),
             len(self.sources), _ptr(order), _ptr(self.region),
             _ptr(self.pos), _ptr(self.parent), _ptr(self.cost),
-            _ptr(self.wu), _ptr(self.status), _ptr(self.issrc),
-            _ptr(inspections))
+            _ptr(self.wu), _ptr(self.issrc), _ptr(inspections))
         self.order = order[:count]
         self.hda_report = HdaReport(
             reached_count=int(count),
@@ -191,6 +195,7 @@ class FastRun:
         self.classify_ms = 0.0
 
     def classify(self) -> int:
+        """Screen the origins into ``self.status``; returns their count."""
         g = self.g
         t0 = time.perf_counter()
         self.status = np.zeros(g.n + 1, dtype=np.int64)
@@ -218,6 +223,7 @@ class FastRun:
             wall_time_ms=(time.perf_counter() - t0) * 1e3)
 
     def schedule(self, kind: SchedulerKind) -> MonarchyReport:
+        """Push to the fixpoint from the origins; :meth:`classify` runs first."""
         g = self.g
         code = _KIND_CODE[SchedulerKind(kind)]
         out = np.zeros(5, dtype=np.int64)
@@ -250,10 +256,5 @@ class FastRun:
             parent=self.parent.tolist(),
             cost=self.cost.tolist(),
             weight_used=self.wu.tolist(),
-            status=self.status.tolist(),
             is_source=[bool(x) for x in self.issrc.tolist()],
         )
-
-    def statuses(self) -> StatusMap:
-        return StatusMap(status=self.status.tolist(),
-                         origin_count=self.origin_count)

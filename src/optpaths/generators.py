@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import Graph, GraphError, build_graph
+from .graph import INT64_MAX, Graph, GraphError, build_graph
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -47,6 +47,12 @@ def splitmix64_array(seed: int, start: int, count: int) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
+def _check_weight_range(wmin: int, wmax: int) -> None:
+    if not 0 <= wmin <= wmax <= INT64_MAX:
+        raise GraphError(f"bad weight range [{wmin},{wmax}]: weights must "
+                         f"satisfy 0 <= wmin <= wmax <= {INT64_MAX}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     k_r: int  # rows
@@ -63,9 +69,7 @@ class GridSpec:
     def validate(self) -> None:
         if self.k_r < 1 or self.k_c < 1:
             raise GraphError(f"grid dims must be >= 1, got {self.k_r}x{self.k_c}")
-        if self.weight_min > self.weight_max or self.weight_min < 0:
-            raise GraphError(
-                f"bad weight range [{self.weight_min},{self.weight_max}]")
+        _check_weight_range(self.weight_min, self.weight_max)
 
 
 @dataclass(frozen=True)
@@ -153,8 +157,7 @@ def gen_random_graph(n: int, arc_count: int, weight_min: int, weight_max: int,
         raise GraphError("arc count must be >= 0")
     if arc_count > 0 and n < 2:
         raise GraphError("cannot place arcs on a single node without self-loops")
-    if weight_min > weight_max or weight_min < 0:
-        raise GraphError(f"bad weight range [{weight_min},{weight_max}]")
+    _check_weight_range(weight_min, weight_max)
     if arc_count == 0:
         return build_graph(n, [], directed=directed)
     draws = splitmix64_array(seed, 0, 3 * arc_count)

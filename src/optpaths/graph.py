@@ -1,7 +1,7 @@
 """Immutable graph store with per-node adjacency in both directions.
 
 Node ids are 1-based; id 0 is reserved as the "unset" sentinel used by the
-solver arrays (parent pointers, status flags).  Adjacency is kept in CSR
+solver arrays (parent pointers, positions).  Adjacency is kept in CSR
 form over numpy int64 arrays: ``forward`` maps each node to its out-leaves
 (the node's star unit) and ``reverse`` maps each node to its in-neighbors.
 For undirected graphs both views are the same arrays.
@@ -28,6 +28,9 @@ NodeId = int
 
 #: sentinel for "no node" in parent/position arrays
 UNSET = 0
+
+#: largest arc weight (and compiled-lane cost) an int64 array holds
+INT64_MAX = 2**63 - 1
 
 
 class GraphError(ValueError):
@@ -125,7 +128,7 @@ def _csr_by_key(key: np.ndarray, dst: np.ndarray, wts: np.ndarray, n: int):
 
 def _int64_overflow(arcs) -> str:
     """Name the first arc with a field outside int64."""
-    lo, hi = -2**63, 2**63 - 1
+    lo, hi = -INT64_MAX - 1, INT64_MAX
     for i, arc in enumerate(arcs):
         if any(not lo <= int(x) <= hi for x in arc):
             return f"arc {i} ({','.join(map(str, arc))}): value outside int64"

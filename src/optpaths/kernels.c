@@ -20,8 +20,7 @@ int64_t optpaths_hda(const int64_t *fptr, const int64_t *fdst,
                      const int64_t *rw, const int64_t *sources,
                      int64_t n_sources, int64_t *order, int64_t *region,
                      int64_t *pos, int64_t *parent, int64_t *cost,
-                     int64_t *wu, int64_t *status, int64_t *issrc,
-                     int64_t *inspections)
+                     int64_t *wu, int64_t *issrc, int64_t *inspections)
 {
     int64_t count = 0;
     for (int64_t j = 0; j < n_sources; j++) {
@@ -31,7 +30,6 @@ int64_t optpaths_hda(const int64_t *fptr, const int64_t *fdst,
         count += 1;
         region[s] = 1;
         pos[s] = count;
-        status[s] = 1;
     }
     int64_t insp = 0;
     int64_t i = 0;
@@ -46,7 +44,6 @@ int64_t optpaths_hda(const int64_t *fptr, const int64_t *fdst,
                 order[count] = v;
                 count += 1;
                 pos[v] = count;
-                status[v] = 1;
             }
         }
         for (int64_t k = rptr[u]; k < rptr[u + 1]; k++) {

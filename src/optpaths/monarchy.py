@@ -27,10 +27,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .graph import UNSET, CostAlgebra, Graph, GraphError, NodeId
-from .partition import Regions, SolverState, hda_multi
+from .partition import Regions, SolverState
 
 
 class SchedulerKind(str, Enum):
@@ -70,10 +70,6 @@ class MonarchyReport:
         return self.node_scans / self.E if self.E else 0.0
 
     @property
-    def lambda_factor(self) -> float:
-        return self.snoa
-
-    @property
     def ooa(self) -> float:
         return self.origins_after_classify / self.E if self.E else 0.0
 
@@ -82,7 +78,7 @@ class MonarchyReport:
         return self.improvements / self.E if self.E else 0.0
 
 
-def comp_push(state: SolverState, g: Graph, algebra: CostAlgebra,
+def comp_push(state: SolverState, algebra: CostAlgebra,
               root: NodeId, leaf: NodeId, weight: int) -> bool:
     """Push-relaxation: ``root`` offers itself as parent of ``leaf``.
 
@@ -186,7 +182,7 @@ def run_scheduler(kind: SchedulerKind, g: Graph, regions: Regions,
         ru = region_of[u]
         for k in range(fwd_ptr[u], fwd_ptr[u + 1]):
             v = fwd_dst[k]
-            if comp_push(state, g, algebra, u, v, fwd_w[k]):
+            if comp_push(state, algebra, u, v, fwd_w[k]):
                 improvements += 1
                 cycle_flag += 1
                 status[v] = 1
@@ -222,24 +218,3 @@ def run_scheduler(kind: SchedulerKind, g: Graph, regions: Regions,
         E=g.E,
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
     )
-
-
-def multi_source_solve(g: Graph, sources: Sequence[NodeId],
-                       algebra: CostAlgebra,
-                       kind: SchedulerKind = SchedulerKind.HT,
-                       ) -> tuple[SolverState, list[int], MonarchyReport]:
-    """Solve with every source at layer 1 and per-node winning-source tags.
-
-    Each accepted relaxation copies the parent's tag, so on halt every
-    reached node carries the source achieving its (minimal) cost.  Ties are
-    decided by the strict accept rule: the first source to label a node
-    keeps it, and the labeling order follows the deterministic frontier
-    order (sources are seeded in ascending id order).
-    """
-    if not sources:
-        raise GraphError("source set must be non-empty")
-    regions, state, _ = hda_multi(g, sources, algebra, with_tags=True)
-    statuses = classify_status(g, state, algebra, regions)
-    report = run_scheduler(kind, g, regions, state, statuses, algebra)
-    assert state.tags is not None
-    return state, state.tags, report

@@ -6,18 +6,19 @@ baselines used to certify every fixpoint claim, the layered dynamic program
 reproduces the partition phase's min-hop-restricted semantics, and the
 brute-force path enumerator (tiny instances only) certifies the oracles
 themselves.  The ``check_*`` audits verify tree shape, reachability and the
-no-improving-arc fixpoint condition directly on a solver state, collecting
-every failure rather than stopping at the first.
+no-improving-arc fixpoint condition directly on a solver state, and
+``verify_export`` audits an exported result with the same core; all honour
+the cost algebra and collect every failure rather than stopping at the first.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .graph import UNSET, CostAlgebra, Graph, NodeId, in_neighbors, leaves
-from .partition import Regions, SolverState
+from .partition import UNREACHED, Regions, SolverState
 
 
 @dataclass
@@ -175,28 +176,30 @@ def brute_force_oracle(g: Graph, source: NodeId, algebra: CostAlgebra,
 
 
 # ---------------------------------------------------------------------------
-# Structural audits over a SolverState
+# Structural audits.  One core over plain lists -- a memoized parent-chain
+# walk and one pass over the forward arcs -- serves both the solver-state
+# checks and the audit of an exported result.
 # ---------------------------------------------------------------------------
 
-def _audit_chains(state: SolverState, rep: VerificationReport,
-                  check: str) -> list[int]:
-    """Walk every parent chain once (memoized), reporting cycles/dead ends.
+def _chain_colors(parent: list[int], is_root: list[bool], live: list[bool],
+                  rep: VerificationReport, check: str) -> list[int]:
+    """Walk the parent chain of every live node once (memoized), O(n) total.
 
-    Returns a color array: 2 = chain reaches a source, 3 = broken.
+    A cycle or a dead end (a non-root without a parent) is reported once,
+    by the walk that finds it.  Returns a color array: 2 = the chain
+    reaches a root, 3 = broken.
     """
-    n = state.n
+    n = len(parent) - 1
     color = [0] * (n + 1)  # 0 unknown, 1 on current walk, 2 good, 3 bad
     for v in range(1, n + 1):
-        if not state.labeled(v) or color[v]:
+        if not live[v] or color[v]:
             continue
         path = [v]
         color[v] = 1
         u = v
         verdict = 2
-        while True:
-            if state.is_source[u]:
-                break
-            p = state.parent[u]
+        while not is_root[u]:
+            p = parent[u]
             if p == UNSET:
                 rep.add(check, f"node {v}", "chain to a source",
                         f"dead end at {u}")
@@ -219,42 +222,78 @@ def _audit_chains(state: SolverState, rep: VerificationReport,
     return color
 
 
-def check_tree(state: SolverState, g: Graph) -> VerificationReport:
-    """Audit the parent array: arcs exist, costs are consistent, no cycles."""
-    rep = VerificationReport()
-    n = state.n
+def _arc_pass(g: Graph, parent: list[int],
+              fits: Optional[Callable[[int, int, int], bool]],
+              cost: Optional[list[Optional[int]]], algebra: CostAlgebra,
+              rep: VerificationReport) -> list[bool]:
+    """One pass over the forward arcs for the parent-arc and fixpoint checks.
+
+    With ``fits``, returns per node ``v`` whether some arc ``(p, v, w)`` with
+    ``p == parent[v]`` has ``fits(p, v, w)``.  With ``cost`` (None marks an
+    unreached node), reports every arc out of a reached node whose endpoint
+    is unreached or can still be improved.
+    """
+    n = g.n
     fwd_ptr = g.fwd_ptr.tolist()
     fwd_dst = g.fwd_dst.tolist()
     fwd_w = g.fwd_w.tolist()
+    extend, better = algebra.extend, algebra.better
+    found = [False] * (n + 1)
+    for u in range(1, n + 1):
+        cu = None if cost is None else cost[u]
+        for k in range(fwd_ptr[u], fwd_ptr[u + 1]):
+            v = fwd_dst[k]
+            w = fwd_w[k]
+            if fits is not None and parent[v] == u and fits(u, v, w):
+                found[v] = True
+            if cu is None:
+                continue
+            if cost[v] is None:
+                rep.add("fixpoint", f"arc ({u},{v},{w})",
+                        "endpoint labeled", "unreached endpoint")
+                continue
+            c = extend(cu, w)
+            if better(c, cost[v]):
+                rep.add("fixpoint", f"arc ({u},{v},{w})",
+                        f"cost[{v}] <= {c}", cost[v])
+    return found
+
+
+def _labeled(state: SolverState) -> list[bool]:
+    return [state.labeled(v) for v in range(state.n + 1)]
+
+
+def check_tree(state: SolverState, g: Graph,
+               algebra: CostAlgebra) -> VerificationReport:
+    """Audit the parent array: arcs exist, costs are consistent, no cycles."""
+    rep = VerificationReport()
+    parent, cost, wu = state.parent, state.cost, state.weight_used
     # recorded parent arcs must exist with the recorded weight
-    for v in range(1, n + 1):
-        p = state.parent[v]
+    found = _arc_pass(g, parent, lambda p, v, w: w == wu[v], None, algebra,
+                      rep)
+    for v in range(1, state.n + 1):
+        p = parent[v]
         if p == UNSET:
             continue
-        wu = state.weight_used[v]
-        found = False
-        for k in range(fwd_ptr[p], fwd_ptr[p + 1]):
-            if fwd_dst[k] == v and fwd_w[k] == wu:
-                found = True
-                break
-        if not found:
-            rep.add("parent-arc", f"node {v}", f"arc ({p},{v},{wu}) in graph", "absent")
+        if not found[v]:
+            rep.add("parent-arc", f"node {v}",
+                    f"arc ({p},{v},{wu[v]}) in graph", "absent")
             continue
         # weight_used stores the raw arc weight accepted into the parent
         # link, so the recorded cost is checkable against the tree.  Mid-run
         # an ancestor may have improved after v adopted it, leaving cost[v]
-        # stale-high; that is sound.  A cost *below* what the parent link
-        # provides claims a path the tree cannot justify and is rejected.
-        # (Exact equality is the fixpoint audit's job, not this one's.)
-        achievable = state.cost[p] + wu
-        if state.cost[v] < achievable:
+        # stale-worse; that is sound.  A cost *better* than what the parent
+        # link provides claims a path the tree cannot justify and is
+        # rejected.  (Exact equality is the fixpoint audit's job.)
+        achievable = algebra.extend(cost[p], wu[v])
+        if algebra.better(cost[v], achievable):
             rep.add("cost-consistency", f"node {v}",
-                    f"cost >= {achievable}", state.cost[v])
-    _audit_chains(state, rep, "acyclic")
+                    f"cost >= {achievable}", cost[v])
+    _chain_colors(parent, state.is_source, _labeled(state), rep, "acyclic")
     # sources never carry a parent
     for s in state.sources:
-        if state.parent[s] != UNSET:
-            rep.add("source-root", f"source {s}", UNSET, state.parent[s])
+        if parent[s] != UNSET:
+            rep.add("source-root", f"source {s}", UNSET, parent[s])
     return rep
 
 
@@ -262,17 +301,19 @@ def check_reachability(state: SolverState, regions: Regions) -> VerificationRepo
     """Every partition-reached node must still hang off a source in the tree."""
     rep = VerificationReport()
     n = state.n
+    live = _labeled(state)
     reached = sum(1 for v in range(1, n + 1) if regions.position_of[v] != 0)
-    labeled = sum(1 for v in range(1, n + 1) if state.labeled(v))
+    labeled = sum(live)
     if reached != labeled:
         rep.add("reached-set", "partition vs tree",
                 f"{reached} reached", f"{labeled} labeled")
     for v in range(1, n + 1):
-        if regions.position_of[v] != 0 and not state.labeled(v):
+        if regions.position_of[v] != 0 and not live[v]:
             rep.add("reached-set", f"node {v}", "labeled", "unlabeled")
-    color = _audit_chains(state, rep, "reachable")
+    color = _chain_colors(state.parent, state.is_source, live, rep,
+                          "reachable")
     for v in range(1, n + 1):
-        if regions.position_of[v] != 0 and state.labeled(v) and color[v] != 2:
+        if regions.position_of[v] != 0 and live[v] and color[v] != 2:
             rep.add("reachable", f"node {v}", "chain to a source", "broken chain")
     return rep
 
@@ -281,20 +322,71 @@ def check_fixpoint(g: Graph, state: SolverState,
                    algebra: CostAlgebra) -> VerificationReport:
     """No arc from a labeled node may still improve its endpoint."""
     rep = VerificationReport()
+    cost = [c if lab else None for c, lab in zip(state.cost, _labeled(state))]
+    _arc_pass(g, state.parent, None, cost, algebra, rep)
+    return rep
+
+
+def verify_export(g: Graph, region: list[int], parent: list[int],
+                  cost: list[Optional[int]], algebra: CostAlgebra,
+                  fixpoint: bool = False) -> VerificationReport:
+    """Audit an exported result against its instance.
+
+    Roots are the reached nodes without a parent (the sources).  Checks:
+    parent arcs exist and are cost-consistent, parent chains reach a root,
+    regions equal hop layers recomputed by an independent breadth-first
+    search from the roots, and optionally that no arc can still improve.
+    """
+    rep = VerificationReport()
+    n = g.n
+    reached = [r != 0 for r in region]
+    is_root = [reached[v] and parent[v] == UNSET for v in range(n + 1)]
+    roots = [v for v in range(1, n + 1) if is_root[v]]
+    if not roots:
+        rep.add("roots", "export", "at least one parentless reached node", "none")
+        return rep
+    extend = algebra.extend
+    fix = VerificationReport()  # fixpoint failures are listed last
+    found = _arc_pass(
+        g, parent,
+        lambda p, v, w: cost[p] is not None and extend(cost[p], w) == cost[v],
+        cost if fixpoint else None, algebra, fix)
+    for v in range(1, n + 1):
+        if not reached[v]:
+            if parent[v] != UNSET or cost[v] is not None:
+                rep.add("unreached", f"node {v}", "no parent/cost", "labeled")
+            continue
+        if cost[v] is None:
+            rep.add("cost", f"node {v}", "finite cost for reached node", UNREACHED)
+            continue
+        p = parent[v]
+        if p == UNSET:
+            continue
+        if not reached[p] or cost[p] is None:
+            rep.add("parent", f"node {v}", "reached parent", f"unreached {p}")
+            continue
+        if not found[v]:
+            rep.add("parent-arc", f"node {v}",
+                    f"arc ({p},{v}) with weight {cost[v]}-{cost[p]}", "absent")
+    _chain_colors(parent, is_root, reached, rep, "acyclic")
+    # regions == hop layers from the roots (independent BFS)
     fwd_ptr = g.fwd_ptr.tolist()
     fwd_dst = g.fwd_dst.tolist()
-    fwd_w = g.fwd_w.tolist()
-    for u in range(1, state.n + 1):
-        if not state.labeled(u):
-            continue
-        cu = state.cost[u]
-        for k in range(fwd_ptr[u], fwd_ptr[u + 1]):
-            v = fwd_dst[k]
-            w = algebra.extend(cu, fwd_w[k])
-            if not state.labeled(v):
-                rep.add("fixpoint", f"arc ({u},{v},{fwd_w[k]})",
-                        "endpoint labeled", "unreached endpoint")
-            elif algebra.better(w, state.cost[v]):
-                rep.add("fixpoint", f"arc ({u},{v},{fwd_w[k]})",
-                        f"cost[{v}] <= {w}", state.cost[v])
+    level = [0] * (n + 1)
+    for r in roots:
+        level[r] = 1
+    frontier = roots
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for k in range(fwd_ptr[u], fwd_ptr[u + 1]):
+                v = fwd_dst[k]
+                if level[v] == 0:
+                    level[v] = level[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    for v in range(1, n + 1):
+        if level[v] != region[v]:
+            rep.add("region", f"node {v}", level[v], region[v])
+    rep.failures += fix.failures
     return rep

@@ -56,9 +56,9 @@ class SolverState:
     ``parent[v]`` is the chosen predecessor (0 = unset; always 0 at sources),
     ``cost[v]`` the current path cost, ``weight_used[v]`` the weight of the
     arc actually accepted into ``parent[v] -> v`` (kept so cost consistency
-    is checkable even with parallel arcs), ``status`` a scratch activity
-    flag.  ``tags`` is present only on multi-source runs and names, per node,
-    the source whose influence labeled it.
+    is checkable even with parallel arcs).  ``tags`` is present exactly when
+    the run has two or more distinct sources and names, per node, the source
+    whose influence labeled it.
     """
 
     n: int
@@ -66,18 +66,16 @@ class SolverState:
     parent: list[int]
     cost: list[int]
     weight_used: list[int]
-    status: list[int]
     is_source: list[bool]
     tags: list[int] | None = None
 
     @classmethod
-    def fresh(cls, n: int, sources: Sequence[int], zero: int,
-              with_tags: bool = False) -> "SolverState":
+    def fresh(cls, n: int, sources: Sequence[int], zero: int) -> "SolverState":
         is_source = [False] * (n + 1)
         for s in sources:
             is_source[s] = True
         tags = None
-        if with_tags:
+        if len(set(sources)) > 1:
             tags = [UNSET] * (n + 1)
             for s in sources:
                 tags[s] = s
@@ -87,25 +85,12 @@ class SolverState:
             parent=[UNSET] * (n + 1),
             cost=[zero] * (n + 1),
             weight_used=[0] * (n + 1),
-            status=[0] * (n + 1),
             is_source=is_source,
             tags=tags,
         )
 
     def labeled(self, v: int) -> bool:
         return self.parent[v] != UNSET or self.is_source[v]
-
-    def clone(self) -> "SolverState":
-        return SolverState(
-            n=self.n,
-            sources=self.sources,
-            parent=list(self.parent),
-            cost=list(self.cost),
-            weight_used=list(self.weight_used),
-            status=list(self.status),
-            is_source=list(self.is_source),
-            tags=list(self.tags) if self.tags is not None else None,
-        )
 
 
 @dataclass
@@ -116,7 +101,7 @@ class HdaReport:
     wall_time_ms: float
 
 
-def comp_pull(state: SolverState, g: Graph, algebra: CostAlgebra,
+def comp_pull(state: SolverState, algebra: CostAlgebra,
               root: NodeId, leaf: NodeId, weight: int) -> bool:
     """Pull-relaxation: ``root`` adopts ``leaf`` as parent if that improves it.
 
@@ -137,14 +122,7 @@ def comp_pull(state: SolverState, g: Graph, algebra: CostAlgebra,
     return False
 
 
-def hda(g: Graph, source: NodeId, algebra: CostAlgebra,
-        ) -> tuple[Regions, SolverState, HdaReport]:
-    """Partition from a single source; see :func:`hda_multi` for the engine."""
-    return hda_multi(g, [source], algebra)
-
-
 def hda_multi(g: Graph, sources: Sequence[NodeId], algebra: CostAlgebra,
-              with_tags: bool = False,
               ) -> tuple[Regions, SolverState, HdaReport]:
     """Frontier partition plus upper-rank pull from all sources at layer 1.
 
@@ -158,12 +136,10 @@ def hda_multi(g: Graph, sources: Sequence[NodeId], algebra: CostAlgebra,
     for s in srcs:
         if not 1 <= s <= g.n:
             raise GraphError(f"source {s} out of range 1..{g.n}")
-    if with_tags is False and len(srcs) > 1:
-        with_tags = True
 
     t0 = time.perf_counter()
     n = g.n
-    state = SolverState.fresh(n, srcs, algebra.zero, with_tags=with_tags)
+    state = SolverState.fresh(n, srcs, algebra.zero)
     order: list[int] = []
     region_of = [0] * (n + 1)
     position_of = [0] * (n + 1)
@@ -179,7 +155,6 @@ def hda_multi(g: Graph, sources: Sequence[NodeId], algebra: CostAlgebra,
         order.append(s)
         region_of[s] = 1
         position_of[s] = len(order)
-        state.status[s] = 1
 
     inspections = 0
     i = 0
@@ -194,14 +169,13 @@ def hda_multi(g: Graph, sources: Sequence[NodeId], algebra: CostAlgebra,
                 region_of[v] = reg + 1
                 order.append(v)
                 position_of[v] = len(order)
-                state.status[v] = 1
         # pull: adopt the best already-settled in-neighbor one layer up
         for k in range(rev_ptr[u], rev_ptr[u + 1]):
             inspections += 1
             v = rev_src[k]
             rv = region_of[v]
             if 0 < rv < reg:
-                comp_pull(state, g, algebra, u, v, rev_w[k])
+                comp_pull(state, algebra, u, v, rev_w[k])
         i += 1
 
     regions = Regions(order, region_of, position_of)
@@ -216,7 +190,7 @@ def hda_multi(g: Graph, sources: Sequence[NodeId], algebra: CostAlgebra,
 
 # ---------------------------------------------------------------------------
 # Result export (text): per node `<id> <region> <parent> <cost|UNREACHED>`,
-# plus a trailing `<tag>` column on multi-source runs.
+# plus a trailing `<tag>` column when the run has >= 2 distinct sources.
 # ---------------------------------------------------------------------------
 
 def export_results(state: SolverState, regions: Regions, out) -> None:

@@ -1,12 +1,15 @@
-"""One-call runners tying partition, classification and optimization together.
+"""The one dispatcher tying partition, classification and optimization together.
 
-``run_pipeline`` is what the command line and the benchmark harness use: it
-runs the partition phase, then the selected optimizer, and returns all phase
-reports plus the final state.  With ``debug_invariants`` set, the tree and
-reachability audits run at every big-loop boundary and any failure raises
-:class:`InvariantViolation` (the reached labeled set must also never
-shrink).  The compiled min-plus lane is used when ``fast`` is set; it does
-not support debug hooks or non-default algebras.
+Every command that solves -- ``solve`` (``multi`` included), ``compare`` and
+``bench`` -- calls ``run_pipeline``: it runs the partition phase from the
+source set, then the selected optimizer, and returns all phase reports plus
+the final state.  A run has per-node source tags exactly when it has two or
+more distinct sources.  With ``debug_invariants`` set, the tree and
+reachability audits run under the run's cost algebra at every big-loop
+boundary and any failure raises :class:`InvariantViolation` (the reached
+labeled set must also never shrink).  The compiled min-plus lane is used
+when ``fast`` is set; it keeps no tags, so it refuses two or more distinct
+sources, and it supports neither debug hooks nor other algebras.
 """
 
 from __future__ import annotations
@@ -48,11 +51,12 @@ class PipelineResult:
         return self.opt_report.wall_time_ms if self.opt_report else 0.0
 
 
-def _debug_hook(g: Graph, regions: Regions, state: SolverState, label: str):
+def _debug_hook(g: Graph, regions: Regions, state: SolverState, label: str,
+                algebra: CostAlgebra):
     reached_sizes = []
 
     def hook(big_loop: int) -> None:
-        rep = check_tree(state, g)
+        rep = check_tree(state, g, algebra)
         if not rep.ok:
             raise InvariantViolation(
                 f"{label}: tree audit failed at big loop {big_loop}:\n"
@@ -90,7 +94,7 @@ def run_pipeline(g: Graph, sources: Sequence[int], algo: str,
     regions, state, hda_rep = hda_multi(g, sources, algebra)
     hook = None
     if debug_invariants:
-        hook = _debug_hook(g, regions, state, algo)
+        hook = _debug_hook(g, regions, state, algo, algebra)
         hook(0)  # audit the partition output itself
 
     if algo == "hda":

@@ -63,11 +63,12 @@ def test_criterion_03_tree_invariant(corpus_results, triangle, algebra):
     # states and then the adversarial case.
     for name, inst in corpus_results.items():
         for algo in OPTIMIZERS:
-            assert op.check_tree(inst.runs[algo].state, inst.graph).ok, name
+            assert op.check_tree(inst.runs[algo].state, inst.graph,
+                                 algebra).ok, name
     _, state, _ = op.hda_multi(triangle, [1], algebra)
     state.parent[2], state.weight_used[2], state.cost[2] = 3, 1, 2
     state.parent[3], state.weight_used[3], state.cost[3] = 2, 1, 3
-    rep = op.check_tree(state, triangle)
+    rep = op.check_tree(state, triangle, algebra)
     assert not rep.ok
     assert any(check == "acyclic" and "cycle" in str(got)
                for check, _, _, got in rep.failures)
@@ -202,7 +203,8 @@ def test_criterion_09_multi_source(algebra):
         g = op.build_graph(n, arcs, directed=directed)
         sources = rng.sample(range(1, n + 1), rng.randint(2, 4))
         kind = rng.choice(list(SchedulerKind))
-        state, tags, _ = op.multi_source_solve(g, sources, algebra, kind=kind)
+        state = op.run_pipeline(g, sources, kind.value, algebra).state
+        tags = state.tags
         per_source = {s: op.dijkstra_oracle(g, s, algebra) for s in sources}
         for v in range(1, n + 1):
             dists = [r.dist[v] for r in per_source.values()

@@ -1,5 +1,7 @@
 import time
 
+import pytest
+
 import optpaths as op
 from optpaths.cli import (CSV_COLUMNS, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
                           main)
@@ -51,6 +53,27 @@ class TestGen:
     def test_bad_spec_is_usage_error(self, tmp_path, capsys):
         assert run(["gen", "grid", "--rows", "0", "--cols", "2"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("kind", [["grid", "--rows", "2", "--cols", "2"],
+                                      ["random", "--n", "5", "--arcs", "3"]])
+    @pytest.mark.parametrize("bounds", [
+        ["--wmax", "99999999999999999999999"],
+        ["--wmin", "9223372036854775800", "--wmax", "9223372036854775900"],
+    ])
+    def test_weights_outside_int64_are_usage_errors(self, kind, bounds,
+                                                    capsys):
+        assert run(["gen", *kind, *bounds]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "bad weight range" in err and "9223372036854775807" in err
+        assert "Traceback" not in err
+
+    def test_largest_int64_weight_is_accepted(self, tmp_path):
+        path = str(tmp_path / "rand.txt")
+        assert run(["gen", "random", "--n", "5", "--arcs", "3",
+                    "--wmin", "9223372036854775800",
+                    "--wmax", "9223372036854775807", "--out", path]) == EXIT_OK
+        g, _ = op.read_instance_file(path)
+        assert g.arc_weight.min() >= 9223372036854775800
+
 
 class TestSolve:
     def test_text_output_and_export(self, tmp_path, capsys):
@@ -94,6 +117,23 @@ class TestSolve:
             first = fh.readline().split()
         assert len(first) == 5 and first[4] == "1"
 
+    def test_single_source_multi_export_has_no_tags(self, tmp_path, capsys):
+        inst = make_grid_instance(tmp_path, rows=3, cols=3, hzp=False)
+        out = tmp_path / "res.txt"
+        assert run(["solve", "--instance", inst, "--algo", "multi",
+                    "--sources", "4,4", "--out", str(out)]) == EXIT_OK
+        assert all(len(row.split()) == 4
+                   for row in out.read_text().splitlines())
+
+    def test_multi_refuses_the_fast_lane(self, tmp_path, capsys):
+        inst = make_grid_instance(tmp_path, rows=3, cols=3, hzp=False)
+        argv = ["solve", "--instance", inst, "--algo", "multi",
+                "--sources", "1,9"]
+        assert run(argv + ["--fast"]) == EXIT_USAGE
+        assert "multi-source" in capsys.readouterr().err
+        assert run(argv + ["--debug-invariants"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("multi: BL=")
+
     def test_multi_reports_measured_classify_time(self, tmp_path, capsys,
                                                   monkeypatch):
         slow = op.monarchy.classify_status
@@ -102,7 +142,8 @@ class TestSolve:
             time.sleep(0.02)
             return slow(*args, **kwargs)
 
-        monkeypatch.setattr(op.monarchy, "classify_status", classify_status)
+        # the name run_pipeline looks up, which serves --algo multi too
+        monkeypatch.setattr(op.pipeline, "classify_status", classify_status)
         inst = make_grid_instance(tmp_path, rows=3, cols=3, hzp=False)
         assert run(["solve", "--instance", inst, "--algo", "multi",
                     "--sources", "1,9", "--format", "csv"]) == EXIT_OK
@@ -176,6 +217,44 @@ class TestVerify:
             == EXIT_VERIFY
         assert "failure" in capsys.readouterr().out
 
+    def tamper(self, path, rows):
+        lines = {int(l.split()[0]): l for l in path.read_text().splitlines()}
+        lines.update(rows)
+        path.write_text("".join(lines[v] + "\n" for v in sorted(lines)))
+
+    def test_planted_two_cycle_fails_acyclic(self, tmp_path, capsys):
+        inst, out = self.solve_to(tmp_path, "ht")
+        res = tmp_path / "ht.txt"
+        rows = {int(l.split()[0]): l.split()
+                for l in res.read_text().splitlines()}
+        a, b = 8, 9  # adjacent in the column-major grid, neither a source
+        self.tamper(res, {a: f"{a} {rows[a][1]} {b} {rows[a][3]}",
+                          b: f"{b} {rows[b][1]} {a} {rows[b][3]}"})
+        assert run(["verify", "--instance", inst, "--results", out]) \
+            == EXIT_VERIFY
+        assert "[acyclic]" in capsys.readouterr().out
+
+    def test_dead_end_chain_fails_acyclic(self, tmp_path, capsys):
+        # node 4 is unreachable from 1; hanging node 3 off it dead-ends
+        inst = tmp_path / "dir.txt"
+        inst.write_text("n 4 3 directed\n1 2 1\n2 3 1\n4 3 1\n")
+        res = tmp_path / "res.txt"
+        assert run(["solve", "--instance", str(inst), "--algo", "eom",
+                    "--out", str(res)]) == EXIT_OK
+        self.tamper(res, {3: "3 3 4 2"})
+        assert run(["verify", "--instance", str(inst),
+                    "--results", str(res)]) == EXIT_VERIFY
+        out = capsys.readouterr().out
+        assert "[acyclic]" in out and "dead end at 4" in out
+
+    def test_parent_out_of_range_is_usage_error(self, tmp_path, capsys):
+        inst, out = self.solve_to(tmp_path, "ht")
+        for parent in (31, -1):
+            self.tamper(tmp_path / "ht.txt", {2: f"2 2 {parent} 5"})
+            assert run(["verify", "--instance", inst,
+                        "--results", out]) == EXIT_USAGE
+            assert "out of range" in capsys.readouterr().err
+
     def test_malformed_results_are_usage_error(self, tmp_path, capsys):
         inst, out = self.solve_to(tmp_path, "ht")
         with open(out, "a") as fh:
@@ -205,8 +284,19 @@ class TestCompare:
         assert lines[-1] == "all agree"
 
     def test_fast_lane_agrees_too(self, tmp_path, capsys):
-        inst = make_grid_instance(tmp_path)
-        assert run(["compare", "--instance", inst, "--fast"]) == EXIT_OK
+        # both lanes print the same rows, timings aside
+        inst = make_grid_instance(tmp_path, rows=9, cols=7, hzp=False)
+        timing = {CSV_COLUMNS.index(c)
+                  for c in ("hda_ms", "classify_ms", "schedule_ms")}
+        outputs = []
+        for lane in ([], ["--fast"]):
+            assert run(["compare", "--instance", inst, "--format", "csv",
+                        *lane]) == EXIT_OK
+            outputs.append([
+                [f for i, f in enumerate(line.split(",")) if i not in timing]
+                for line in capsys.readouterr().out.splitlines()])
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) == 7 and outputs[0][-1] == ["all agree"]
 
 
 class TestBench:

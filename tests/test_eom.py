@@ -56,7 +56,7 @@ class TestZeroWeights:
         _, state, rep = solve_sweeps(g, 1, algebra)
         assert state.cost[1:] == [0] * n
         assert rep.big_loops <= n
-        assert op.check_tree(state, g).ok
+        assert op.check_tree(state, g, algebra).ok
 
     def test_zero_weight_cycle_graph(self, algebra):
         n = 9
@@ -64,7 +64,7 @@ class TestZeroWeights:
         g = op.build_graph(n, arcs, directed=True)
         _, state, rep = solve_sweeps(g, 1, algebra)
         assert state.cost[1:] == [0] * n
-        assert op.check_tree(state, g).ok
+        assert op.check_tree(state, g, algebra).ok
 
 
 class TestTwoCourse:

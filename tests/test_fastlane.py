@@ -88,8 +88,7 @@ def test_fast_run_class_surface(algebra):
     run = fastlane.FastRun(g, [source])
     origins = run.classify()
     assert origins == run.origin_count
-    statuses = run.statuses()
-    assert statuses.origin_count == origins
+    assert int(run.status.sum()) == origins
     rep = run.schedule(SchedulerKind.HT)
     assert rep.regular_way + rep.wrong_way == rep.improvements
     dj = op.dijkstra_oracle(g, source, algebra)

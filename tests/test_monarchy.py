@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 import optpaths as op
@@ -49,7 +51,7 @@ class TestSchedulers:
     def test_matches_full_sweeps(self, corpus, algebra, kind):
         for name, g, source in corpus[:30]:
             regions, state, _ = op.hda_multi(g, [source], algebra)
-            sweep_state = state.clone()
+            sweep_state = copy.deepcopy(state)
             op.eom(g, regions, sweep_state, algebra)
             statuses = op.classify_status(g, state, algebra, regions)
             op.run_scheduler(kind, g, regions, state, statuses, algebra)
@@ -80,7 +82,6 @@ class TestSchedulers:
         _, report = schedule(triangle, 1, SchedulerKind.HT, algebra)
         assert report.E == 6
         assert report.snoa == pytest.approx(report.node_scans / 6)
-        assert report.lambda_factor == report.snoa
         assert report.ooa == pytest.approx(report.origins_after_classify / 6)
         assert report.onoa == pytest.approx(report.improvements / 6)
 
@@ -93,7 +94,7 @@ class TestSchedulers:
     def test_source_guard_on_push(self, algebra):
         g = op.build_graph(2, [(1, 2, 0)])
         _, state, _ = op.hda_multi(g, [1], algebra)
-        assert not op.comp_push(state, g, algebra, 2, 1, 0)
+        assert not op.comp_push(state, algebra, 2, 1, 0)
         assert state.parent[1] == op.UNSET
 
 
@@ -101,7 +102,8 @@ class TestMultiSourceSolve:
     def test_costs_are_min_over_sources(self, algebra):
         g = op.build_graph(6, [(1, 2, 4), (2, 3, 4), (3, 4, 4), (4, 5, 4),
                                (5, 6, 4)])
-        state, tags, report = op.multi_source_solve(g, [1, 6], algebra)
+        state = op.run_pipeline(g, [1, 6], "ht", algebra).state
+        tags = state.tags
         dj1 = op.dijkstra_oracle(g, 1, algebra)
         dj6 = op.dijkstra_oracle(g, 6, algebra)
         for v in range(1, 7):
@@ -111,11 +113,11 @@ class TestMultiSourceSolve:
 
     def test_empty_sources_rejected(self, triangle, algebra):
         with pytest.raises(GraphError, match="non-empty"):
-            op.multi_source_solve(triangle, [], algebra)
+            op.run_pipeline(triangle, [], "ht", algebra)
 
     @pytest.mark.parametrize("kind", list(SchedulerKind))
     def test_all_kinds_supported(self, triangle, algebra, kind):
-        state, tags, _ = op.multi_source_solve(triangle, [1, 2], algebra,
-                                               kind=kind)
+        state = op.run_pipeline(triangle, [1, 2], kind.value, algebra).state
+        tags = state.tags
         assert state.cost[1] == 0 and state.cost[2] == 0
         assert state.cost[3] == 1 and tags[3] == 1

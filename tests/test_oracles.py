@@ -77,20 +77,20 @@ class TestStructuralAudits:
 
     def test_clean_state_passes(self, triangle, algebra):
         regions, state = self.solved(triangle, algebra)
-        assert op.check_tree(state, triangle).ok
+        assert op.check_tree(state, triangle, algebra).ok
         assert op.check_reachability(state, regions).ok
 
     def test_bogus_parent_arc_detected(self, triangle, algebra):
         _, state = self.solved(triangle, algebra)
         state.weight_used[2] = 99  # no (1,2) arc weighs 99
-        rep = op.check_tree(state, triangle)
+        rep = op.check_tree(state, triangle, algebra)
         assert not rep.ok
         assert any(check == "parent-arc" for check, *_ in rep.failures)
 
     def test_unsound_cost_detected(self, triangle, algebra):
         _, state = self.solved(triangle, algebra)
         state.cost[2] = 3  # tree only provides 0 + 10
-        rep = op.check_tree(state, triangle)
+        rep = op.check_tree(state, triangle, algebra)
         assert any(check == "cost-consistency" for check, *_ in rep.failures)
 
     def test_stale_high_cost_is_sound_mid_run(self, triangle, algebra):
@@ -98,13 +98,13 @@ class TestStructuralAudits:
         # the tree audit must accept that (exactness is the fixpoint's job)
         _, state = self.solved(triangle, algebra)
         state.cost[2] = 12
-        assert op.check_tree(state, triangle).ok
+        assert op.check_tree(state, triangle, algebra).ok
 
     def test_two_cycle_rejected_with_cycle_named(self, triangle, algebra):
         _, state = self.solved(triangle, algebra)
         state.parent[2], state.weight_used[2], state.cost[2] = 3, 1, 2
         state.parent[3], state.weight_used[3], state.cost[3] = 2, 1, 3
-        rep = op.check_tree(state, triangle)
+        rep = op.check_tree(state, triangle, algebra)
         assert not rep.ok
         assert any("cycle" in str(got) and "2" in str(got) and "3" in str(got)
                    for check, _, _, got in rep.failures if check == "acyclic")
@@ -113,7 +113,7 @@ class TestStructuralAudits:
         _, state = self.solved(triangle, algebra)
         state.parent[1] = 3
         state.weight_used[1] = 1
-        rep = op.check_tree(state, triangle)
+        rep = op.check_tree(state, triangle, algebra)
         assert any(check == "source-root" for check, *_ in rep.failures)
 
     def test_reachability_flags_broken_chain(self, triangle, algebra):
@@ -133,6 +133,19 @@ class TestStructuralAudits:
         regions, state, _ = op.hda_multi(triangle, [1], algebra)
         op.eom(triangle, regions, state, algebra)
         assert op.check_fixpoint(triangle, state, algebra).ok
+
+    def test_export_audit_honours_the_algebra(self, algebra):
+        # a bottleneck-path export: parent arcs are consistent under max,
+        # not under +, so only the matching algebra passes it
+        bottleneck = op.CostAlgebra(max, lambda a, b: a < b, 0)
+        g, source, _ = op.gen_grid(op.GridSpec(5, 5, seed=3))
+        res = op.run_pipeline(g, [source], "ht", algebra=bottleneck)
+        cost = [c if res.state.labeled(v) else None
+                for v, c in enumerate(res.state.cost)]
+        export = (g, res.regions.region_of, res.state.parent, cost)
+        assert op.verify_export(*export, bottleneck, fixpoint=True).ok
+        rep = op.verify_export(*export, algebra)
+        assert {check for check, *_ in rep.failures} == {"parent-arc"}
 
     def test_report_summary_formats(self):
         rep = op.VerificationReport()

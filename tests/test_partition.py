@@ -25,11 +25,6 @@ class TestTriangleExample:
         assert state.parent[1:] == [0, 1, 1]
         assert state.weight_used[2] == 10
 
-    def test_single_source_wrapper(self, triangle, algebra):
-        r1, s1, _ = op.hda(triangle, 1, algebra)
-        r2, s2, _ = op.hda_multi(triangle, [1], algebra)
-        assert r1.order == r2.order and s1.cost == s2.cost
-
 
 class TestPartitionStructure:
     def test_positions_invert_order(self, corpus, algebra):
@@ -80,7 +75,7 @@ class TestPartitionStructure:
         _, state, _ = op.hda_multi(g, [1], algebra)
         assert state.parent[1] == op.UNSET and state.cost[1] == 0
         # a direct pull attempt must refuse too
-        assert not op.comp_pull(state, g, algebra, 1, 2, 0)
+        assert not op.comp_pull(state, algebra, 1, 2, 0)
 
     def test_empty_source_set_rejected(self, triangle, algebra):
         with pytest.raises(GraphError, match="non-empty"):
@@ -113,8 +108,8 @@ class TestMultiSourceSeeding:
 
     def test_tags_follow_relabeling(self, algebra):
         g = op.build_graph(3, [(1, 3, 5), (2, 3, 1)])
-        state, tags, _ = op.multi_source_solve(g, [1, 2], algebra)
-        assert tags[3] == 2 and state.cost[3] == 1
+        state = op.run_pipeline(g, [1, 2], "ht", algebra).state
+        assert state.tags[3] == 2 and state.cost[3] == 1
 
 
 class TestResultExport:

@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 
 import optpaths as op
@@ -42,11 +44,28 @@ class TestRunPipeline:
         assert result.state.cost[2] == 10  # direct heavy arc is widest
         assert result.state.cost[3] == 1
 
+    @pytest.mark.parametrize("algo", ("eom", "eom2", "hrp", "fr", "ht"))
+    def test_debug_audits_honour_the_algebra(self, algo):
+        # bottleneck paths: a path costs its heaviest arc; the tree audit
+        # must check cost consistency with max, not with +
+        bottleneck = op.CostAlgebra(max, operator.lt, 0)
+        g, source, _ = op.gen_grid(op.GridSpec(5, 5, seed=3))
+        result = op.run_pipeline(g, [source], algo, algebra=bottleneck,
+                                 debug_invariants=True)
+        dj = op.dijkstra_oracle(g, source, bottleneck)
+        assert result.state.cost[1:] == dj.dist[1:]
+        assert op.check_fixpoint(g, result.state, bottleneck).ok
+
+    def test_fast_lane_refuses_distinct_sources(self, triangle):
+        # the compiled lane keeps no tags, so it must not drop them silently
+        with pytest.raises(GraphError, match="multi-source"):
+            op.run_pipeline(triangle, [1, 3], "ht", fast=True)
+
 
 class TestDebugHook:
     def test_hook_raises_on_corrupted_tree(self, triangle, algebra):
         regions, state, _ = op.hda_multi(triangle, [1], algebra)
-        hook = _debug_hook(triangle, regions, state, "demo")
+        hook = _debug_hook(triangle, regions, state, "demo", algebra)
         hook(0)
         state.parent[2], state.weight_used[2], state.cost[2] = 3, 1, 2
         state.parent[3], state.weight_used[3], state.cost[3] = 2, 1, 3
@@ -56,7 +75,7 @@ class TestDebugHook:
     def test_hook_raises_on_shrinking_labeled_set(self, algebra):
         g = op.build_graph(3, [(1, 2, 1), (2, 3, 1)])
         regions, state, _ = op.hda_multi(g, [1], algebra)
-        hook = _debug_hook(g, regions, state, "demo")
+        hook = _debug_hook(g, regions, state, "demo", algebra)
         hook(0)
         # un-label node 3 in both views so tree/reachability stay clean
         state.parent[3] = op.UNSET
