@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 verification or agreement failure.
 Wall times are reported in milliseconds and are never part of any
-correctness contract; the raw counters are.
+correctness contract; the raw counters are.  No command picks a lane:
+``run_pipeline`` runs the compiled one whenever it can and the reference
+one otherwise, and both print the same rows and write the same results.
 
 CSV schema (one header row, fixed column order, ratios recomputed from the
 raw counters at emit time):
@@ -19,7 +21,6 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from . import fastlane
 from .generators import (GridSpec, gen_grid, gen_random_graph, grid_comments,
                          shape_sweep_specs)
 from .graph import (Graph, GraphError, InstanceFormatError, min_plus_algebra,
@@ -165,8 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--csv", help="append one CSV row here ('-' for stdout)")
     s.add_argument("--format", choices=["csv", "text"], default="text")
     s.add_argument("--debug-invariants", action="store_true")
-    s.add_argument("--fast", action="store_true",
-                   help="use the compiled min-plus lane")
 
     v = sub.add_parser("verify", help="audit a result export against its instance")
     v.add_argument("--instance", required=True)
@@ -179,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--instance", required=True)
     c.add_argument("--source", type=int, default=1)
     c.add_argument("--format", choices=["csv", "text"], default="text")
-    c.add_argument("--fast", action="store_true")
     c.add_argument("--out", default="-")
 
     b = sub.add_parser("bench", help="shape sweep over constant-node grids")
@@ -190,8 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=["eom", "ht"])
     b.add_argument("--seed", type=int, default=7)
     b.add_argument("--out", default="-")
-    b.add_argument("--no-fast", action="store_true",
-                   help="force the reference lane")
     return p
 
 
@@ -230,7 +226,7 @@ def cmd_solve(args) -> int:
     multi = args.algo == "multi"
     sources = (args.sources or [args.source]) if multi else [args.source]
     res = run_pipeline(g, sources, args.scheduler if multi else args.algo,
-                       fast=args.fast, debug_invariants=args.debug_invariants)
+                       debug_invariants=args.debug_invariants)
     if multi:
         res.algo = "multi"
     if args.out:
@@ -253,10 +249,17 @@ def cmd_solve(args) -> int:
 
 
 def _parse_results(path: str, n: int):
+    """Read an export: region, parent, cost (None = unreached) and tags.
+
+    Every row has 4 columns, or every row has 5 (the tag column); tags is
+    None for a 4-column file.
+    """
     region = [0] * (n + 1)
     parent = [0] * (n + 1)
     cost: list[Optional[int]] = [None] * (n + 1)
+    tags = [0] * (n + 1)
     seen = [False] * (n + 1)
+    width = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -266,11 +269,16 @@ def _parse_results(path: str, n: int):
             if len(parts) not in (4, 5):
                 raise InstanceFormatError(
                     f"line {lineno}: expected '<id> <region> <parent> <cost> [tag]'")
+            if width is None:
+                width = len(parts)
+            elif len(parts) != width:
+                raise InstanceFormatError(
+                    f"line {lineno}: {len(parts)} columns where earlier rows "
+                    f"have {width}")
             try:
                 v, reg, par = int(parts[0]), int(parts[1]), int(parts[2])
                 c = None if parts[3] == UNREACHED else int(parts[3])
-                if len(parts) == 5:
-                    int(parts[4])  # a tag must be an integer; no audit reads it
+                tag = int(parts[4]) if width == 5 else 0
             except ValueError:
                 raise InstanceFormatError(f"line {lineno}: non-integer field") from None
             if not 1 <= v <= n or seen[v]:
@@ -280,18 +288,18 @@ def _parse_results(path: str, n: int):
                 raise InstanceFormatError(
                     f"line {lineno}: parent {par} out of range 0..{n}")
             seen[v] = True
-            region[v], parent[v], cost[v] = reg, par, c
+            region[v], parent[v], cost[v], tags[v] = reg, par, c, tag
     missing = [v for v in range(1, n + 1) if not seen[v]]
     if missing:
         raise InstanceFormatError(f"results missing node(s) {missing[:5]}")
-    return region, parent, cost
+    return region, parent, cost, tags if width == 5 else None
 
 
 def cmd_verify(args) -> int:
     g, _ = read_instance_file(args.instance)
-    region, parent, cost = _parse_results(args.results, g.n)
+    region, parent, cost, tags = _parse_results(args.results, g.n)
     rep = verify_export(g, region, parent, cost, min_plus_algebra(),
-                        fixpoint=args.fixpoint)
+                        fixpoint=args.fixpoint, tags=tags)
     print(rep.summary())
     return EXIT_OK if rep.ok else EXIT_VERIFY
 
@@ -302,7 +310,7 @@ def cmd_compare(args) -> int:
     records = []
     costs = {}
     for algo in algos:
-        res = run_pipeline(g, [args.source], algo, fast=args.fast)
+        res = run_pipeline(g, [args.source], algo)
         records.append(record_from_result(args.instance, g, res))
         costs[algo] = res.state.cost
     base = costs[algos[0]]
@@ -325,7 +333,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    fast = not args.no_fast and fastlane.available()
     specs = shape_sweep_specs(args.n_total, args.kc, seed=args.seed)
     out, close = _open_out(args.out)
     try:
@@ -334,7 +341,7 @@ def cmd_bench(args) -> int:
             g, source, _ = gen_grid(spec)
             name = f"grid-{spec.k_r}x{spec.k_c}-hzp"
             for algo in args.algos:
-                res = run_pipeline(g, [source], algo, fast=fast)
+                res = run_pipeline(g, [source], algo)
                 rec = record_from_result(name, g, res, rows=spec.k_r,
                                          cols=spec.k_c, seed=spec.seed)
                 out.write(rec.csv_row() + "\n")

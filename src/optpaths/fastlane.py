@@ -1,25 +1,27 @@
-"""Compiled min-plus kernels for mega-scale runs.
+"""Compiled min-plus kernels behind :func:`optpaths.pipeline.run_pipeline`.
 
 The reference solvers in :mod:`partition`, :mod:`evolve` and :mod:`monarchy`
 are generic over the cost algebra and carry debug hooks; the kernels in
 ``kernels.c`` are the same algorithms specialized to min-plus over int64.
 They mirror the reference loops statement for statement -- including every
-counter -- and the test suite asserts exact equality of states and counters
-between the two lanes, so either lane certifies the other.
+counter and the per-node source tags -- and the test suite asserts exact
+equality of states and counters between the two lanes, so either lane
+certifies the other.
 
 The runtime dependencies are numpy plus, optionally, a C compiler.  On the
-first ``available()`` or ``FastRun`` call -- never at import -- the kernels
-are compiled with the system ``cc`` into ``$XDG_CACHE_HOME/optpaths``
-(default ``~/.cache/optpaths``) under a name keyed by a checksum of the
-source and the compile command, then loaded with ctypes; later processes
-load the cached object.  Without a compiler ``available()`` is false and
-``FastRun`` raises :class:`GraphError`; the reference lane serves every run.
+first ``available()``, ``refusal()`` or ``FastRun`` call -- never at import
+-- the kernels are compiled with the system ``cc`` into
+``$XDG_CACHE_HOME/optpaths`` (default ``~/.cache/optpaths``) under a name
+keyed by a checksum of the source and the compile command, then loaded with
+ctypes; later processes load the cached object.
 
-Costs are int64 here, so ``FastRun`` refuses a graph whose
-``max_weight * n`` exceeds ``2**63 - 1`` rather than let a cost wrap; the
-reference lane computes such instances exactly.  The lane keeps no per-node
-source tags either, so it solves from one source; multi-source runs use the
-reference lane.
+:func:`refusal` names the one reason, if any, that this lane cannot run a
+graph from a source set: a bad source, a malformed CSR, a graph whose
+``max_weight * n`` exceeds ``2**63 - 1`` (an int64 cost could wrap; the
+reference lane computes such instances exactly), or no compiler.
+``FastRun`` raises :class:`GraphError` with that reason; ``run_pipeline``
+falls back to the reference lane on it unless the compiled lane was
+demanded.
 """
 
 from __future__ import annotations
@@ -47,10 +49,10 @@ _SOURCE = Path(__file__).with_name("kernels.c")
 _P, _I = ctypes.c_void_p, ctypes.c_int64
 #: kernel name -> (argtypes, restype), matching kernels.c
 _SIGNATURES = {
-    "optpaths_hda": ([_P] * 6 + [_I] + [_P] * 8, _I),
+    "optpaths_hda": ([_P] * 6 + [_I] + [_P] * 9, _I),
     "optpaths_classify": ([_P, _I] + [_P] * 5, _I),
-    "optpaths_eom": ([_P, _I] + [_P] * 8 + [_I, _P], None),
-    "optpaths_schedule": ([_I, _P, _I] + [_P] * 11, None),
+    "optpaths_eom": ([_P, _I] + [_P] * 9 + [_I, _P], None),
+    "optpaths_schedule": ([_I, _P, _I] + [_P] * 12, None),
 }
 
 
@@ -113,77 +115,69 @@ def available() -> bool:
     return _lane()[0] is not None
 
 
-def _library() -> ctypes.CDLL:
-    lib, why = _lane()
-    if lib is None:
-        raise GraphError(f"compiled lane unavailable ({why}); "
-                         f"use the reference lane")
-    return lib
-
-
 def _ptr(a: np.ndarray) -> int:
     if a.dtype != np.int64 or not a.flags.c_contiguous:
         raise GraphError("the compiled lane needs C-contiguous int64 arrays")
     return a.ctypes.data
 
 
-def _check_bound(g: Graph) -> None:
-    """Refuse graphs on which an int64 path cost could overflow.
+def refusal(g: Graph, sources: Sequence[int]) -> Optional[str]:
+    """Why the compiled lane cannot run ``g`` from ``sources``, or None.
 
-    Every label starts at or below the cost of its BFS-tree path, at most
-    ``max_weight * (n - 1)``, and labels only decrease; so every candidate
-    ``cost + w`` any kernel forms is at most ``max_weight * n``.
+    The int64 bound: every label starts at or below the cost of its BFS-tree
+    path, at most ``max_weight * (n - 1)``, and labels only decrease; so
+    every candidate ``cost + w`` any kernel forms is at most
+    ``max_weight * n``.  The library is resolved last, since the first
+    resolution may build it.
     """
-    w_max = int(g.fwd_w.max()) if g.E else 0
-    if w_max * g.n > INT64_MAX:
-        raise GraphError(
-            f"max weight {w_max} x {g.n} nodes exceeds 2**63 - 1, so int64 "
-            f"path costs could overflow; use the reference lane")
-
-
-def _check_csr(g: Graph) -> None:
+    if not sources:
+        return "source set must be non-empty"
+    for s in sources:
+        if not 1 <= s <= g.n:
+            return f"source {s} out of range 1..{g.n}"
     for ptr, idx, w in ((g.fwd_ptr, g.fwd_dst, g.fwd_w),
                         (g.rev_ptr, g.rev_src, g.rev_w)):
         if (len(ptr) != g.n + 2 or len(idx) != len(w)
                 or int(ptr[-1]) != len(idx)):
-            raise GraphError("malformed CSR adjacency")
+            return "malformed CSR adjacency"
+    w_max = int(g.fwd_w.max()) if g.E else 0
+    if w_max * g.n > INT64_MAX:
+        return (f"max weight {w_max} x {g.n} nodes exceeds 2**63 - 1, so "
+                f"int64 path costs could overflow; use the reference lane")
+    lib, why = _lane()
+    if lib is None:
+        return f"compiled lane unavailable ({why}); use the reference lane"
+    return None
 
 
 class FastRun:
-    """Array-backed pipeline state for one source on one graph.
+    """Array-backed pipeline state for one source set on one graph.
 
-    Raises :class:`GraphError` when the compiled lane is unavailable, the
-    graph is outside its int64 bound, or two or more distinct sources would
-    need the per-node source tags this lane does not keep; it never falls
-    back to Python loops.
+    Raises :class:`GraphError` with the :func:`refusal` reason when the
+    lane cannot run the graph; it never falls back to Python loops.
     """
 
     def __init__(self, g: Graph, sources: Sequence[int]):
         srcs = sorted(set(int(s) for s in sources))
-        if not srcs:
-            raise GraphError("source set must be non-empty")
-        for s in srcs:
-            if not 1 <= s <= g.n:
-                raise GraphError(f"source {s} out of range 1..{g.n}")
-        if len(srcs) > 1:
-            raise GraphError("the compiled lane keeps no source tags; "
-                             "multi-source runs need the reference lane")
-        _check_csr(g)
-        _check_bound(g)
-        self._lib = _library()
+        why = refusal(g, srcs)
+        if why is not None:
+            raise GraphError(why)
+        self._lib = _lane()[0]
         self.g = g
         self.sources = np.array(srcs, dtype=np.int64)
         t0 = time.perf_counter()
         order = np.zeros(g.n, dtype=np.int64)
         (self.region, self.pos, self.parent, self.cost, self.wu,
-         self.issrc) = (np.zeros(g.n + 1, dtype=np.int64) for _ in range(6))
+         self.issrc, self.tags) = (np.zeros(g.n + 1, dtype=np.int64)
+                                   for _ in range(7))
         inspections = np.zeros(1, dtype=np.int64)
         count = self._lib.optpaths_hda(
             _ptr(g.fwd_ptr), _ptr(g.fwd_dst), _ptr(g.rev_ptr),
             _ptr(g.rev_src), _ptr(g.rev_w), _ptr(self.sources),
             len(self.sources), _ptr(order), _ptr(self.region),
             _ptr(self.pos), _ptr(self.parent), _ptr(self.cost),
-            _ptr(self.wu), _ptr(self.issrc), _ptr(inspections))
+            _ptr(self.wu), _ptr(self.issrc), _ptr(self.tags),
+            _ptr(inspections))
         self.order = order[:count]
         self.hda_report = HdaReport(
             reached_count=int(count),
@@ -215,7 +209,7 @@ class FastRun:
             _ptr(self.order), len(self.order), _ptr(self.region),
             _ptr(g.rev_ptr), _ptr(g.rev_src), _ptr(g.rev_w),
             _ptr(self.parent), _ptr(self.cost), _ptr(self.wu),
-            _ptr(self.issrc), int(two_course), _ptr(out))
+            _ptr(self.issrc), _ptr(self.tags), int(two_course), _ptr(out))
         bl, imp, scans, relax, reg, wrong = out.tolist()
         return EomReport(
             big_loops=bl, improvements=imp, node_scans=scans,
@@ -232,7 +226,7 @@ class FastRun:
             code, _ptr(self.order), len(self.order), _ptr(self.region),
             _ptr(self.pos), _ptr(g.fwd_ptr), _ptr(g.fwd_dst), _ptr(g.fwd_w),
             _ptr(self.parent), _ptr(self.cost), _ptr(self.wu),
-            _ptr(self.issrc), _ptr(self.status), _ptr(out))
+            _ptr(self.issrc), _ptr(self.tags), _ptr(self.status), _ptr(out))
         bl, scans, imp, reg, wrong = out.tolist()
         return MonarchyReport(
             big_loops=bl, node_scans=scans, improvements=imp,
@@ -250,6 +244,7 @@ class FastRun:
         )
 
     def state(self) -> SolverState:
+        """The reference state; tags exactly when there are >= 2 sources."""
         return SolverState(
             n=self.g.n,
             sources=tuple(int(s) for s in self.sources),
@@ -257,4 +252,5 @@ class FastRun:
             cost=self.cost.tolist(),
             weight_used=self.wu.tolist(),
             is_source=[bool(x) for x in self.issrc.tolist()],
+            tags=self.tags.tolist() if len(self.sources) > 1 else None,
         )

@@ -5,6 +5,9 @@
  * Node ids are 1-based; every per-node array has n + 1 entries.  Costs are
  * plain int64: the caller refuses graphs whose max_weight * n exceeds
  * INT64_MAX, which bounds every candidate cost + weight below overflow.
+ * tags names, per node, the source whose influence labeled it: each source
+ * starts tagged with itself and every accepted relaxation copies the new
+ * parent's tag, as the reference operators do.
  *
  * Built on first use by fastlane.py with the system C compiler and called
  * through ctypes; no Python headers are needed.
@@ -20,12 +23,14 @@ int64_t optpaths_hda(const int64_t *fptr, const int64_t *fdst,
                      const int64_t *rw, const int64_t *sources,
                      int64_t n_sources, int64_t *order, int64_t *region,
                      int64_t *pos, int64_t *parent, int64_t *cost,
-                     int64_t *wu, int64_t *issrc, int64_t *inspections)
+                     int64_t *wu, int64_t *issrc, int64_t *tags,
+                     int64_t *inspections)
 {
     int64_t count = 0;
     for (int64_t j = 0; j < n_sources; j++) {
         int64_t s = sources[j];
         issrc[s] = 1;
+        tags[s] = s;
         order[count] = s;
         count += 1;
         region[s] = 1;
@@ -57,6 +62,7 @@ int64_t optpaths_hda(const int64_t *fptr, const int64_t *fdst,
                         parent[u] = v;
                         cost[u] = w;
                         wu[u] = rw[k];
+                        tags[u] = tags[v];
                     }
                 }
             }
@@ -105,7 +111,7 @@ void optpaths_eom(const int64_t *order, int64_t n_order,
                   const int64_t *region, const int64_t *rptr,
                   const int64_t *rsrc, const int64_t *rw, int64_t *parent,
                   int64_t *cost, int64_t *wu, const int64_t *issrc,
-                  int64_t two_course, int64_t *out)
+                  int64_t *tags, int64_t two_course, int64_t *out)
 {
     int64_t big_loops = 0;
     int64_t improvements = 0;
@@ -132,6 +138,7 @@ void optpaths_eom(const int64_t *order, int64_t n_order,
                     parent[u] = v;
                     cost[u] = w;
                     wu[u] = rw[k];
+                    tags[u] = tags[v];
                     flag += 1;
                     if (ru > region[v])
                         regular += 1;
@@ -160,8 +167,8 @@ void optpaths_schedule(int64_t code, const int64_t *order, int64_t n_order,
                        const int64_t *region, const int64_t *pos,
                        const int64_t *fptr, const int64_t *fdst,
                        const int64_t *fw, int64_t *parent, int64_t *cost,
-                       int64_t *wu, const int64_t *issrc, int64_t *status,
-                       int64_t *out)
+                       int64_t *wu, const int64_t *issrc, int64_t *tags,
+                       int64_t *status, int64_t *out)
 {
     int64_t big_loops = 1;
     int64_t node_scans = 0;
@@ -199,6 +206,7 @@ void optpaths_schedule(int64_t code, const int64_t *order, int64_t n_order,
                 parent[v] = u;
                 cost[v] = w;
                 wu[v] = fw[k];
+                tags[v] = tags[u];
                 improvements += 1;
                 cycle_flag += 1;
                 status[v] = 1;

@@ -329,13 +329,16 @@ def check_fixpoint(g: Graph, state: SolverState,
 
 def verify_export(g: Graph, region: list[int], parent: list[int],
                   cost: list[Optional[int]], algebra: CostAlgebra,
-                  fixpoint: bool = False) -> VerificationReport:
+                  fixpoint: bool = False,
+                  tags: Optional[list[int]] = None) -> VerificationReport:
     """Audit an exported result against its instance.
 
     Roots are the reached nodes without a parent (the sources).  Checks:
     parent arcs exist and are cost-consistent, parent chains reach a root,
     regions equal hop layers recomputed by an independent breadth-first
     search from the roots, and optionally that no arc can still improve.
+    With ``tags``, every root must tag itself, every other reached node
+    must carry its parent's tag, and every unreached node must carry 0.
     """
     rep = VerificationReport()
     n = g.n
@@ -368,6 +371,12 @@ def verify_export(g: Graph, region: list[int], parent: list[int],
         if not found[v]:
             rep.add("parent-arc", f"node {v}",
                     f"arc ({p},{v}) with weight {cost[v]}-{cost[p]}", "absent")
+    if tags is not None:
+        for v in range(1, n + 1):
+            want = (0 if not reached[v] else v if is_root[v]
+                    else tags[parent[v]])
+            if tags[v] != want:
+                rep.add("tag", f"node {v}", want, tags[v])
     _chain_colors(parent, is_root, reached, rep, "acyclic")
     # regions == hop layers from the roots (independent BFS)
     fwd_ptr = g.fwd_ptr.tolist()

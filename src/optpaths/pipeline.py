@@ -7,9 +7,16 @@ the final state.  A run has per-node source tags exactly when it has two or
 more distinct sources.  With ``debug_invariants`` set, the tree and
 reachability audits run under the run's cost algebra at every big-loop
 boundary and any failure raises :class:`InvariantViolation` (the reached
-labeled set must also never shrink).  The compiled min-plus lane is used
-when ``fast`` is set; it keeps no tags, so it refuses two or more distinct
-sources, and it supports neither debug hooks nor other algebras.
+labeled set must also never shrink).
+
+``run_pipeline`` also picks the lane.  By default (``fast=None``) it runs
+the compiled min-plus lane of :mod:`fastlane` whenever no algebra is passed,
+``debug_invariants`` is off and :func:`fastlane.refusal` has no objection
+(a compiler is there and the graph is inside the int64 bound); otherwise it
+runs the generic reference lane.  Both lanes give identical states, tags
+and counters.  ``fast=True`` demands the compiled lane and raises
+:class:`GraphError` where it cannot run; ``fast=False`` forces the
+reference lane.  ``PipelineResult.lane`` records the lane that ran.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ class PipelineResult:
     classify_ms: float
     origins: int
     opt_report: Optional[Union[EomReport, MonarchyReport]]
+    lane: str = "reference"  # or "compiled"
 
     @property
     def schedule_ms(self) -> float:
@@ -78,10 +86,13 @@ def _debug_hook(g: Graph, regions: Regions, state: SolverState, label: str,
 
 def run_pipeline(g: Graph, sources: Sequence[int], algo: str,
                  algebra: Optional[CostAlgebra] = None,
-                 fast: bool = False,
+                 fast: Optional[bool] = None,
                  debug_invariants: bool = False) -> PipelineResult:
     if algo not in ALGORITHMS:
         raise GraphError(f"unknown algorithm {algo!r}; pick one of {ALGORITHMS}")
+    if fast is None:
+        fast = (algebra is None and not debug_invariants
+                and fastlane.refusal(g, sources) is None)
     if fast and debug_invariants:
         raise GraphError("debug invariants require the reference lane")
     if fast and algebra is not None:
@@ -123,4 +134,4 @@ def _run_fast(g: Graph, sources: Sequence[int], algo: str) -> PipelineResult:
         run.classify()
         rep = run.schedule(_SCHED[algo])
     return PipelineResult(algo, run.regions(), run.state(), run.hda_report,
-                          run.classify_ms, run.origin_count, rep)
+                          run.classify_ms, run.origin_count, rep, "compiled")

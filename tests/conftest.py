@@ -9,16 +9,21 @@ suite is reproducible run to run.
 ``corpus_results`` runs every algorithm on every instance once, with the
 big-loop invariant audits enabled, and caches the outcomes for the whole
 session; the acceptance criteria and several unit tests share it.
+
+``fresh_lane`` and ``broken_compiler`` let a test run the same commands with
+the compiled lane loaded and with no compiler at all.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
 import pytest
 
 import optpaths as op
+from optpaths import fastlane
 
 RANDOM_COUNT = 500
 GRID_COUNT = 50
@@ -106,3 +111,30 @@ def triangle():
     """The worked three-node example: min-hop tree differs from the optimum."""
     return op.build_graph(3, [(1, 2, 10), (1, 3, 1), (3, 2, 1)],
                           directed=False)
+
+
+@pytest.fixture()
+def fresh_lane(monkeypatch, tmp_path):
+    """Resolve the lane anew, with its cache under ``tmp_path``; call the
+    returned function to forget the loaded lane again."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+
+    def reset():
+        monkeypatch.setattr(fastlane, "_lane",
+                            functools.cache(fastlane._lane.__wrapped__))
+
+    reset()
+    return reset
+
+
+@pytest.fixture()
+def broken_compiler(monkeypatch, fresh_lane):
+    """Call the returned function to build the lane with ``command`` instead
+    of ``cc`` (by default a missing one) from here on."""
+
+    def use(command="/nonexistent/cc"):
+        monkeypatch.setattr(fastlane, "_BUILD",
+                            (command, "-O2", "-shared", "-fPIC"))
+        fresh_lane()
+
+    return use

@@ -124,10 +124,9 @@ def test_criterion_06_planted_path_recovery(algebra):
     spec = op.GridSpec(k_r=50, k_c=50, weight_min=1, weight_max=10, seed=6,
                        plant_hzp=True)
     g, source, plan = op.gen_grid(spec)
-    fast = fastlane.available()
     bl_sched = {}
     for algo in OPTIMIZERS:
-        res = op.run_pipeline(g, [source], algo, fast=fast)
+        res = op.run_pipeline(g, [source], algo)
         state = res.state
         assert state.cost[plan.terminal] == 0, algo
         # the parent chain from the terminal must be the planted serpentine,

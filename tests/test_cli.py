@@ -1,10 +1,15 @@
+import re
 import time
 
 import pytest
 
 import optpaths as op
+from optpaths import fastlane
 from optpaths.cli import (CSV_COLUMNS, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
                           main)
+
+needs_lane = pytest.mark.skipif(not fastlane.available(),
+                                reason="no C compiler")
 
 
 def run(argv):
@@ -24,6 +29,21 @@ def make_grid_instance(tmp_path, rows=6, cols=5, hzp=True, seed=3):
         argv.append("--hzp")
     assert run(argv) == EXIT_OK
     return path
+
+
+def solve_on_both_lanes(argv, tmp_path, capsys, broken_compiler):
+    """Run ``solve ... --out`` with the compiled lane loaded, then with no
+    compiler; returns each run's text output (times masked) and export."""
+    outputs = []
+    for lane in ("compiled", "reference"):
+        if lane == "reference":
+            broken_compiler()
+        assert fastlane.available() == (lane == "compiled")
+        out = tmp_path / f"{lane}.txt"
+        assert run(["solve", *argv, "--out", str(out)]) == EXIT_OK
+        text = re.sub(r"=[0-9.]+ms", "=ms", capsys.readouterr().out)
+        outputs.append((text, out.read_bytes()))
+    return outputs
 
 
 class TestGen:
@@ -125,25 +145,46 @@ class TestSolve:
         assert all(len(row.split()) == 4
                    for row in out.read_text().splitlines())
 
-    def test_multi_refuses_the_fast_lane(self, tmp_path, capsys):
-        inst = make_grid_instance(tmp_path, rows=3, cols=3, hzp=False)
-        argv = ["solve", "--instance", inst, "--algo", "multi",
-                "--sources", "1,9"]
-        assert run(argv + ["--fast"]) == EXIT_USAGE
-        assert "multi-source" in capsys.readouterr().err
-        assert run(argv + ["--debug-invariants"]) == EXIT_OK
+    @needs_lane
+    def test_multi_export_is_the_same_on_both_lanes(self, tmp_path, capsys,
+                                                    broken_compiler):
+        inst = make_grid_instance(tmp_path, rows=9, cols=7, hzp=False)
+        argv = ["--instance", inst, "--algo", "multi", "--sources", "1,9,40"]
+        compiled, reference = solve_on_both_lanes(argv, tmp_path, capsys,
+                                                  broken_compiler)
+        assert compiled == reference
+        rows = [r.split() for r in compiled[1].decode().splitlines()]
+        assert {r[4] for r in rows} == {"1", "9", "40"}
+        assert run(["solve", *argv, "--debug-invariants"]) == EXIT_OK
         assert capsys.readouterr().out.startswith("multi: BL=")
 
+    @needs_lane
+    def test_solve_output_is_the_same_without_a_compiler(
+            self, tmp_path, capsys, broken_compiler):
+        inst = make_grid_instance(tmp_path, rows=12, cols=10, hzp=False)
+        compiled, reference = solve_on_both_lanes(
+            ["--instance", inst, "--algo", "ht"], tmp_path, capsys,
+            broken_compiler)
+        assert compiled == reference
+        assert compiled[0].startswith("ht: BL=")
+
+    @needs_lane
     def test_multi_reports_measured_classify_time(self, tmp_path, capsys,
                                                   monkeypatch):
-        slow = op.monarchy.classify_status
+        lib = fastlane._lane()[0]
 
-        def classify_status(*args, **kwargs):
-            time.sleep(0.02)
-            return slow(*args, **kwargs)
+        class SlowClassify:
+            """The kernels, with classification 20 ms slower."""
 
-        # the name run_pipeline looks up, which serves --algo multi too
-        monkeypatch.setattr(op.pipeline, "classify_status", classify_status)
+            def __getattr__(self, name):
+                return getattr(lib, name)
+
+            def optpaths_classify(self, *args):
+                time.sleep(0.02)
+                return lib.optpaths_classify(*args)
+
+        # --algo multi routes to the compiled lane, which times the kernel
+        monkeypatch.setattr(fastlane, "_lane", lambda: (SlowClassify(), ""))
         inst = make_grid_instance(tmp_path, rows=3, cols=3, hzp=False)
         assert run(["solve", "--instance", inst, "--algo", "multi",
                     "--sources", "1,9", "--format", "csv"]) == EXIT_OK
@@ -160,15 +201,14 @@ class TestSolve:
         assert "Traceback" not in err
 
     def test_fast_lane_refuses_beyond_int64_bound(self, tmp_path, capsys):
-        # two arcs of 6e18: the sum wraps in int64, the reference lane is exact
+        # two arcs of 6e18: the sum would wrap in int64, so the compiled
+        # lane refuses and the run goes to the exact reference lane
         inst = tmp_path / "big.txt"
         inst.write_text("n 3 2 directed\n1 2 6000000000000000000\n"
                         "2 3 6000000000000000000\n")
         out = tmp_path / "res.txt"
-        for cmd in (["solve", "--algo", "eom", "--fast"],
-                    ["compare", "--fast"]):
-            assert run(cmd + ["--instance", str(inst)]) == EXIT_USAGE
-            assert "overflow" in capsys.readouterr().err
+        assert run(["compare", "--instance", str(inst)]) == EXIT_OK
+        assert capsys.readouterr().out.strip().endswith("all agree")
         assert run(["solve", "--instance", str(inst), "--algo", "eom",
                     "--out", str(out)]) == EXIT_OK
         assert out.read_text().splitlines()[2].split()[3] \
@@ -255,6 +295,49 @@ class TestVerify:
                         "--results", out]) == EXIT_USAGE
             assert "out of range" in capsys.readouterr().err
 
+    def solve_multi_to(self, tmp_path, capsys):
+        inst = tmp_path / "tri.txt"
+        inst.write_text("n 3 2 directed\n1 2 1\n3 2 1\n")
+        res = tmp_path / "res.txt"
+        assert run(["solve", "--instance", str(inst), "--algo", "multi",
+                    "--sources", "1,3", "--out", str(res)]) == EXIT_OK
+        assert res.read_text() == "1 1 0 0 1\n2 2 1 1 1\n3 1 0 0 3\n"
+        assert run(["verify", "--instance", str(inst),
+                    "--results", str(res)]) == EXIT_OK
+        capsys.readouterr()
+        return str(inst), res
+
+    @pytest.mark.parametrize("row, want", [
+        ({2: "2 2 1 1 3"}, "[tag] node 2: expected 1, got 3"),
+        ({3: "3 1 0 0 1"}, "[tag] node 3: expected 3, got 1"),
+    ])
+    def test_wrong_tag_fails(self, tmp_path, capsys, row, want):
+        inst, res = self.solve_multi_to(tmp_path, capsys)
+        self.tamper(res, row)
+        assert run(["verify", "--instance", inst,
+                    "--results", str(res)]) == EXIT_VERIFY
+        assert want in capsys.readouterr().out
+
+    def test_tag_on_unreached_node_fails(self, tmp_path, capsys):
+        inst = tmp_path / "dir.txt"
+        inst.write_text("n 4 2 directed\n1 2 1\n3 2 1\n")
+        res = tmp_path / "res.txt"
+        assert run(["solve", "--instance", str(inst), "--algo", "multi",
+                    "--sources", "1,3", "--out", str(res)]) == EXIT_OK
+        assert res.read_text().splitlines()[3] == "4 0 0 UNREACHED 0"
+        self.tamper(res, {4: "4 0 0 UNREACHED 1"})
+        assert run(["verify", "--instance", str(inst),
+                    "--results", str(res)]) == EXIT_VERIFY
+        assert "[tag] node 4: expected 0, got 1" in capsys.readouterr().out
+
+    def test_mixed_column_counts_are_usage_error(self, tmp_path, capsys):
+        inst, res = self.solve_multi_to(tmp_path, capsys)
+        self.tamper(res, {2: "2 2 1 1"})
+        assert run(["verify", "--instance", inst,
+                    "--results", str(res)]) == EXIT_USAGE
+        assert "line 2: 4 columns where earlier rows have 5" \
+            in capsys.readouterr().err
+
     def test_malformed_results_are_usage_error(self, tmp_path, capsys):
         inst, out = self.solve_to(tmp_path, "ht")
         with open(out, "a") as fh:
@@ -283,15 +366,20 @@ class TestCompare:
         assert len(lines) == 7  # header + 5 algos + verdict
         assert lines[-1] == "all agree"
 
-    def test_fast_lane_agrees_too(self, tmp_path, capsys):
-        # both lanes print the same rows, timings aside
+    @needs_lane
+    def test_fast_lane_agrees_too(self, tmp_path, capsys, broken_compiler):
+        # the same rows with the lane loaded and with no compiler, timings
+        # aside
         inst = make_grid_instance(tmp_path, rows=9, cols=7, hzp=False)
         timing = {CSV_COLUMNS.index(c)
                   for c in ("hda_ms", "classify_ms", "schedule_ms")}
         outputs = []
-        for lane in ([], ["--fast"]):
-            assert run(["compare", "--instance", inst, "--format", "csv",
-                        *lane]) == EXIT_OK
+        for lane in ("compiled", "reference"):
+            if lane == "reference":
+                broken_compiler()
+            assert fastlane.available() == (lane == "compiled")
+            assert run(["compare", "--instance", inst, "--format", "csv"]) \
+                == EXIT_OK
             outputs.append([
                 [f for i, f in enumerate(line.split(",")) if i not in timing]
                 for line in capsys.readouterr().out.splitlines()])
@@ -303,8 +391,7 @@ class TestBench:
     def test_small_sweep_csv(self, tmp_path):
         out = str(tmp_path / "bench.csv")
         assert run(["bench", "--n-total", "144", "--kc", "4,12",
-                    "--algos", "eom,ht", "--out", out,
-                    "--no-fast"]) == EXIT_OK
+                    "--algos", "eom,ht", "--out", out]) == EXIT_OK
         with open(out) as fh:
             lines = fh.read().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)

@@ -1,14 +1,16 @@
 """Exact two-lane equivalence: the compiled kernels must reproduce the
-reference solvers bit for bit -- states and counters alike -- so that either
-lane certifies the other."""
+reference solvers bit for bit -- states, tags and counters alike -- so that
+either lane certifies the other; and ``run_pipeline`` must route each run to
+the lane that can take it."""
 
-import functools
 import os
 import subprocess
 import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import optpaths as op
 from optpaths import GraphError, SchedulerKind, cli, fastlane
@@ -17,12 +19,16 @@ needs_lane = pytest.mark.skipif(not fastlane.available(),
                                 reason="no C compiler")
 
 
-def reference_run(g, source, algo, algebra):
-    return op.run_pipeline(g, [source], algo, algebra=algebra)
+def reference_run(g, sources, algo):
+    res = op.run_pipeline(g, sources, algo, fast=False)
+    assert res.lane == "reference"
+    return res
 
 
-def fast_run(g, source, algo):
-    return op.run_pipeline(g, [source], algo, fast=True)
+def fast_run(g, sources, algo):
+    res = op.run_pipeline(g, sources, algo, fast=True)
+    assert res.lane == "compiled"
+    return res
 
 
 def assert_states_equal(a, b):
@@ -32,9 +38,14 @@ def assert_states_equal(a, b):
     assert a.state.parent == b.state.parent
     assert a.state.cost == b.state.cost
     assert a.state.weight_used == b.state.weight_used
+    assert a.state.tags == b.state.tags
 
 
 def assert_counters_equal(a, b):
+    assert a.hda_report.arc_inspections == b.hda_report.arc_inspections
+    assert a.hda_report.reached_count == b.hda_report.reached_count
+    assert a.hda_report.region_count == b.hda_report.region_count
+    assert a.origins == b.origins
     ra, rb = a.opt_report, b.opt_report
     if ra is None:
         assert rb is None
@@ -60,25 +71,61 @@ INSTANCES = [
 @needs_lane
 @pytest.mark.parametrize("algo", op.ALGORITHMS)
 @pytest.mark.parametrize("spec_idx", range(len(INSTANCES)))
-def test_lane_equivalence_on_grids(algo, spec_idx, algebra):
+def test_lane_equivalence_on_grids(algo, spec_idx):
     g, source, _ = op.gen_grid(INSTANCES[spec_idx])
-    ref = reference_run(g, source, algo, algebra)
-    fast = fast_run(g, source, algo)
+    ref = reference_run(g, [source], algo)
+    fast = fast_run(g, [source], algo)
     assert_states_equal(ref, fast)
     assert_counters_equal(ref, fast)
-    assert ref.hda_report.arc_inspections == fast.hda_report.arc_inspections
 
 
 @needs_lane
 @pytest.mark.parametrize("algo", op.ALGORITHMS)
 @pytest.mark.parametrize("seed", [3, 4, 5])
-def test_lane_equivalence_on_random_multigraphs(algo, seed, algebra):
+def test_lane_equivalence_on_random_multigraphs(algo, seed):
     directed = seed % 2 == 0
     g = op.gen_random_graph(40, 300, 0, 10, seed=seed, directed=directed)
-    ref = reference_run(g, 1, algo, algebra)
-    fast = fast_run(g, 1, algo)
+    ref = reference_run(g, [1], algo)
+    fast = fast_run(g, [1], algo)
     assert_states_equal(ref, fast)
     assert_counters_equal(ref, fast)
+
+
+@st.composite
+def small_instances(draw):
+    """Directed or undirected multigraphs on 1..10 nodes: zero weights,
+    parallel arcs and unreached parts all occur, from 1..3 sources."""
+    n = draw(st.integers(1, 10))
+    directed = draw(st.booleans())
+    arcs = []
+    if n > 1:
+        pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(
+            lambda p: p[0] != p[1])
+        for u, v in draw(st.lists(pairs, max_size=3 * n)):
+            arcs.append((u, v, draw(st.integers(0, 4))))
+    sources = draw(st.lists(st.integers(1, n), min_size=1, max_size=3))
+    return op.build_graph(n, arcs, directed=directed), sources
+
+
+@needs_lane
+@pytest.mark.parametrize("algo", op.ALGORITHMS)
+@settings(max_examples=60, deadline=None)
+@given(inst=small_instances())
+def test_lanes_agree_on_small_graphs(algo, inst):
+    g, sources = inst
+    ref = reference_run(g, sources, algo)
+    fast = fast_run(g, sources, algo)
+    assert_states_equal(ref, fast)
+    assert_counters_equal(ref, fast)
+    assert (fast.state.tags is None) == (len(set(sources)) < 2)
+    if algo == "hda":
+        return
+    alg = op.min_plus_algebra()
+    per_source = [op.dijkstra_oracle(g, s, alg).dist for s in set(sources)]
+    for v in range(1, g.n + 1):
+        dists = [d[v] for d in per_source if d[v] is not None]
+        got = fast.state.cost[v] if fast.state.labeled(v) else None
+        assert got == (min(dists) if dists else None), f"node {v}"
 
 
 @needs_lane
@@ -109,6 +156,25 @@ def test_fast_run_validates_sources(triangle):
         fastlane.FastRun(triangle, [9])
 
 
+# -- routing: run_pipeline picks the lane -------------------------------------
+
+@needs_lane
+@pytest.mark.parametrize("algo", op.ALGORITHMS)
+def test_default_routes_to_the_compiled_lane(algo):
+    g, source, _ = op.gen_grid(INSTANCES[0])
+    assert op.run_pipeline(g, [source], algo).lane == "compiled"
+    assert op.run_pipeline(g, [1, source], algo).lane == "compiled"
+
+
+@pytest.mark.parametrize("algo", op.ALGORITHMS)
+def test_debug_runs_and_other_algebras_route_to_the_reference_lane(
+        algo, triangle, algebra):
+    assert op.run_pipeline(triangle, [1], algo,
+                           debug_invariants=True).lane == "reference"
+    assert op.run_pipeline(triangle, [1], algo,
+                           algebra=algebra).lane == "reference"
+
+
 # -- the int64 bound: max_weight * n <= 2**63 - 1 ------------------------------
 
 def path_graph(weights):
@@ -121,48 +187,34 @@ W_AT_BOUND = fastlane.INT64_MAX // 7  # 7 divides 2**63 - 1
 
 @needs_lane
 @pytest.mark.parametrize("algo", op.ALGORITHMS)
-def test_both_lanes_exact_at_the_int64_bound(algo, algebra):
+def test_both_lanes_exact_at_the_int64_bound(algo):
     g = path_graph([W_AT_BOUND] * 6)
     assert W_AT_BOUND * g.n == fastlane.INT64_MAX
-    ref = reference_run(g, 1, algo, algebra)
-    fast = fast_run(g, 1, algo)
+    ref = reference_run(g, [1], algo)
+    fast = fast_run(g, [1], algo)
     assert ref.state.cost[7] == 6 * W_AT_BOUND
     assert_states_equal(ref, fast)
     assert_counters_equal(ref, fast)
+    assert op.run_pipeline(g, [1], algo).lane == "compiled"
 
 
 @pytest.mark.parametrize("weights", [[W_AT_BOUND] * 5 + [W_AT_BOUND + 1],
                                      [6 * 10**18] * 2])
-def test_compiled_lane_refuses_one_above_the_bound(weights, algebra):
+def test_compiled_lane_refuses_one_above_the_bound(weights):
     g = path_graph(weights)
     assert max(weights) * g.n > fastlane.INT64_MAX
+    assert "overflow" in fastlane.refusal(g, [1])
     with pytest.raises(GraphError, match="overflow"):
         fastlane.FastRun(g, [1])
     with pytest.raises(GraphError, match="overflow"):
-        fast_run(g, 1, "eom")
-    ref = reference_run(g, 1, "eom", algebra)
-    assert ref.state.cost[g.n] == sum(weights)
+        op.run_pipeline(g, [1], "eom", fast=True)
+    # the default routes to the reference lane, which is exact
+    res = op.run_pipeline(g, [1], "eom")
+    assert res.lane == "reference"
+    assert res.state.cost[g.n] == sum(weights)
 
 
 # -- building and loading the shared object ------------------------------------
-
-@pytest.fixture()
-def fresh_lane(monkeypatch, tmp_path):
-    """Resolve the lane anew, with its cache under ``tmp_path``; call the
-    returned function to forget the loaded lane again."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-
-    def reset():
-        monkeypatch.setattr(fastlane, "_lane",
-                            functools.cache(fastlane._lane.__wrapped__))
-
-    reset()
-    return reset
-
-
-def broken_compiler(monkeypatch, command):
-    monkeypatch.setattr(fastlane, "_BUILD", (command, "-O2", "-shared", "-fPIC"))
-
 
 def cache_files(tmp_path):
     return sorted(p.name for p in (tmp_path / "optpaths").iterdir())
@@ -207,20 +259,23 @@ def test_concurrent_builds_leave_one_complete_object(fresh_lane, tmp_path):
 
 @pytest.mark.parametrize("command", ["/nonexistent/cc", "false"])
 def test_missing_or_failing_compiler_disables_the_lane(
-        command, fresh_lane, monkeypatch, tmp_path, triangle, capsys):
-    broken_compiler(monkeypatch, command)
+        command, broken_compiler, tmp_path, triangle, capsys):
+    broken_compiler(command)
     assert not fastlane.available()
     assert not [f for f in cache_files(tmp_path) if f.startswith(".build-")]
-    # no silent fallback to Python loops
+    assert "compiled lane unavailable" in fastlane.refusal(triangle, [1])
+    # a demanded compiled run never falls back to Python loops
     with pytest.raises(GraphError, match="compiled lane unavailable"):
         fastlane.FastRun(triangle, [1])
     with pytest.raises(GraphError, match="compiled lane unavailable"):
-        fast_run(triangle, 1, "ht")
+        op.run_pipeline(triangle, [1], "ht", fast=True)
+    # the default routes to the reference lane
+    assert op.run_pipeline(triangle, [1], "ht").lane == "reference"
     inst = str(tmp_path / "tri.txt")
     op.write_instance_file(triangle, inst)
-    assert cli.main(["solve", "--instance", inst, "--algo", "eom",
-                     "--fast"]) == cli.EXIT_USAGE
-    assert "compiled lane unavailable" in capsys.readouterr().err
+    assert cli.main(["solve", "--instance", inst, "--algo", "eom"]) \
+        == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("eom: BL=")
 
 
 def bench_counters(tmp_path, name):
@@ -236,11 +291,10 @@ def bench_counters(tmp_path, name):
 
 @needs_lane
 def test_bench_without_a_compiler_writes_the_same_counters(
-        fresh_lane, monkeypatch, tmp_path):
+        broken_compiler, tmp_path):
     assert fastlane.available()
     compiled = bench_counters(tmp_path, "compiled.csv")
-    broken_compiler(monkeypatch, "/nonexistent/cc")
-    fresh_lane()
+    broken_compiler()
     assert not fastlane.available()
     assert bench_counters(tmp_path, "reference.csv") == compiled
     assert len(compiled) == 1 + 3 * 5

@@ -1,10 +1,20 @@
+import dataclasses
 import operator
 
 import pytest
 
 import optpaths as op
-from optpaths import GraphError, InvariantViolation
+from optpaths import GraphError, InvariantViolation, fastlane
 from optpaths.pipeline import _debug_hook
+
+needs_lane = pytest.mark.skipif(not fastlane.available(),
+                                reason="no C compiler")
+
+
+def counters(res):
+    """A run's reports with the wall times zeroed."""
+    return [dataclasses.replace(rep, wall_time_ms=0.0)
+            for rep in (res.hda_report, res.opt_report) if rep is not None]
 
 
 class TestRunPipeline:
@@ -56,10 +66,18 @@ class TestRunPipeline:
         assert result.state.cost[1:] == dj.dist[1:]
         assert op.check_fixpoint(g, result.state, bottleneck).ok
 
-    def test_fast_lane_refuses_distinct_sources(self, triangle):
-        # the compiled lane keeps no tags, so it must not drop them silently
-        with pytest.raises(GraphError, match="multi-source"):
-            op.run_pipeline(triangle, [1, 3], "ht", fast=True)
+    @needs_lane
+    def test_multi_source_lanes_agree_with_tags(self):
+        g = op.gen_random_graph(300, 1500, 0, 10, seed=9, directed=True)
+        for algo in op.ALGORITHMS:
+            ref = op.run_pipeline(g, [5, 17, 200, 17], algo, fast=False)
+            fast = op.run_pipeline(g, [5, 17, 200, 17], algo)
+            assert (ref.lane, fast.lane) == ("reference", "compiled")
+            assert fast.state.tags is not None
+            assert set(fast.state.tags) == {0, 5, 17, 200}
+            assert (fast.regions, fast.state) == (ref.regions, ref.state)
+            assert counters(fast) == counters(ref)
+            assert fast.origins == ref.origins
 
 
 class TestDebugHook:
