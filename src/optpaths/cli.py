@@ -24,7 +24,7 @@ from typing import Optional
 from .generators import (GridSpec, gen_grid, gen_random_graph, grid_comments,
                          shape_sweep_specs)
 from .graph import (Graph, GraphError, InstanceFormatError, min_plus_algebra,
-                    read_instance_file)
+                    read_instance_file, read_text)
 from .oracles import verify_export
 from .partition import UNREACHED, export_results_file
 from .pipeline import ALGORITHMS, InvariantViolation, PipelineResult, run_pipeline
@@ -122,9 +122,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.replace(",", " ").split()]
+        values = [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected integers, got {text!r}")
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one integer")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,35 +263,36 @@ def _parse_results(path: str, n: int):
     tags = [0] * (n + 1)
     seen = [False] * (n + 1)
     width = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) not in (4, 5):
-                raise InstanceFormatError(
-                    f"line {lineno}: expected '<id> <region> <parent> <cost> [tag]'")
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                raise InstanceFormatError(
-                    f"line {lineno}: {len(parts)} columns where earlier rows "
-                    f"have {width}")
-            try:
-                v, reg, par = int(parts[0]), int(parts[1]), int(parts[2])
-                c = None if parts[3] == UNREACHED else int(parts[3])
-                tag = int(parts[4]) if width == 5 else 0
-            except ValueError:
-                raise InstanceFormatError(f"line {lineno}: non-integer field") from None
-            if not 1 <= v <= n or seen[v]:
-                raise InstanceFormatError(
-                    f"line {lineno}: bad or duplicate node id {v}")
-            if not 0 <= par <= n:
-                raise InstanceFormatError(
-                    f"line {lineno}: parent {par} out of range 0..{n}")
-            seen[v] = True
-            region[v], parent[v], cost[v], tags[v] = reg, par, c, tag
+    with open(path, encoding="utf-8") as fh:
+        text = read_text(fh)
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) not in (4, 5):
+            raise InstanceFormatError(
+                f"line {lineno}: expected '<id> <region> <parent> <cost> [tag]'")
+        if width is None:
+            width = len(parts)
+        elif len(parts) != width:
+            raise InstanceFormatError(
+                f"line {lineno}: {len(parts)} columns where earlier rows "
+                f"have {width}")
+        try:
+            v, reg, par = int(parts[0]), int(parts[1]), int(parts[2])
+            c = None if parts[3] == UNREACHED else int(parts[3])
+            tag = int(parts[4]) if width == 5 else 0
+        except ValueError:
+            raise InstanceFormatError(f"line {lineno}: non-integer field") from None
+        if not 1 <= v <= n or seen[v]:
+            raise InstanceFormatError(
+                f"line {lineno}: bad or duplicate node id {v}")
+        if not 0 <= par <= n:
+            raise InstanceFormatError(
+                f"line {lineno}: parent {par} out of range 0..{n}")
+        seen[v] = True
+        region[v], parent[v], cost[v], tags[v] = reg, par, c, tag
     missing = [v for v in range(1, n + 1) if not seen[v]]
     if missing:
         raise InstanceFormatError(f"results missing node(s) {missing[:5]}")

@@ -18,7 +18,10 @@ relaxation operators naturally keep the best of a parallel bundle.
 
 from __future__ import annotations
 
+import io
 import operator
+import re
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TextIO
 
@@ -119,11 +122,14 @@ class Graph:
 
 def _csr_by_key(key: np.ndarray, dst: np.ndarray, wts: np.ndarray, n: int):
     """Bucket (key -> (dst, w)) entries into CSR, stable in input order."""
-    counts = np.bincount(key, minlength=n + 2)
+    try:
+        counts = np.bincount(key, minlength=n + 2)
+    except (ValueError, OverflowError, MemoryError):
+        raise GraphError(f"node count {n} is too large to allocate") from None
     ptr = np.zeros(n + 2, dtype=np.int64)
     np.cumsum(counts[: n + 1], out=ptr[1:])
     order = np.argsort(key, kind="stable")
-    return ptr, dst[order].copy(), wts[order].copy()
+    return ptr, dst[order], wts[order]
 
 
 def _int64_overflow(arcs) -> str:
@@ -217,7 +223,9 @@ def in_neighbors(g: Graph, u: NodeId) -> list[tuple[NodeId, int]]:
 # Instance file format (text, one record per line):
 #   line 1:     n <node-count> <arc-count> <directed|undirected>
 #   then:       <head> <tail> <weight>        (arc-count lines)
-# Lines starting with '#' are comments and may appear anywhere.
+# Lines whose first non-blank character is '#' are comments and may appear
+# anywhere; a comment is always a whole line.  Fields are separated by
+# whitespace and every integer is ASCII [+-]?[0-9]+.  Files are UTF-8.
 # ---------------------------------------------------------------------------
 
 def write_instance(g: Graph, out: TextIO, comments: Iterable[str] = ()) -> None:
@@ -240,52 +248,119 @@ def write_instance_file(g: Graph, path: str, comments: Iterable[str] = ()) -> No
 
 
 def read_instance(src: TextIO) -> tuple[Graph, list[str]]:
-    """Parse the instance format; returns the graph and the comment lines."""
-    comments: list[str] = []
-    header = None
-    arcs: list[tuple[int, int, int]] = []
-    n = arc_count = 0
-    directed = False
-    for lineno, raw in enumerate(src, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            comments.append(line[1:].strip())
-            continue
-        parts = line.split()
-        if header is None:
-            if len(parts) != 4 or parts[0] != "n":
-                raise InstanceFormatError(
-                    f"line {lineno}: expected 'n <nodes> <arcs> <directed|undirected>'")
-            try:
-                n, arc_count = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise InstanceFormatError(f"line {lineno}: non-integer count") from None
-            if parts[3] not in ("directed", "undirected"):
-                raise InstanceFormatError(
-                    f"line {lineno}: orientation must be 'directed' or 'undirected'")
-            directed = parts[3] == "directed"
-            header = lineno
-            continue
-        if len(parts) != 3:
-            raise InstanceFormatError(
-                f"line {lineno}: expected '<head> <tail> <weight>'")
-        try:
-            arcs.append((int(parts[0]), int(parts[1]), int(parts[2])))
-        except ValueError:
-            raise InstanceFormatError(f"line {lineno}: non-integer field") from None
-    if header is None:
-        raise InstanceFormatError("line 1: missing header")
-    if len(arcs) != arc_count:
+    """Parse the instance format; returns the graph and the comment lines.
+
+    Only a newline ends a line; any other whitespace, a carriage return
+    included, separates fields.  Every integer field is ASCII
+    ``[+-]?[0-9]+``.
+    """
+    text = read_text(src)
+    # The header is the first line that is neither blank nor a comment.
+    start, lineno = 0, 1
+    while True:
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        line = text[start:end].strip()
+        if line and not line.startswith("#"):
+            break
+        if end == len(text):
+            raise InstanceFormatError("line 1: missing header")
+        start, lineno = end + 1, lineno + 1
+    parts = line.split()
+    if len(parts) != 4 or parts[0] != "n":
         raise InstanceFormatError(
-            f"header declares {arc_count} arcs but file contains {len(arcs)}")
+            f"line {lineno}: expected 'n <nodes> <arcs> <directed|undirected>'")
+    if not (_INT.match(parts[1]) and _INT.match(parts[2])):
+        raise InstanceFormatError(f"line {lineno}: non-integer count")
+    n, arc_count = int(parts[1]), int(parts[2])
+    if parts[3] not in ("directed", "undirected"):
+        raise InstanceFormatError(
+            f"line {lineno}: orientation must be 'directed' or 'undirected'")
+    directed = parts[3] == "directed"
+
+    body = text[end + 1:]
+    head_comments = _COMMENT.findall(text, 0, start)
+    tail_comments = _COMMENT.findall(body) if "#" in body else []
+    arcs = None
+    # loadtxt would also cut a '#' off inside an arc line; only whole-line
+    # comments are allowed, so any other '#' leaves the fast path.
+    if body.count("#") == sum(c.count("#") + 1 for c in tail_comments):
+        arcs = _load_arcs(body)
+    if arcs is None or len(arcs) != arc_count:
+        raise _arc_block_error(body, lineno + 1, n, arc_count, directed)
     try:
-        return build_graph(n, arcs, directed=directed), comments
+        g = build_graph(n, arcs, directed=directed)
     except GraphError as exc:
         raise InstanceFormatError(str(exc)) from exc
+    return g, [c.strip() for c in head_comments + tail_comments]
 
 
 def read_instance_file(path: str) -> tuple[Graph, list[str]]:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return read_instance(fh)
+
+
+def read_text(src: TextIO) -> str:
+    """All of ``src``; a byte that does not decode raises an
+    InstanceFormatError with its line number, counted from where ``src``
+    stood (the top, for a freshly opened file)."""
+    try:
+        return src.read()
+    except UnicodeDecodeError as exc:
+        lineno = len((exc.object[:exc.start] + b"x").splitlines())
+        raise InstanceFormatError(f"line {lineno}: not UTF-8 text") from None
+
+
+#: a whole-line comment: optional whitespace, '#', then the comment text
+_COMMENT = re.compile(r"^[^\S\n]*#(.*)", re.MULTILINE)
+#: the token grammar of every integer field
+_INT = re.compile(r"[+-]?[0-9]+\Z")
+
+
+def _load_arcs(body: str) -> np.ndarray | None:
+    """The arc block as a (k, 3) int64 array, or None if numpy refuses it."""
+    if "\r" in body:  # loadtxt ends a line at '\r'; here it is whitespace
+        body = body.replace("\r", " ")
+    # A bytes buffer keeps loadtxt's peak memory well below a StringIO's.  A
+    # lone surrogate (only a str source holds one) becomes '?', no integer.
+    buf = io.BytesIO(body.encode("utf-8", errors="replace"))
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            arcs = np.loadtxt(buf, dtype=np.int64, comments="#", ndmin=2,
+                              encoding="utf-8")
+    except ValueError:
+        return None
+    if arcs.size == 0:
+        return arcs.reshape(0, 3)
+    return arcs if arcs.shape[1] == 3 else None
+
+
+def _arc_block_error(body: str, first_lineno: int, n: int, arc_count: int,
+                     directed: bool) -> InstanceFormatError:
+    """The error a line-by-line reading of a rejected arc block reports first.
+
+    Only called once the vectorised path has refused ``body``; it never
+    builds a graph for the caller.
+    """
+    arcs: list[tuple[int, int, int]] = []
+    for lineno, raw in enumerate(body.split("\n"), start=first_lineno):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            return InstanceFormatError(
+                f"line {lineno}: expected '<head> <tail> <weight>'")
+        if not all(_INT.match(p) for p in parts):
+            return InstanceFormatError(f"line {lineno}: non-integer field")
+        arcs.append((int(parts[0]), int(parts[1]), int(parts[2])))
+    if len(arcs) != arc_count:
+        return InstanceFormatError(
+            f"header declares {arc_count} arcs but file contains {len(arcs)}")
+    try:
+        build_graph(n, arcs, directed=directed)
+    except GraphError as exc:
+        return InstanceFormatError(str(exc))
+    return InstanceFormatError("arc block refused by numpy.loadtxt, "
+                               "but no line of it is at fault")

@@ -200,6 +200,31 @@ class TestSolve:
         assert "arc 1 (2,3,9223372036854775808)" in err
         assert "Traceback" not in err
 
+    def test_non_utf8_instance_is_usage_error(self, tmp_path, capsys):
+        inst = make_grid_instance(tmp_path)
+        with open(inst, "rb") as fh:
+            lines = len(fh.read().splitlines())
+        with open(inst, "ab") as fh:
+            fh.write(b"\xff\xfe")
+        assert run(["solve", "--instance", inst, "--algo", "ht"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"line {lines + 1}: not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    def test_huge_node_count_is_usage_error(self, tmp_path, capsys):
+        # 2^62 nodes: numpy refuses the CSR arrays without allocating
+        inst = tmp_path / "huge-n.txt"
+        inst.write_text(f"n {2**62} 1 directed\n1 2 3\n")
+        assert run(["solve", "--instance", str(inst),
+                    "--algo", "ht"]) == EXIT_USAGE
+        assert f"node count {2**62} is too large" in capsys.readouterr().err
+
+    def test_empty_source_list_is_usage_error(self, tmp_path, capsys):
+        inst = make_grid_instance(tmp_path)
+        assert run(["solve", "--instance", inst, "--algo", "multi",
+                    "--sources", ""]) == EXIT_USAGE
+        assert "expected at least one integer" in capsys.readouterr().err
+
     def test_fast_lane_refuses_beyond_int64_bound(self, tmp_path, capsys):
         # two arcs of 6e18: the sum would wrap in int64, so the compiled
         # lane refuses and the run goes to the exact reference lane
@@ -344,6 +369,19 @@ class TestVerify:
             fh.write("1 1 0 0\n")  # duplicate node id
         assert run(["verify", "--instance", inst,
                     "--results", out]) == EXIT_USAGE
+
+
+    def test_non_utf8_results_are_usage_error(self, tmp_path, capsys):
+        inst, out = self.solve_to(tmp_path, "ht")
+        with open(out, "rb") as fh:
+            lines = len(fh.read().splitlines())
+        with open(out, "ab") as fh:
+            fh.write(b"\xff\xfe")
+        assert run(["verify", "--instance", inst,
+                    "--results", out]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"line {lines + 1}: not UTF-8 text" in err
+        assert "Traceback" not in err
 
 
 class TestCompare:
