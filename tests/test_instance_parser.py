@@ -9,9 +9,14 @@ every drawn text: the same graph and comments, or the same error message.
 """
 
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -183,3 +188,42 @@ def test_the_token_grammar_is_ascii_digits_with_a_sign():
             == ("error", "line 2: non-integer field")
     assert outcome(op.read_instance, io.StringIO("n 1_0 0 directed\n")) \
         == ("error", "line 1: non-integer count")
+
+
+# Frees an 8 MB block, which lets glibc raise its mmap threshold, then fills
+# 32 blocks of 1 MB, allocates a 600 KB block above them and frees the 1 MB
+# ones.  Prints how many MB of them stay resident.
+_RETAINED_AFTER_FREE = r"""
+import io, sys
+import optpaths as op
+
+def rss_mb():
+    with open("/proc/self/status") as fh:
+        return next(int(l.split()[1]) for l in fh if l.startswith("VmRSS:")) / 1024
+
+if sys.argv[1] == "read":
+    op.read_instance(io.StringIO("n 2 1 directed\n1 2 3\n"))
+big = b"x" * (8 << 20)
+del big
+base = rss_mb()
+blocks = [b"x" * (1 << 20) for _ in range(32)]
+keep = b"x" * (600 << 10)
+del blocks
+print(rss_mb() - base)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the resident set size from /proc")
+def test_reading_an_instance_returns_freed_large_blocks_to_the_system():
+    src = str(Path(op.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def retained(mode):
+        out = subprocess.run([sys.executable, "-c", _RETAINED_AFTER_FREE, mode],
+                             env=env, capture_output=True, text=True, check=True)
+        return float(out.stdout)
+
+    if retained("control") < 16:
+        pytest.skip("this C library returns the freed blocks by itself")
+    assert retained("read") < 4
