@@ -16,13 +16,13 @@ from .graph import (UNSET, Arc, CostAlgebra, Graph, GraphError,
                     min_plus_algebra, read_instance, read_instance_file,
                     write_instance, write_instance_file)
 from .monarchy import (MonarchyReport, SchedulerKind, StatusMap,
-                       classify_status, comp_push, run_scheduler)
+                       classify_status, run_scheduler)
 from .oracles import (OracleResult, VerificationReport, bellman_ford_oracle,
                       brute_force_oracle, check_fixpoint, check_reachability,
                       check_tree, dijkstra_oracle, minhop_dp_oracle,
                       verify_export)
-from .partition import (UNREACHED, HdaReport, Regions, SolverState, comp_pull,
-                        export_results, export_results_file, hda_multi)
+from .partition import (UNREACHED, HdaReport, Regions, SolverState,
+                        export_results, export_results_file, hda_multi, relax)
 from .pipeline import (ALGORITHMS, InvariantViolation, PipelineResult,
                        run_pipeline)
 

@@ -120,6 +120,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _algo_list(text: str) -> list[str]:
+    algos = text.replace(",", " ").split()
+    unknown = [a for a in algos if a not in ALGORITHMS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown algorithm {unknown[0]!r}; pick one of {ALGORITHMS}")
+    return algos
+
+
 def _int_list(text: str) -> list[int]:
     try:
         values = [int(tok) for tok in text.replace(",", " ").split()]
@@ -162,11 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--algo", required=True, choices=ALGORITHMS + ("multi",))
     s.add_argument("--source", type=int, default=1)
     s.add_argument("--sources", type=_int_list,
-                   help="comma-separated source ids (multi)")
+                   help="comma-separated source ids (replaces --source)")
     s.add_argument("--scheduler", choices=["hrp", "fr", "ht"], default="ht",
                    help="scheduler used by --algo multi")
     s.add_argument("--out", help="write per-node results here")
-    s.add_argument("--csv", help="append one CSV row here ('-' for stdout)")
     s.add_argument("--format", choices=["csv", "text"], default="text")
     s.add_argument("--debug-invariants", action="store_true")
 
@@ -187,8 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n-total", type=int, required=True)
     b.add_argument("--kc", type=_int_list, required=True,
                    help="comma-separated column counts (must divide n-total)")
-    b.add_argument("--algos", type=lambda t: t.replace(",", " ").split(),
-                   default=["eom", "ht"])
+    b.add_argument("--algos", type=_algo_list, default=["eom", "ht"])
     b.add_argument("--seed", type=int, default=7)
     b.add_argument("--out", default="-")
     return p
@@ -227,22 +234,14 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     g, _ = read_instance_file(args.instance)
     multi = args.algo == "multi"
-    sources = (args.sources or [args.source]) if multi else [args.source]
-    res = run_pipeline(g, sources, args.scheduler if multi else args.algo,
+    res = run_pipeline(g, args.sources or [args.source],
+                       args.scheduler if multi else args.algo,
                        debug_invariants=args.debug_invariants)
     if multi:
         res.algo = "multi"
     if args.out:
         export_results_file(res.state, res.regions, args.out)
     rec = record_from_result(args.instance, g, res)
-    if args.csv:
-        out, close = _open_out(args.csv)
-        try:
-            out.write(",".join(CSV_COLUMNS) + "\n")
-            out.write(rec.csv_row() + "\n")
-        finally:
-            if close:
-                out.close()
     if args.format == "text":
         print(rec.text_block())
     else:
@@ -279,6 +278,10 @@ def _parse_results(path: str, n: int):
             raise InstanceFormatError(
                 f"line {lineno}: {len(parts)} columns where earlier rows "
                 f"have {width}")
+        # int() also takes '_' and non-ASCII digits; on other tokens it takes
+        # exactly graph._INT's [+-]?[0-9]+, for less than a regex per field
+        if not line.isascii() or "_" in line:
+            raise InstanceFormatError(f"line {lineno}: non-integer field")
         try:
             v, reg, par = int(parts[0]), int(parts[1]), int(parts[2])
             c = None if parts[3] == UNREACHED else int(parts[3])

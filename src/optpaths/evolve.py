@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .graph import CostAlgebra, Graph
-from .partition import Regions, SolverState, comp_pull
+from .partition import Regions, SolverState, relax
 
 
 @dataclass
@@ -83,7 +83,7 @@ def _sweep_to_fixpoint(g, regions, state, algebra, two_course, debug_check):
                 if not state.labeled(v):
                     continue
                 arc_relaxations += 1
-                if comp_pull(state, algebra, u, v, rev_w[k]):
+                if relax(state, algebra, v, u, rev_w[k]):
                     flag += 1
                     if ru > region_of[v]:
                         regular += 1

@@ -20,8 +20,7 @@ graph from a source set: a bad source, a malformed CSR, a graph whose
 ``max_weight * n`` exceeds ``2**63 - 1`` (an int64 cost could wrap; the
 reference lane computes such instances exactly), or no compiler.
 ``FastRun`` raises :class:`GraphError` with that reason; ``run_pipeline``
-falls back to the reference lane on it unless the compiled lane was
-demanded.
+runs the reference lane instead.
 """
 
 from __future__ import annotations
@@ -180,8 +179,6 @@ class FastRun:
             _ptr(inspections))
         self.order = order[:count]
         self.hda_report = HdaReport(
-            reached_count=int(count),
-            region_count=int(self.region[self.order[-1]]) if count else 0,
             arc_inspections=int(inspections[0]),
             wall_time_ms=(time.perf_counter() - t0) * 1e3,
         )
@@ -230,8 +227,7 @@ class FastRun:
         bl, scans, imp, reg, wrong = out.tolist()
         return MonarchyReport(
             big_loops=bl, node_scans=scans, improvements=imp,
-            origins_after_classify=self.origin_count,
-            regular_way=reg, wrong_way=wrong, E=g.E,
+            regular_way=reg, wrong_way=wrong,
             wall_time_ms=(time.perf_counter() - t0) * 1e3)
 
     # -- conversions back into the reference dataclasses ---------------------

@@ -7,13 +7,33 @@
  * INT64_MAX, which bounds every candidate cost + weight below overflow.
  * tags names, per node, the source whose influence labeled it: each source
  * starts tagged with itself and every accepted relaxation copies the new
- * parent's tag, as the reference operators do.
+ * parent's tag.  Every kernel accepts relaxations through relax below,
+ * which mirrors partition.relax, the one rule of the reference lane.
  *
  * Built on first use by fastlane.py with the system C compiler and called
  * through ctypes; no Python headers are needed.
  */
 
 #include <stdint.h>
+
+/* u offers itself as parent of v over an arc of weight w: v accepts its
+ * first label or a strictly cheaper cost; sources are never relabeled.
+ * Returns 1 when v accepts. */
+static inline int relax(int64_t u, int64_t v, int64_t w, int64_t *parent,
+                        int64_t *cost, int64_t *wu, const int64_t *issrc,
+                        int64_t *tags)
+{
+    if (issrc[v])
+        return 0;
+    int64_t c = cost[u] + w;
+    if (parent[v] != 0 && c >= cost[v])
+        return 0;
+    parent[v] = u;
+    cost[v] = c;
+    wu[v] = w;
+    tags[v] = tags[u];
+    return 1;
+}
 
 /* Layered partition with upper-rank pulls.  The caller zero-fills every
  * output array; order needs room for every node.  Returns the reached
@@ -55,17 +75,8 @@ int64_t optpaths_hda(const int64_t *fptr, const int64_t *fdst,
             insp += 1;
             int64_t v = rsrc[k];
             int64_t rv = region[v];
-            if (0 < rv && rv < reg) {
-                if (issrc[u] == 0) {
-                    int64_t w = cost[v] + rw[k];
-                    if (parent[u] == 0 || w < cost[u]) {
-                        parent[u] = v;
-                        cost[u] = w;
-                        wu[u] = rw[k];
-                        tags[u] = tags[v];
-                    }
-                }
-            }
+            if (0 < rv && rv < reg)
+                relax(v, u, rw[k], parent, cost, wu, issrc, tags);
         }
         i += 1;
     }
@@ -131,14 +142,7 @@ void optpaths_eom(const int64_t *order, int64_t n_order,
                 if (parent[v] == 0 && issrc[v] == 0)
                     continue;
                 arc_relax += 1;
-                if (issrc[u])
-                    continue;
-                int64_t w = cost[v] + rw[k];
-                if (parent[u] == 0 || w < cost[u]) {
-                    parent[u] = v;
-                    cost[u] = w;
-                    wu[u] = rw[k];
-                    tags[u] = tags[v];
+                if (relax(v, u, rw[k], parent, cost, wu, issrc, tags)) {
                     flag += 1;
                     if (ru > region[v])
                         regular += 1;
@@ -196,17 +200,9 @@ void optpaths_schedule(int64_t code, const int64_t *order, int64_t n_order,
         }
         int64_t best_pos = 0;
         int64_t ru = region[u];
-        int64_t cu = cost[u];
         for (int64_t k = fptr[u]; k < fptr[u + 1]; k++) {
             int64_t v = fdst[k];
-            if (issrc[v])
-                continue;
-            int64_t w = cu + fw[k];
-            if (parent[v] == 0 || w < cost[v]) {
-                parent[v] = u;
-                cost[v] = w;
-                wu[v] = fw[k];
-                tags[v] = tags[u];
+            if (relax(u, v, fw[k], parent, cost, wu, issrc, tags)) {
                 improvements += 1;
                 cycle_flag += 1;
                 status[v] = 1;

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
-from .graph import UNSET, CostAlgebra, Graph, GraphError, NodeId
-from .partition import Regions, SolverState
+from .graph import CostAlgebra, Graph, GraphError
+from .partition import Regions, SolverState, relax
 
 
 class SchedulerKind(str, Enum):
@@ -49,53 +49,18 @@ class StatusMap:
 
 @dataclass
 class MonarchyReport:
-    """Counters for one scheduler run; ratios are recomputed on access.
+    """Counters for one scheduler run.
 
     ``node_scans`` counts every worklist position the pointer examines,
-    active or dormant.  The normalized ratios divide by the graph's directed
-    adjacency entry count ``E``.
+    active or dormant.  The CSV derives its ratios from these counters.
     """
 
     big_loops: int
     node_scans: int
     improvements: int
-    origins_after_classify: int
     regular_way: int
     wrong_way: int
-    E: int
     wall_time_ms: float
-
-    @property
-    def snoa(self) -> float:
-        return self.node_scans / self.E if self.E else 0.0
-
-    @property
-    def ooa(self) -> float:
-        return self.origins_after_classify / self.E if self.E else 0.0
-
-    @property
-    def onoa(self) -> float:
-        return self.improvements / self.E if self.E else 0.0
-
-
-def comp_push(state: SolverState, algebra: CostAlgebra,
-              root: NodeId, leaf: NodeId, weight: int) -> bool:
-    """Push-relaxation: ``root`` offers itself as parent of ``leaf``.
-
-    Same strict accept rule as the pull direction; sources are never
-    relabeled.
-    """
-    if state.is_source[leaf]:
-        return False
-    w = algebra.extend(state.cost[root], weight)
-    if state.parent[leaf] == UNSET or algebra.better(w, state.cost[leaf]):
-        state.parent[leaf] = root
-        state.cost[leaf] = w
-        state.weight_used[leaf] = weight
-        if state.tags is not None:
-            state.tags[leaf] = state.tags[root]
-        return True
-    return False
 
 
 def classify_status(g: Graph, state: SolverState, algebra: CostAlgebra,
@@ -182,7 +147,7 @@ def run_scheduler(kind: SchedulerKind, g: Graph, regions: Regions,
         ru = region_of[u]
         for k in range(fwd_ptr[u], fwd_ptr[u + 1]):
             v = fwd_dst[k]
-            if comp_push(state, algebra, u, v, fwd_w[k]):
+            if relax(state, algebra, u, v, fwd_w[k]):
                 improvements += 1
                 cycle_flag += 1
                 status[v] = 1
@@ -212,9 +177,7 @@ def run_scheduler(kind: SchedulerKind, g: Graph, regions: Regions,
         big_loops=big_loops,
         node_scans=node_scans,
         improvements=improvements,
-        origins_after_classify=statuses.origin_count,
         regular_way=regular,
         wrong_way=wrong,
-        E=g.E,
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
     )

@@ -95,29 +95,30 @@ class SolverState:
 
 @dataclass
 class HdaReport:
-    reached_count: int
-    region_count: int
     arc_inspections: int
     wall_time_ms: float
 
 
-def comp_pull(state: SolverState, algebra: CostAlgebra,
-              root: NodeId, leaf: NodeId, weight: int) -> bool:
-    """Pull-relaxation: ``root`` adopts ``leaf`` as parent if that improves it.
+def relax(state: SolverState, algebra: CostAlgebra,
+          u: NodeId, v: NodeId, weight: int) -> bool:
+    """``u`` offers itself as parent of ``v``; True when ``v`` accepts.
 
-    The comparison is strict -- an equal candidate cost never overwrites the
-    incumbent, which is what keeps the parent array acyclic on zero-weight
-    instances.  Sources are never relabeled.
+    Every solver relaxes its arcs ``u -> v`` through this one rule: the
+    partition and the sweeps pull (their loop stands on ``v``), the
+    schedulers push (their loop stands on ``u``).  The comparison is
+    strict -- an equal candidate cost never overwrites the incumbent, which
+    is what keeps the parent array acyclic on zero-weight instances.
+    Sources are never relabeled.
     """
-    if state.is_source[root]:
+    if state.is_source[v]:
         return False
-    w = algebra.extend(state.cost[leaf], weight)
-    if state.parent[root] == UNSET or algebra.better(w, state.cost[root]):
-        state.parent[root] = leaf
-        state.cost[root] = w
-        state.weight_used[root] = weight
+    c = algebra.extend(state.cost[u], weight)
+    if state.parent[v] == UNSET or algebra.better(c, state.cost[v]):
+        state.parent[v] = u
+        state.cost[v] = c
+        state.weight_used[v] = weight
         if state.tags is not None:
-            state.tags[root] = state.tags[leaf]
+            state.tags[v] = state.tags[u]
         return True
     return False
 
@@ -126,9 +127,10 @@ def hda_multi(g: Graph, sources: Sequence[NodeId], algebra: CostAlgebra,
               ) -> tuple[Regions, SolverState, HdaReport]:
     """Frontier partition plus upper-rank pull from all sources at layer 1.
 
-    Disconnected inputs are not an error: unreached nodes keep layer 0 and
-    the report exposes the reached count.  Every arc is inspected at most
-    twice (once for discovery, once for the pull), so this is a single pass.
+    Disconnected inputs are not an error: unreached nodes keep layer 0, and
+    ``Regions.reached_count`` says how many were reached.  Every arc is
+    inspected at most twice (once for discovery, once for the pull), so
+    this is a single pass.
     """
     if not sources:
         raise GraphError("source set must be non-empty")
@@ -175,17 +177,14 @@ def hda_multi(g: Graph, sources: Sequence[NodeId], algebra: CostAlgebra,
             v = rev_src[k]
             rv = region_of[v]
             if 0 < rv < reg:
-                comp_pull(state, algebra, u, v, rev_w[k])
+                relax(state, algebra, v, u, rev_w[k])
         i += 1
 
-    regions = Regions(order, region_of, position_of)
     report = HdaReport(
-        reached_count=len(order),
-        region_count=regions.region_count,
         arc_inspections=inspections,
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
     )
-    return regions, state, report
+    return Regions(order, region_of, position_of), state, report
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,14 @@ reachability audits run under the run's cost algebra at every big-loop
 boundary and any failure raises :class:`InvariantViolation` (the reached
 labeled set must also never shrink).
 
-``run_pipeline`` also picks the lane.  By default (``fast=None``) it runs
-the compiled min-plus lane of :mod:`fastlane` whenever no algebra is passed,
+``run_pipeline`` also picks the lane, from its inputs alone.  It runs the
+compiled min-plus lane of :mod:`fastlane` exactly when no algebra is passed,
 ``debug_invariants`` is off and :func:`fastlane.refusal` has no objection
 (a compiler is there and the graph is inside the int64 bound); otherwise it
-runs the generic reference lane.  Both lanes give identical states, tags
-and counters.  ``fast=True`` demands the compiled lane and raises
-:class:`GraphError` where it cannot run; ``fast=False`` forces the
-reference lane.  ``PipelineResult.lane`` records the lane that ran.
+runs the generic reference lane, so an explicit algebra -- even
+:func:`min_plus_algebra` -- or a debug run always gets the reference lane.
+Both lanes give identical states, tags and counters.
+``PipelineResult.lane`` records the lane that ran.
 """
 
 from __future__ import annotations
@@ -28,15 +28,11 @@ from typing import Optional, Sequence, Union
 from . import fastlane
 from .evolve import EomReport, eom, eom_two_course
 from .graph import CostAlgebra, Graph, GraphError, min_plus_algebra
-from .monarchy import (MonarchyReport, SchedulerKind, classify_status,
-                       run_scheduler)
+from .monarchy import MonarchyReport, classify_status, run_scheduler
 from .oracles import check_reachability, check_tree
 from .partition import HdaReport, Regions, SolverState, hda_multi
 
 ALGORITHMS = ("hda", "eom", "eom2", "hrp", "fr", "ht")
-
-_SCHED = {"hrp": SchedulerKind.HRP, "fr": SchedulerKind.FR,
-          "ht": SchedulerKind.HT}
 
 
 class InvariantViolation(AssertionError):
@@ -53,10 +49,6 @@ class PipelineResult:
     origins: int
     opt_report: Optional[Union[EomReport, MonarchyReport]]
     lane: str = "reference"  # or "compiled"
-
-    @property
-    def schedule_ms(self) -> float:
-        return self.opt_report.wall_time_ms if self.opt_report else 0.0
 
 
 def _debug_hook(g: Graph, regions: Regions, state: SolverState, label: str,
@@ -86,18 +78,11 @@ def _debug_hook(g: Graph, regions: Regions, state: SolverState, label: str,
 
 def run_pipeline(g: Graph, sources: Sequence[int], algo: str,
                  algebra: Optional[CostAlgebra] = None,
-                 fast: Optional[bool] = None,
                  debug_invariants: bool = False) -> PipelineResult:
     if algo not in ALGORITHMS:
         raise GraphError(f"unknown algorithm {algo!r}; pick one of {ALGORITHMS}")
-    if fast is None:
-        fast = (algebra is None and not debug_invariants
-                and fastlane.refusal(g, sources) is None)
-    if fast and debug_invariants:
-        raise GraphError("debug invariants require the reference lane")
-    if fast and algebra is not None:
-        raise GraphError("the fast lane is fixed to min-plus")
-    if fast:
+    if (algebra is None and not debug_invariants
+            and fastlane.refusal(g, sources) is None):
         return _run_fast(g, sources, algo)
     if algebra is None:
         algebra = min_plus_algebra()
@@ -118,7 +103,7 @@ def run_pipeline(g: Graph, sources: Sequence[int], algo: str,
     t0 = time.perf_counter()
     statuses = classify_status(g, state, algebra, regions)
     classify_ms = (time.perf_counter() - t0) * 1e3
-    rep = run_scheduler(_SCHED[algo], g, regions, state, statuses, algebra,
+    rep = run_scheduler(algo, g, regions, state, statuses, algebra,
                         debug_check=hook)
     return PipelineResult(algo, regions, state, hda_rep, classify_ms,
                           statuses.origin_count, rep)
@@ -132,6 +117,6 @@ def _run_fast(g: Graph, sources: Sequence[int], algo: str) -> PipelineResult:
         rep = run.eom(two_course=(algo == "eom2"))
     else:
         run.classify()
-        rep = run.schedule(_SCHED[algo])
+        rep = run.schedule(algo)
     return PipelineResult(algo, run.regions(), run.state(), run.hda_report,
                           run.classify_ms, run.origin_count, rep, "compiled")

@@ -149,14 +149,15 @@ def test_criterion_07_mega_run():
     # warm the kernel cache on a tiny instance so compilation time is not
     # billed against the run
     g0, s0, _ = op.gen_grid(op.GridSpec(k_r=4, k_c=4, seed=0))
-    op.run_pipeline(g0, [s0], "ht", fast=True)
+    assert op.run_pipeline(g0, [s0], "ht").lane == "compiled"
 
     t0 = time.perf_counter()
     spec = op.GridSpec(k_r=1000, k_c=1000, weight_min=1, weight_max=10,
                        seed=7)
     g, source, _ = op.gen_grid(spec)
-    res = op.run_pipeline(g, [source], "ht", fast=True)
+    res = op.run_pipeline(g, [source], "ht")
     elapsed = time.perf_counter() - t0
+    assert res.lane == "compiled"
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     rep = res.opt_report
     bound = g.E * math.sqrt(g.n)
@@ -166,7 +167,8 @@ def test_criterion_07_mega_run():
     # seeds was snoa 5.35
     report(7, "PASS", f"n={g.n} E={g.E} solved in {elapsed:.2f}s; "
                       f"node_scans={rep.node_scans} "
-                      f"(bound {bound:.0f}); snoa={rep.snoa:.2f} "
+                      f"(bound {bound:.0f}); "
+                      f"snoa={rep.node_scans / g.E:.2f} "
                       f"(reference measurement: 5.35, not gated)")
 
 

@@ -145,6 +145,19 @@ class TestSolve:
         assert all(len(row.split()) == 4
                    for row in out.read_text().splitlines())
 
+    def test_sources_apply_to_every_algorithm(self, tmp_path, capsys):
+        inst = make_grid_instance(tmp_path, rows=4, cols=4, hzp=False)
+        exports = []
+        for algo in (["ht"], ["multi", "--scheduler", "ht"]):
+            out = tmp_path / f"{algo[0]}.txt"
+            assert run(["solve", "--instance", inst, "--algo", *algo,
+                        "--sources", "5,9", "--out", str(out)]) == EXIT_OK
+            exports.append(out.read_text())
+        assert exports[0] == exports[1]
+        rows = [r.split() for r in exports[0].splitlines()]
+        assert all(len(r) == 5 for r in rows)
+        assert {r[4] for r in rows} == {"5", "9"}
+
     @needs_lane
     def test_multi_export_is_the_same_on_both_lanes(self, tmp_path, capsys,
                                                     broken_compiler):
@@ -283,9 +296,11 @@ class TestVerify:
         assert "failure" in capsys.readouterr().out
 
     def tamper(self, path, rows):
-        lines = {int(l.split()[0]): l for l in path.read_text().splitlines()}
+        lines = {int(l.split()[0]): l
+                 for l in path.read_text(encoding="utf-8").splitlines()}
         lines.update(rows)
-        path.write_text("".join(lines[v] + "\n" for v in sorted(lines)))
+        path.write_text("".join(lines[v] + "\n" for v in sorted(lines)),
+                        encoding="utf-8")
 
     def test_planted_two_cycle_fails_acyclic(self, tmp_path, capsys):
         inst, out = self.solve_to(tmp_path, "ht")
@@ -370,6 +385,15 @@ class TestVerify:
         assert run(["verify", "--instance", inst,
                     "--results", out]) == EXIT_USAGE
 
+    # int() takes both; result files, like instance files, hold ASCII
+    # [+-]?[0-9]+ integers only
+    @pytest.mark.parametrize("row", ["9 5 6 1_4", "9 5 6 \uff15"])
+    def test_non_ascii_integers_are_usage_error(self, tmp_path, capsys, row):
+        inst, out = self.solve_to(tmp_path, "ht")
+        self.tamper(tmp_path / "ht.txt", {9: row})
+        assert run(["verify", "--instance", inst, "--results", out,
+                    "--fixpoint"]) == EXIT_USAGE
+        assert "line 9: non-integer field" in capsys.readouterr().err
 
     def test_non_utf8_results_are_usage_error(self, tmp_path, capsys):
         inst, out = self.solve_to(tmp_path, "ht")
@@ -438,11 +462,21 @@ class TestBench:
             row = dict(zip(CSV_COLUMNS, line.split(",")))
             assert int(row["regular_way"]) + int(row["wrong_way"]) \
                 == int(row["improvements"])
-            assert float(row["snoa"]) == \
-                int(row["node_scans"]) / int(row["arcs"])
+            arcs = int(row["arcs"])
+            assert float(row["snoa"]) == int(row["node_scans"]) / arcs
+            assert float(row["ooa"]) == int(row["origins"]) / arcs
+            assert float(row["onoa"]) == int(row["improvements"]) / arcs
 
     def test_non_divisor_is_usage_error(self, capsys):
         assert run(["bench", "--n-total", "100", "--kc", "7"]) == EXIT_USAGE
+
+    def test_unknown_algorithm_fails_before_any_output(self, tmp_path,
+                                                       capsys):
+        out = tmp_path / "bench.csv"
+        assert run(["bench", "--n-total", "144", "--kc", "4,12",
+                    "--algos", "eom,bogus", "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert "unknown algorithm 'bogus'" in capsys.readouterr().err
 
 
 class TestUsage:

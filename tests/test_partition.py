@@ -16,8 +16,7 @@ class TestTriangleExample:
         assert regions.position_of[1:] == [1, 2, 3]
         assert regions.reached_count == 3
         assert regions.region_count == 2
-        assert report.reached_count == 3
-        assert report.region_count == 2
+        assert report.arc_inspections == 2 * triangle.E  # both stars, once
 
     def test_min_hop_costs(self, triangle, algebra):
         _, state, _ = op.hda_multi(triangle, [1], algebra)
@@ -41,8 +40,8 @@ class TestPartitionStructure:
 
     def test_disconnected_nodes_unreached(self, algebra):
         g = op.build_graph(4, [(1, 2, 3)], directed=True)
-        regions, state, report = op.hda_multi(g, [1], algebra)
-        assert report.reached_count == 2
+        regions, state, _ = op.hda_multi(g, [1], algebra)
+        assert regions.reached_count == 2
         assert regions.region_of[3] == 0 and regions.position_of[3] == 0
         assert not state.labeled(3)
 
@@ -74,8 +73,8 @@ class TestPartitionStructure:
         g = op.build_graph(2, [(1, 2, 0)])
         _, state, _ = op.hda_multi(g, [1], algebra)
         assert state.parent[1] == op.UNSET and state.cost[1] == 0
-        # a direct pull attempt must refuse too
-        assert not op.comp_pull(state, algebra, 1, 2, 0)
+        # a direct relaxation attempt must refuse too
+        assert not op.relax(state, algebra, 2, 1, 0)
 
     def test_empty_source_set_rejected(self, triangle, algebra):
         with pytest.raises(GraphError, match="non-empty"):

@@ -32,13 +32,11 @@ class TestRunPipeline:
     def test_scheduler_results_carry_origins(self, triangle):
         result = op.run_pipeline(triangle, [1], "hrp")
         assert result.origins == 1
-        assert result.opt_report.origins_after_classify == 1
-        assert result.schedule_ms >= 0.0
+        assert result.opt_report.wall_time_ms >= 0.0
 
     def test_hda_result_has_no_opt_report(self, triangle):
         result = op.run_pipeline(triangle, [1], "hda")
         assert result.opt_report is None
-        assert result.schedule_ms == 0.0
 
     def test_debug_instrumented_run_is_clean(self, triangle):
         for algo in op.ALGORITHMS:
@@ -70,7 +68,8 @@ class TestRunPipeline:
     def test_multi_source_lanes_agree_with_tags(self):
         g = op.gen_random_graph(300, 1500, 0, 10, seed=9, directed=True)
         for algo in op.ALGORITHMS:
-            ref = op.run_pipeline(g, [5, 17, 200, 17], algo, fast=False)
+            ref = op.run_pipeline(g, [5, 17, 200, 17], algo,
+                                  algebra=op.min_plus_algebra())
             fast = op.run_pipeline(g, [5, 17, 200, 17], algo)
             assert (ref.lane, fast.lane) == ("reference", "compiled")
             assert fast.state.tags is not None
