@@ -8,21 +8,22 @@ fixpoint sweeps (:mod:`optpaths.evolve`) or origin-driven worklist scheduling
 (:mod:`optpaths.cli`).
 """
 
-from .evolve import EomReport, eom, eom_two_course
+from .evolve import eom, eom_two_course
 from .generators import (GridSpec, HzpPlan, gen_grid, gen_random_graph,
                          serpentine_path, shape_sweep_specs, splitmix64)
 from .graph import (UNSET, Arc, CostAlgebra, Graph, GraphError,
                     InstanceFormatError, build_graph, in_neighbors, leaves,
                     min_plus_algebra, read_instance, read_instance_file,
                     write_instance, write_instance_file)
-from .monarchy import (MonarchyReport, SchedulerKind, StatusMap,
-                       classify_status, run_scheduler)
+from .monarchy import (SchedulerKind, StatusMap, classify_status,
+                       run_scheduler)
 from .oracles import (OracleResult, VerificationReport, bellman_ford_oracle,
                       brute_force_oracle, check_fixpoint, check_reachability,
                       check_tree, dijkstra_oracle, minhop_dp_oracle,
                       verify_export)
-from .partition import (UNREACHED, HdaReport, Regions, SolverState,
-                        export_results, export_results_file, hda_multi, relax)
+from .partition import (UNREACHED, HdaReport, OptReport, Regions,
+                        SolverState, export_results, export_results_file,
+                        hda_multi, relax)
 from .pipeline import (ALGORITHMS, InvariantViolation, PipelineResult,
                        run_pipeline)
 

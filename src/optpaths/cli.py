@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .generators import (GridSpec, gen_grid, gen_random_graph, grid_comments,
                          shape_sweep_specs)
-from .graph import (Graph, GraphError, InstanceFormatError, min_plus_algebra,
-                    read_instance_file, read_text)
+from .graph import (_INT, Graph, GraphError, InstanceFormatError,
+                    min_plus_algebra, read_instance_file, read_text)
 from .oracles import verify_export
-from .partition import UNREACHED, export_results_file
+from .partition import UNREACHED, OptReport, export_results_file
 from .pipeline import ALGORITHMS, InvariantViolation, PipelineResult, run_pipeline
 
 CSV_COLUMNS = [
@@ -41,77 +40,43 @@ EXIT_USAGE = 1
 EXIT_VERIFY = 2
 
 
-@dataclass
-class BenchRecord:
-    """One benchmark row; ratios are derived from the counters on emit."""
-
-    instance: str
-    algorithm: str
-    n: int
-    arcs: int
-    directed: bool
-    rows: Optional[int] = None
-    cols: Optional[int] = None
-    seed: Optional[int] = None
-    hda_ms: float = 0.0
-    classify_ms: float = 0.0
-    schedule_ms: float = 0.0
-    big_loops: int = 0
-    node_scans: int = 0
-    improvements: int = 0
-    origins: int = 0
-    regular_way: int = 0
-    wrong_way: int = 0
-
-    def ratios(self) -> tuple[float, float, float]:
-        e = self.arcs or 1
-        return (self.node_scans / e, self.origins / e, self.improvements / e)
-
-    def csv_row(self) -> str:
-        snoa, ooa, onoa = self.ratios()
-        vals = [
-            self.instance, self.algorithm,
-            "" if self.rows is None else self.rows,
-            "" if self.cols is None else self.cols,
-            self.n, self.arcs, int(self.directed),
-            "" if self.seed is None else self.seed,
-            f"{self.hda_ms:.3f}", f"{self.classify_ms:.3f}",
-            f"{self.schedule_ms:.3f}",
-            self.big_loops, self.node_scans, self.improvements, self.origins,
-            repr(snoa), repr(ooa), repr(onoa), repr(snoa),
-            self.regular_way, self.wrong_way,
-        ]
-        return ",".join(str(v) for v in vals)
-
-    def text_block(self) -> str:
-        snoa, ooa, onoa = self.ratios()
-        return (
-            f"{self.algorithm}: BL={self.big_loops} scans={self.node_scans} "
-            f"improved={self.improvements} origins={self.origins} "
-            f"snoa={snoa:.4f} ooa={ooa:.4f} onoa={onoa:.4f} "
-            f"regular={self.regular_way} wrong={self.wrong_way} "
-            f"hda={self.hda_ms:.1f}ms classify={self.classify_ms:.1f}ms "
-            f"schedule={self.schedule_ms:.1f}ms"
-        )
+#: the counters of a run without an optimizer (``hda`` alone)
+_NO_OPT = OptReport(0, 0, 0, 0, 0, 0, 0.0)
 
 
-def record_from_result(instance: str, g: Graph, res: PipelineResult,
-                       rows=None, cols=None, seed=None) -> BenchRecord:
-    rec = BenchRecord(
-        instance=instance, algorithm=res.algo, n=g.n, arcs=g.E,
-        directed=g.directed, rows=rows, cols=cols, seed=seed,
-        hda_ms=res.hda_report.wall_time_ms, classify_ms=res.classify_ms,
-        origins=res.origins,
+def _ratios(g: Graph, res: PipelineResult):
+    """The optimizer report and the snoa, ooa and onoa ratios over E."""
+    rep = res.opt_report or _NO_OPT
+    e = g.E or 1
+    return rep, rep.node_scans / e, res.origins / e, rep.improvements / e
+
+
+def csv_row(instance: str, g: Graph, res: PipelineResult,
+            spec: Optional[GridSpec] = None) -> str:
+    """One CSV row; ``spec`` fills the rows, cols and seed columns."""
+    rep, snoa, ooa, onoa = _ratios(g, res)
+    rows, cols, seed = (("", "", "") if spec is None
+                        else (spec.k_r, spec.k_c, spec.seed))
+    vals = [
+        instance, res.algo, rows, cols, g.n, g.E, int(g.directed), seed,
+        f"{res.hda_report.wall_time_ms:.3f}", f"{res.classify_ms:.3f}",
+        f"{rep.wall_time_ms:.3f}",
+        rep.big_loops, rep.node_scans, rep.improvements, res.origins,
+        snoa, ooa, onoa, snoa, rep.regular_way, rep.wrong_way,
+    ]
+    return ",".join(str(v) for v in vals)
+
+
+def text_line(g: Graph, res: PipelineResult) -> str:
+    rep, snoa, ooa, onoa = _ratios(g, res)
+    return (
+        f"{res.algo}: BL={rep.big_loops} scans={rep.node_scans} "
+        f"improved={rep.improvements} origins={res.origins} "
+        f"snoa={snoa:.4f} ooa={ooa:.4f} onoa={onoa:.4f} "
+        f"regular={rep.regular_way} wrong={rep.wrong_way} "
+        f"hda={res.hda_report.wall_time_ms:.1f}ms "
+        f"classify={res.classify_ms:.1f}ms schedule={rep.wall_time_ms:.1f}ms"
     )
-    rep = res.opt_report
-    if rep is not None:  # hda alone has no optimizer report
-        rec.schedule_ms = rep.wall_time_ms
-        rec.big_loops = rep.big_loops
-        rec.node_scans = rep.node_scans
-        rec.improvements = rep.improvements
-        rec.regular_way = rep.regular_way
-        rec.wrong_way = rep.wrong_way
-    return rec
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,11 +94,18 @@ def _algo_list(text: str) -> list[str]:
     return algos
 
 
+def _int(text: str) -> int:
+    """An integer option in the instance grammar, ASCII ``[+-]?[0-9]+``.
+
+    Bare ``int()`` would also take ``1_0`` and non-ASCII digits.
+    """
+    if not _INT.match(text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(tok) for tok in text.replace(",", " ").split()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected integers, got {text!r}")
+    values = [_int(tok) for tok in text.replace(",", " ").split()]
     if not values:
         raise argparse.ArgumentTypeError("expected at least one integer")
     return values
@@ -149,31 +121,28 @@ def build_parser() -> argparse.ArgumentParser:
     gsub = g.add_subparsers(dest="kind", required=True,
                             parser_class=_Parser)
     gg = gsub.add_parser("grid")
-    gg.add_argument("--rows", type=int, required=True)
-    gg.add_argument("--cols", type=int, required=True)
-    gg.add_argument("--wmin", type=int, default=1)
-    gg.add_argument("--wmax", type=int, default=10)
-    gg.add_argument("--seed", type=int, default=0)
+    gg.add_argument("--rows", type=_int, required=True)
+    gg.add_argument("--cols", type=_int, required=True)
+    gg.add_argument("--wmin", type=_int, default=1)
+    gg.add_argument("--wmax", type=_int, default=10)
+    gg.add_argument("--seed", type=_int, default=0)
     gg.add_argument("--hzp", action="store_true",
                     help="plant the serpentine zero path")
     gg.add_argument("--out", default="-")
     gr = gsub.add_parser("random")
-    gr.add_argument("--n", type=int, required=True)
-    gr.add_argument("--arcs", type=int, required=True)
-    gr.add_argument("--wmin", type=int, default=0)
-    gr.add_argument("--wmax", type=int, default=10)
-    gr.add_argument("--seed", type=int, default=0)
+    gr.add_argument("--n", type=_int, required=True)
+    gr.add_argument("--arcs", type=_int, required=True)
+    gr.add_argument("--wmin", type=_int, default=0)
+    gr.add_argument("--wmax", type=_int, default=10)
+    gr.add_argument("--seed", type=_int, default=0)
     gr.add_argument("--directed", action="store_true")
     gr.add_argument("--out", default="-")
 
     s = sub.add_parser("solve", help="run one pipeline on an instance")
     s.add_argument("--instance", required=True)
     s.add_argument("--algo", required=True, choices=ALGORITHMS + ("multi",))
-    s.add_argument("--source", type=int, default=1)
-    s.add_argument("--sources", type=_int_list,
-                   help="comma-separated source ids (replaces --source)")
-    s.add_argument("--scheduler", choices=["hrp", "fr", "ht"], default="ht",
-                   help="scheduler used by --algo multi")
+    s.add_argument("--sources", "--source", type=_int_list, default=[1],
+                   help="comma-separated source ids (default 1)")
     s.add_argument("--out", help="write per-node results here")
     s.add_argument("--format", choices=["csv", "text"], default="text")
     s.add_argument("--debug-invariants", action="store_true")
@@ -187,16 +156,17 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compare",
                        help="run all five optimizers and compare them")
     c.add_argument("--instance", required=True)
-    c.add_argument("--source", type=int, default=1)
+    c.add_argument("--sources", "--source", type=_int_list, default=[1],
+                   help="comma-separated source ids (default 1)")
     c.add_argument("--format", choices=["csv", "text"], default="text")
     c.add_argument("--out", default="-")
 
     b = sub.add_parser("bench", help="shape sweep over constant-node grids")
-    b.add_argument("--n-total", type=int, required=True)
+    b.add_argument("--n-total", type=_int, required=True)
     b.add_argument("--kc", type=_int_list, required=True,
                    help="comma-separated column counts (must divide n-total)")
     b.add_argument("--algos", type=_algo_list, default=["eom", "ht"])
-    b.add_argument("--seed", type=int, default=7)
+    b.add_argument("--seed", type=_int, default=7)
     b.add_argument("--out", default="-")
     return p
 
@@ -234,19 +204,17 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     g, _ = read_instance_file(args.instance)
     multi = args.algo == "multi"
-    res = run_pipeline(g, args.sources or [args.source],
-                       args.scheduler if multi else args.algo,
+    res = run_pipeline(g, args.sources, "ht" if multi else args.algo,
                        debug_invariants=args.debug_invariants)
     if multi:
         res.algo = "multi"
     if args.out:
         export_results_file(res.state, res.regions, args.out)
-    rec = record_from_result(args.instance, g, res)
     if args.format == "text":
-        print(rec.text_block())
+        print(text_line(g, res))
     else:
         print(",".join(CSV_COLUMNS))
-        print(rec.csv_row())
+        print(csv_row(args.instance, g, res))
     return EXIT_OK
 
 
@@ -314,25 +282,20 @@ def cmd_verify(args) -> int:
 def cmd_compare(args) -> int:
     g, _ = read_instance_file(args.instance)
     algos = ["eom", "eom2", "hrp", "fr", "ht"]
-    records = []
+    as_csv = args.format == "csv"
+    lines = [",".join(CSV_COLUMNS)] if as_csv else []
     costs = {}
     for algo in algos:
-        res = run_pipeline(g, [args.source], algo)
-        records.append(record_from_result(args.instance, g, res))
+        res = run_pipeline(g, args.sources, algo)
+        lines.append(csv_row(args.instance, g, res) if as_csv
+                     else text_line(g, res))
         costs[algo] = res.state.cost
     base = costs[algos[0]]
     agree = all(costs[a] == base for a in algos[1:])
+    lines.append("all agree" if agree else "DISAGREEMENT between optimizers")
     out, close = _open_out(args.out)
     try:
-        if args.format == "csv":
-            out.write(",".join(CSV_COLUMNS) + "\n")
-            for rec in records:
-                out.write(rec.csv_row() + "\n")
-        else:
-            for rec in records:
-                out.write(rec.text_block() + "\n")
-        out.write(("all agree" if agree else "DISAGREEMENT between optimizers")
-                  + "\n")
+        out.write("\n".join(lines) + "\n")
     finally:
         if close:
             out.close()
@@ -349,9 +312,7 @@ def cmd_bench(args) -> int:
             name = f"grid-{spec.k_r}x{spec.k_c}-hzp"
             for algo in args.algos:
                 res = run_pipeline(g, [source], algo)
-                rec = record_from_result(name, g, res, rows=spec.k_r,
-                                         cols=spec.k_c, seed=spec.seed)
-                out.write(rec.csv_row() + "\n")
+                out.write(csv_row(name, g, res, spec) + "\n")
     finally:
         if close:
             out.close()

@@ -16,35 +16,14 @@ cuts the sweep count sharply on tall planted-zero-path grids.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .graph import CostAlgebra, Graph
-from .partition import Regions, SolverState, relax
-
-
-@dataclass
-class EomReport:
-    """Counters for one sweep run.
-
-    ``big_loops`` counts full sweeps including the final no-change sweep.
-    Every accepted relaxation is classified by the improved node's layer
-    against its new parent's layer: strictly below the parent is the regular
-    way, at or above it is the wrong way, so
-    ``regular_way + wrong_way == improvements`` always.
-    """
-
-    big_loops: int
-    improvements: int
-    node_scans: int
-    arc_relaxations: int
-    regular_way: int
-    wrong_way: int
-    wall_time_ms: float
+from .partition import OptReport, Regions, SolverState, relax
 
 
 def eom(g: Graph, regions: Regions, state: SolverState, algebra: CostAlgebra,
-        debug_check: Optional[Callable[[int], None]] = None) -> EomReport:
+        debug_check: Optional[Callable[[int], None]] = None) -> OptReport:
     """Head-to-tail sweeps until a clean pass."""
     return _sweep_to_fixpoint(g, regions, state, algebra, False, debug_check)
 
@@ -52,7 +31,7 @@ def eom(g: Graph, regions: Regions, state: SolverState, algebra: CostAlgebra,
 def eom_two_course(g: Graph, regions: Regions, state: SolverState,
                    algebra: CostAlgebra,
                    debug_check: Optional[Callable[[int], None]] = None,
-                   ) -> EomReport:
+                   ) -> OptReport:
     """Alternating-direction sweeps; identical fixpoint, fewer passes."""
     return _sweep_to_fixpoint(g, regions, state, algebra, True, debug_check)
 
@@ -96,12 +75,5 @@ def _sweep_to_fixpoint(g, regions, state, algebra, two_course, debug_check):
         if flag == 0:
             break
 
-    return EomReport(
-        big_loops=big_loops,
-        improvements=improvements,
-        node_scans=node_scans,
-        arc_relaxations=arc_relaxations,
-        regular_way=regular,
-        wrong_way=wrong,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    return OptReport(big_loops, node_scans, improvements, regular, wrong,
+                     arc_relaxations, (time.perf_counter() - t0) * 1e3)

@@ -36,10 +36,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .evolve import EomReport
 from .graph import INT64_MAX, Graph, GraphError
-from .monarchy import MonarchyReport, SchedulerKind, _KIND_CODE
-from .partition import HdaReport, Regions, SolverState
+from .monarchy import SchedulerKind, _KIND_CODE
+from .partition import HdaReport, OptReport, Regions, SolverState
 
 #: compile command; ``-o <object> <source>`` is appended
 _BUILD = ("cc", "-O2", "-shared", "-fPIC")
@@ -198,7 +197,7 @@ class FastRun:
         self.classify_ms = (time.perf_counter() - t0) * 1e3
         return self.origin_count
 
-    def eom(self, two_course: bool = False) -> EomReport:
+    def eom(self, two_course: bool = False) -> OptReport:
         g = self.g
         out = np.zeros(6, dtype=np.int64)
         t0 = time.perf_counter()
@@ -207,28 +206,20 @@ class FastRun:
             _ptr(g.rev_ptr), _ptr(g.rev_src), _ptr(g.rev_w),
             _ptr(self.parent), _ptr(self.cost), _ptr(self.wu),
             _ptr(self.issrc), _ptr(self.tags), int(two_course), _ptr(out))
-        bl, imp, scans, relax, reg, wrong = out.tolist()
-        return EomReport(
-            big_loops=bl, improvements=imp, node_scans=scans,
-            arc_relaxations=relax, regular_way=reg, wrong_way=wrong,
-            wall_time_ms=(time.perf_counter() - t0) * 1e3)
+        return OptReport(*out.tolist(), (time.perf_counter() - t0) * 1e3)
 
-    def schedule(self, kind: SchedulerKind) -> MonarchyReport:
+    def schedule(self, kind: SchedulerKind) -> OptReport:
         """Push to the fixpoint from the origins; :meth:`classify` runs first."""
         g = self.g
         code = _KIND_CODE[SchedulerKind(kind)]
-        out = np.zeros(5, dtype=np.int64)
+        out = np.zeros(6, dtype=np.int64)
         t0 = time.perf_counter()
         self._lib.optpaths_schedule(
             code, _ptr(self.order), len(self.order), _ptr(self.region),
             _ptr(self.pos), _ptr(g.fwd_ptr), _ptr(g.fwd_dst), _ptr(g.fwd_w),
             _ptr(self.parent), _ptr(self.cost), _ptr(self.wu),
             _ptr(self.issrc), _ptr(self.tags), _ptr(self.status), _ptr(out))
-        bl, scans, imp, reg, wrong = out.tolist()
-        return MonarchyReport(
-            big_loops=bl, node_scans=scans, improvements=imp,
-            regular_way=reg, wrong_way=wrong,
-            wall_time_ms=(time.perf_counter() - t0) * 1e3)
+        return OptReport(*out.tolist(), (time.perf_counter() - t0) * 1e3)
 
     # -- conversions back into the reference dataclasses ---------------------
 

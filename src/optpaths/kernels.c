@@ -9,6 +9,9 @@
  * starts tagged with itself and every accepted relaxation copies the new
  * parent's tag.  Every kernel accepts relaxations through relax below,
  * which mirrors partition.relax, the one rule of the reference lane.
+ * The optimizer kernels write their counters to out[] in the field order
+ * of partition.OptReport: big_loops, node_scans, improvements,
+ * regular_way, wrong_way, arc_relaxations.
  *
  * Built on first use by fastlane.py with the system C compiler and called
  * through ctypes; no Python headers are needed.
@@ -115,9 +118,7 @@ int64_t optpaths_classify(const int64_t *order, int64_t n_order,
 }
 
 /* Full pull sweeps over the discovery order until one accepts nothing;
- * with two_course set, every second sweep runs tail to head.  out receives
- * big_loops, improvements, node_scans, arc_relaxations, regular_way,
- * wrong_way. */
+ * with two_course set, every second sweep runs tail to head. */
 void optpaths_eom(const int64_t *order, int64_t n_order,
                   const int64_t *region, const int64_t *rptr,
                   const int64_t *rsrc, const int64_t *rw, int64_t *parent,
@@ -157,16 +158,15 @@ void optpaths_eom(const int64_t *order, int64_t n_order,
             break;
     }
     out[0] = big_loops;
-    out[1] = improvements;
-    out[2] = node_scans;
-    out[3] = arc_relax;
-    out[4] = regular;
-    out[5] = wrong;
+    out[1] = node_scans;
+    out[2] = improvements;
+    out[3] = regular;
+    out[4] = wrong;
+    out[5] = arc_relax;
 }
 
 /* Origin-driven push relaxation under one worklist pointer rule:
- * code 0 = hrp, 1 = fr, 2 = ht.  out receives big_loops, node_scans,
- * improvements, regular_way, wrong_way. */
+ * code 0 = hrp, 1 = fr, 2 = ht. */
 void optpaths_schedule(int64_t code, const int64_t *order, int64_t n_order,
                        const int64_t *region, const int64_t *pos,
                        const int64_t *fptr, const int64_t *fdst,
@@ -179,6 +179,7 @@ void optpaths_schedule(int64_t code, const int64_t *order, int64_t n_order,
     int64_t improvements = 0;
     int64_t regular = 0;
     int64_t wrong = 0;
+    int64_t arc_relax = 0;
     int64_t cycle_flag = 0;
     int64_t chase_start = 0;
     int64_t i = 1;
@@ -200,6 +201,7 @@ void optpaths_schedule(int64_t code, const int64_t *order, int64_t n_order,
         }
         int64_t best_pos = 0;
         int64_t ru = region[u];
+        arc_relax += fptr[u + 1] - fptr[u];
         for (int64_t k = fptr[u]; k < fptr[u + 1]; k++) {
             int64_t v = fdst[k];
             if (relax(u, v, fw[k], parent, cost, wu, issrc, tags)) {
@@ -238,4 +240,5 @@ void optpaths_schedule(int64_t code, const int64_t *order, int64_t n_order,
     out[2] = improvements;
     out[3] = regular;
     out[4] = wrong;
+    out[5] = arc_relax;
 }

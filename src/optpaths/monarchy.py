@@ -30,7 +30,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .graph import CostAlgebra, Graph, GraphError
-from .partition import Regions, SolverState, relax
+from .partition import OptReport, Regions, SolverState, relax
 
 
 class SchedulerKind(str, Enum):
@@ -45,22 +45,6 @@ class StatusMap:
 
     status: list[int]
     origin_count: int
-
-
-@dataclass
-class MonarchyReport:
-    """Counters for one scheduler run.
-
-    ``node_scans`` counts every worklist position the pointer examines,
-    active or dormant.  The CSV derives its ratios from these counters.
-    """
-
-    big_loops: int
-    node_scans: int
-    improvements: int
-    regular_way: int
-    wrong_way: int
-    wall_time_ms: float
 
 
 def classify_status(g: Graph, state: SolverState, algebra: CostAlgebra,
@@ -101,7 +85,7 @@ def run_scheduler(kind: SchedulerKind, g: Graph, regions: Regions,
                   state: SolverState, statuses: StatusMap,
                   algebra: CostAlgebra,
                   debug_check: Optional[Callable[[int], None]] = None,
-                  ) -> MonarchyReport:
+                  ) -> OptReport:
     """Drive push-relaxation to the fixpoint under the selected pointer rule."""
     try:
         code = _KIND_CODE[SchedulerKind(kind)]
@@ -123,6 +107,7 @@ def run_scheduler(kind: SchedulerKind, g: Graph, regions: Regions,
     improvements = 0
     regular = 0
     wrong = 0
+    arc_relaxations = 0
     cycle_flag = 0
     chase_start = 0  # 0 = no chase in flight (HT only)
 
@@ -145,6 +130,7 @@ def run_scheduler(kind: SchedulerKind, g: Graph, regions: Regions,
             continue
         best_pos = 0
         ru = region_of[u]
+        arc_relaxations += fwd_ptr[u + 1] - fwd_ptr[u]
         for k in range(fwd_ptr[u], fwd_ptr[u + 1]):
             v = fwd_dst[k]
             if relax(state, algebra, u, v, fwd_w[k]):
@@ -173,11 +159,5 @@ def run_scheduler(kind: SchedulerKind, g: Graph, regions: Regions,
             else:
                 i += 1
 
-    return MonarchyReport(
-        big_loops=big_loops,
-        node_scans=node_scans,
-        improvements=improvements,
-        regular_way=regular,
-        wrong_way=wrong,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    return OptReport(big_loops, node_scans, improvements, regular, wrong,
+                     arc_relaxations, (time.perf_counter() - t0) * 1e3)

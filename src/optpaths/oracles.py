@@ -104,6 +104,28 @@ def bellman_ford_oracle(g: Graph, source: NodeId, algebra: CostAlgebra) -> Oracl
     return OracleResult(dist, parent)
 
 
+def _bfs_levels(g: Graph, roots: list[int]) -> tuple[list[int], list[int]]:
+    """Hop levels by breadth-first search over forward arcs, and the order.
+
+    Roots sit at level 1 and unreached nodes at 0; the order lists the
+    reached nodes as the search discovers them, roots first.
+    """
+    level = [0] * (g.n + 1)
+    for r in roots:
+        level[r] = 1
+    order = list(roots)
+    fwd_ptr = g.fwd_ptr.tolist()
+    fwd_dst = g.fwd_dst.tolist()
+    for u in order:  # the loop also visits the nodes it appends
+        next_level = level[u] + 1
+        for k in range(fwd_ptr[u], fwd_ptr[u + 1]):
+            v = fwd_dst[k]
+            if level[v] == 0:
+                level[v] = next_level
+                order.append(v)
+    return level, order
+
+
 def minhop_dp_oracle(g: Graph, source: NodeId, algebra: CostAlgebra) -> OracleResult:
     """Best cost among minimum-hop paths, computed level by level.
 
@@ -112,23 +134,7 @@ def minhop_dp_oracle(g: Graph, source: NodeId, algebra: CostAlgebra) -> OracleRe
     one level up, first-seen winning ties.
     """
     n = g.n
-    level = [0] * (n + 1)
-    level[source] = 1
-    frontier = [source]
-    order = [source]
-    fwd_ptr = g.fwd_ptr.tolist()
-    fwd_dst = g.fwd_dst.tolist()
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for k in range(fwd_ptr[u], fwd_ptr[u + 1]):
-                v = fwd_dst[k]
-                if level[v] == 0:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        order.extend(nxt)
-        frontier = nxt
-
+    level, order = _bfs_levels(g, [source])
     dist: list[Optional[int]] = [None] * (n + 1)
     parent = [UNSET] * (n + 1)
     dist[source] = algebra.zero
@@ -379,21 +385,7 @@ def verify_export(g: Graph, region: list[int], parent: list[int],
                 rep.add("tag", f"node {v}", want, tags[v])
     _chain_colors(parent, is_root, reached, rep, "acyclic")
     # regions == hop layers from the roots (independent BFS)
-    fwd_ptr = g.fwd_ptr.tolist()
-    fwd_dst = g.fwd_dst.tolist()
-    level = [0] * (n + 1)
-    for r in roots:
-        level[r] = 1
-    frontier = roots
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for k in range(fwd_ptr[u], fwd_ptr[u + 1]):
-                v = fwd_dst[k]
-                if level[v] == 0:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        frontier = nxt
+    level, _ = _bfs_levels(g, roots)
     for v in range(1, n + 1):
         if level[v] != region[v]:
             rep.add("region", f"node {v}", level[v], region[v])

@@ -99,6 +99,28 @@ class HdaReport:
     wall_time_ms: float
 
 
+@dataclass
+class OptReport:
+    """Counters for one optimizer run, sweeps and schedulers alike.
+
+    ``big_loops`` counts full passes, the final clean one included.
+    ``node_scans`` counts every position a pass examines, active or dormant;
+    ``arc_relaxations`` counts the calls to :func:`relax`.  Every accepted
+    relaxation is classified by the improved node's layer against its new
+    parent's: strictly below the parent is the regular way, at or above it
+    the wrong way, so ``regular_way + wrong_way == improvements``.  The
+    kernels write their counters in this field order.
+    """
+
+    big_loops: int
+    node_scans: int
+    improvements: int
+    regular_way: int
+    wrong_way: int
+    arc_relaxations: int
+    wall_time_ms: float
+
+
 def relax(state: SolverState, algebra: CostAlgebra,
           u: NodeId, v: NodeId, weight: int) -> bool:
     """``u`` offers itself as parent of ``v``; True when ``v`` accepts.

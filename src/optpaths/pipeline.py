@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import fastlane
-from .evolve import EomReport, eom, eom_two_course
+from .evolve import eom, eom_two_course
 from .graph import CostAlgebra, Graph, GraphError, min_plus_algebra
-from .monarchy import MonarchyReport, classify_status, run_scheduler
+from .monarchy import classify_status, run_scheduler
 from .oracles import check_reachability, check_tree
-from .partition import HdaReport, Regions, SolverState, hda_multi
+from .partition import HdaReport, OptReport, Regions, SolverState, hda_multi
 
 ALGORITHMS = ("hda", "eom", "eom2", "hrp", "fr", "ht")
 
@@ -47,7 +47,7 @@ class PipelineResult:
     hda_report: HdaReport
     classify_ms: float
     origins: int
-    opt_report: Optional[Union[EomReport, MonarchyReport]]
+    opt_report: Optional[OptReport]
     lane: str = "reference"  # or "compiled"
 
 

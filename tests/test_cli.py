@@ -148,7 +148,7 @@ class TestSolve:
     def test_sources_apply_to_every_algorithm(self, tmp_path, capsys):
         inst = make_grid_instance(tmp_path, rows=4, cols=4, hzp=False)
         exports = []
-        for algo in (["ht"], ["multi", "--scheduler", "ht"]):
+        for algo in (["ht"], ["multi"]):
             out = tmp_path / f"{algo[0]}.txt"
             assert run(["solve", "--instance", inst, "--algo", *algo,
                         "--sources", "5,9", "--out", str(out)]) == EXIT_OK
@@ -482,6 +482,25 @@ class TestBench:
 class TestUsage:
     def test_no_command(self, capsys):
         assert run([]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--algo", "ht", "--sources", "1_0,\uff15"],
+        ["solve", "--algo", "ht", "--source", "\uff15"],
+        ["compare", "--source", "\uff15"],
+        ["bench", "--n-total", "1_00", "--kc", "10"],
+        ["bench", "--n-total", "100", "--kc", "\uff15,1_0"],
+        ["gen", "grid", "--rows", "1_0", "--cols", "3"],
+    ], ids=["solve-sources", "solve-source", "compare-source",
+            "bench-n-total", "bench-kc", "gen-rows"])
+    def test_integer_options_take_ascii_digits_only(self, tmp_path, capsys,
+                                                    argv):
+        # int() alone would read '1_0' as 10 and a fullwidth five as 5
+        if argv[0] in ("solve", "compare"):
+            argv = [*argv, "--instance", make_grid_instance(tmp_path)]
+        out = tmp_path / "out.txt"
+        assert run([*argv, "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert "expected an integer" in capsys.readouterr().err
 
     def test_bad_flag_value(self, capsys):
         assert run(["bench", "--n-total", "100", "--kc", "x"]) == EXIT_USAGE

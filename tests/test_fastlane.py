@@ -55,8 +55,7 @@ def assert_counters_equal(a, b):
     assert ra.node_scans == rb.node_scans
     assert ra.regular_way == rb.regular_way
     assert ra.wrong_way == rb.wrong_way
-    if hasattr(ra, "arc_relaxations"):
-        assert ra.arc_relaxations == rb.arc_relaxations
+    assert ra.arc_relaxations == rb.arc_relaxations
 
 
 INSTANCES = [

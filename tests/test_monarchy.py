@@ -3,7 +3,7 @@ import copy
 import pytest
 
 import optpaths as op
-from optpaths import GraphError, SchedulerKind
+from optpaths import GraphError, SchedulerKind, monarchy
 
 
 def prepared(g, sources, algebra):
@@ -77,6 +77,33 @@ class TestSchedulers:
         op.eom(g, sweep_regions, sweep_state, algebra)
         assert state.cost == sweep_state.cost
         assert report.big_loops <= 4
+
+    @pytest.mark.parametrize("kind", list(SchedulerKind))
+    def test_arc_relaxations_count_the_stars_of_active_scans(
+            self, algebra, monkeypatch, kind):
+        # every active node scanned offers itself along its whole forward
+        # star, in CSR order; dormant ones offer nothing
+        g, source, _ = op.gen_grid(op.GridSpec(k_r=12, k_c=6, seed=5,
+                                               plant_hzp=True))
+        regions, state, statuses = prepared(g, [source], algebra)
+        calls = []
+
+        def logged_relax(state, algebra, u, v, w):
+            calls.append((u, v))
+            return op.relax(state, algebra, u, v, w)
+
+        monkeypatch.setattr(monarchy, "relax", logged_relax)
+        report = op.run_scheduler(kind, g, regions, state, statuses, algebra)
+        fwd_ptr, fwd_dst = g.fwd_ptr.tolist(), g.fwd_dst.tolist()
+        out_degrees = []  # of the active nodes scanned, in scan order
+        while sum(out_degrees) < len(calls):
+            i = sum(out_degrees)
+            u = calls[i][0]
+            star = [(u, v) for v in fwd_dst[fwd_ptr[u]:fwd_ptr[u + 1]]]
+            assert calls[i:i + len(star)] == star
+            out_degrees.append(len(star))
+        assert report.improvements > 0
+        assert report.arc_relaxations == sum(out_degrees) == len(calls)
 
     def test_unknown_kind_rejected(self, triangle, algebra):
         regions, state, statuses = prepared(triangle, [1], algebra)
