@@ -6,11 +6,13 @@ fixpoint sweeps (:mod:`optpaths.evolve`) or origin-driven worklist scheduling
 (:mod:`optpaths.oracles`), with deterministic instance generators
 (:mod:`optpaths.generators`) and a CLI/benchmark front end
 (:mod:`optpaths.cli`).
+
+The generators are imported on first use, since they need numpy and
+nothing else in the package does unless an instance goes to the reference
+reader.
 """
 
 from .evolve import eom, eom_two_course
-from .generators import (GridSpec, HzpPlan, gen_grid, gen_random_graph,
-                         serpentine_path, shape_sweep_specs, splitmix64)
 from .graph import (UNSET, Arc, CostAlgebra, Graph, GraphError,
                     InstanceFormatError, build_graph, in_neighbors, leaves,
                     min_plus_algebra, read_instance, read_instance_file,
@@ -28,3 +30,13 @@ from .pipeline import (ALGORITHMS, InvariantViolation, PipelineResult,
                        run_pipeline)
 
 __version__ = "0.1.0"
+
+_GENERATORS = ("GridSpec", "HzpPlan", "gen_grid", "gen_random_graph",
+               "serpentine_path", "shape_sweep_specs", "splitmix64")
+
+
+def __getattr__(name):
+    if name in _GENERATORS:
+        from . import generators
+        return getattr(generators, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

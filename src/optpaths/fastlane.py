@@ -1,4 +1,5 @@
-"""Compiled min-plus kernels behind :func:`optpaths.pipeline.run_pipeline`.
+"""Compiled min-plus kernels behind :func:`optpaths.pipeline.run_pipeline`
+and :func:`optpaths.graph.read_instance`.
 
 The reference solvers in :mod:`partition`, :mod:`evolve` and :mod:`monarchy`
 are generic over the cost algebra and carry debug hooks; the kernels in
@@ -6,11 +7,15 @@ are generic over the cost algebra and carry debug hooks; the kernels in
 They mirror the reference loops statement for statement -- including every
 counter and the per-node source tags -- and the test suite asserts exact
 equality of states and counters between the two lanes, so either lane
-certifies the other.
+certifies the other.  :func:`read_graph` is the compiled instance reader:
+it builds a graph only from an arc block it fully accepts and returns None
+for any other, which the reference reader then reads or rejects.
 
-The runtime dependencies are numpy plus, optionally, a C compiler.  On the
-first ``available()``, ``refusal()`` or ``FastRun`` call -- never at import
--- the kernels are compiled with the system ``cc`` into
+This module needs only the standard library plus, optionally, a C
+compiler: every array it passes to a kernel is an ``array('q')``, and
+ctypes takes its address from ``buffer_info()``.  On the first
+``available()``, ``refusal()``, ``read_graph()`` or ``FastRun`` call --
+never at import -- the kernels are compiled with the system ``cc`` into
 ``$XDG_CACHE_HOME/optpaths`` (default ``~/.cache/optpaths``) under a name
 keyed by a checksum of the source and the compile command, then loaded with
 ctypes; later processes load the cached object.
@@ -31,10 +36,9 @@ import functools
 import os
 import time
 import zlib
+from array import array
 from pathlib import Path
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .graph import INT64_MAX, Graph, GraphError
 from .monarchy import SchedulerKind, _KIND_CODE
@@ -51,6 +55,7 @@ _SIGNATURES = {
     "optpaths_classify": ([_P, _I] + [_P] * 5, _I),
     "optpaths_eom": ([_P, _I] + [_P] * 9 + [_I, _P], None),
     "optpaths_schedule": ([_I, _P, _I] + [_P] * 12, None),
+    "optpaths_read": ([ctypes.c_char_p] + [_I] * 4 + [_P] * 10, _I),
 }
 
 
@@ -85,9 +90,7 @@ def _build(path: Path) -> None:
 
 def _load() -> ctypes.CDLL:
     """Load the kernels from the cache, compiling them there first if needed."""
-    import platform
-
-    key = zlib.crc32(" ".join(_BUILD + (platform.machine(),)).encode()
+    key = zlib.crc32(" ".join(_BUILD + (os.uname().machine,)).encode()
                      + _SOURCE.read_bytes())
     path = _cache_dir() / f"kernels-{key:08x}.so"
     if not path.exists():
@@ -113,10 +116,53 @@ def available() -> bool:
     return _lane()[0] is not None
 
 
-def _ptr(a: np.ndarray) -> int:
-    if a.dtype != np.int64 or not a.flags.c_contiguous:
-        raise GraphError("the compiled lane needs C-contiguous int64 arrays")
-    return a.ctypes.data
+def _zeros(k: int) -> array:
+    return array("q", [0]) * k
+
+
+def _ptr(a: array) -> int:
+    if not isinstance(a, array) or a.typecode != "q":
+        raise GraphError("the compiled lane needs int64 arrays")
+    return a.buffer_info()[0]
+
+
+#: the shortest arc line, "1 2 3", plus the newline that ends all but the last
+_MIN_ARC_BYTES = 6
+
+
+def read_graph(body: bytes, n: int, arc_count: int,
+               directed: bool) -> Optional[Graph]:
+    """The graph of an arc block, read by the compiled reader, or None.
+
+    ``body`` is the instance text after the header line, which declared
+    ``n`` nodes and ``arc_count`` arcs.  None means the reader refused the
+    block -- it names no fault -- or that the lane is unavailable; either
+    way the reference reader then decides.  An arc count that the block
+    cannot hold is refused before anything is allocated, and an ``n``
+    whose pointer arrays cannot be allocated is refused as well.
+    """
+    if not (1 <= n and 0 <= arc_count <= (len(body) + 1) // _MIN_ARC_BYTES):
+        return None
+    lib = _lane()[0]
+    if lib is None:
+        return None
+    try:
+        fwd_ptr = _zeros(n + 2)
+        rev_ptr = _zeros(n + 2) if directed else fwd_ptr
+    except (MemoryError, OverflowError):
+        return None
+    arcs = [_zeros(arc_count) for _ in range(3)]
+    E = arc_count if directed else 2 * arc_count
+    fwd = (fwd_ptr, _zeros(E), _zeros(E))
+    rev = (rev_ptr, _zeros(E), _zeros(E)) if directed else fwd
+    stats = _zeros(2)
+    refused = lib.optpaths_read(
+        body, len(body), n, arc_count, int(directed),
+        *map(_ptr, (*arcs, *fwd, *rev, stats)))
+    if refused:
+        return None
+    m, max_weight = stats
+    return Graph(n, directed, *arcs, fwd, rev, m, E, max_weight)
 
 
 def refusal(g: Graph, sources: Sequence[int]) -> Optional[str]:
@@ -138,9 +184,8 @@ def refusal(g: Graph, sources: Sequence[int]) -> Optional[str]:
         if (len(ptr) != g.n + 2 or len(idx) != len(w)
                 or int(ptr[-1]) != len(idx)):
             return "malformed CSR adjacency"
-    w_max = int(g.fwd_w.max()) if g.E else 0
-    if w_max * g.n > INT64_MAX:
-        return (f"max weight {w_max} x {g.n} nodes exceeds 2**63 - 1, so "
+    if g.max_weight * g.n > INT64_MAX:
+        return (f"max weight {g.max_weight} x {g.n} nodes exceeds 2**63 - 1, so "
                 f"int64 path costs could overflow; use the reference lane")
     lib, why = _lane()
     if lib is None:
@@ -162,13 +207,12 @@ class FastRun:
             raise GraphError(why)
         self._lib = _lane()[0]
         self.g = g
-        self.sources = np.array(srcs, dtype=np.int64)
+        self.sources = array("q", srcs)
         t0 = time.perf_counter()
-        order = np.zeros(g.n, dtype=np.int64)
+        order = _zeros(g.n)
         (self.region, self.pos, self.parent, self.cost, self.wu,
-         self.issrc, self.tags) = (np.zeros(g.n + 1, dtype=np.int64)
-                                   for _ in range(7))
-        inspections = np.zeros(1, dtype=np.int64)
+         self.issrc, self.tags) = (_zeros(g.n + 1) for _ in range(7))
+        inspections = _zeros(1)
         count = self._lib.optpaths_hda(
             _ptr(g.fwd_ptr), _ptr(g.fwd_dst), _ptr(g.rev_ptr),
             _ptr(g.rev_src), _ptr(g.rev_w), _ptr(self.sources),
@@ -188,7 +232,7 @@ class FastRun:
         """Screen the origins into ``self.status``; returns their count."""
         g = self.g
         t0 = time.perf_counter()
-        self.status = np.zeros(g.n + 1, dtype=np.int64)
+        self.status = _zeros(g.n + 1)
         origins = self._lib.optpaths_classify(
             _ptr(self.order), len(self.order), _ptr(g.fwd_ptr),
             _ptr(g.fwd_dst), _ptr(g.fwd_w), _ptr(self.cost),
@@ -199,7 +243,7 @@ class FastRun:
 
     def eom(self, two_course: bool = False) -> OptReport:
         g = self.g
-        out = np.zeros(6, dtype=np.int64)
+        out = _zeros(6)
         t0 = time.perf_counter()
         self._lib.optpaths_eom(
             _ptr(self.order), len(self.order), _ptr(self.region),
@@ -212,7 +256,7 @@ class FastRun:
         """Push to the fixpoint from the origins; :meth:`classify` runs first."""
         g = self.g
         code = _KIND_CODE[SchedulerKind(kind)]
-        out = np.zeros(6, dtype=np.int64)
+        out = _zeros(6)
         t0 = time.perf_counter()
         self._lib.optpaths_schedule(
             code, _ptr(self.order), len(self.order), _ptr(self.region),

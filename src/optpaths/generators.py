@@ -178,8 +178,10 @@ def shape_sweep_specs(n_total: int, k_c_values: list[int],
     for k_c in k_c_values:
         if k_c < 1 or n_total % k_c != 0:
             raise GraphError(f"k_c={k_c} does not divide n_total={n_total}")
-        specs.append(GridSpec(k_r=n_total // k_c, k_c=k_c, weight_min=1,
-                              weight_max=10, seed=seed, plant_hzp=True))
+        spec = GridSpec(k_r=n_total // k_c, k_c=k_c, weight_min=1,
+                        weight_max=10, seed=seed, plant_hzp=True)
+        spec.validate()
+        specs.append(spec)
     return specs
 
 

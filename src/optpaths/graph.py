@@ -2,9 +2,10 @@
 
 Node ids are 1-based; id 0 is reserved as the "unset" sentinel used by the
 solver arrays (parent pointers, positions).  Adjacency is kept in CSR
-form over numpy int64 arrays: ``forward`` maps each node to its out-leaves
-(the node's star unit) and ``reverse`` maps each node to its in-neighbors.
-For undirected graphs both views are the same arrays.
+form over int64 arrays, the standard library's ``array('q')``: ``forward``
+maps each node to its out-leaves (the node's star unit) and ``reverse`` maps
+each node to its in-neighbors.  For undirected graphs both views are the
+same arrays.
 
 Entry order within a node's adjacency list is arc-list insertion order:
 for undirected input, each arc materializes its two directions at the arc's
@@ -14,21 +15,25 @@ and reproducible across runs.
 Weights are nonnegative integers; zero is permitted (and required by the
 planted zero-path instances).  Parallel arcs are stored verbatim; the
 relaxation operators naturally keep the best of a parallel bundle.
+
+numpy is imported only when :func:`build_graph` runs.  Reading an instance
+does not call it when the compiled reader of :mod:`fastlane` accepts the
+arc block, so reading needs numpy only on the reference reader.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import io
 import operator
 import os
 import re
-import warnings
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TextIO
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 NodeId = int
 
@@ -88,6 +93,10 @@ class Graph:
         m: maximum out-degree over all nodes.
         E: total number of directed adjacency entries (an undirected arc
            counts twice).
+        max_weight: the largest arc weight (0 without arcs).
+
+    Every array is an ``array('q')``; for an undirected graph the reverse
+    CSR is the forward one.
     """
 
     __slots__ = (
@@ -95,11 +104,11 @@ class Graph:
         "arc_head", "arc_tail", "arc_weight",
         "fwd_ptr", "fwd_dst", "fwd_w",
         "rev_ptr", "rev_src", "rev_w",
-        "m", "E",
+        "m", "E", "max_weight",
     )
 
     def __init__(self, n, directed, arc_head, arc_tail, arc_weight,
-                 fwd, rev, m, E):
+                 fwd, rev, m, E, max_weight):
         self.n = n
         self.directed = directed
         self.arc_head = arc_head
@@ -109,6 +118,7 @@ class Graph:
         self.rev_ptr, self.rev_src, self.rev_w = rev
         self.m = m
         self.E = E
+        self.max_weight = max_weight
 
     @property
     def arcs(self) -> list[Arc]:
@@ -125,14 +135,22 @@ class Graph:
 
 def _csr_by_key(key: np.ndarray, dst: np.ndarray, wts: np.ndarray, n: int):
     """Bucket (key -> (dst, w)) entries into CSR, stable in input order."""
+    import numpy as np
+
     try:
         counts = np.bincount(key, minlength=n + 2)
     except (ValueError, OverflowError, MemoryError):
         raise GraphError(f"node count {n} is too large to allocate") from None
     ptr = np.zeros(n + 2, dtype=np.int64)
     np.cumsum(counts[: n + 1], out=ptr[1:])
-    order = np.argsort(key, kind="stable")
+    # a stable sort of 16-bit keys is a radix sort, of wider ones a merge sort
+    order = np.argsort(key.astype(np.uint16) if n < 2**16 else key,
+                       kind="stable")
     return ptr, dst[order], wts[order]
+
+
+def _int64_array(a: np.ndarray) -> array:
+    return array("q", a.tobytes())
 
 
 def _int64_overflow(arcs) -> str:
@@ -152,6 +170,8 @@ def build_graph(n: int,
     Rejects out-of-range endpoints, negative weights and self-loops, naming
     the first offending arc.  Parallel arcs are allowed and stored verbatim.
     """
+    import numpy as np
+
     if n < 1:
         raise GraphError(f"node count must be >= 1, got {n}")
     try:
@@ -200,7 +220,11 @@ def build_graph(n: int,
     degrees = ptr[2: n + 2] - ptr[1: n + 1] if n >= 1 else ptr[:0]
     m = int(degrees.max()) if len(degrees) and len(fwd[1]) else 0
     E = int(len(fwd[1]))
-    return Graph(n, directed, head.copy(), tail.copy(), weight.copy(), fwd, rev, m, E)
+    max_weight = int(weight.max()) if len(weight) else 0
+    fwd = tuple(map(_int64_array, fwd))
+    rev = tuple(map(_int64_array, rev)) if directed else fwd
+    return Graph(n, directed, _int64_array(head), _int64_array(tail),
+                 _int64_array(weight), fwd, rev, m, E, max_weight)
 
 
 def _check_node(g: Graph, u: int) -> None:
@@ -255,7 +279,9 @@ def read_instance(src: TextIO) -> tuple[Graph, list[str]]:
 
     Only a newline ends a line; any other whitespace, a carriage return
     included, separates fields.  Every integer field is ASCII
-    ``[+-]?[0-9]+``.
+    ``[+-]?[0-9]+``.  The compiled reader reads the arc block when it can;
+    any block it refuses goes to the reference reader, the line scanner
+    :func:`_scan_arc_block`, which gives the same graph or names the fault.
     """
     pin_malloc_thresholds()
     text = read_text(src)
@@ -282,21 +308,18 @@ def read_instance(src: TextIO) -> tuple[Graph, list[str]]:
             f"line {lineno}: orientation must be 'directed' or 'undirected'")
     directed = parts[3] == "directed"
 
-    body = text[end + 1:]
-    head_comments = _COMMENT.findall(text, 0, start)
-    tail_comments = _COMMENT.findall(body) if "#" in body else []
-    arcs = None
-    # loadtxt would also cut a '#' off inside an arc line; only whole-line
-    # comments are allowed, so any other '#' leaves the fast path.
-    if body.count("#") == sum(c.count("#") + 1 for c in tail_comments):
-        arcs = _load_arcs(body)
-    if arcs is None or len(arcs) != arc_count:
-        raise _arc_block_error(body, lineno + 1, n, arc_count, directed)
-    try:
-        g = build_graph(n, arcs, directed=directed)
-    except GraphError as exc:
-        raise InstanceFormatError(str(exc)) from exc
-    return g, [c.strip() for c in head_comments + tail_comments]
+    from .fastlane import read_graph  # fastlane imports this module
+
+    # A lone surrogate (only a str source holds one) becomes '?', which the
+    # compiled reader refuses outside a comment.
+    g = read_graph(text[end + 1:].encode("utf-8", "replace"), n, arc_count,
+                   directed)
+    if g is None:
+        g = _scan_arc_block(text[end + 1:], lineno + 1, n, arc_count, directed)
+    comments = _COMMENT.findall(text, 0, start)
+    if text.find("#", end + 1) >= 0:
+        comments += _COMMENT.findall(text, end + 1)
+    return g, [c.strip() for c in comments]
 
 
 def read_instance_file(path: str) -> tuple[Graph, list[str]]:
@@ -351,31 +374,14 @@ _COMMENT = re.compile(r"^[^\S\n]*#(.*)", re.MULTILINE)
 _INT = re.compile(r"[+-]?[0-9]+\Z")
 
 
-def _load_arcs(body: str) -> np.ndarray | None:
-    """The arc block as a (k, 3) int64 array, or None if numpy refuses it."""
-    if "\r" in body:  # loadtxt ends a line at '\r'; here it is whitespace
-        body = body.replace("\r", " ")
-    # A bytes buffer keeps loadtxt's peak memory well below a StringIO's.  A
-    # lone surrogate (only a str source holds one) becomes '?', no integer.
-    buf = io.BytesIO(body.encode("utf-8", errors="replace"))
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            arcs = np.loadtxt(buf, dtype=np.int64, comments="#", ndmin=2,
-                              encoding="utf-8")
-    except ValueError:
-        return None
-    if arcs.size == 0:
-        return arcs.reshape(0, 3)
-    return arcs if arcs.shape[1] == 3 else None
+def _scan_arc_block(body: str, first_lineno: int, n: int, arc_count: int,
+                    directed: bool) -> Graph:
+    """The reference reader: the graph of an arc block, read line by line.
 
-
-def _arc_block_error(body: str, first_lineno: int, n: int, arc_count: int,
-                     directed: bool) -> InstanceFormatError:
-    """The error a line-by-line reading of a rejected arc block reports first.
-
-    Only called once the vectorised path has refused ``body``; it never
-    builds a graph for the caller.
+    ``body`` is the text after the header line, whose line number is
+    ``first_lineno - 1``.  The first fault raises an InstanceFormatError:
+    a malformed line by its number, then a wrong arc count, then whatever
+    :func:`build_graph` rejects.
     """
     arcs: list[tuple[int, int, int]] = []
     for lineno, raw in enumerate(body.split("\n"), start=first_lineno):
@@ -384,17 +390,15 @@ def _arc_block_error(body: str, first_lineno: int, n: int, arc_count: int,
             continue
         parts = line.split()
         if len(parts) != 3:
-            return InstanceFormatError(
+            raise InstanceFormatError(
                 f"line {lineno}: expected '<head> <tail> <weight>'")
         if not all(_INT.match(p) for p in parts):
-            return InstanceFormatError(f"line {lineno}: non-integer field")
+            raise InstanceFormatError(f"line {lineno}: non-integer field")
         arcs.append((int(parts[0]), int(parts[1]), int(parts[2])))
     if len(arcs) != arc_count:
-        return InstanceFormatError(
+        raise InstanceFormatError(
             f"header declares {arc_count} arcs but file contains {len(arcs)}")
     try:
-        build_graph(n, arcs, directed=directed)
+        return build_graph(n, arcs, directed=directed)
     except GraphError as exc:
-        return InstanceFormatError(str(exc))
-    return InstanceFormatError("arc block refused by numpy.loadtxt, "
-                               "but no line of it is at fault")
+        raise InstanceFormatError(str(exc)) from exc

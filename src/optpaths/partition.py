@@ -215,16 +215,16 @@ def hda_multi(g: Graph, sources: Sequence[NodeId], algebra: CostAlgebra,
 # ---------------------------------------------------------------------------
 
 def export_results(state: SolverState, regions: Regions, out) -> None:
-    tags = state.tags
-    for v in range(1, state.n + 1):
-        reg = regions.region_of[v]
-        if reg == 0:
-            row = f"{v} 0 0 {UNREACHED}"
-        else:
-            row = f"{v} {reg} {state.parent[v]} {state.cost[v]}"
-        if tags is not None:
-            row += f" {tags[v] if reg else 0}"
-        out.write(row + "\n")
+    """Write every node's row with one ``write``."""
+    parent, cost, tags = state.parent, state.cost, state.tags
+    nodes = zip(range(1, state.n + 1), regions.region_of[1:])
+    if tags is None:
+        rows = [f"{v} {reg} {parent[v]} {cost[v]}\n" if reg
+                else f"{v} 0 0 {UNREACHED}\n" for v, reg in nodes]
+    else:
+        rows = [f"{v} {reg} {parent[v]} {cost[v]} {tags[v]}\n" if reg
+                else f"{v} 0 0 {UNREACHED} 0\n" for v, reg in nodes]
+    out.write("".join(rows))
 
 
 def export_results_file(state: SolverState, regions: Regions, path: str) -> None:

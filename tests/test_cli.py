@@ -92,7 +92,7 @@ class TestGen:
                     "--wmin", "9223372036854775800",
                     "--wmax", "9223372036854775807", "--out", path]) == EXIT_OK
         g, _ = op.read_instance_file(path)
-        assert g.arc_weight.min() >= 9223372036854775800
+        assert min(g.arc_weight) >= 9223372036854775800
 
 
 class TestSolve:
@@ -469,6 +469,15 @@ class TestBench:
 
     def test_non_divisor_is_usage_error(self, capsys):
         assert run(["bench", "--n-total", "100", "--kc", "7"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("n_total,kc", [("0", "1"), ("-6", "2")])
+    def test_empty_grid_fails_before_any_output(self, tmp_path, capsys,
+                                                n_total, kc):
+        out = tmp_path / "bench.csv"
+        assert run(["bench", "--n-total", n_total, "--kc", kc,
+                    "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert "grid dims must be >= 1" in capsys.readouterr().err
 
     def test_unknown_algorithm_fails_before_any_output(self, tmp_path,
                                                        capsys):

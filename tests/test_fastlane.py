@@ -132,7 +132,7 @@ def test_fast_run_class_surface(algebra):
     run = fastlane.FastRun(g, [source])
     origins = run.classify()
     assert origins == run.origin_count
-    assert int(run.status.sum()) == origins
+    assert sum(run.status) == origins
     rep = run.schedule(SchedulerKind.HT)
     assert rep.regular_way + rep.wrong_way == rep.improvements
     dj = op.dijkstra_oracle(g, source, algebra)
@@ -290,9 +290,34 @@ def test_import_builds_and_loads_nothing(tmp_path):
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
                PYTHONPATH=os.pathsep.join(sys.path))
     code = ("import sys, optpaths.cli; "
-            "print(sorted(m for m in ('subprocess', 'hashlib') "
+            "print(sorted(m for m in ('subprocess', 'hashlib', 'numpy') "
             "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
     assert not (tmp_path / "optpaths").exists()
+
+
+_SOLVE_THEN_VERIFY = """
+import sys
+from optpaths.cli import main
+inst, res = sys.argv[1:]
+assert main(["solve", "--instance", inst, "--algo", "multi",
+             "--sources", "1,17", "--out", res]) == 0
+assert main(["verify", "--instance", inst, "--results", res,
+             "--fixpoint"]) == 0
+print(sorted(m for m in ("numpy", "optpaths.generators") if m in sys.modules))
+"""
+
+
+@needs_lane
+def test_solve_and_verify_do_not_load_numpy(tmp_path):
+    inst, res = tmp_path / "rand.txt", tmp_path / "res.txt"
+    op.write_instance_file(op.gen_random_graph(30, 120, 0, 9, seed=3,
+                                               directed=True), str(inst))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", _SOLVE_THEN_VERIFY,
+                          str(inst), str(res)], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-2:] == ["OK", "[]"]
+    assert len(res.read_text().splitlines()) == 30

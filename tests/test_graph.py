@@ -1,4 +1,5 @@
 import io
+import random
 
 import numpy as np
 import pytest
@@ -157,3 +158,48 @@ def test_roundtrip_random(n, data):
     for u in range(1, n + 1):
         assert op.leaves(g2, u) == op.leaves(g, u)
         assert op.in_neighbors(g2, u) == op.in_neighbors(g, u)
+
+
+def python_csr(n, keys, entries):
+    """CSR by plain stable bucketing: the order build_graph must give."""
+    buckets = [[] for _ in range(n + 1)]
+    for k, e in zip(keys, entries):
+        buckets[k].append(e)
+    ptr = [0, 0]
+    for u in range(1, n + 1):
+        ptr.append(ptr[-1] + len(buckets[u]))
+    return ptr, [e for b in buckets for e in b]
+
+
+@pytest.mark.parametrize("n", [2**16 - 1, 2**16, 70_000])
+@pytest.mark.parametrize("directed", [False, True])
+def test_csr_order_on_both_sides_of_the_16_bit_key_width(n, directed):
+    # keys of n < 2**16 nodes are sorted as uint16, wider ones as int64
+    rng = random.Random(n)
+    arcs = []
+    for _ in range(3000):
+        h = rng.choice([1, 2, n - 1, n, rng.randint(1, n)])
+        t = rng.randint(1, n - 1)
+        arcs.append((h, t + (t >= h), rng.randint(0, 9)))
+    g = op.build_graph(n, arcs, directed=directed)
+    if directed:
+        fwd = python_csr(n, [h for h, _, _ in arcs], [(t, w) for _, t, w in arcs])
+        rev = python_csr(n, [t for _, t, _ in arcs], [(h, w) for h, _, w in arcs])
+    else:
+        keys = [x for h, t, _ in arcs for x in (h, t)]
+        entries = [e for h, t, w in arcs for e in ((t, w), (h, w))]
+        fwd = rev = python_csr(n, keys, entries)
+    for ptr, idx, wts, (want_ptr, want) in (
+            (g.fwd_ptr, g.fwd_dst, g.fwd_w, fwd),
+            (g.rev_ptr, g.rev_src, g.rev_w, rev)):
+        assert ptr.tolist() == want_ptr
+        assert list(zip(idx, wts)) == want
+    assert g.max_weight == max(w for _, _, w in arcs)
+    # the compiled reader, where present, builds the same arrays
+    buf = io.StringIO()
+    op.write_instance(g, buf)
+    g2, _ = op.read_instance(io.StringIO(buf.getvalue()))
+    for name in ("arc_head", "arc_tail", "arc_weight", "fwd_ptr", "fwd_dst",
+                 "fwd_w", "rev_ptr", "rev_src", "rev_w", "m", "E",
+                 "max_weight"):
+        assert getattr(g2, name) == getattr(g, name), name

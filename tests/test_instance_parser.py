@@ -1,11 +1,16 @@
-"""Differential test of ``read_instance`` against the line scanner it replaced.
+"""Differential test of ``read_instance`` against the original line scanner.
 
 ``reference_read_instance`` is the per-line reader that ``read_instance``
-used before the arc block went through one ``np.loadtxt`` call.  It is kept
-verbatim except for ``to_int``: the reader now takes only ASCII
+used before its arc block got a vectorised, and then a compiled, reader.
+It is kept verbatim except for ``to_int``: the reader now takes only ASCII
 ``[+-]?[0-9]+`` fields, where ``int()`` also took ``1_0`` and non-ASCII
 digits, so the reference runs with ``strict_int`` and must then agree on
 every drawn text: the same graph and comments, or the same error message.
+
+Each differential test runs twice: with the compiled reader, which reads
+every arc block it accepts, and with no compiler, where every block goes
+to the reference reader (``graph._scan_arc_block``).  The compiled reader
+is not a line-for-line copy of either; these tests are what certify it.
 """
 
 import io
@@ -13,15 +18,15 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
-import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import optpaths as op
-from optpaths import GraphError, InstanceFormatError
+from optpaths import GraphError, InstanceFormatError, cli, fastlane
 
 INT64_MAX = 2**63 - 1
 
@@ -87,7 +92,7 @@ def outcome(read, *args):
         return ("error", str(exc))
     arrays = (g.arc_head, g.arc_tail, g.arc_weight, g.fwd_ptr, g.fwd_dst,
               g.fwd_w, g.rev_ptr, g.rev_src, g.rev_w)
-    assert all(a.dtype == np.int64 for a in arrays)
+    assert all(a.typecode == "q" for a in arrays)
     return ("graph", g.n, g.directed, g.m, g.E,
             [a.tolist() for a in arrays], comments)
 
@@ -153,30 +158,139 @@ def instance_text(draw):
     return text if draw(st.booleans()) else text.rstrip("\r\n")
 
 
-@settings(max_examples=150, deadline=None)
-@given(instance_text())
-@example("# a\n\n n 3 3 undirected\r\n# b\n\t1 2 +3 \r\n  2\t3 -0\n#c\n3 1 007\n")
-@example("n 3 2 directed\n1\r2 3\n2\xa03\u20284\n")  # in-line whitespace
-@example("n 3 1 directed\n1 2 3 # trailing\n")
-@example("n 3 1 directed\n1 2 3#\n")
-@example(f"n 3 2 directed\n1 2 {INT64_MAX}\n2 3 {INT64_MAX + 1}\n")
-@example(f"n 3 1 directed\n1 2 {-INT64_MAX - 2}\n")
-@example("n 3 0 directed\n# only comments\n")
-def test_read_instance_agrees_with_the_line_scanner(text):
+def with_fixed_examples(test):
+    for text in reversed([
+        "# a\n\n n 3 3 undirected\r\n# b\n\t1 2 +3 \r\n  2\t3 -0\n#c\n3 1 007\n",
+        "n 3 2 directed\n1\r2 3\n2\xa03\u20284\n",  # in-line whitespace
+        "n 3 1 directed\n1 2 3 # trailing\n",
+        "n 3 1 directed\n1 2 3#\n",
+        f"n 3 2 directed\n1 2 {INT64_MAX}\n2 3 {INT64_MAX + 1}\n",
+        f"n 3 1 directed\n1 2 {-INT64_MAX - 2}\n",
+        "n 3 0 directed\n# only comments\n",
+    ]):
+        test = example(text)(test)
+    return test
+
+
+def agrees_on_text(text):
     want = outcome(reference_read_instance, io.StringIO(text), strict_int)
     assert outcome(op.read_instance, io.StringIO(text)) == want
+
+
+def agrees_on_file(path, text):
+    # a file gets universal newlines: a lone '\r' ends a line there
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        want = outcome(reference_read_instance, fh, strict_int)
+    assert outcome(op.read_instance_file, str(path)) == want
+
+
+def without_a_compiler(broken_compiler):
+    if fastlane.available():  # only the first example pays the failed build
+        broken_compiler()
+    assert not fastlane.available()
+
+
+#: the fixture disables the compiler for all examples alike
+NO_COMPILER = settings(deadline=None,
+                       suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance_text())
+@with_fixed_examples
+def test_read_instance_agrees_with_the_line_scanner(text):
+    agrees_on_text(text)
+
+
+@settings(NO_COMPILER, max_examples=150)
+@given(instance_text())
+@with_fixed_examples
+def test_read_instance_without_a_compiler_agrees_with_the_line_scanner(
+        broken_compiler, text):
+    without_a_compiler(broken_compiler)
+    agrees_on_text(text)
 
 
 @settings(max_examples=50, deadline=None)
 @given(instance_text())
 def test_read_instance_file_agrees_with_the_line_scanner(tmp_path_factory,
                                                          text):
-    # a file gets universal newlines: a lone '\r' ends a line there
-    path = tmp_path_factory.mktemp("inst") / "inst.txt"
-    path.write_bytes(text.encode("utf-8"))
-    with open(path, encoding="utf-8") as fh:
-        want = outcome(reference_read_instance, fh, strict_int)
-    assert outcome(op.read_instance_file, str(path)) == want
+    agrees_on_file(tmp_path_factory.mktemp("inst") / "inst.txt", text)
+
+
+@settings(NO_COMPILER, max_examples=50)
+@given(instance_text())
+def test_read_instance_file_without_a_compiler_agrees_with_the_line_scanner(
+        broken_compiler, tmp_path_factory, text):
+    without_a_compiler(broken_compiler)
+    agrees_on_file(tmp_path_factory.mktemp("inst") / "inst.txt", text)
+
+
+def test_the_compiled_reader_builds_the_graph_itself(monkeypatch):
+    if not fastlane.available():
+        pytest.skip("no C compiler")
+    g, _, _ = op.gen_grid(op.GridSpec(k_r=7, k_c=5, seed=4, plant_hzp=True))
+    texts = []
+    for graph in (g, op.gen_random_graph(40, 300, 0, 9, seed=2, directed=True)):
+        buf = io.StringIO()
+        op.write_instance(graph, buf, ["made here"])
+        texts.append(buf.getvalue().replace("\n", " \t\r\n", 7))
+    wants = [outcome(reference_read_instance, io.StringIO(t)) for t in texts]
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the compiled reader called build_graph")
+
+    monkeypatch.setattr(op.graph, "build_graph", no_build)
+    for text, want in zip(texts, wants):
+        assert outcome(op.read_instance, io.StringIO(text)) == want
+
+
+#: arc blocks the compiled reader must refuse before any large allocation,
+#: and the message the reference reader then gives, as it always did
+HOSTILE = [
+    (f"n 3 {10**15} directed\n1 2 3\n",
+     f"header declares {10**15} arcs but file contains 1"),
+    (f"n {2**62} 1 directed\n1 2 5\n",
+     f"node count {2**62} is too large to allocate"),
+    ("n 3 1 directed\n1 2 5 # x\n", "line 2: expected '<head> <tail> <weight>'"),
+    ("n 3 1 directed\n1 2\x005\n", "line 2: expected '<head> <tail> <weight>'"),
+    ("n 3 1 directed\n1 2\x0b5\x0b7\n",
+     "line 2: expected '<head> <tail> <weight>'"),
+    (f"n 3 1 directed\n1 2 {2**63}\n",
+     f"arc 0 (1,2,{2**63}): value outside int64"),
+    (f"n 3 1 directed\n1 2 {-2**63}\n", f"arc 0 (1,2,{-2**63}): negative weight"),
+    (f"n 3 1 directed\n{-2**63 - 1} 2 1\n",
+     f"arc 0 ({-2**63 - 1},2,1): value outside int64"),
+    (f"n 3 1 directed\n{2**63} 2 1\n", f"arc 0 ({2**63},2,1): value outside int64"),
+]
+
+
+@pytest.mark.parametrize("text,message", HOSTILE,
+                         ids=["arc-count", "node-count", "trailing-comment",
+                              "nul", "vertical-tab", "weight-2^63",
+                              "weight--2^63", "head--2^63-1", "head-2^63"])
+def test_hostile_arc_blocks_get_the_reference_message(tmp_path, capsys, text,
+                                                      message):
+    header, body = text.split("\n", 1)
+    _, n, arc_count, orientation = header.split()
+    if fastlane.available():
+        assert fastlane.read_graph(body.encode(), int(n), int(arc_count),
+                                   orientation == "directed") is None
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceFormatError) as exc:
+            op.read_instance(io.StringIO(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == message
+    assert peak < 1 << 20
+    inst = tmp_path / "inst.txt"
+    inst.write_bytes(text.encode())
+    assert cli.main(["solve", "--instance", str(inst), "--algo", "ht"]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_the_token_grammar_is_ascii_digits_with_a_sign():
