@@ -20,9 +20,9 @@ import argparse
 import sys
 from typing import TYPE_CHECKING, Optional
 
+from . import fastlane
 from .graph import (_INT, Graph, GraphError, InstanceFormatError,
-                    min_plus_algebra, read_instance_file, read_text,
-                    write_instance)
+                    read_instance_file, read_text, write_instance)
 from .oracles import verify_export
 from .partition import UNREACHED, OptReport, export_results_file
 from .pipeline import ALGORITHMS, InvariantViolation, PipelineResult, run_pipeline
@@ -226,8 +226,18 @@ def _parse_results(path: str, n: int):
     """Read an export: region, parent, cost (None = unreached) and tags.
 
     Every row has 4 columns, or every row has 5 (the tag column); tags is
-    None for a 4-column file.
+    None for a 4-column file.  The compiled reader reads the file when it
+    can; any file it refuses goes to the reference reader,
+    :func:`_scan_results`, which gives the same lists or names the fault.
     """
+    with open(path, "rb") as fh:
+        rows = fastlane.read_results(fh.read(), n)
+    return rows if rows is not None else _scan_results(path, n)
+
+
+def _scan_results(path: str, n: int):
+    """The reference reader of :func:`_parse_results`; the first fault
+    raises an InstanceFormatError naming its line."""
     region = [0] * (n + 1)
     parent = [0] * (n + 1)
     cost: list[Optional[int]] = [None] * (n + 1)
@@ -277,8 +287,8 @@ def _parse_results(path: str, n: int):
 def cmd_verify(args) -> int:
     g, _ = read_instance_file(args.instance)
     region, parent, cost, tags = _parse_results(args.results, g.n)
-    rep = verify_export(g, region, parent, cost, min_plus_algebra(),
-                        fixpoint=args.fixpoint, tags=tags)
+    rep = verify_export(g, region, parent, cost, fixpoint=args.fixpoint,
+                        tags=tags)
     print(rep.summary())
     return EXIT_OK if rep.ok else EXIT_VERIFY
 

@@ -1,5 +1,5 @@
-"""Compiled min-plus kernels behind :func:`optpaths.pipeline.run_pipeline`
-and :func:`optpaths.graph.read_instance`.
+"""Compiled min-plus kernels behind :func:`optpaths.pipeline.run_pipeline`,
+the instance and results files, and :func:`optpaths.oracles.verify_export`.
 
 The reference solvers in :mod:`partition`, :mod:`evolve` and :mod:`monarchy`
 are generic over the cost algebra and carry debug hooks; the kernels in
@@ -9,16 +9,20 @@ counter and the per-node source tags -- and the test suite asserts exact
 equality of states and counters between the two lanes, so either lane
 certifies the other.  :func:`read_graph` is the compiled instance reader:
 it builds a graph only from an arc block it fully accepts and returns None
-for any other, which the reference reader then reads or rejects.
+for any other, which the reference reader then reads or rejects.  Results
+files get the same treatment: :func:`format_rows` writes the rows of a
+results export or an instance file, :func:`read_results` reads a results
+file it fully accepts, and :func:`export_is_clean` certifies an export
+that :func:`oracles.verify_export` would pass.  Each returns None or False
+wherever it cannot answer, and the Python code, the reference, decides.
 
 This module needs only the standard library plus, optionally, a C
 compiler: every array it passes to a kernel is an ``array('q')``, and
-ctypes takes its address from ``buffer_info()``.  On the first
-``available()``, ``refusal()``, ``read_graph()`` or ``FastRun`` call --
-never at import -- the kernels are compiled with the system ``cc`` into
-``$XDG_CACHE_HOME/optpaths`` (default ``~/.cache/optpaths``) under a name
-keyed by a checksum of the source and the compile command, then loaded with
-ctypes; later processes load the cached object.
+ctypes takes its address from ``buffer_info()``.  On the first call that
+needs them -- never at import -- the kernels are compiled with the system
+``cc`` into ``$XDG_CACHE_HOME/optpaths`` (default ``~/.cache/optpaths``)
+under a name keyed by a checksum of the source and the compile command,
+then loaded with ctypes; later processes load the cached object.
 
 :func:`refusal` names the one reason, if any, that this lane cannot run a
 graph from a source set: a bad source, a malformed CSR, a graph whose
@@ -56,6 +60,9 @@ _SIGNATURES = {
     "optpaths_eom": ([_P, _I] + [_P] * 9 + [_I, _P], None),
     "optpaths_schedule": ([_I, _P, _I] + [_P] * 12, None),
     "optpaths_read": ([ctypes.c_char_p] + [_I] * 4 + [_P] * 10, _I),
+    "optpaths_format": ([_I] * 4 + [_P] * 2, _I),
+    "optpaths_read_results": ([ctypes.c_char_p, _I, _I] + [_P] * 7, _I),
+    "optpaths_audit": ([_I] + [_P] * 8 + [_I] + [_P] * 4, _I),
 }
 
 
@@ -165,6 +172,114 @@ def read_graph(body: bytes, n: int, arc_count: int,
     return Graph(n, directed, *arcs, fwd, rev, m, E, max_weight)
 
 
+def _int64s(values: Sequence[int]) -> Optional[array]:
+    """``values`` as an int64 array, or None if one is no int or exceeds int64."""
+    if isinstance(values, array) and values.typecode == "q":
+        return values
+    try:
+        return array("q", values)
+    except (OverflowError, TypeError):
+        return None
+
+
+def format_rows(columns: Sequence[Sequence[int]],
+                results: bool = False) -> Optional[str]:
+    """The rows of equally long integer ``columns`` as text, or None.
+
+    Row ``i`` is its fields ``columns[j][i]`` separated by spaces; with
+    ``results``, the columns are per-node lists (region, parent, cost and,
+    if any, tag; index 0 unused) and row ``i`` is node ``i``'s row of a
+    results export, as :func:`partition.export_results` writes it.  None
+    means the lane is unavailable or a value is no int64; the caller then
+    formats the rows itself.
+    """
+    lib = _lane()[0]
+    if lib is None:
+        return None
+    cols = [_int64s(c) for c in columns]
+    hi = len(cols[0]) if cols else 0
+    if any(c is None or len(c) != hi for c in cols):
+        return None
+    ptrs = (ctypes.c_void_p * len(cols))(*map(_ptr, cols))
+    lo = 1 if results else 0  # a results row per node id, from 1
+    args = (lo, hi, int(results), len(cols), ptrs)
+    buf = bytearray(lib.optpaths_format(*args, None))
+    if buf:
+        target = (ctypes.c_char * len(buf)).from_buffer(buf)
+        lib.optpaths_format(*args, ctypes.addressof(target))
+    return buf.decode("ascii")
+
+
+#: the shortest results row, "1 0 0 0", plus the newline that ends all but
+#: the last
+_MIN_ROW_BYTES = 8
+
+
+def read_results(data: bytes, n: int):
+    """A results export read by the compiled reader, or None.
+
+    Returns what ``cli._parse_results`` returns for ``data``, the bytes of
+    a file: region, parent and cost lists (cost None where unreached) and
+    the tag list, None for 4-column rows.  None means the reader refused
+    ``data`` -- it names no fault -- or that the lane is unavailable;
+    either way the reference reader then decides.
+    """
+    if n > (len(data) + 1) // _MIN_ROW_BYTES:
+        return None
+    lib = _lane()[0]
+    if lib is None:
+        return None
+    region, parent, cost, tags, seen, unreached = (
+        _zeros(n + 1) for _ in range(6))
+    count = _zeros(1)
+    width = lib.optpaths_read_results(
+        data, len(data), n,
+        *map(_ptr, (region, parent, cost, tags, seen, unreached, count)))
+    if not width:
+        return None
+    costs = cost.tolist()
+    costs[0] = None
+    for v in unreached[:count[0]]:
+        costs[v] = None
+    return (region.tolist(), parent.tolist(), costs,
+            tags.tolist() if width == 5 else None)
+
+
+def export_is_clean(g: Graph, region: Sequence[int], parent: Sequence[int],
+                    cost: Sequence[Optional[int]], fixpoint: bool,
+                    tags: Optional[Sequence[int]]) -> bool:
+    """Whether the compiled audit certifies a results export as clean.
+
+    True means :func:`oracles.verify_export` under min-plus would report no
+    failure.  False names no fault: some check fails, a value is no
+    int64, or the lane is unavailable; the caller then runs the reference
+    audit.
+    """
+    lib = _lane()[0]
+    if lib is None or not _csr_ok(g):
+        return False
+    n = g.n
+    cols = [region, parent, [0 if c is None else c for c in cost],
+            [c is not None for c in cost]] + ([] if tags is None else [tags])
+    cols = [_int64s(c) for c in cols]
+    if any(c is None or len(c) != n + 1 for c in cols):
+        return False
+    tag_ptr = None if tags is None else _ptr(cols[4])
+    scratch = [_zeros(n + 1) for _ in range(3)] + [_zeros(n)]
+    return lib.optpaths_audit(
+        n, _ptr(g.fwd_ptr), _ptr(g.fwd_dst), _ptr(g.fwd_w),
+        *map(_ptr, cols[:4]), tag_ptr, int(fixpoint),
+        *map(_ptr, scratch)) == 0
+
+
+def _csr_ok(g: Graph) -> bool:
+    """Whether both CSRs of ``g`` have consistent lengths."""
+    return all(len(ptr) == g.n + 2 and len(idx) == len(w)
+               and int(ptr[-1]) == len(idx)
+               for ptr, idx, w in ((g.fwd_ptr, g.fwd_dst, g.fwd_w),
+                                   (g.rev_ptr, g.rev_src, g.rev_w)))
+
+
 def refusal(g: Graph, sources: Sequence[int]) -> Optional[str]:
     """Why the compiled lane cannot run ``g`` from ``sources``, or None.
 
@@ -179,11 +294,8 @@ def refusal(g: Graph, sources: Sequence[int]) -> Optional[str]:
     for s in sources:
         if not 1 <= s <= g.n:
             return f"source {s} out of range 1..{g.n}"
-    for ptr, idx, w in ((g.fwd_ptr, g.fwd_dst, g.fwd_w),
-                        (g.rev_ptr, g.rev_src, g.rev_w)):
-        if (len(ptr) != g.n + 2 or len(idx) != len(w)
-                or int(ptr[-1]) != len(idx)):
-            return "malformed CSR adjacency"
+    if not _csr_ok(g):
+        return "malformed CSR adjacency"
     if g.max_weight * g.n > INT64_MAX:
         return (f"max weight {g.max_weight} x {g.n} nodes exceeds 2**63 - 1, so "
                 f"int64 path costs could overflow; use the reference lane")

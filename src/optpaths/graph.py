@@ -256,17 +256,24 @@ def in_neighbors(g: Graph, u: NodeId) -> list[tuple[NodeId, int]]:
 # ---------------------------------------------------------------------------
 
 def write_instance(g: Graph, out: TextIO, comments: Iterable[str] = ()) -> None:
-    """Emit the instance format; ``comments`` become '#'-prefixed lines."""
+    """Emit the instance format; ``comments`` become '#'-prefixed lines.
+
+    The compiled formatter of :mod:`fastlane` writes the arc lines when the
+    lane loads, and the same lines are formatted here when it does not.
+    """
     for c in comments:
         out.write(f"# {c}\n")
     kind = "directed" if g.directed else "undirected"
     out.write(f"n {g.n} {len(g.arc_head)} {kind}\n")
-    lines = [
-        f"{h} {t} {w}\n"
-        for h, t, w in zip(g.arc_head.tolist(), g.arc_tail.tolist(),
-                           g.arc_weight.tolist())
-    ]
-    out.writelines(lines)
+    from .fastlane import format_rows  # fastlane imports this module
+
+    text = format_rows((g.arc_head, g.arc_tail, g.arc_weight))
+    if text is None:
+        text = "".join(
+            f"{h} {t} {w}\n"
+            for h, t, w in zip(g.arc_head.tolist(), g.arc_tail.tolist(),
+                               g.arc_weight.tolist()))
+    out.write(text)
 
 
 def write_instance_file(g: Graph, path: str, comments: Iterable[str] = ()) -> None:

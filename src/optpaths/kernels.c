@@ -13,13 +13,21 @@
  * the field order of partition.OptReport: big_loops, node_scans,
  * improvements, regular_way, wrong_way, arc_relaxations.
  *
- * optpaths_read is the exception: it is not a copy of the reference
- * reader (graph._scan_arc_block plus graph.build_graph) but a stricter
- * one.  It builds a graph only from an arc block it fully accepts, and
- * refuses everything else without saying why; the caller then hands the
- * block to the reference reader, which builds the same graph or names the
- * fault.  The differential test in tests/test_instance_parser.py certifies
- * that both readers give the same graph wherever this one accepts.
+ * The readers and the audit are the exception: they certify or refuse,
+ * and are not statement-for-statement mirrors of the Python code they
+ * stand in for.  optpaths_read is a stricter reader than the reference
+ * one (graph._scan_arc_block plus graph.build_graph): it builds a graph
+ * only from an arc block it fully accepts, and refuses everything else
+ * without saying why; the caller then hands the block to the reference
+ * reader, which builds the same graph or names the fault.
+ * optpaths_read_results does the same for a results file against
+ * cli._scan_results.  optpaths_audit answers one question about a results
+ * export, whether oracles.verify_export would find no failure; on any
+ * other answer the reference audit runs and names every failure.
+ * Differential tests (tests/test_instance_parser.py and
+ * tests/test_results_files.py) certify that each agrees with its
+ * reference wherever it accepts.  optpaths_format writes the rows of both
+ * file kinds, byte for byte as the Python formatters do.
  *
  * Built on first use by fastlane.py with the system C compiler and called
  * through ctypes; no Python headers are needed.
@@ -379,5 +387,270 @@ int64_t optpaths_read(const char *s, int64_t len, int64_t n, int64_t k,
     }
     stats[0] = m;
     stats[1] = w_max;
+    return 0;
+}
+
+
+/* -- result files and instance rows ---------------------------------------- */
+
+/* Writes x in decimal followed by end at *p, when *p is not NULL, and
+ * advances *p; returns the length either way. */
+static inline int64_t put_field(char **p, int64_t x, char end)
+{
+    uint64_t u = x < 0 ? -(uint64_t)x : (uint64_t)x;
+    int64_t k = 1;
+    for (uint64_t t = u; t >= 10; t /= 10)
+        k += 1;
+    k += x < 0;
+    if (*p) {
+        char *q = *p + k;
+        *q = end;
+        do {
+            *--q = (char)('0' + u % 10);
+            u /= 10;
+        } while (u);
+        if (x < 0)
+            *--q = '-';
+        *p += k + 1;
+    }
+    return k + 1;
+}
+
+/* Formats rows lo..hi-1 of ncols int64 columns as text: the fields of row
+ * i are cols[0][i] .. cols[ncols - 1][i], each followed by one space, the
+ * last by '\n'.  With results set, every row is a node's export row
+ * instead: it starts with i, the node id, and when cols[0][i], the
+ * node's region, is 0, the node is unreached and its later fields all
+ * read 0, except the third (the cost), which reads UNREACHED.  Writes the
+ * text to out unless out is NULL, and returns its length, so the caller
+ * measures with NULL and then fills a buffer of that length. */
+int64_t optpaths_format(int64_t lo, int64_t hi, int64_t results,
+                        int64_t ncols, const int64_t *const *cols, char *out)
+{
+    static const char unreached[] = "UNREACHED";
+    int64_t len = 0;
+    char *p = out;
+    for (int64_t i = lo; i < hi; i++) {
+        int reached = !results || cols[0][i] != 0;
+        if (results)
+            len += put_field(&p, i, ' ');
+        for (int64_t j = 0; j < ncols; j++) {
+            char end = j + 1 < ncols ? ' ' : '\n';
+            if (reached) {
+                len += put_field(&p, cols[j][i], end);
+            } else if (j == 2) {
+                if (p) {
+                    memcpy(p, unreached, sizeof unreached - 1);
+                    p += sizeof unreached - 1;
+                    *p++ = end;
+                }
+                len += sizeof unreached;
+            } else {
+                len += put_field(&p, 0, end);
+            }
+        }
+    }
+    return len;
+}
+
+static inline int is_blank(unsigned char c)
+{
+    return c == ' ' || c == '\t';
+}
+
+/* Reads a results file, s[0..len), for n nodes: one row per node,
+ * "<id> <region> <parent> <cost|UNREACHED> [tag]".  Like optpaths_read it
+ * is stricter than the reference reader (cli._scan_results) and refuses
+ * without saying why.  It accepts only text whose every byte is printable
+ * ASCII, a space, a tab or '\n', in which every line is blank, a
+ * whole-line '#' comment, or a row of 4 or 5 fields separated by spaces
+ * and tabs; each field is [+-]?[0-9]+ of magnitude at most INT64_MAX,
+ * the fourth may instead be UNREACHED, and every row has the width of the
+ * first.  Ids must be 1..n, each once, parents 0..n, and every node must
+ * have a row.  region, parent, cost, tags and seen (n + 1 entries each)
+ * must arrive zero-filled; tags is filled only for 5-field rows, and the
+ * ids of the UNREACHED rows go to unreached[], their count to
+ * *n_unreached.  Returns the width, or 0 to refuse. */
+int64_t optpaths_read_results(const char *s, int64_t len, int64_t n,
+                              int64_t *region, int64_t *parent,
+                              int64_t *cost, int64_t *tags, int64_t *seen,
+                              int64_t *unreached, int64_t *n_unreached)
+{
+    const unsigned char *p = (const unsigned char *)s, *end = p + len;
+    int64_t width = 0, rows = 0, nu = 0;
+    while (p < end) {
+        while (p < end && is_blank(*p))
+            p++;
+        if (p == end)
+            break;
+        if (*p == '\n') {
+            p++;
+            continue;
+        }
+        if (*p == '#') {
+            for (; p < end && *p != '\n'; p++)
+                if ((*p < 0x20 && *p != '\t') || *p > 0x7e)
+                    return 0;
+            continue;
+        }
+        int64_t f[5];
+        int nf = 0, is_unreached = 0;
+        for (;;) {  /* p stands on the first byte of a field */
+            if (nf == 5)
+                return 0;
+            if (nf == 3 && end - p >= 9 && memcmp(p, "UNREACHED", 9) == 0) {
+                is_unreached = 1;
+                f[nf++] = 0;
+                p += 9;
+            } else {
+                int neg = 0;
+                if (*p == '+' || *p == '-') {
+                    neg = *p == '-';
+                    p++;
+                }
+                if (p == end || *p < '0' || *p > '9')
+                    return 0;
+                int64_t x = 0;
+                while (p < end && *p >= '0' && *p <= '9') {
+                    int64_t d = *p - '0';
+                    if (x > (INT64_MAX - d) / 10)
+                        return 0;
+                    x = x * 10 + d;
+                    p++;
+                }
+                f[nf++] = neg ? -x : x;
+            }
+            if (p < end && !is_blank(*p) && *p != '\n')
+                return 0;
+            while (p < end && is_blank(*p))
+                p++;
+            if (p == end || *p == '\n')
+                break;
+        }
+        if (p < end)
+            p++;
+        if (nf < 4 || (width != 0 && nf != width))
+            return 0;
+        width = nf;
+        int64_t v = f[0], par = f[2];
+        if (v < 1 || v > n || seen[v] || par < 0 || par > n)
+            return 0;
+        seen[v] = 1;
+        rows += 1;
+        region[v] = f[1];
+        parent[v] = par;
+        cost[v] = f[3];
+        if (is_unreached)
+            unreached[nu++] = v;
+        if (nf == 5)
+            tags[v] = f[4];
+    }
+    if (rows != n)
+        return 0;
+    *n_unreached = nu;
+    return width;
+}
+
+/* Certifies a results export against the forward CSR of its graph: returns
+ * 0 when oracles.verify_export, under min-plus, would report no failure,
+ * and 1 otherwise, without saying why; the caller then runs the reference
+ * audit, which names every failure.  region, parent, cost and has_cost
+ * hold n + 1 entries; has_cost[v] is 0 where the export says UNREACHED.
+ * tags is NULL for an export without the tag column.  found, color and
+ * level (n + 1 entries) and queue (n) are zero-filled scratch.  The checks
+ * are the reference's: parents in 0..n; a root is a reached node (region
+ * not 0) without a parent, there is exactly one root without tags and at
+ * least two with them, and every root costs 0; an unreached node has no
+ * parent and no cost, a reached one has a cost, and its parent is reached,
+ * has a cost and reaches it over an arc with cost[p] + w == cost[v]; tags
+ * are the root's own id, the parent's tag, or 0 when unreached; every
+ * parent chain ends at a root; regions equal the hop levels of a
+ * breadth-first search from the roots; and with fixpoint set, no arc out
+ * of a node with a cost leads to a node without one or improves it.  A sum
+ * past INT64_MAX neither matches a cost nor improves one. */
+int64_t optpaths_audit(int64_t n, const int64_t *fptr, const int64_t *fdst,
+                       const int64_t *fw, const int64_t *region,
+                       const int64_t *parent, const int64_t *cost,
+                       const int64_t *has_cost, const int64_t *tags,
+                       int64_t fixpoint, int64_t *found, int64_t *color,
+                       int64_t *level, int64_t *queue)
+{
+    int64_t roots = 0;
+    for (int64_t v = 1; v <= n; v++) {
+        if (parent[v] < 0 || parent[v] > n)
+            return 1;
+        if (region[v] != 0 && parent[v] == 0) {
+            if (!has_cost[v] || cost[v] != 0)
+                return 1;
+            roots += 1;
+            color[v] = 2;
+            level[v] = 1;
+            queue[roots - 1] = v;
+        }
+    }
+    if (tags ? roots < 2 : roots != 1)
+        return 1;
+
+    for (int64_t u = 1; u <= n; u++) {
+        for (int64_t k = fptr[u]; k < fptr[u + 1]; k++) {
+            int64_t v = fdst[k], c;
+            int fits = has_cost[u] && !__builtin_add_overflow(cost[u], fw[k], &c);
+            if (fits && parent[v] == u && has_cost[v] && c == cost[v])
+                found[v] = 1;
+            if (fixpoint && has_cost[u]
+                    && (!has_cost[v] || (fits && c < cost[v])))
+                return 1;
+        }
+    }
+
+    for (int64_t v = 1; v <= n; v++) {
+        int64_t p = parent[v];
+        if (region[v] == 0) {
+            if (p != 0 || has_cost[v])
+                return 1;
+            continue;
+        }
+        if (!has_cost[v])
+            return 1;
+        if (p != 0 && (region[p] == 0 || !has_cost[p] || !found[v]))
+            return 1;
+        if (tags && tags[v] != (p == 0 ? v : tags[p]))
+            return 1;
+    }
+    if (tags)
+        for (int64_t v = 1; v <= n; v++)
+            if (region[v] == 0 && tags[v] != 0)
+                return 1;
+
+    /* color: 0 unknown, 1 on the current walk, 2 reaches a root.  Every
+     * parent of a reached node is reached by now, and only roots lack one. */
+    for (int64_t v = 1; v <= n; v++) {
+        if (region[v] == 0 || color[v])
+            continue;
+        int64_t u = v;
+        while (color[u] == 0) {
+            color[u] = 1;
+            u = parent[u];
+        }
+        if (color[u] == 1)
+            return 1;
+        for (u = v; color[u] == 1; u = parent[u])
+            color[u] = 2;
+    }
+
+    int64_t head = 0, tail = roots;
+    while (head < tail) {
+        int64_t u = queue[head++];
+        for (int64_t k = fptr[u]; k < fptr[u + 1]; k++) {
+            int64_t v = fdst[k];
+            if (level[v] == 0) {
+                level[v] = level[u] + 1;
+                queue[tail++] = v;
+            }
+        }
+    }
+    for (int64_t v = 1; v <= n; v++)
+        if (level[v] != region[v])
+            return 1;
     return 0;
 }

@@ -9,6 +9,9 @@ themselves.  The ``check_*`` audits verify tree shape, reachability and the
 no-improving-arc fixpoint condition directly on a solver state, and
 ``verify_export`` audits an exported result with the same core; all honour
 the cost algebra and collect every failure rather than stopping at the first.
+``verify_export`` without an algebra first asks the compiled audit of
+:mod:`fastlane` whether the export is clean, and runs the reference audit
+only when it is not (or cannot say).
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .graph import UNSET, CostAlgebra, Graph, NodeId, in_neighbors, leaves
+from . import fastlane
+from .graph import (UNSET, CostAlgebra, Graph, NodeId, in_neighbors, leaves,
+                    min_plus_algebra)
 from .partition import UNREACHED, Regions, SolverState
 
 
@@ -334,18 +339,32 @@ def check_fixpoint(g: Graph, state: SolverState,
 
 
 def verify_export(g: Graph, region: list[int], parent: list[int],
-                  cost: list[Optional[int]], algebra: CostAlgebra,
+                  cost: list[Optional[int]],
+                  algebra: Optional[CostAlgebra] = None,
                   fixpoint: bool = False,
                   tags: Optional[list[int]] = None) -> VerificationReport:
     """Audit an exported result against its instance.
 
     Roots are the reached nodes without a parent (the sources).  Checks:
-    parent arcs exist and are cost-consistent, parent chains reach a root,
-    regions equal hop layers recomputed by an independent breadth-first
-    search from the roots, and optionally that no arc can still improve.
-    With ``tags``, every root must tag itself, every other reached node
-    must carry its parent's tag, and every unreached node must carry 0.
+    every root costs ``algebra.zero``; without ``tags`` there is exactly
+    one root, since ``solve`` writes the tag column exactly when a run has
+    two or more sources, and with ``tags`` at least two; parent arcs exist
+    and are cost-consistent, parent chains reach a root, regions equal hop
+    layers recomputed by an independent breadth-first search from the
+    roots, and optionally that no arc can still improve.  With ``tags``,
+    every root must tag itself, every other reached node must carry its
+    parent's tag, and every unreached node must carry 0.
+
+    The lane follows ``run_pipeline``'s rule: with no ``algebra``, the
+    compiled audit (:func:`fastlane.export_is_clean`) runs first when the
+    lane loads, and an export it certifies gets an empty report at once;
+    anything else, and any explicit algebra, gets this reference audit
+    under min-plus or that algebra, which names every failure.
     """
+    if algebra is None:
+        if fastlane.export_is_clean(g, region, parent, cost, fixpoint, tags):
+            return VerificationReport()
+        algebra = min_plus_algebra()
     rep = VerificationReport()
     n = g.n
     reached = [r != 0 for r in region]
@@ -354,6 +373,13 @@ def verify_export(g: Graph, region: list[int], parent: list[int],
     if not roots:
         rep.add("roots", "export", "at least one parentless reached node", "none")
         return rep
+    if tags is None and len(roots) > 1:
+        rep.add("roots", "export",
+                "one parentless reached node without a tag column", len(roots))
+    elif tags is not None and len(roots) < 2:
+        rep.add("roots", "export",
+                "two or more parentless reached nodes with a tag column",
+                len(roots))
     extend = algebra.extend
     fix = VerificationReport()  # fixpoint failures are listed last
     found = _arc_pass(
@@ -370,6 +396,8 @@ def verify_export(g: Graph, region: list[int], parent: list[int],
             continue
         p = parent[v]
         if p == UNSET:
+            if cost[v] != algebra.zero:
+                rep.add("root-cost", f"node {v}", algebra.zero, cost[v])
             continue
         if not reached[p] or cost[p] is None:
             rep.add("parent", f"node {v}", "reached parent", f"unreached {p}")

@@ -395,6 +395,30 @@ class TestVerify:
                     "--fixpoint"]) == EXIT_USAGE
         assert "line 9: non-integer field" in capsys.readouterr().err
 
+    # every cost is off by 7, consistently, and so is the source's
+    @pytest.mark.parametrize("lane", ["compiled", "reference"])
+    @pytest.mark.parametrize("rows, want", [
+        ("1 1 0 7\n2 2 1 11\n3 3 2 16\n",
+         "[root-cost] node 1: expected 0, got 7"),
+        ("1 1 0 0\n2 2 1 4\n3 1 0 0\n",
+         "[roots] export: expected one parentless reached node without a "
+         "tag column, got 2"),
+        ("1 1 0 0 1\n2 2 1 4 1\n3 3 2 9 1\n",
+         "[roots] export: expected two or more parentless reached nodes "
+         "with a tag column, got 1"),
+    ], ids=["source-cost", "second-untagged-source", "one-tagged-source"])
+    def test_sources_are_checked(self, tmp_path, capsys, request, lane,
+                                 rows, want):
+        if lane == "reference":
+            request.getfixturevalue("broken_compiler")()
+        inst = tmp_path / "path.txt"
+        inst.write_text("n 3 2 directed\n1 2 4\n2 3 5\n")
+        res = tmp_path / "res.txt"
+        res.write_text(rows)
+        assert run(["verify", "--instance", str(inst), "--results", str(res),
+                    "--fixpoint"]) == EXIT_VERIFY
+        assert capsys.readouterr().out == f"1 failure(s):\n  {want}\n"
+
     def test_non_utf8_results_are_usage_error(self, tmp_path, capsys):
         inst, out = self.solve_to(tmp_path, "ht")
         with open(out, "rb") as fh:

@@ -6,6 +6,7 @@ explicitly, which routes them to the reference lane; the compiled runs take
 the default and assert that it routed them to the compiled lane."""
 
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -262,6 +263,14 @@ def test_missing_or_failing_compiler_disables_the_lane(
     assert cli.main(["solve", "--instance", inst, "--algo", "eom"]) \
         == cli.EXIT_OK
     assert capsys.readouterr().out.startswith("eom: BL=")
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernels_compile_without_warnings():
+    proc = subprocess.run(["cc", "-O2", "-Wall", "-Wextra", "-Werror",
+                           "-fsyntax-only", str(fastlane._SOURCE)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def bench_counters(tmp_path, name):
