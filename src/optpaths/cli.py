@@ -89,6 +89,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _algo_list(text: str) -> list[str]:
     algos = text.replace(",", " ").split()
+    if not algos:
+        raise argparse.ArgumentTypeError("expected at least one algorithm")
     unknown = [a for a in algos if a not in ALGORITHMS]
     if unknown:
         raise argparse.ArgumentTypeError(
@@ -223,11 +225,12 @@ def cmd_solve(args) -> int:
 
 
 def _parse_results(path: str, n: int):
-    """Read an export: region, parent, cost (None = unreached) and tags.
+    """Read an export: region, parent, cost, has_cost and tags per node.
 
-    Every row has 4 columns, or every row has 5 (the tag column); tags is
-    None for a 4-column file.  The compiled reader reads the file when it
-    can; any file it refuses goes to the reference reader,
+    ``cost`` and ``has_cost`` are 0 where a row says UNREACHED.  Every row
+    has 4 columns, or every row has 5 (the tag column); tags is None for a
+    4-column file.  The compiled reader reads the file into int64 arrays
+    when it can; any file it refuses goes to the reference reader,
     :func:`_scan_results`, which gives the same lists or names the fault.
     """
     with open(path, "rb") as fh:
@@ -240,7 +243,8 @@ def _scan_results(path: str, n: int):
     raises an InstanceFormatError naming its line."""
     region = [0] * (n + 1)
     parent = [0] * (n + 1)
-    cost: list[Optional[int]] = [None] * (n + 1)
+    cost = [0] * (n + 1)
+    has_cost = [0] * (n + 1)
     tags = [0] * (n + 1)
     seen = [False] * (n + 1)
     width = None
@@ -266,7 +270,7 @@ def _scan_results(path: str, n: int):
             raise InstanceFormatError(f"line {lineno}: non-integer field")
         try:
             v, reg, par = int(parts[0]), int(parts[1]), int(parts[2])
-            c = None if parts[3] == UNREACHED else int(parts[3])
+            c = 0 if parts[3] == UNREACHED else int(parts[3])
             tag = int(parts[4]) if width == 5 else 0
         except ValueError:
             raise InstanceFormatError(f"line {lineno}: non-integer field") from None
@@ -278,17 +282,18 @@ def _scan_results(path: str, n: int):
                 f"line {lineno}: parent {par} out of range 0..{n}")
         seen[v] = True
         region[v], parent[v], cost[v], tags[v] = reg, par, c, tag
+        has_cost[v] = int(parts[3] != UNREACHED)
     missing = [v for v in range(1, n + 1) if not seen[v]]
     if missing:
         raise InstanceFormatError(f"results missing node(s) {missing[:5]}")
-    return region, parent, cost, tags if width == 5 else None
+    return region, parent, cost, has_cost, tags if width == 5 else None
 
 
 def cmd_verify(args) -> int:
     g, _ = read_instance_file(args.instance)
-    region, parent, cost, tags = _parse_results(args.results, g.n)
-    rep = verify_export(g, region, parent, cost, fixpoint=args.fixpoint,
-                        tags=tags)
+    region, parent, cost, has_cost, tags = _parse_results(args.results, g.n)
+    rep = verify_export(g, region, parent, cost, has_cost,
+                        fixpoint=args.fixpoint, tags=tags)
     print(rep.summary())
     return EXIT_OK if rep.ok else EXIT_VERIFY
 

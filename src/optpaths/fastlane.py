@@ -7,14 +7,17 @@ are generic over the cost algebra and carry debug hooks; the kernels in
 They mirror the reference loops statement for statement -- including every
 counter and the per-node source tags -- and the test suite asserts exact
 equality of states and counters between the two lanes, so either lane
-certifies the other.  :func:`read_graph` is the compiled instance reader:
-it builds a graph only from an arc block it fully accepts and returns None
-for any other, which the reference reader then reads or rejects.  Results
+certifies the other.  Results stay in the kernels' ``array('q')``
+buffers from solve to export.  :func:`read_graph` is the compiled instance
+reader: it builds a graph only from an arc block it fully accepts and
+returns None for any other, which the reference reader then reads or
+rejects.  Results
 files get the same treatment: :func:`format_rows` writes the rows of a
 results export or an instance file, :func:`read_results` reads a results
-file it fully accepts, and :func:`export_is_clean` certifies an export
-that :func:`oracles.verify_export` would pass.  Each returns None or False
-wherever it cannot answer, and the Python code, the reference, decides.
+file it fully accepts into int64 arrays, and :func:`export_is_clean`
+certifies an export that :func:`oracles.verify_export` would pass.  Each
+returns None or False wherever it cannot answer, and the Python code, the
+reference, decides.
 
 This module needs only the standard library plus, optionally, a C
 compiler: every array it passes to a kernel is an ``array('q')``, and
@@ -61,7 +64,7 @@ _SIGNATURES = {
     "optpaths_schedule": ([_I, _P, _I] + [_P] * 12, None),
     "optpaths_read": ([ctypes.c_char_p] + [_I] * 4 + [_P] * 10, _I),
     "optpaths_format": ([_I] * 4 + [_P] * 2, _I),
-    "optpaths_read_results": ([ctypes.c_char_p, _I, _I] + [_P] * 7, _I),
+    "optpaths_read_results": ([ctypes.c_char_p, _I, _I] + [_P] * 6, _I),
     "optpaths_audit": ([_I] + [_P] * 8 + [_I] + [_P] * 4, _I),
 }
 
@@ -187,7 +190,7 @@ def format_rows(columns: Sequence[Sequence[int]],
     """The rows of equally long integer ``columns`` as text, or None.
 
     Row ``i`` is its fields ``columns[j][i]`` separated by spaces; with
-    ``results``, the columns are per-node lists (region, parent, cost and,
+    ``results``, the columns are per-node (region, parent, cost and,
     if any, tag; index 0 unused) and row ``i`` is node ``i``'s row of a
     results export, as :func:`partition.export_results` writes it.  None
     means the lane is unavailable or a value is no int64; the caller then
@@ -219,48 +222,41 @@ def read_results(data: bytes, n: int):
     """A results export read by the compiled reader, or None.
 
     Returns what ``cli._parse_results`` returns for ``data``, the bytes of
-    a file: region, parent and cost lists (cost None where unreached) and
-    the tag list, None for 4-column rows.  None means the reader refused
-    ``data`` -- it names no fault -- or that the lane is unavailable;
-    either way the reference reader then decides.
+    a file, as int64 arrays: region, parent, cost (0 where unreached),
+    has_cost (0 where unreached, else 1) and tags, None for 4-column rows.
+    None means the reader refused ``data`` -- it names no fault -- or that
+    the lane is unavailable; either way the reference reader then decides.
     """
     if n > (len(data) + 1) // _MIN_ROW_BYTES:
         return None
     lib = _lane()[0]
     if lib is None:
         return None
-    region, parent, cost, tags, seen, unreached = (
+    region, parent, cost, has_cost, tags, seen = (
         _zeros(n + 1) for _ in range(6))
-    count = _zeros(1)
     width = lib.optpaths_read_results(
         data, len(data), n,
-        *map(_ptr, (region, parent, cost, tags, seen, unreached, count)))
+        *map(_ptr, (region, parent, cost, has_cost, tags, seen)))
     if not width:
         return None
-    costs = cost.tolist()
-    costs[0] = None
-    for v in unreached[:count[0]]:
-        costs[v] = None
-    return (region.tolist(), parent.tolist(), costs,
-            tags.tolist() if width == 5 else None)
+    return region, parent, cost, has_cost, tags if width == 5 else None
 
 
 def export_is_clean(g: Graph, region: Sequence[int], parent: Sequence[int],
-                    cost: Sequence[Optional[int]], fixpoint: bool,
-                    tags: Optional[Sequence[int]]) -> bool:
+                    cost: Sequence[int], has_cost: Sequence[int],
+                    fixpoint: bool, tags: Optional[Sequence[int]]) -> bool:
     """Whether the compiled audit certifies a results export as clean.
 
     True means :func:`oracles.verify_export` under min-plus would report no
     failure.  False names no fault: some check fails, a value is no
     int64, or the lane is unavailable; the caller then runs the reference
-    audit.
+    audit.  int64 arrays go to the kernel as they are.
     """
     lib = _lane()[0]
     if lib is None or not _csr_ok(g):
         return False
     n = g.n
-    cols = [region, parent, [0 if c is None else c for c in cost],
-            [c is not None for c in cost]] + ([] if tags is None else [tags])
+    cols = [region, parent, cost, has_cost] + ([] if tags is None else [tags])
     cols = [_int64s(c) for c in cols]
     if any(c is None or len(c) != n + 1 for c in cols):
         return False
@@ -308,8 +304,10 @@ def refusal(g: Graph, sources: Sequence[int]) -> Optional[str]:
 class FastRun:
     """Array-backed pipeline state for one source set on one graph.
 
-    Raises :class:`GraphError` with the :func:`refusal` reason when the
-    lane cannot run the graph; it never falls back to Python loops.
+    ``regions`` and ``state`` hold the kernels' int64 buffers, which
+    :meth:`eom` and :meth:`schedule` update in place.  Raises
+    :class:`GraphError` with the :func:`refusal` reason when the lane cannot
+    run the graph; it never falls back to Python loops.
     """
 
     def __init__(self, g: Graph, sources: Sequence[int]):
@@ -319,20 +317,22 @@ class FastRun:
             raise GraphError(why)
         self._lib = _lane()[0]
         self.g = g
-        self.sources = array("q", srcs)
+        src_ids = array("q", srcs)  # alive through the kernel call
         t0 = time.perf_counter()
         order = _zeros(g.n)
-        (self.region, self.pos, self.parent, self.cost, self.wu,
-         self.issrc, self.tags) = (_zeros(g.n + 1) for _ in range(7))
+        region, pos, parent, cost, wu, issrc, self._tags = (
+            _zeros(g.n + 1) for _ in range(7))
         inspections = _zeros(1)
         count = self._lib.optpaths_hda(
             _ptr(g.fwd_ptr), _ptr(g.fwd_dst), _ptr(g.rev_ptr),
-            _ptr(g.rev_src), _ptr(g.rev_w), _ptr(self.sources),
-            len(self.sources), _ptr(order), _ptr(self.region),
-            _ptr(self.pos), _ptr(self.parent), _ptr(self.cost),
-            _ptr(self.wu), _ptr(self.issrc), _ptr(self.tags),
+            _ptr(g.rev_src), _ptr(g.rev_w), _ptr(src_ids),
+            len(srcs), _ptr(order), _ptr(region), _ptr(pos), _ptr(parent),
+            _ptr(cost), _ptr(wu), _ptr(issrc), _ptr(self._tags),
             _ptr(inspections))
-        self.order = order[:count]
+        del order[count:]
+        self.regions = Regions(order, region, pos)
+        self.state = SolverState(g.n, tuple(srcs), parent, cost, wu, issrc,
+                                 self._tags if len(srcs) > 1 else None)
         self.hda_report = HdaReport(
             arc_inspections=int(inspections[0]),
             wall_time_ms=(time.perf_counter() - t0) * 1e3,
@@ -342,58 +342,40 @@ class FastRun:
 
     def classify(self) -> int:
         """Screen the origins into ``self.status``; returns their count."""
-        g = self.g
+        g, order = self.g, self.regions.order
         t0 = time.perf_counter()
         self.status = _zeros(g.n + 1)
         origins = self._lib.optpaths_classify(
-            _ptr(self.order), len(self.order), _ptr(g.fwd_ptr),
-            _ptr(g.fwd_dst), _ptr(g.fwd_w), _ptr(self.cost),
-            _ptr(self.status))
+            _ptr(order), len(order), _ptr(g.fwd_ptr), _ptr(g.fwd_dst),
+            _ptr(g.fwd_w), _ptr(self.state.cost), _ptr(self.status))
         self.origin_count = int(origins)
         self.classify_ms = (time.perf_counter() - t0) * 1e3
         return self.origin_count
 
+    def _labels(self) -> list[int]:
+        """The addresses of the parent, cost, weight, source and tag arrays."""
+        st = self.state
+        return [_ptr(a) for a in (st.parent, st.cost, st.weight_used,
+                                  st.is_source, self._tags)]
+
     def eom(self, two_course: bool = False) -> OptReport:
-        g = self.g
+        g, order = self.g, self.regions.order
         out = _zeros(6)
         t0 = time.perf_counter()
         self._lib.optpaths_eom(
-            _ptr(self.order), len(self.order), _ptr(self.region),
-            _ptr(g.rev_ptr), _ptr(g.rev_src), _ptr(g.rev_w),
-            _ptr(self.parent), _ptr(self.cost), _ptr(self.wu),
-            _ptr(self.issrc), _ptr(self.tags), int(two_course), _ptr(out))
+            _ptr(order), len(order), _ptr(self.regions.region_of),
+            _ptr(g.rev_ptr), _ptr(g.rev_src), _ptr(g.rev_w), *self._labels(),
+            int(two_course), _ptr(out))
         return OptReport(*out.tolist(), (time.perf_counter() - t0) * 1e3)
 
     def schedule(self, kind: SchedulerKind) -> OptReport:
         """Push to the fixpoint from the origins; :meth:`classify` runs first."""
-        g = self.g
+        g, r = self.g, self.regions
         code = _KIND_CODE[SchedulerKind(kind)]
         out = _zeros(6)
         t0 = time.perf_counter()
         self._lib.optpaths_schedule(
-            code, _ptr(self.order), len(self.order), _ptr(self.region),
-            _ptr(self.pos), _ptr(g.fwd_ptr), _ptr(g.fwd_dst), _ptr(g.fwd_w),
-            _ptr(self.parent), _ptr(self.cost), _ptr(self.wu),
-            _ptr(self.issrc), _ptr(self.tags), _ptr(self.status), _ptr(out))
+            code, _ptr(r.order), len(r.order), _ptr(r.region_of),
+            _ptr(r.position_of), _ptr(g.fwd_ptr), _ptr(g.fwd_dst),
+            _ptr(g.fwd_w), *self._labels(), _ptr(self.status), _ptr(out))
         return OptReport(*out.tolist(), (time.perf_counter() - t0) * 1e3)
-
-    # -- conversions back into the reference dataclasses ---------------------
-
-    def regions(self) -> Regions:
-        return Regions(
-            order=self.order.tolist(),
-            region_of=self.region.tolist(),
-            position_of=self.pos.tolist(),
-        )
-
-    def state(self) -> SolverState:
-        """The reference state; tags exactly when there are >= 2 sources."""
-        return SolverState(
-            n=self.g.n,
-            sources=tuple(int(s) for s in self.sources),
-            parent=self.parent.tolist(),
-            cost=self.cost.tolist(),
-            weight_used=self.wu.tolist(),
-            is_source=[bool(x) for x in self.issrc.tolist()],
-            tags=self.tags.tolist() if len(self.sources) > 1 else None,
-        )

@@ -317,15 +317,18 @@ def read_instance(src: TextIO) -> tuple[Graph, list[str]]:
 
     from .fastlane import read_graph  # fastlane imports this module
 
-    # A lone surrogate (only a str source holds one) becomes '?', which the
-    # compiled reader refuses outside a comment.
-    g = read_graph(text[end + 1:].encode("utf-8", "replace"), n, arc_count,
-                   directed)
-    if g is None:
-        g = _scan_arc_block(text[end + 1:], lineno + 1, n, arc_count, directed)
     comments = _COMMENT.findall(text, 0, start)
     if text.find("#", end + 1) >= 0:
         comments += _COMMENT.findall(text, end + 1)
+    # Only the encoded block outlives the text.  A lone surrogate (only a
+    # str holds one) becomes bytes that no arc field accepts and that decode
+    # back to it.
+    body = text[end + 1:].encode("utf-8", "surrogatepass")
+    del text
+    g = read_graph(body, n, arc_count, directed)
+    if g is None:
+        g = _scan_arc_block(body.decode("utf-8", "surrogatepass"), lineno + 1,
+                            n, arc_count, directed)
     return g, [c.strip() for c in comments]
 
 

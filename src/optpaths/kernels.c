@@ -467,17 +467,17 @@ static inline int is_blank(unsigned char c)
  * and tabs; each field is [+-]?[0-9]+ of magnitude at most INT64_MAX,
  * the fourth may instead be UNREACHED, and every row has the width of the
  * first.  Ids must be 1..n, each once, parents 0..n, and every node must
- * have a row.  region, parent, cost, tags and seen (n + 1 entries each)
- * must arrive zero-filled; tags is filled only for 5-field rows, and the
- * ids of the UNREACHED rows go to unreached[], their count to
- * *n_unreached.  Returns the width, or 0 to refuse. */
+ * have a row.  region, parent, cost, has_cost, tags and seen (n + 1
+ * entries each) must arrive zero-filled; an UNREACHED row keeps cost and
+ * has_cost 0, every other row sets has_cost to 1, and tags is filled only
+ * for 5-field rows.  Returns the width, or 0 to refuse. */
 int64_t optpaths_read_results(const char *s, int64_t len, int64_t n,
                               int64_t *region, int64_t *parent,
-                              int64_t *cost, int64_t *tags, int64_t *seen,
-                              int64_t *unreached, int64_t *n_unreached)
+                              int64_t *cost, int64_t *has_cost,
+                              int64_t *tags, int64_t *seen)
 {
     const unsigned char *p = (const unsigned char *)s, *end = p + len;
-    int64_t width = 0, rows = 0, nu = 0;
+    int64_t width = 0, rows = 0;
     while (p < end) {
         while (p < end && is_blank(*p))
             p++;
@@ -540,14 +540,12 @@ int64_t optpaths_read_results(const char *s, int64_t len, int64_t n,
         region[v] = f[1];
         parent[v] = par;
         cost[v] = f[3];
-        if (is_unreached)
-            unreached[nu++] = v;
+        has_cost[v] = !is_unreached;
         if (nf == 5)
             tags[v] = f[4];
     }
     if (rows != n)
         return 0;
-    *n_unreached = nu;
     return width;
 }
 

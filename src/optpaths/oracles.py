@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from . import fastlane
 from .graph import (UNSET, CostAlgebra, Graph, NodeId, in_neighbors, leaves,
@@ -187,13 +187,14 @@ def brute_force_oracle(g: Graph, source: NodeId, algebra: CostAlgebra,
 
 
 # ---------------------------------------------------------------------------
-# Structural audits.  One core over plain lists -- a memoized parent-chain
-# walk and one pass over the forward arcs -- serves both the solver-state
-# checks and the audit of an exported result.
+# Structural audits.  One core over any integer sequences, lists or int64
+# arrays -- a memoized parent-chain walk and one pass over the forward arcs
+# -- serves both the solver-state checks and the audit of an exported result.
 # ---------------------------------------------------------------------------
 
-def _chain_colors(parent: list[int], is_root: list[bool], live: list[bool],
-                  rep: VerificationReport, check: str) -> list[int]:
+def _chain_colors(parent: Sequence[int], is_root: Sequence[int],
+                  live: Sequence[int], rep: VerificationReport,
+                  check: str) -> list[int]:
     """Walk the parent chain of every live node once (memoized), O(n) total.
 
     A cycle or a dead end (a non-root without a parent) is reported once,
@@ -233,16 +234,16 @@ def _chain_colors(parent: list[int], is_root: list[bool], live: list[bool],
     return color
 
 
-def _arc_pass(g: Graph, parent: list[int],
+def _arc_pass(g: Graph, parent: Sequence[int],
               fits: Optional[Callable[[int, int, int], bool]],
-              cost: Optional[list[Optional[int]]], algebra: CostAlgebra,
-              rep: VerificationReport) -> list[bool]:
+              cost: Sequence[int], has_cost: Optional[Sequence[int]],
+              algebra: CostAlgebra, rep: VerificationReport) -> list[bool]:
     """One pass over the forward arcs for the parent-arc and fixpoint checks.
 
     With ``fits``, returns per node ``v`` whether some arc ``(p, v, w)`` with
-    ``p == parent[v]`` has ``fits(p, v, w)``.  With ``cost`` (None marks an
-    unreached node), reports every arc out of a reached node whose endpoint
-    is unreached or can still be improved.
+    ``p == parent[v]`` has ``fits(p, v, w)``.  With ``has_cost`` (false
+    where a node is unreached), reports every arc out of a reached node
+    whose endpoint is unreached or can still be improved.
     """
     n = g.n
     fwd_ptr = g.fwd_ptr.tolist()
@@ -251,19 +252,19 @@ def _arc_pass(g: Graph, parent: list[int],
     extend, better = algebra.extend, algebra.better
     found = [False] * (n + 1)
     for u in range(1, n + 1):
-        cu = None if cost is None else cost[u]
+        reached = has_cost is not None and has_cost[u]
         for k in range(fwd_ptr[u], fwd_ptr[u + 1]):
             v = fwd_dst[k]
             w = fwd_w[k]
             if fits is not None and parent[v] == u and fits(u, v, w):
                 found[v] = True
-            if cu is None:
+            if not reached:
                 continue
-            if cost[v] is None:
+            if not has_cost[v]:
                 rep.add("fixpoint", f"arc ({u},{v},{w})",
                         "endpoint labeled", "unreached endpoint")
                 continue
-            c = extend(cu, w)
+            c = extend(cost[u], w)
             if better(c, cost[v]):
                 rep.add("fixpoint", f"arc ({u},{v},{w})",
                         f"cost[{v}] <= {c}", cost[v])
@@ -280,8 +281,8 @@ def check_tree(state: SolverState, g: Graph,
     rep = VerificationReport()
     parent, cost, wu = state.parent, state.cost, state.weight_used
     # recorded parent arcs must exist with the recorded weight
-    found = _arc_pass(g, parent, lambda p, v, w: w == wu[v], None, algebra,
-                      rep)
+    found = _arc_pass(g, parent, lambda p, v, w: w == wu[v], cost, None,
+                      algebra, rep)
     for v in range(1, state.n + 1):
         p = parent[v]
         if p == UNSET:
@@ -333,19 +334,20 @@ def check_fixpoint(g: Graph, state: SolverState,
                    algebra: CostAlgebra) -> VerificationReport:
     """No arc from a labeled node may still improve its endpoint."""
     rep = VerificationReport()
-    cost = [c if lab else None for c, lab in zip(state.cost, _labeled(state))]
-    _arc_pass(g, state.parent, None, cost, algebra, rep)
+    _arc_pass(g, state.parent, None, state.cost, _labeled(state), algebra, rep)
     return rep
 
 
-def verify_export(g: Graph, region: list[int], parent: list[int],
-                  cost: list[Optional[int]],
+def verify_export(g: Graph, region: Sequence[int], parent: Sequence[int],
+                  cost: Sequence[int], has_cost: Sequence[int],
                   algebra: Optional[CostAlgebra] = None,
                   fixpoint: bool = False,
-                  tags: Optional[list[int]] = None) -> VerificationReport:
+                  tags: Optional[Sequence[int]] = None) -> VerificationReport:
     """Audit an exported result against its instance.
 
-    Roots are the reached nodes without a parent (the sources).  Checks:
+    The columns are per-node lists or int64 arrays; ``has_cost[v]`` is 0
+    where the export says ``UNREACHED``.  Roots are the reached nodes
+    without a parent (the sources).  Checks:
     every root costs ``algebra.zero``; without ``tags`` there is exactly
     one root, since ``solve`` writes the tag column exactly when a run has
     two or more sources, and with ``tags`` at least two; parent arcs exist
@@ -362,7 +364,8 @@ def verify_export(g: Graph, region: list[int], parent: list[int],
     under min-plus or that algebra, which names every failure.
     """
     if algebra is None:
-        if fastlane.export_is_clean(g, region, parent, cost, fixpoint, tags):
+        if fastlane.export_is_clean(g, region, parent, cost, has_cost,
+                                    fixpoint, tags):
             return VerificationReport()
         algebra = min_plus_algebra()
     rep = VerificationReport()
@@ -384,14 +387,15 @@ def verify_export(g: Graph, region: list[int], parent: list[int],
     fix = VerificationReport()  # fixpoint failures are listed last
     found = _arc_pass(
         g, parent,
-        lambda p, v, w: cost[p] is not None and extend(cost[p], w) == cost[v],
-        cost if fixpoint else None, algebra, fix)
+        lambda p, v, w: (has_cost[p] and has_cost[v]
+                         and extend(cost[p], w) == cost[v]),
+        cost, has_cost if fixpoint else None, algebra, fix)
     for v in range(1, n + 1):
         if not reached[v]:
-            if parent[v] != UNSET or cost[v] is not None:
+            if parent[v] != UNSET or has_cost[v]:
                 rep.add("unreached", f"node {v}", "no parent/cost", "labeled")
             continue
-        if cost[v] is None:
+        if not has_cost[v]:
             rep.add("cost", f"node {v}", "finite cost for reached node", UNREACHED)
             continue
         p = parent[v]
@@ -399,7 +403,7 @@ def verify_export(g: Graph, region: list[int], parent: list[int],
             if cost[v] != algebra.zero:
                 rep.add("root-cost", f"node {v}", algebra.zero, cost[v])
             continue
-        if not reached[p] or cost[p] is None:
+        if not reached[p] or not has_cost[p]:
             rep.add("parent", f"node {v}", "reached parent", f"unreached {p}")
             continue
         if not found[v]:

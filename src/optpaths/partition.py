@@ -33,12 +33,13 @@ class Regions:
     later phases sweep).  ``region_of[v]`` is the 1-based layer of ``v``
     (source layer is 1; 0 means never reached).  ``position_of[v]`` is the
     1-based position of ``v`` in ``order`` (0 means never reached), i.e.
-    ``order[position_of[v] - 1] == v``.
+    ``order[position_of[v] - 1] == v``.  Lists on the reference lane,
+    int64 arrays on the compiled one.
     """
 
-    order: list[int]
-    region_of: list[int]
-    position_of: list[int]
+    order: Sequence[int]
+    region_of: Sequence[int]
+    position_of: Sequence[int]
 
     @property
     def reached_count(self) -> int:
@@ -58,16 +59,17 @@ class SolverState:
     arc actually accepted into ``parent[v] -> v`` (kept so cost consistency
     is checkable even with parallel arcs).  ``tags`` is present exactly when
     the run has two or more distinct sources and names, per node, the source
-    whose influence labeled it.
+    whose influence labeled it.  Lists on the reference lane, which big-int
+    costs and generic algebras need; int64 arrays on the compiled one.
     """
 
     n: int
     sources: tuple[int, ...]
-    parent: list[int]
-    cost: list[int]
-    weight_used: list[int]
-    is_source: list[bool]
-    tags: list[int] | None = None
+    parent: Sequence[int]
+    cost: Sequence[int]
+    weight_used: Sequence[int]
+    is_source: Sequence[int]
+    tags: Sequence[int] | None = None
 
     @classmethod
     def fresh(cls, n: int, sources: Sequence[int], zero: int) -> "SolverState":

@@ -118,5 +118,5 @@ def _run_fast(g: Graph, sources: Sequence[int], algo: str) -> PipelineResult:
     else:
         run.classify()
         rep = run.schedule(algo)
-    return PipelineResult(algo, run.regions(), run.state(), run.hda_report,
+    return PipelineResult(algo, run.regions, run.state, run.hda_report,
                           run.classify_ms, run.origin_count, rep, "compiled")

@@ -511,6 +511,36 @@ class TestBench:
         assert not out.exists()
         assert "unknown algorithm 'bogus'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algos", ["", ",", " , "])
+    def test_empty_algorithm_list_fails_before_any_output(self, tmp_path,
+                                                          capsys, algos):
+        out = tmp_path / "bench.csv"
+        assert run(["bench", "--n-total", "144", "--kc", "4,12",
+                    "--algos", algos, "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert "expected at least one algorithm" in capsys.readouterr().err
+
+    @needs_lane
+    def test_fast_lane_agrees_too(self, tmp_path, broken_compiler):
+        # the same CSV with the lane loaded and with no compiler, timings
+        # aside
+        timing = {CSV_COLUMNS.index(c)
+                  for c in ("hda_ms", "classify_ms", "schedule_ms")}
+        outputs = []
+        for lane in ("compiled", "reference"):
+            if lane == "reference":
+                broken_compiler()
+            assert fastlane.available() == (lane == "compiled")
+            out = tmp_path / f"{lane}.csv"
+            assert run(["bench", "--n-total", "60", "--kc", "3,6,20",
+                        "--algos", ",".join(op.ALGORITHMS),
+                        "--out", str(out)]) == EXIT_OK
+            outputs.append([
+                [f for i, f in enumerate(line.split(",")) if i not in timing]
+                for line in out.read_text().splitlines()])
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) == 1 + 3 * len(op.ALGORITHMS)
+
 
 class TestUsage:
     def test_no_command(self, capsys):

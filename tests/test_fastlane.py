@@ -35,13 +35,16 @@ def fast_run(g, sources, algo):
 
 
 def assert_states_equal(a, b):
-    assert a.regions.order == b.regions.order
-    assert a.regions.region_of == b.regions.region_of
-    assert a.regions.position_of == b.regions.position_of
-    assert a.state.parent == b.state.parent
-    assert a.state.cost == b.state.cost
-    assert a.state.weight_used == b.state.weight_used
-    assert a.state.tags == b.state.tags
+    # the reference lane holds lists, the compiled lane int64 arrays
+    assert list(a.regions.order) == list(b.regions.order)
+    assert list(a.regions.region_of) == list(b.regions.region_of)
+    assert list(a.regions.position_of) == list(b.regions.position_of)
+    assert list(a.state.parent) == list(b.state.parent)
+    assert list(a.state.cost) == list(b.state.cost)
+    assert list(a.state.weight_used) == list(b.state.weight_used)
+    assert (a.state.tags is None) == (b.state.tags is None)
+    if a.state.tags is not None:
+        assert list(a.state.tags) == list(b.state.tags)
 
 
 def assert_counters_equal(a, b):
@@ -137,7 +140,7 @@ def test_fast_run_class_surface(algebra):
     rep = run.schedule(SchedulerKind.HT)
     assert rep.regular_way + rep.wrong_way == rep.improvements
     dj = op.dijkstra_oracle(g, source, algebra)
-    assert run.state().cost[1:] == dj.dist[1:]
+    assert list(run.state.cost[1:]) == dj.dist[1:]
 
 
 def test_fast_run_validates_sources(triangle):
@@ -271,28 +274,6 @@ def test_kernels_compile_without_warnings():
                            "-fsyntax-only", str(fastlane._SOURCE)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-
-
-def bench_counters(tmp_path, name):
-    out = tmp_path / name
-    assert cli.main(["bench", "--n-total", "60", "--kc", "3,6,20",
-                     "--algos", "eom,eom2,hrp,fr,ht",
-                     "--out", str(out)]) == cli.EXIT_OK
-    timing = {cli.CSV_COLUMNS.index(c)
-              for c in ("hda_ms", "classify_ms", "schedule_ms")}
-    return [[f for i, f in enumerate(line.split(",")) if i not in timing]
-            for line in out.read_text().splitlines()]
-
-
-@needs_lane
-def test_bench_without_a_compiler_writes_the_same_counters(
-        broken_compiler, tmp_path):
-    assert fastlane.available()
-    compiled = bench_counters(tmp_path, "compiled.csv")
-    broken_compiler()
-    assert not fastlane.available()
-    assert bench_counters(tmp_path, "reference.csv") == compiled
-    assert len(compiled) == 1 + 3 * 5
 
 
 def test_import_builds_and_loads_nothing(tmp_path):

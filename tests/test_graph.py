@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import optpaths as op
-from optpaths import GraphError, InstanceFormatError
+from optpaths import GraphError, InstanceFormatError, fastlane
 
 
 class TestBuildValidation:
@@ -140,6 +141,29 @@ class TestInstanceFormat:
         assert comments == ["c1"]
         assert np.array_equal(g2.arc_head, g.arc_head)
         assert np.array_equal(g2.arc_weight, g.arc_weight)
+
+
+@pytest.mark.skipif(not fastlane.available(), reason="no C compiler")
+def test_reading_holds_one_copy_of_the_text_beside_the_graph(tmp_path):
+    # the decoded text is dropped before the compiled reader builds the
+    # graph, so the peak is the graph plus about one encoded copy of the file
+    path = tmp_path / "inst.txt"
+    op.write_instance_file(op.gen_random_graph(20000, 90000, 0, 9, seed=5,
+                                               directed=True), str(path))
+    size = path.stat().st_size
+    assert size > 10**6
+    op.read_instance_file(str(path))  # load the lane first
+    tracemalloc.start()
+    try:
+        g, _ = op.read_instance_file(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = {id(a): a for a in (g.arc_head, g.arc_tail, g.arc_weight,
+                                 g.fwd_ptr, g.fwd_dst, g.fwd_w,
+                                 g.rev_ptr, g.rev_src, g.rev_w)}
+    held = sum(len(a) * a.itemsize for a in arrays.values())
+    assert peak - held < 1.5 * size
 
 
 @settings(max_examples=50, deadline=None)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import optpaths as op
+from optpaths import fastlane
 
 
 def small_random_graph(seed):
@@ -80,6 +81,33 @@ class TestStructuralAudits:
         assert op.check_tree(state, triangle, algebra).ok
         assert op.check_reachability(state, regions).ok
 
+    @pytest.mark.skipif(not fastlane.available(), reason="no C compiler")
+    @pytest.mark.parametrize("algo", op.ALGORITHMS)
+    def test_compiled_states_audit_as_reference_states(self, algo, algebra):
+        # compiled states hold int64 arrays, reference states lists
+        g, source, _ = op.gen_grid(op.GridSpec(6, 5, seed=3))
+        ref = op.run_pipeline(g, [source], algo, algebra=algebra)
+        fast = op.run_pipeline(g, [source], algo)
+        assert (ref.lane, fast.lane) == ("reference", "compiled")
+
+        def audits(res):
+            return [op.check_tree(res.state, g, algebra).failures,
+                    op.check_reachability(res.state, res.regions).failures,
+                    op.check_fixpoint(g, res.state, algebra).failures]
+
+        tree, reach, fix = audits(fast)
+        assert tree == reach == [] and (fix == [] or algo == "hda")
+        assert audits(fast) == audits(ref)
+        # move one parent on both lanes: p's parent becomes its child v
+        v = fast.regions.order[-1]
+        p = fast.state.parent[v]
+        assert fast.state.parent[p]  # p is no source
+        for res in (ref, fast):
+            res.state.parent[p] = v
+        broken = audits(fast)
+        assert broken[0] and broken[1]
+        assert broken == audits(ref)
+
     def test_bogus_parent_arc_detected(self, triangle, algebra):
         _, state = self.solved(triangle, algebra)
         state.weight_used[2] = 99  # no (1,2) arc weighs 99
@@ -140,9 +168,9 @@ class TestStructuralAudits:
         bottleneck = op.CostAlgebra(max, lambda a, b: a < b, 0)
         g, source, _ = op.gen_grid(op.GridSpec(5, 5, seed=3))
         res = op.run_pipeline(g, [source], "ht", algebra=bottleneck)
-        cost = [c if res.state.labeled(v) else None
-                for v, c in enumerate(res.state.cost)]
-        export = (g, res.regions.region_of, res.state.parent, cost)
+        has_cost = [res.state.labeled(v) for v in range(g.n + 1)]
+        export = (g, res.regions.region_of, res.state.parent, res.state.cost,
+                  has_cost)
         assert op.verify_export(*export, bottleneck, fixpoint=True).ok
         rep = op.verify_export(*export, algebra)
         assert {check for check, *_ in rep.failures} == {"parent-arc"}

@@ -7,9 +7,9 @@ which stays the reference and names every fault:
   ``partition.export_results`` and ``graph.write_instance``, with and
   without a compiler;
 - the results reader (``fastlane.read_results``) against the reference
-  reader ``cli._scan_results``: wherever it accepts a file, it must give
-  the same lists, and ``cli._parse_results`` must give the same lists or
-  the same message;
+  reader ``cli._scan_results``: wherever it accepts a file, its arrays
+  must hold the reference's lists, and ``cli._parse_results`` must give
+  the same values or the same message;
 - the audit (``fastlane.export_is_clean``) against the reference
   ``verify_export``: on solved exports, clean and with one mutation each,
   it must answer "clean" exactly when the reference reports no failure.
@@ -36,8 +36,7 @@ needs_lane = pytest.mark.skipif(not fastlane.available(),
 
 def fits_int64(*columns):
     return all(INT64_MIN <= x <= INT64_MAX
-               for col in columns if col is not None
-               for x in col if x is not None)
+               for col in columns if col is not None for x in col)
 
 
 # -- the audit ----------------------------------------------------------------
@@ -48,9 +47,9 @@ MUTATIONS = ["cost+1", "cost-1", "parent", "region", "tag", "unreached",
 
 @st.composite
 def exports(draw):
-    """A solved export of a small multigraph from 1..3 sources, as lists,
-    clean or with one mutation; a third of the graphs have arc weights
-    near 2**63 - 1."""
+    """A solved export of a small multigraph from 1..3 sources, as lists
+    (cost 0 and has_cost 0 where unreached), clean or with one mutation; a
+    third of the graphs have arc weights near 2**63 - 1."""
     n = draw(st.integers(1, 9))
     directed = draw(st.booleans())
     weight = (st.sampled_from([0, 1, 3, INT64_MAX - 1, INT64_MAX])
@@ -68,16 +67,16 @@ def exports(draw):
     res = op.run_pipeline(g, sources, algo, algebra=op.min_plus_algebra())
     region = list(res.regions.region_of)
     parent = list(res.state.parent)
-    cost = [c if res.state.labeled(v) else None
-            for v, c in enumerate(res.state.cost)]
+    has_cost = [int(res.state.labeled(v)) for v in range(n + 1)]
+    cost = [c if has_cost[v] else 0 for v, c in enumerate(res.state.cost)]
     tags = None if res.state.tags is None else list(res.state.tags)
 
     mutation = draw(st.sampled_from(MUTATIONS + [None] * 10))
     v = draw(st.integers(1, n))
     roots = [u for u in range(1, n + 1) if region[u] and not parent[u]]
     if mutation in ("cost+1", "cost-1"):
-        step = 1 if mutation == "cost+1" else -1
-        cost[v] = step if cost[v] is None else cost[v] + step
+        cost[v] += 1 if mutation == "cost+1" else -1
+        has_cost[v] = 1
     elif mutation == "parent":
         parent[v] = draw(st.integers(0, n))
     elif mutation == "region":
@@ -85,7 +84,7 @@ def exports(draw):
     elif mutation == "tag" and tags is not None:
         tags[v] = draw(st.integers(0, n))
     elif mutation == "unreached":
-        region[v], parent[v], cost[v] = 0, 0, None
+        region[v], parent[v], cost[v], has_cost[v] = 0, 0, 0, 0
         if tags is not None:
             tags[v] = 0
     elif mutation == "2-cycle" and n > 1:
@@ -97,15 +96,16 @@ def exports(draw):
     elif mutation == "near-max":
         cost[v] = draw(st.sampled_from([INT64_MAX, INT64_MAX - 1,
                                         INT64_MIN, INT64_MIN + 1]))
+        has_cost[v] = 1
     elif mutation == "extra-root":
-        region[v], parent[v], cost[v] = 1, 0, 0
+        region[v], parent[v], cost[v], has_cost[v] = 1, 0, 0, 1
         if tags is not None:
             tags[v] = v
     elif mutation == "width":
         tags = (None if tags is not None
                 else [0] + [roots[0] if region[u] else 0
                             for u in range(1, n + 1)])
-    return g, region, parent, cost, tags
+    return g, region, parent, cost, has_cost, tags
 
 
 def wrap_example():
@@ -113,7 +113,8 @@ def wrap_example():
     INT64_MAX + 1 reaches; every other check passes."""
     g = op.build_graph(3, [(1, 2, INT64_MAX), (2, 3, 1), (1, 3, 5)],
                        directed=True)
-    return g, [0, 1, 2, 2], [0, 0, 1, 2], [None, 0, INT64_MAX, INT64_MIN], None
+    return (g, [0, 1, 2, 2], [0, 0, 1, 2], [0, 0, INT64_MAX, INT64_MIN],
+            [0, 1, 1, 1], None)
 
 
 def overflow_example():
@@ -121,7 +122,8 @@ def overflow_example():
     must neither match cost[3] nor improve it."""
     g = op.build_graph(3, [(1, 2, INT64_MAX), (2, 3, 1), (1, 3, 5)],
                        directed=True)
-    return g, [0, 1, 2, 2], [0, 0, 1, 1], [None, 0, INT64_MAX, 5], None
+    return (g, [0, 1, 2, 2], [0, 0, 1, 1], [0, 0, INT64_MAX, 5],
+            [0, 1, 1, 1], None)
 
 
 @needs_lane
@@ -132,14 +134,15 @@ def overflow_example():
 @example(export=overflow_example(), fixpoint=True)
 def test_compiled_audit_is_clean_exactly_when_the_reference_is(export,
                                                                fixpoint):
-    g, region, parent, cost, tags = export
-    ref = op.verify_export(g, region, parent, cost, op.min_plus_algebra(),
-                           fixpoint=fixpoint, tags=tags)
-    clean = fastlane.export_is_clean(g, region, parent, cost, fixpoint, tags)
+    g, region, parent, cost, has_cost, tags = export
+    ref = op.verify_export(g, region, parent, cost, has_cost,
+                           op.min_plus_algebra(), fixpoint=fixpoint, tags=tags)
+    clean = fastlane.export_is_clean(g, region, parent, cost, has_cost,
+                                     fixpoint, tags)
     assert clean == (ref.ok and fits_int64(region, parent, cost, tags))
     # without an algebra the report is the same, whichever lane wrote it
-    rep = op.verify_export(g, region, parent, cost, fixpoint=fixpoint,
-                           tags=tags)
+    rep = op.verify_export(g, region, parent, cost, has_cost,
+                           fixpoint=fixpoint, tags=tags)
     assert rep.failures == ref.failures
 
 
@@ -158,9 +161,9 @@ def test_the_overflow_examples_are_what_they_claim():
 def test_compiled_audit_certifies_solved_exports(algo, sources):
     g = op.gen_random_graph(60, 240, 0, 9, seed=len(sources), directed=True)
     res = op.run_pipeline(g, sources, algo)
-    cost = [c if res.state.labeled(v) else None
-            for v, c in enumerate(res.state.cost)]
-    export = (g, res.regions.region_of, res.state.parent, cost)
+    has_cost = [res.state.labeled(v) for v in range(g.n + 1)]
+    export = (g, res.regions.region_of, res.state.parent, res.state.cost,
+              has_cost)
     tags = res.state.tags
     assert fastlane.export_is_clean(*export, False, tags)
     at_fixpoint = op.verify_export(*export, op.min_plus_algebra(),
@@ -173,7 +176,7 @@ def test_compiled_audit_certifies_solved_exports(algo, sources):
 def test_verify_export_lane_rule(monkeypatch, triangle):
     res = op.run_pipeline(triangle, [1], "ht")
     export = (triangle, res.regions.region_of, res.state.parent,
-              [None] + res.state.cost[1:])
+              res.state.cost, [0, 1, 1, 1])
 
     def reference_audit(*args, **kwargs):
         raise AssertionError("the reference audit ran")
@@ -262,9 +265,14 @@ def results_files(draw):
     return n, data
 
 
+def as_lists(columns):
+    """A reader's columns as lists, whether it gave arrays or lists."""
+    return tuple(None if c is None else list(c) for c in columns)
+
+
 def outcome(read, path, n):
     try:
-        return ("rows", read(path, n))
+        return ("rows", as_lists(read(path, n)))
     except InstanceFormatError as exc:
         return ("error", str(exc))
 
@@ -307,7 +315,7 @@ def test_results_reader_agrees_with_the_reference_reader(tmp_path, case):
     want = outcome(cli._scan_results, str(path), n)
     rows = fastlane.read_results(data, n)
     if rows is not None:
-        assert ("rows", rows) == want
+        assert ("rows", as_lists(rows)) == want
     assert outcome(cli._parse_results, str(path), n) == want
 
 
@@ -324,7 +332,7 @@ def test_the_compiled_reader_reads_solve_exports(tmp_path):
         path.write_bytes(data)
         rows = fastlane.read_results(data, g.n)
         assert rows is not None
-        assert rows == cli._scan_results(str(path), g.n)
+        assert as_lists(rows) == cli._scan_results(str(path), g.n)
 
 
 # -- the formatter: exports and instance files -----------------------------------
