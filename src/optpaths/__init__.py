@@ -5,18 +5,17 @@ fixpoint sweeps (:mod:`optpaths.evolve`) or origin-driven worklist scheduling
 (:mod:`optpaths.monarchy`), verified against independent oracles
 (:mod:`optpaths.oracles`), with deterministic instance generators
 (:mod:`optpaths.generators`) and a CLI/benchmark front end
-(:mod:`optpaths.cli`).
-
-The generators are imported on first use, since they need numpy and
-nothing else in the package does unless an instance goes to the reference
-reader.
+(:mod:`optpaths.cli`).  It needs only the standard library; a C compiler,
+when present, builds the compiled lane of :mod:`optpaths.fastlane`.
 """
 
 from .evolve import eom, eom_two_course
+from .generators import (GridSpec, HzpPlan, gen_grid, gen_random_graph,
+                         serpentine_path, shape_sweep_specs, splitmix64)
 from .graph import (UNSET, Arc, CostAlgebra, Graph, GraphError,
-                    InstanceFormatError, build_graph, in_neighbors, leaves,
-                    min_plus_algebra, read_instance, read_instance_file,
-                    write_instance, write_instance_file)
+                    InstanceFormatError, build_graph, graph_from_columns,
+                    in_neighbors, leaves, min_plus_algebra, read_instance,
+                    read_instance_file, write_instance, write_instance_file)
 from .monarchy import (SchedulerKind, StatusMap, classify_status,
                        run_scheduler)
 from .oracles import (OracleResult, VerificationReport, bellman_ford_oracle,
@@ -31,12 +30,3 @@ from .pipeline import (ALGORITHMS, InvariantViolation, PipelineResult,
 
 __version__ = "0.1.0"
 
-_GENERATORS = ("GridSpec", "HzpPlan", "gen_grid", "gen_random_graph",
-               "serpentine_path", "shape_sweep_specs", "splitmix64")
-
-
-def __getattr__(name):
-    if name in _GENERATORS:
-        from . import generators
-        return getattr(generators, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,14 +8,19 @@ They mirror the reference loops statement for statement -- including every
 counter and the per-node source tags -- and the test suite asserts exact
 equality of states and counters between the two lanes, so either lane
 certifies the other.  Results stay in the kernels' ``array('q')``
-buffers from solve to export.  :func:`read_graph` is the compiled instance
-reader: it builds a graph only from an arc block it fully accepts and
-returns None for any other, which the reference reader then reads or
-rejects.  Results
-files get the same treatment: :func:`format_rows` writes the rows of a
-results export or an instance file, :func:`read_results` reads a results
-file it fully accepts into int64 arrays, and :func:`export_is_clean`
-certifies an export that :func:`oracles.verify_export` would pass.  Each
+buffers from solve to export.  :func:`build` (kernel ``optpaths_build``)
+assembles the CSR adjacency of int64 arc columns whose every arc it
+accepts and returns None for any other arcs, which the reference build of
+:mod:`graph` then builds or rejects.  :func:`read_graph` is the compiled
+instance reader: it parses an arc block it fully accepts and builds it
+with the same kernel, and returns None for any other block, which the
+reference reader then reads or rejects.  :func:`draws` (kernel
+``optpaths_draws``) fills an arc column with the generators' splitmix64
+draws.  Results files get the same treatment: :func:`format_rows` writes
+the rows of a results export or an instance file, :func:`read_results`
+reads a results file it fully accepts into int64 arrays, and
+:func:`export_is_clean` certifies an export that
+:func:`oracles.verify_export` would pass.  Each
 returns None or False wherever it cannot answer, and the Python code, the
 reference, decides.
 
@@ -47,7 +52,7 @@ from array import array
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .graph import INT64_MAX, Graph, GraphError
+from .graph import INT64_MAX, Graph, GraphError, _zeros
 from .monarchy import SchedulerKind, _KIND_CODE
 from .partition import HdaReport, OptReport, Regions, SolverState
 
@@ -55,14 +60,16 @@ from .partition import HdaReport, OptReport, Regions, SolverState
 _BUILD = ("cc", "-O2", "-shared", "-fPIC")
 _SOURCE = Path(__file__).with_name("kernels.c")
 
-_P, _I = ctypes.c_void_p, ctypes.c_int64
+_P, _I, _U = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
 #: kernel name -> (argtypes, restype), matching kernels.c
 _SIGNATURES = {
     "optpaths_hda": ([_P] * 6 + [_I] + [_P] * 9, _I),
     "optpaths_classify": ([_P, _I] + [_P] * 5, _I),
     "optpaths_eom": ([_P, _I] + [_P] * 9 + [_I, _P], None),
     "optpaths_schedule": ([_I, _P, _I] + [_P] * 12, None),
+    "optpaths_build": ([_I] * 3 + [_P] * 10, _I),
     "optpaths_read": ([ctypes.c_char_p] + [_I] * 4 + [_P] * 10, _I),
+    "optpaths_draws": ([_U] * 3 + [_I, _I, _U, _P], None),
     "optpaths_format": ([_I] * 4 + [_P] * 2, _I),
     "optpaths_read_results": ([ctypes.c_char_p, _I, _I] + [_P] * 6, _I),
     "optpaths_audit": ([_I] + [_P] * 8 + [_I] + [_P] * 4, _I),
@@ -126,14 +133,49 @@ def available() -> bool:
     return _lane()[0] is not None
 
 
-def _zeros(k: int) -> array:
-    return array("q", [0]) * k
-
-
 def _ptr(a: array) -> int:
     if not isinstance(a, array) or a.typecode != "q":
         raise GraphError("the compiled lane needs int64 arrays")
     return a.buffer_info()[0]
+
+
+def _built(kernel, n: int, arcs: Sequence[array],
+           directed: bool) -> Optional[Graph]:
+    """The graph ``kernel`` builds on ``arcs``, or None if it refuses.
+
+    ``kernel`` takes the arc and CSR arrays and the stats of
+    ``optpaths_build``; None also means that the pointer arrays of ``n``
+    nodes cannot be allocated.
+    """
+    try:
+        fwd_ptr = _zeros(n + 2)
+        rev_ptr = _zeros(n + 2) if directed else fwd_ptr
+    except (MemoryError, OverflowError):
+        return None
+    E = len(arcs[0]) * (1 if directed else 2)
+    fwd = (fwd_ptr, _zeros(E), _zeros(E))
+    rev = (rev_ptr, _zeros(E), _zeros(E)) if directed else fwd
+    stats = _zeros(2)
+    if kernel(*map(_ptr, (*arcs, *fwd, *rev, stats))):
+        return None
+    m, max_weight = stats
+    return Graph(n, directed, *arcs, fwd, rev, m, E, max_weight)
+
+
+def build(n: int, head: array, tail: array, weight: array,
+          directed: bool) -> Optional[Graph]:
+    """The graph of ``n`` nodes on equally long int64 arc columns, built by
+    the compiled build, or None.
+
+    None means the build refused an arc -- it names none -- or that the
+    lane is unavailable; either way the reference build then decides.
+    """
+    lib = _lane()[0]
+    if lib is None:
+        return None
+    return _built(functools.partial(lib.optpaths_build, n, len(head),
+                                    int(directed)),
+                  n, (head, tail, weight), directed)
 
 
 #: the shortest arc line, "1 2 3", plus the newline that ends all but the last
@@ -156,23 +198,27 @@ def read_graph(body: bytes, n: int, arc_count: int,
     lib = _lane()[0]
     if lib is None:
         return None
-    try:
-        fwd_ptr = _zeros(n + 2)
-        rev_ptr = _zeros(n + 2) if directed else fwd_ptr
-    except (MemoryError, OverflowError):
-        return None
-    arcs = [_zeros(arc_count) for _ in range(3)]
-    E = arc_count if directed else 2 * arc_count
-    fwd = (fwd_ptr, _zeros(E), _zeros(E))
-    rev = (rev_ptr, _zeros(E), _zeros(E)) if directed else fwd
-    stats = _zeros(2)
-    refused = lib.optpaths_read(
-        body, len(body), n, arc_count, int(directed),
-        *map(_ptr, (*arcs, *fwd, *rev, stats)))
-    if refused:
-        return None
-    m, max_weight = stats
-    return Graph(n, directed, *arcs, fwd, rev, m, E, max_weight)
+    return _built(functools.partial(lib.optpaths_read, body, len(body), n,
+                                    arc_count, int(directed)),
+                  n, [_zeros(arc_count) for _ in range(3)], directed)
+
+
+_MASK = 2**64 - 1
+
+
+def draws(out: array, seed: int, start: int, stride: int, lo: int,
+          span: int) -> bool:
+    """Fill ``out[i]`` with ``lo + splitmix64(seed, start + i * stride) %
+    span`` for every index ``i``; False, with ``out`` untouched, when the
+    lane is unavailable.  ``span`` is at least 1 and ``lo + span - 1`` fits
+    in int64.
+    """
+    lib = _lane()[0]
+    if lib is None:
+        return False
+    lib.optpaths_draws(seed & _MASK, start, stride, len(out), lo, span,
+                       _ptr(out))
+    return True
 
 
 def _int64s(values: Sequence[int]) -> Optional[array]:

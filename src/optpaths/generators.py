@@ -4,8 +4,10 @@ Randomness comes from a counter-based splitmix64 stream so that the same
 spec always yields a byte-identical instance file on any platform: draw i of
 a run seeded with s is the splitmix64 finalizer applied to
 ``s + (i+1) * 0x9E3779B97F4A7C15`` (the golden-gamma increment), reduced by
-modulus into the requested range.  The stream is vectorizable, which keeps
-mega-scale grid generation fast.
+modulus into the requested range.  The compiled lane of :mod:`fastlane`
+fills whole arc columns with these draws; without it, :func:`splitmix64`
+draws them one at a time.  Arc columns are ``array('q')``, sized before
+they are filled and built into a graph by :func:`graph.graph_from_columns`.
 
 Grid layout: ``k_r`` rows by ``k_c`` columns, node ids assigned column-major
 from the bottom-left corner (``id(r, c) = (c-1)*k_r + r``), source fixed at
@@ -18,12 +20,13 @@ weights are forced to at least 1 so the zero route is strictly optimal.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .graph import INT64_MAX, Graph, GraphError, build_graph
+from . import fastlane
+from .graph import (INT64_MAX, Graph, GraphError, _allocate,
+                    graph_from_columns)
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -37,14 +40,14 @@ def splitmix64(seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK
 
 
-def splitmix64_array(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorized splitmix64 draws ``start .. start+count-1`` as uint64."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = np.uint64(seed & _MASK) + idx * np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+def _draws(count: int, what: str, seed: int, start: int, stride: int,
+           lo: int, span: int) -> array:
+    """``lo + splitmix64(seed, start + i * stride) % span`` for i < count."""
+    out = _allocate(count, what)
+    if not fastlane.draws(out, seed, start, stride, lo, span):
+        for i in range(count):
+            out[i] = lo + splitmix64(seed, start + i * stride) % span
+    return out
 
 
 def _check_weight_range(wmin: int, wmax: int) -> None:
@@ -80,7 +83,7 @@ class HzpPlan:
     terminal: int
 
 
-def _grid_id(r: np.ndarray | int, c: np.ndarray | int, k_r: int):
+def _grid_id(r: int, c: int, k_r: int) -> int:
     return (c - 1) * k_r + r
 
 
@@ -103,54 +106,46 @@ def gen_grid(spec: GridSpec) -> tuple[Graph, int, Optional[HzpPlan]]:
     spec.validate()
     k_r, k_c = spec.k_r, spec.k_c
     n = spec.n
-
-    # vertical arcs (r, c) -- (r+1, c) for r < k_r, ordered by node id
-    cols = np.arange(1, k_c + 1, dtype=np.int64)
-    rows_v = np.arange(1, k_r, dtype=np.int64)
-    cv, rv = np.meshgrid(cols, rows_v, indexing="ij")
-    v_head = _grid_id(rv.ravel(), cv.ravel(), k_r)
-    v_tail = v_head + 1
-    # horizontal arcs (r, c) -- (r, c+1) for c < k_c, ordered by node id
-    cols_h = np.arange(1, k_c, dtype=np.int64)
-    rows_h = np.arange(1, k_r + 1, dtype=np.int64)
-    ch, rh = np.meshgrid(cols_h, rows_h, indexing="ij")
-    h_head = _grid_id(rh.ravel(), ch.ravel(), k_r)
-    h_tail = h_head + k_r
-
-    head = np.concatenate([v_head, h_head])
-    tail = np.concatenate([v_tail, h_tail])
-    arc_count = len(head)
+    n_v = k_c * (k_r - 1)  # (r, c) -- (r+1, c) for r < k_r
+    n_h = (k_c - 1) * k_r  # (r, c) -- (r, c+1) for c < k_c
+    what = f"node count {n}"
+    head, tail = _allocate(n_v + n_h, what), _allocate(n_v + n_h, what)
+    # the vertical arcs start at every node but the top of its column
+    for col, first in ((head, 1), (tail, 2)):
+        ids = array("q", range(first, first + n))
+        del ids[k_r - 1::k_r]
+        col[:n_v] = ids
+    # the horizontal arcs start at every node but those of the last column
+    head[n_v:] = array("q", range(1, n_h + 1))
+    tail[n_v:] = array("q", range(1 + k_r, n_h + k_r + 1))
 
     wmin, wmax = spec.weight_min, spec.weight_max
-    if spec.plant_hzp:
-        wmin = max(1, wmin)
-        wmax = max(wmin, wmax)
     span = wmax - wmin + 1
-    draws = splitmix64_array(spec.seed, 0, arc_count)
-    weight = (wmin + (draws % np.uint64(span))).astype(np.int64)
-
     plan = None
-    if spec.plant_hzp:
-        # every vertical arc lies on the serpentine; a horizontal arc does
-        # when it crosses at the top of an odd column or the bottom of an even
-        on_path = np.zeros(arc_count, dtype=bool)
-        on_path[: len(v_head)] = True
-        hr = rh.ravel()
-        hc = ch.ravel()
-        on_path[len(v_head):] = ((hc % 2 == 1) & (hr == k_r)) | \
-                                ((hc % 2 == 0) & (hr == 1))
-        weight[on_path] = 0
+    if not spec.plant_hzp:
+        weight = _draws(n_v + n_h, what, spec.seed, 0, 1, wmin, span)
+    else:
+        # Every vertical arc lies on the serpentine and weighs 0, the rest
+        # at least 1; a horizontal arc lies on it when it crosses at the
+        # top of an odd column or the bottom of an even one.
+        wmin = max(1, wmin)
+        span = max(wmin, wmax) - wmin + 1
+        weight = _allocate(n_v + n_h, what)
+        weight[n_v:] = _draws(n_h, what, spec.seed, n_v, 1, wmin, span)
+        for c in range(1, k_c):
+            weight[n_v + (c - 1) * k_r + (k_r - 1 if c % 2 else 0)] = 0
         path = serpentine_path(k_r, k_c)
         plan = HzpPlan(path=path, terminal=path[-1])
-
-    arcs = np.stack([head, tail, weight], axis=1)
-    g = build_graph(n, arcs, directed=False)
-    return g, 1, plan
+    return graph_from_columns(n, head, tail, weight, directed=False), 1, plan
 
 
 def gen_random_graph(n: int, arc_count: int, weight_min: int, weight_max: int,
                      seed: int, directed: bool = False) -> Graph:
-    """Seeded uniform multigraph sampling (no self-loops, parallels allowed)."""
+    """Seeded uniform multigraph sampling (no self-loops, parallels allowed).
+
+    Arc ``j`` takes draws ``3j``, ``3j + 1`` and ``3j + 2`` for its head,
+    tail and weight.
+    """
     if n < 1:
         raise GraphError(f"node count must be >= 1, got {n}")
     if arc_count < 0:
@@ -158,17 +153,16 @@ def gen_random_graph(n: int, arc_count: int, weight_min: int, weight_max: int,
     if arc_count > 0 and n < 2:
         raise GraphError("cannot place arcs on a single node without self-loops")
     _check_weight_range(weight_min, weight_max)
-    if arc_count == 0:
-        return build_graph(n, [], directed=directed)
-    draws = splitmix64_array(seed, 0, 3 * arc_count)
-    head = 1 + (draws[0::3] % np.uint64(n)).astype(np.int64)
-    offs = (draws[1::3] % np.uint64(n - 1)).astype(np.int64)
-    tail = offs + 1
-    tail[tail >= head] += 1  # skip the head id to exclude self-loops
-    span = weight_max - weight_min + 1
-    weight = (weight_min + (draws[2::3] % np.uint64(span))).astype(np.int64)
-    arcs = np.stack([head, tail, weight], axis=1)
-    return build_graph(n, arcs, directed=directed)
+    if n > INT64_MAX:
+        raise GraphError(f"node count {n} is too large to allocate")
+    what = f"arc count {arc_count}"
+    head = _draws(arc_count, what, seed, 0, 3, 1, n)
+    tail = _draws(arc_count, what, seed, 1, 3, 1, n - 1)
+    # skip the head id to exclude self-loops
+    tail = array("q", [t + (t >= h) for h, t in zip(head, tail)])
+    weight = _draws(arc_count, what, seed, 2, 3, weight_min,
+                    weight_max - weight_min + 1)
+    return graph_from_columns(n, head, tail, weight, directed=directed)
 
 
 def shape_sweep_specs(n_total: int, k_c_values: list[int],

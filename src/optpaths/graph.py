@@ -16,9 +16,12 @@ Weights are nonnegative integers; zero is permitted (and required by the
 planted zero-path instances).  Parallel arcs are stored verbatim; the
 relaxation operators naturally keep the best of a parallel bundle.
 
-numpy is imported only when :func:`build_graph` runs.  Reading an instance
-does not call it when the compiled reader of :mod:`fastlane` accepts the
-arc block, so reading needs numpy only on the reference reader.
+Graphs are built from int64 arc columns by one build: the compiled kernel
+of :mod:`fastlane` when it loads and accepts every arc, and otherwise the
+reference build here, a stable counting sort that names the first bad arc.
+:func:`build_graph` takes a list of triples, the generators hand their arc
+columns to :func:`graph_from_columns`, and the compiled instance reader
+calls the kernel itself.  The package needs only the standard library.
 """
 
 from __future__ import annotations
@@ -30,10 +33,7 @@ import os
 import re
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TextIO
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Callable, Iterable, Sequence, TextIO
 
 NodeId = int
 
@@ -133,26 +133,6 @@ class Graph:
         return f"Graph(n={self.n}, arcs={len(self.arc_head)}, {kind}, E={self.E}, m={self.m})"
 
 
-def _csr_by_key(key: np.ndarray, dst: np.ndarray, wts: np.ndarray, n: int):
-    """Bucket (key -> (dst, w)) entries into CSR, stable in input order."""
-    import numpy as np
-
-    try:
-        counts = np.bincount(key, minlength=n + 2)
-    except (ValueError, OverflowError, MemoryError):
-        raise GraphError(f"node count {n} is too large to allocate") from None
-    ptr = np.zeros(n + 2, dtype=np.int64)
-    np.cumsum(counts[: n + 1], out=ptr[1:])
-    # a stable sort of 16-bit keys is a radix sort, of wider ones a merge sort
-    order = np.argsort(key.astype(np.uint16) if n < 2**16 else key,
-                       kind="stable")
-    return ptr, dst[order], wts[order]
-
-
-def _int64_array(a: np.ndarray) -> array:
-    return array("q", a.tobytes())
-
-
 def _int64_overflow(arcs) -> str:
     """Name the first arc with a field outside int64."""
     lo, hi = -INT64_MAX - 1, INT64_MAX
@@ -162,69 +142,117 @@ def _int64_overflow(arcs) -> str:
     return "arc value outside int64"
 
 
-def build_graph(n: int,
-                arcs: Sequence[tuple[int, int, int]] | np.ndarray,
+def build_graph(n: int, arcs: Sequence[tuple[int, int, int]],
                 directed: bool = False) -> Graph:
     """Validate an arc list and assemble the CSR adjacency in both directions.
 
     Rejects out-of-range endpoints, negative weights and self-loops, naming
     the first offending arc.  Parallel arcs are allowed and stored verbatim.
     """
-    import numpy as np
-
     if n < 1:
         raise GraphError(f"node count must be >= 1, got {n}")
     try:
-        a = np.asarray(arcs, dtype=np.int64)
+        columns = list(zip(*arcs, strict=True)) if len(arcs) else [()] * 3
+        if len(columns) != 3:
+            raise TypeError
+        head, tail, weight = (array("q", c) for c in columns)
     except OverflowError:
         raise GraphError(_int64_overflow(arcs)) from None
-    if a.size == 0:
-        a = a.reshape(0, 3)
-    if a.ndim != 2 or a.shape[1] != 3:
-        raise GraphError("arcs must be a sequence of (head, tail, weight) triples")
-    head, tail, weight = a[:, 0], a[:, 1], a[:, 2]
+    except (TypeError, ValueError):
+        raise GraphError(
+            "arcs must be a sequence of (head, tail, weight) triples") from None
+    return graph_from_columns(n, head, tail, weight, directed)
 
-    bad = (head < 1) | (head > n) | (tail < 1) | (tail > n)
-    if bad.any():
-        i = int(np.argmax(bad))
+
+def graph_from_columns(n: int, head: array, tail: array, weight: array,
+                       directed: bool = False) -> Graph:
+    """The graph of :func:`build_graph` on arc ``i`` = ``(head[i], tail[i],
+    weight[i])``, from equally long int64 arrays, which the graph keeps.
+
+    The compiled build of :mod:`fastlane` assembles the CSR when the lane
+    loads and it accepts every arc; otherwise :func:`_build_reference`
+    builds the same graph or names the first bad arc.
+    """
+    if n < 1:
+        raise GraphError(f"node count must be >= 1, got {n}")
+    if not len(head) == len(tail) == len(weight):
+        raise GraphError("arc columns differ in length")
+    from .fastlane import build  # fastlane imports this module
+
+    g = build(n, head, tail, weight, directed)
+    return g if g is not None else _build_reference(n, head, tail, weight,
+                                                    directed)
+
+
+def _first(bad: Iterable[bool]):
+    """The index of the first true item, or None."""
+    return next((i for i, b in enumerate(bad) if b), None)
+
+
+def _build_reference(n: int, head: array, tail: array, weight: array,
+                     directed: bool) -> Graph:
+    """The reference build: check the arcs, then sort them into CSR by a
+    stable counting sort.  The first check that fails raises a GraphError
+    naming its first arc: endpoints, then weights, then self-loops."""
+    i = _first(not (1 <= h <= n and 1 <= t <= n) for h, t in zip(head, tail))
+    if i is not None:
+        raise GraphError(f"arc {i} ({head[i]},{tail[i]},{weight[i]}): "
+                         f"endpoint out of range 1..{n}")
+    i = _first(w < 0 for w in weight)
+    if i is not None:
         raise GraphError(
-            f"arc {i} ({int(head[i])},{int(tail[i])},{int(weight[i])}): "
-            f"endpoint out of range 1..{n}")
-    neg = weight < 0
-    if neg.any():
-        i = int(np.argmax(neg))
-        raise GraphError(
-            f"arc {i} ({int(head[i])},{int(tail[i])},{int(weight[i])}): negative weight")
-    loop = head == tail
-    if loop.any():
-        i = int(np.argmax(loop))
-        raise GraphError(f"arc {i} ({int(head[i])},{int(tail[i])}): self-loop")
+            f"arc {i} ({head[i]},{tail[i]},{weight[i]}): negative weight")
+    i = _first(map(operator.eq, head, tail))
+    if i is not None:
+        raise GraphError(f"arc {i} ({head[i]},{tail[i]}): self-loop")
 
     if directed:
-        fwd = _csr_by_key(head, tail, weight, n)
-        rev = _csr_by_key(tail, head, weight, n)
+        fwd = _counting_sort(n, head, tail, weight)
+        rev = _counting_sort(n, tail, head, weight)
     else:
-        # Materialize both directions interleaved per input arc so that the
-        # per-node entry order equals "append both ends while reading the list".
+        # Both directions of each arc in turn, so that the per-node entry
+        # order equals "append both ends while reading the list".
         k = len(head)
-        h2 = np.empty(2 * k, dtype=np.int64)
-        t2 = np.empty(2 * k, dtype=np.int64)
-        w2 = np.empty(2 * k, dtype=np.int64)
-        h2[0::2], h2[1::2] = head, tail
-        t2[0::2], t2[1::2] = tail, head
+        key, dst, w2 = (_zeros(2 * k) for _ in range(3))
+        key[0::2], key[1::2] = head, tail
+        dst[0::2], dst[1::2] = tail, head
         w2[0::2], w2[1::2] = weight, weight
-        fwd = _csr_by_key(h2, t2, w2, n)
-        rev = fwd
-
+        fwd = rev = _counting_sort(n, key, dst, w2)
     ptr = fwd[0]
-    degrees = ptr[2: n + 2] - ptr[1: n + 1] if n >= 1 else ptr[:0]
-    m = int(degrees.max()) if len(degrees) and len(fwd[1]) else 0
-    E = int(len(fwd[1]))
-    max_weight = int(weight.max()) if len(weight) else 0
-    fwd = tuple(map(_int64_array, fwd))
-    rev = tuple(map(_int64_array, rev)) if directed else fwd
-    return Graph(n, directed, _int64_array(head), _int64_array(tail),
-                 _int64_array(weight), fwd, rev, m, E, max_weight)
+    m = max(map(operator.sub, ptr[2:], ptr[1:-1]), default=0)
+    return Graph(n, directed, head, tail, weight, fwd, rev, m, len(fwd[1]),
+                 max(weight, default=0))
+
+
+def _zeros(k: int) -> array:
+    return array("q", [0]) * k
+
+
+def _allocate(count: int, what: str) -> array:
+    """``count`` int64 zeros, or a GraphError saying that ``what``, the size
+    they stand for, is too large to allocate."""
+    try:
+        return _zeros(count)
+    except (MemoryError, OverflowError):
+        raise GraphError(f"{what} is too large to allocate") from None
+
+
+def _counting_sort(n: int, key: array, dst: array, w: array):
+    """Bucket (key -> (dst, w)) entries into CSR, stable in input order."""
+    ptr = _allocate(n + 2, f"node count {n}")
+    for u in key:
+        ptr[u + 1] += 1
+    for u in range(1, n + 2):
+        ptr[u] += ptr[u - 1]
+    # ptr[u] now starts node u's entries; used as its cursor, it ends at the
+    # start of node u + 1, and the shift below restores it.
+    out_dst, out_w = _zeros(len(key)), _zeros(len(key))
+    for u, v, x in zip(key, dst, w):
+        j = ptr[u]
+        ptr[u] = j + 1
+        out_dst[j], out_w[j] = v, x
+    ptr[1:] = ptr[:-1]
+    return ptr, out_dst, out_w
 
 
 def _check_node(g: Graph, u: int) -> None:

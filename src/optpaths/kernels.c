@@ -13,21 +13,27 @@
  * the field order of partition.OptReport: big_loops, node_scans,
  * improvements, regular_way, wrong_way, arc_relaxations.
  *
- * The readers and the audit are the exception: they certify or refuse,
- * and are not statement-for-statement mirrors of the Python code they
- * stand in for.  optpaths_read is a stricter reader than the reference
- * one (graph._scan_arc_block plus graph.build_graph): it builds a graph
- * only from an arc block it fully accepts, and refuses everything else
- * without saying why; the caller then hands the block to the reference
- * reader, which builds the same graph or names the fault.
+ * The build, the readers and the audit are the exception: they certify or
+ * refuse, and are not statement-for-statement mirrors of the Python code
+ * they stand in for.  optpaths_build assembles the CSR adjacency of an arc
+ * list it fully accepts and refuses any other without saying why; the
+ * caller then runs the reference build of graph.py, which builds the same
+ * graph or names the first bad arc.  optpaths_read is a stricter reader
+ * than the reference one (graph._scan_arc_block plus graph.build_graph):
+ * it parses an arc block it fully accepts and builds it with
+ * optpaths_build, and refuses everything else without saying why; the
+ * caller then hands the block to the reference reader, which builds the
+ * same graph or names the fault.
  * optpaths_read_results does the same for a results file against
  * cli._scan_results.  optpaths_audit answers one question about a results
  * export, whether oracles.verify_export would find no failure; on any
  * other answer the reference audit runs and names every failure.
- * Differential tests (tests/test_instance_parser.py and
- * tests/test_results_files.py) certify that each agrees with its
+ * Differential tests (tests/test_graph.py, tests/test_instance_parser.py
+ * and tests/test_results_files.py) certify that each agrees with its
  * reference wherever it accepts.  optpaths_format writes the rows of both
- * file kinds, byte for byte as the Python formatters do.
+ * file kinds, byte for byte as the Python formatters do, and
+ * optpaths_draws the splitmix64 draws of the generators, number for
+ * number as generators.splitmix64 does.
  *
  * Built on first use by fastlane.py with the system C compiler and called
  * through ctypes; no Python headers are needed.
@@ -266,19 +272,77 @@ static inline int is_sep(char c)
     return c == ' ' || c == '\t' || c == '\r';
 }
 
+/* Builds the CSR adjacency of k arcs on nodes 1..n.  It accepts the arcs
+ * only when every arc has both ends in 1..n, differing, and a weight of at
+ * least 0; it then fills the forward CSR -- and for a directed graph the
+ * reverse one -- by a stable counting sort, so entries keep arc order and
+ * an undirected arc adds its two directions in turn, as the reference
+ * build in graph.py does.  fptr and rptr (n + 2 entries) must arrive
+ * zero-filled; fdst and fw hold k entries when directed, 2k when not;
+ * rptr, rsrc and rw are unused when undirected.  Returns 0 with stats[0] =
+ * the largest out-degree and stats[1] = the largest weight, or 1 to
+ * refuse. */
+int64_t optpaths_build(int64_t n, int64_t k, int64_t directed,
+                       const int64_t *head, const int64_t *tail,
+                       const int64_t *weight, int64_t *fptr, int64_t *fdst,
+                       int64_t *fw, int64_t *rptr, int64_t *rsrc,
+                       int64_t *rw, int64_t *stats)
+{
+    int64_t w_max = 0;
+    for (int64_t i = 0; i < k; i++) {
+        int64_t h = head[i], t = tail[i], w = weight[i];
+        if (h < 1 || h > n || t < 1 || t > n || h == t || w < 0)
+            return 1;
+        if (w > w_max)
+            w_max = w;
+        fptr[h + 1] += 1;
+        if (directed)
+            rptr[t + 1] += 1;
+        else
+            fptr[t + 1] += 1;
+    }
+    int64_t m = 0;
+    for (int64_t u = 1; u <= n + 1; u++) {
+        if (fptr[u] > m)
+            m = fptr[u];
+        fptr[u] += fptr[u - 1];
+        if (directed)
+            rptr[u] += rptr[u - 1];
+    }
+    /* fptr[u] now starts node u's entries; used as its cursor, it ends at
+     * the start of node u + 1, and the shift below restores it. */
+    for (int64_t i = 0; i < k; i++) {
+        int64_t h = head[i], t = tail[i], w = weight[i];
+        int64_t j = fptr[h]++;
+        fdst[j] = t;
+        fw[j] = w;
+        if (directed) {
+            j = rptr[t]++;
+            rsrc[j] = h;
+            rw[j] = w;
+        } else {
+            j = fptr[t]++;
+            fdst[j] = h;
+            fw[j] = w;
+        }
+    }
+    for (int64_t u = n; u >= 1; u--) {
+        fptr[u] = fptr[u - 1];
+        if (directed)
+            rptr[u] = rptr[u - 1];
+    }
+    stats[0] = m;
+    stats[1] = w_max;
+    return 0;
+}
+
 /* Reads the arc block of an instance: s[0..len) is everything after the
  * header line, which declared n nodes and k arcs.  It accepts a block only
  * when every line is blank, a whole-line '#' comment, or three fields
- * [+-]?[0-9]+ separated by spaces, tabs or '\r' (only '\n' ends a line);
- * when there are exactly k arc lines; and when every arc has both ends in
- * 1..n, differing, and a weight in 0..INT64_MAX.  It then fills the arc
- * arrays (k entries each) and the forward CSR -- and for a directed graph
- * the reverse one -- by a stable counting sort, so entries keep arc order
- * and an undirected arc adds its two directions in turn, as build_graph
- * does.  fptr and rptr (n + 2 entries) must arrive zero-filled; fdst and
- * fw hold k entries when directed, 2k when not; rptr, rsrc and rw are
- * unused when undirected.  Returns 0 with stats[0] = the largest
- * out-degree and stats[1] = the largest weight, or 1 to refuse. */
+ * [+-]?[0-9]+ in int64 separated by spaces, tabs or '\r' (only '\n' ends
+ * a line), and when there are exactly k arc lines.  It fills the arc
+ * arrays (k entries each) and hands them to optpaths_build, with the other
+ * arrays as that function asks; returns what it returns, or 1 to refuse. */
 int64_t optpaths_read(const char *s, int64_t len, int64_t n, int64_t k,
                       int64_t directed, int64_t *head, int64_t *tail,
                       int64_t *weight, int64_t *fptr, int64_t *fdst,
@@ -287,7 +351,6 @@ int64_t optpaths_read(const char *s, int64_t len, int64_t n, int64_t k,
 {
     const char *p = s, *end = s + len;
     int64_t count = 0;
-    int64_t w_max = 0;
     while (p < end) {
         while (p < end && is_sep(*p))
             p++;
@@ -329,65 +392,38 @@ int64_t optpaths_read(const char *s, int64_t len, int64_t n, int64_t k,
                 x = x * 10 + d;
                 p++;
             }
-            if (neg && x != 0)  /* no field of an accepted arc is negative */
-                return 1;
-            v[f] = x;
+            v[f] = neg ? -x : x;
         }
         while (p < end && is_sep(*p))
             p++;
         if (p < end && *p++ != '\n')
             return 1;
-        int64_t h = v[0], t = v[1], w = v[2];
-        if (h < 1 || h > n || t < 1 || t > n || h == t)
-            return 1;
-        head[count] = h;
-        tail[count] = t;
-        weight[count] = w;
+        head[count] = v[0];
+        tail[count] = v[1];
+        weight[count] = v[2];
         count += 1;
-        if (w > w_max)
-            w_max = w;
-        fptr[h + 1] += 1;
-        if (directed)
-            rptr[t + 1] += 1;
-        else
-            fptr[t + 1] += 1;
     }
     if (count != k)
         return 1;
+    return optpaths_build(n, k, directed, head, tail, weight, fptr, fdst, fw,
+                          rptr, rsrc, rw, stats);
+}
 
-    int64_t m = 0;
-    for (int64_t u = 1; u <= n + 1; u++) {
-        if (fptr[u] > m)
-            m = fptr[u];
-        fptr[u] += fptr[u - 1];
-        if (directed)
-            rptr[u] += rptr[u - 1];
+/* Fills out[0..count) with lo + splitmix64(seed, start + i * stride) %
+ * span, the splitmix64 draws of generators.splitmix64 reduced into
+ * lo..lo + span - 1; all index arithmetic wraps modulo 2^64 as it does
+ * there.  span is at least 1, and lo + span - 1 is at most INT64_MAX. */
+void optpaths_draws(uint64_t seed, uint64_t start, uint64_t stride,
+                    int64_t count, int64_t lo, uint64_t span, int64_t *out)
+{
+    for (int64_t i = 0; i < count; i++) {
+        uint64_t z = seed + (start + (uint64_t)i * stride + 1)
+                     * 0x9E3779B97F4A7C15ULL;
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+        z ^= z >> 31;
+        out[i] = lo + (int64_t)(z % span);
     }
-    /* fptr[u] now starts node u's entries; used as its cursor, it ends at
-     * the start of node u + 1, and the shift below restores it. */
-    for (int64_t i = 0; i < k; i++) {
-        int64_t h = head[i], t = tail[i], w = weight[i];
-        int64_t j = fptr[h]++;
-        fdst[j] = t;
-        fw[j] = w;
-        if (directed) {
-            j = rptr[t]++;
-            rsrc[j] = h;
-            rw[j] = w;
-        } else {
-            j = fptr[t]++;
-            fdst[j] = h;
-            fw[j] = w;
-        }
-    }
-    for (int64_t u = n; u >= 1; u--) {
-        fptr[u] = fptr[u - 1];
-        if (directed)
-            rptr[u] = rptr[u - 1];
-    }
-    stats[0] = m;
-    stats[1] = w_max;
-    return 0;
 }
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import time
 
@@ -46,6 +47,27 @@ def solve_on_both_lanes(argv, tmp_path, capsys, broken_compiler):
     return outputs
 
 
+#: gen arguments and the sha256 of the bytes the numpy-based generators
+#: wrote for them; both lanes must keep writing exactly these bytes
+GEN_DIGESTS = [
+    ("grid --rows 200 --cols 200 --seed 5",
+     "ae8638405b33c80c63a8ffe5c751aa9ebfcbac82efcf1ffe50b01975a075caaa"),
+    ("grid --rows 37 --cols 11 --seed 3 --hzp",
+     "c9c625ac544e7a5f5c024a23a2120a2bae32ca36028602de295fe6933e620904"),
+    ("grid --rows 6 --cols 9 --seed -3 --hzp",
+     "7ec8d92b02038f7ee043532d7402439882eaa11db354ea28b95166285fe2e9eb"),
+    ("grid --rows 3 --cols 4 --wmin 9223372036854775800 "
+     "--wmax 9223372036854775807",
+     "4916430fc37fd5dfc4f947e4d3cad7d1a8976d3fe10e637ba5a1decf5a93a8c1"),
+    ("random --n 20000 --arcs 100000 --directed --seed 9",
+     "b0a9cef87876da41f6a058183f519d4d7dc0972b2be3ceb03706fd956c055d22"),
+    ("random --n 50 --arcs 300 --seed 2 --wmin 5 --wmax 9223372036854775807",
+     "967802a5683cc46bf3db64a896b8446b17561e65b92eb82a84c0ab4a9f90b998"),
+    ("random --n 40 --arcs 200 --seed 18446744073709551621 --directed",
+     "3f305456003219ab4c85416a90607199498d585cc20a4174c6376e34f05d7fc8"),
+]
+
+
 class TestGen:
     def test_grid_matches_library_generator(self, tmp_path):
         path = make_grid_instance(tmp_path, rows=4, cols=7, hzp=True, seed=9)
@@ -85,6 +107,30 @@ class TestGen:
         err = capsys.readouterr().err
         assert "bad weight range" in err and "9223372036854775807" in err
         assert "Traceback" not in err
+
+    @needs_lane
+    @pytest.mark.parametrize("argv,digest", GEN_DIGESTS)
+    def test_output_bytes_are_pinned_on_both_lanes(self, argv, digest,
+                                                   capsys, broken_compiler):
+        for lane in ("compiled", "reference"):
+            if lane == "reference":
+                broken_compiler()
+            assert fastlane.available() == (lane == "compiled")
+            assert run(["gen", *argv.split()]) == EXIT_OK
+            out = capsys.readouterr().out.encode()
+            assert hashlib.sha256(out).hexdigest() == digest, lane
+
+    @pytest.mark.parametrize("argv,err", [
+        ("grid --rows 4294967296 --cols 4294967296",
+         "node count 18446744073709551616 is too large to allocate"),
+        ("random --n 5 --arcs 4611686018427387904",
+         "arc count 4611686018427387904 is too large to allocate"),
+    ])
+    def test_oversize_spec_is_usage_error(self, argv, err, capsys):
+        # the arc columns are sized first, and these exceed 2^63 bytes, so
+        # they are refused before anything is allocated
+        assert run(["gen", *argv.split()]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"optpaths: error: {err}\n"
 
     def test_largest_int64_weight_is_accepted(self, tmp_path):
         path = str(tmp_path / "rand.txt")
@@ -225,7 +271,7 @@ class TestSolve:
         assert "Traceback" not in err
 
     def test_huge_node_count_is_usage_error(self, tmp_path, capsys):
-        # 2^62 nodes: numpy refuses the CSR arrays without allocating
+        # 2^62 nodes: the CSR pointer arrays are refused without allocating
         inst = tmp_path / "huge-n.txt"
         inst.write_text(f"n {2**62} 1 directed\n1 2 3\n")
         assert run(["solve", "--instance", str(inst),

@@ -276,38 +276,49 @@ def test_kernels_compile_without_warnings():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_import_builds_and_loads_nothing(tmp_path):
-    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
-               PYTHONPATH=os.pathsep.join(sys.path))
-    code = ("import sys, optpaths.cli; "
-            "print(sorted(m for m in ('subprocess', 'hashlib', 'numpy') "
-            "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
-    assert not (tmp_path / "optpaths").exists()
-
-
-_SOLVE_THEN_VERIFY = """
-import sys
-from optpaths.cli import main
-inst, res = sys.argv[1:]
-assert main(["solve", "--instance", inst, "--algo", "multi",
-             "--sources", "1,17", "--out", res]) == 0
-assert main(["verify", "--instance", inst, "--results", res,
-             "--fixpoint"]) == 0
-print(sorted(m for m in ("numpy", "optpaths.generators") if m in sys.modules))
+_CLI_WITHOUT_NUMPY = """
+import os, sys
+sys.modules["numpy"] = None  # every import of numpy now fails
+import optpaths.cli
+from optpaths import fastlane
+print(sorted(m for m in ("subprocess", "hashlib") if m in sys.modules),
+      os.path.exists(fastlane._cache_dir()))
+lane, d = sys.argv[1:]
+if lane == "reference":
+    fastlane._BUILD = ("/nonexistent/cc",) + fastlane._BUILD[1:]
+grid, rand, res = (os.path.join(d, f) for f in ("grid", "rand", "res"))
+for argv in (
+        ["gen", "grid", "--rows", "6", "--cols", "5", "--hzp", "--out", grid],
+        ["gen", "random", "--n", "30", "--arcs", "120", "--seed", "3",
+         "--directed", "--out", rand],
+        ["solve", "--instance", rand, "--algo", "multi", "--sources", "1,17",
+         "--out", res],
+        ["verify", "--instance", rand, "--results", res, "--fixpoint"],
+        ["compare", "--instance", grid],
+        ["bench", "--n-total", "60", "--kc", "3,5", "--algos", "eom,ht"]):
+    assert optpaths.cli.main(argv) == 0, argv
+print(fastlane.available())
 """
 
 
-@needs_lane
-def test_solve_and_verify_do_not_load_numpy(tmp_path):
-    inst, res = tmp_path / "rand.txt", tmp_path / "res.txt"
-    op.write_instance_file(op.gen_random_graph(30, 120, 0, 9, seed=3,
-                                               directed=True), str(inst))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", _SOLVE_THEN_VERIFY,
-                          str(inst), str(res)], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.splitlines()[-2:] == ["OK", "[]"]
-    assert len(res.read_text().splitlines()) == 30
+def test_import_builds_and_loads_nothing(tmp_path):
+    # importing the CLI builds no kernels and loads neither subprocess nor
+    # hashlib; then every command runs with numpy unimportable, on each lane
+    lanes = ["reference"] + (["compiled"] if shutil.which("cc") else [])
+    for lane in lanes:
+        d = tmp_path / lane
+        d.mkdir()
+        env = dict(os.environ, XDG_CACHE_HOME=str(d / "cache"),
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", _CLI_WITHOUT_NUMPY, lane, str(d)],
+            env=env, check=True, capture_output=True,
+            text=True).stdout.splitlines()
+        assert out[0] == "[] False"
+        assert "OK" in out and "all agree" in out
+        assert out[-1] == str(lane == "compiled")
+        assert len((d / "res").read_text().splitlines()) == 30
+    if len(lanes) == 2:
+        for name in ("grid", "rand", "res"):
+            assert (tmp_path / "reference" / name).read_bytes() \
+                == (tmp_path / "compiled" / name).read_bytes()

@@ -1,17 +1,27 @@
-import numpy as np
+from array import array
+
 import pytest
 
 import optpaths as op
-from optpaths import GraphError, GridSpec
-from optpaths.generators import splitmix64_array
+from optpaths import GraphError, GridSpec, fastlane
+from optpaths.generators import _draws
 
 
 class TestSplitmix64:
+    @pytest.mark.skipif(not fastlane.available(), reason="no C compiler")
     def test_scalar_matches_vectorized(self):
-        for seed in (0, 1, 12345, 2**63):
-            arr = splitmix64_array(seed, 5, 20)
-            for j, x in enumerate(arr):
-                assert int(x) == op.splitmix64(seed, 5 + j)
+        # the draws kernel against the scalar stream, on seeds that wrap
+        # both ways, both strides the generators use, and the extreme spans
+        for seed in (0, 1, 12345, -1, -(2**63), 2**63, 2**64, 2**64 + 7,
+                     2**70 + 3):
+            for stride in (1, 3):
+                for lo, span in ((0, 1), (4, 1), (1, 7), (0, 2**63),
+                                 (2**63 - 8, 8)):
+                    out = array("q", [0]) * 20
+                    assert fastlane.draws(out, seed, 5, stride, lo, span)
+                    assert out.tolist() == [
+                        lo + op.splitmix64(seed, 5 + i * stride) % span
+                        for i in range(20)]
 
     def test_pinned_values(self):
         # frozen draws guard cross-platform / cross-version drift: any change
@@ -21,14 +31,13 @@ class TestSplitmix64:
         assert op.splitmix64(42, 0) == 13679457532755275413
 
     def test_streams_differ_by_seed(self):
-        a = splitmix64_array(1, 0, 100)
-        b = splitmix64_array(2, 0, 100)
-        assert not np.array_equal(a, b)
+        assert _draws(100, "n", 1, 0, 1, 0, 2**63) \
+            != _draws(100, "n", 2, 0, 1, 0, 2**63)
 
     def test_counter_based_access_is_stateless(self):
-        whole = splitmix64_array(9, 0, 50)
-        part = splitmix64_array(9, 30, 20)
-        assert np.array_equal(whole[30:], part)
+        whole = _draws(50, "n", 9, 0, 1, 0, 2**63)
+        assert _draws(20, "n", 9, 30, 1, 0, 2**63) == whole[30:]
+        assert _draws(10, "n", 9, 30, 2, 0, 2**63) == whole[30::2]
 
 
 class TestGridGeneration:
@@ -53,7 +62,7 @@ class TestGridGeneration:
         spec = GridSpec(k_r=5, k_c=7, seed=11)
         g1, _, _ = op.gen_grid(spec)
         g2, _, _ = op.gen_grid(spec)
-        assert np.array_equal(g1.arc_weight, g2.arc_weight)
+        assert g1.arc_weight == g2.arc_weight
 
     def test_weights_in_range(self):
         g, _, _ = op.gen_grid(GridSpec(k_r=6, k_c=6, weight_min=2,
@@ -133,9 +142,9 @@ class TestRandomGraphs:
     def test_deterministic(self):
         g1 = op.gen_random_graph(15, 40, 0, 10, seed=5, directed=True)
         g2 = op.gen_random_graph(15, 40, 0, 10, seed=5, directed=True)
-        assert np.array_equal(g1.arc_head, g2.arc_head)
-        assert np.array_equal(g1.arc_tail, g2.arc_tail)
-        assert np.array_equal(g1.arc_weight, g2.arc_weight)
+        assert g1.arc_head == g2.arc_head
+        assert g1.arc_tail == g2.arc_tail
+        assert g1.arc_weight == g2.arc_weight
 
     def test_zero_arcs(self):
         g = op.gen_random_graph(5, 0, 1, 10, seed=0)

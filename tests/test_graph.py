@@ -1,10 +1,11 @@
+import contextlib
 import io
-import random
 import tracemalloc
+from array import array
+from unittest import mock
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import optpaths as op
@@ -38,6 +39,13 @@ class TestBuildValidation:
     def test_zero_weight_allowed(self):
         g = op.build_graph(2, [(1, 2, 0)])
         assert op.leaves(g, 1) == [(2, 0)]
+
+    @pytest.mark.parametrize("arcs", [[(1, 2)], [(1, 2, 3, 4)], [1, 2, 3],
+                                      [(1, 2, 3), (2, 3)], [(1, 2, 0.5)],
+                                      [(1, 2, "3")], [()]])
+    def test_rejects_non_triples(self, arcs):
+        with pytest.raises(GraphError, match="sequence of .* triples"):
+            op.build_graph(3, arcs)
 
     def test_empty_graph(self):
         g = op.build_graph(4, [])
@@ -139,8 +147,8 @@ class TestInstanceFormat:
         op.write_instance_file(g, path, ["c1"])
         g2, comments = op.read_instance_file(path)
         assert comments == ["c1"]
-        assert np.array_equal(g2.arc_head, g.arc_head)
-        assert np.array_equal(g2.arc_weight, g.arc_weight)
+        assert g2.arc_head == g.arc_head
+        assert g2.arc_weight == g.arc_weight
 
 
 @pytest.mark.skipif(not fastlane.available(), reason="no C compiler")
@@ -195,35 +203,100 @@ def python_csr(n, keys, entries):
     return ptr, [e for b in buckets for e in b]
 
 
-@pytest.mark.parametrize("n", [2**16 - 1, 2**16, 70_000])
-@pytest.mark.parametrize("directed", [False, True])
-def test_csr_order_on_both_sides_of_the_16_bit_key_width(n, directed):
-    # keys of n < 2**16 nodes are sorted as uint16, wider ones as int64
-    rng = random.Random(n)
-    arcs = []
-    for _ in range(3000):
-        h = rng.choice([1, 2, n - 1, n, rng.randint(1, n)])
-        t = rng.randint(1, n - 1)
-        arcs.append((h, t + (t >= h), rng.randint(0, 9)))
-    g = op.build_graph(n, arcs, directed=directed)
-    if directed:
-        fwd = python_csr(n, [h for h, _, _ in arcs], [(t, w) for _, t, w in arcs])
-        rev = python_csr(n, [t for _, t, _ in arcs], [(h, w) for h, _, w in arcs])
-    else:
-        keys = [x for h, t, _ in arcs for x in (h, t)]
-        entries = [e for h, t, w in arcs for e in ((t, w), (h, w))]
-        fwd = rev = python_csr(n, keys, entries)
-    for ptr, idx, wts, (want_ptr, want) in (
-            (g.fwd_ptr, g.fwd_dst, g.fwd_w, fwd),
-            (g.rev_ptr, g.rev_src, g.rev_w, rev)):
-        assert ptr.tolist() == want_ptr
-        assert list(zip(idx, wts)) == want
-    assert g.max_weight == max(w for _, _, w in arcs)
-    # the compiled reader, where present, builds the same arrays
-    buf = io.StringIO()
-    op.write_instance(g, buf)
-    g2, _ = op.read_instance(io.StringIO(buf.getvalue()))
-    for name in ("arc_head", "arc_tail", "arc_weight", "fwd_ptr", "fwd_dst",
-                 "fwd_w", "rev_ptr", "rev_src", "rev_w", "m", "E",
-                 "max_weight"):
-        assert getattr(g2, name) == getattr(g, name), name
+#: the fields of a graph, all compared by ==
+GRAPH_FIELDS = ("n", "directed", "arc_head", "arc_tail", "arc_weight",
+                "fwd_ptr", "fwd_dst", "fwd_w", "rev_ptr", "rev_src", "rev_w",
+                "m", "E", "max_weight")
+
+
+def built(n, arcs, directed, lane=True):
+    """The fields of ``build_graph(n, arcs)``, or the GraphError message;
+    without ``lane``, the compiled lane is unavailable."""
+    off = mock.patch.object(fastlane, "_lane", lambda: (None, "disabled"))
+    try:
+        with contextlib.nullcontext() if lane else off:
+            g = op.build_graph(n, arcs, directed=directed)
+    except GraphError as exc:
+        return str(exc)
+    return {name: getattr(g, name) for name in GRAPH_FIELDS}
+
+
+#: what may sit in an arc list that is no triple of integers
+NON_TRIPLES = [(1, 2), (1, 2, 3, 4), 3, (1, 2, 0.5), "123"]
+
+
+@st.composite
+def build_inputs(draw):
+    """A node count and an arc list that is valid but for up to three
+    faults: an endpoint out of range, a negative weight, a field outside
+    int64, a self-loop, an entry that is no triple, or a node count below
+    1 or too large to allocate."""
+    n = draw(st.integers(2, 9))
+    arcs = draw(st.lists(
+        st.tuples(st.integers(1, n), st.integers(1, n - 1),
+                  st.integers(0, 9) | st.just(2**63 - 1))
+        .map(lambda a: (a[0], a[1] + (a[1] >= a[0]), a[2])),
+        max_size=12))
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(
+            ["endpoint", "weight", "int64", "loop", "entry", "n"]))
+        if fault == "n":
+            n = draw(st.sampled_from([0, 1, 2**62]))
+        elif fault == "entry":
+            arcs.insert(draw(st.integers(0, len(arcs))),
+                        draw(st.sampled_from(NON_TRIPLES)))
+        elif arcs:
+            i = draw(st.integers(0, len(arcs) - 1))
+            arc = [1, 2, 3] if arcs[i] in NON_TRIPLES else list(arcs[i])
+            if fault == "endpoint":
+                arc[draw(st.integers(0, 1))] = draw(
+                    st.sampled_from([-1, 0, n + 1, -(2**63), 2**63 - 1]))
+            elif fault == "weight":
+                arc[2] = draw(st.sampled_from([-1, -(2**63)]))
+            elif fault == "int64":
+                arc[draw(st.integers(0, 2))] = draw(
+                    st.sampled_from([2**63, -(2**63) - 1]))
+            else:
+                arc[1] = arc[0]
+            arcs[i] = tuple(arc)
+    return n, arcs
+
+
+@pytest.mark.skipif(not fastlane.available(), reason="no C compiler")
+@settings(max_examples=300, deadline=None)
+@given(build_inputs())
+@example((3, [(1, 4, 1), (2, 2, -1)]))          # out-of-range endpoint first
+@example((3, [(2, 2, 1), (1, 2, -1)]))          # negative weight first
+@example((3, [(1, 2, 1), (3, 3, 0)]))           # self-loop
+@example((3, [(1, 2, 2**63)]))                  # beyond int64
+@example((3, [(1, 2, 1), (1, 2)]))              # no triple
+@example((2**62, [(1, 2, 3)]))                  # pointers too large
+@example((70_000, [(1, 70_000, 5), (70_000, 2, 0), (1, 70_000, 7)]))
+def test_compiled_build_equals_reference_build(instance):
+    n, arcs = instance
+    for directed in (False, True):
+        want = built(n, arcs, directed, lane=False)
+        assert built(n, arcs, directed) == want
+        if isinstance(want, str):
+            continue
+        # the kernel itself accepted the arcs, in plain bucketing order
+        cols = [array("q", c) for c in zip(*arcs)] or [array("q")] * 3
+        g = fastlane.build(n, *cols, directed)
+        assert {name: getattr(g, name) for name in GRAPH_FIELDS} == want
+        if directed:
+            fwd = python_csr(n, cols[0], list(zip(cols[1], cols[2])))
+            rev = python_csr(n, cols[1], list(zip(cols[0], cols[2])))
+        else:
+            keys = [x for h, t, _ in arcs for x in (h, t)]
+            entries = [e for h, t, w in arcs for e in ((t, w), (h, w))]
+            fwd = rev = python_csr(n, keys, entries)
+        for ptr, idx, wts, (want_ptr, entries) in (
+                (g.fwd_ptr, g.fwd_dst, g.fwd_w, fwd),
+                (g.rev_ptr, g.rev_src, g.rev_w, rev)):
+            assert ptr.tolist() == want_ptr
+            assert list(zip(idx, wts)) == entries
+        # the compiled reader builds the same graph from the written file
+        buf = io.StringIO()
+        op.write_instance(g, buf)
+        g2, _ = op.read_instance(io.StringIO(buf.getvalue()))
+        assert {name: getattr(g2, name) for name in GRAPH_FIELDS} == want

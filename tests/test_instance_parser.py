@@ -263,13 +263,16 @@ HOSTILE = [
     (f"n 3 1 directed\n{-2**63 - 1} 2 1\n",
      f"arc 0 ({-2**63 - 1},2,1): value outside int64"),
     (f"n 3 1 directed\n{2**63} 2 1\n", f"arc 0 ({2**63},2,1): value outside int64"),
+    ("n 3 1 directed\n1 2 -1\n", "arc 0 (1,2,-1): negative weight"),
+    ("n 3 1 directed\n-1 2 1\n", "arc 0 (-1,2,1): endpoint out of range 1..3"),
 ]
 
 
 @pytest.mark.parametrize("text,message", HOSTILE,
                          ids=["arc-count", "node-count", "trailing-comment",
                               "nul", "vertical-tab", "weight-2^63",
-                              "weight--2^63", "head--2^63-1", "head-2^63"])
+                              "weight--2^63", "head--2^63-1", "head-2^63",
+                              "weight--1", "head--1"])
 def test_hostile_arc_blocks_get_the_reference_message(tmp_path, capsys, text,
                                                       message):
     header, body = text.split("\n", 1)
