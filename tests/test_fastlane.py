@@ -301,6 +301,32 @@ print(fastlane.available())
 """
 
 
+_SOLVE_THEN_VERIFY = """
+import sys
+from optpaths.cli import main
+inst, res = sys.argv[1:]
+assert main(["solve", "--instance", inst, "--algo", "multi",
+             "--sources", "1,17", "--out", res]) == 0
+assert main(["verify", "--instance", inst, "--results", res,
+             "--fixpoint"]) == 0
+print(sorted(m for m in ("numpy",) if m in sys.modules))
+"""
+
+
+@needs_lane
+def test_solve_and_verify_do_not_load_numpy(tmp_path):
+    # numpy stays importable here: nothing on the path may load it
+    inst, res = tmp_path / "rand.txt", tmp_path / "res.txt"
+    op.write_instance_file(op.gen_random_graph(30, 120, 0, 9, seed=3,
+                                               directed=True), str(inst))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", _SOLVE_THEN_VERIFY,
+                          str(inst), str(res)], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-2:] == ["OK", "[]"]
+    assert len(res.read_text().splitlines()) == 30
+
+
 def test_import_builds_and_loads_nothing(tmp_path):
     # importing the CLI builds no kernels and loads neither subprocess nor
     # hashlib; then every command runs with numpy unimportable, on each lane

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import random
 import tracemalloc
 from array import array
 from unittest import mock
@@ -201,6 +202,47 @@ def python_csr(n, keys, entries):
     for u in range(1, n + 1):
         ptr.append(ptr[-1] + len(buckets[u]))
     return ptr, [e for b in buckets for e in b]
+
+
+@pytest.mark.parametrize("n", [2**16 - 1, 2**16, 70_000])
+@pytest.mark.parametrize("directed", [False, True])
+def test_csr_order_on_both_sides_of_the_16_bit_key_width(n, directed):
+    # node ids on both sides of 2**16 keep plain bucketing order, on the
+    # compiled build where present and on the reference build
+    rng = random.Random(n)
+    arcs = []
+    for _ in range(3000):
+        h = rng.choice([1, 2, n - 1, n, rng.randint(1, n)])
+        t = rng.randint(1, n - 1)
+        arcs.append((h, t + (t >= h), rng.randint(0, 9)))
+    if directed:
+        fwd = python_csr(n, [h for h, _, _ in arcs], [(t, w) for _, t, w in arcs])
+        rev = python_csr(n, [t for _, t, _ in arcs], [(h, w) for h, _, w in arcs])
+    else:
+        keys = [x for h, t, _ in arcs for x in (h, t)]
+        entries = [e for h, t, w in arcs for e in ((t, w), (h, w))]
+        fwd = rev = python_csr(n, keys, entries)
+    graphs = []
+    for lane in (True, False):
+        off = mock.patch.object(fastlane, "_lane", lambda: (None, "disabled"))
+        with contextlib.nullcontext() if lane else off:
+            graphs.append(op.build_graph(n, arcs, directed=directed))
+    for g in graphs:
+        for ptr, idx, wts, (want_ptr, want) in (
+                (g.fwd_ptr, g.fwd_dst, g.fwd_w, fwd),
+                (g.rev_ptr, g.rev_src, g.rev_w, rev)):
+            assert ptr.tolist() == want_ptr
+            assert list(zip(idx, wts)) == want
+        assert g.max_weight == max(w for _, _, w in arcs)
+    # the reader, compiled where present, builds the same arrays
+    g = graphs[0]
+    buf = io.StringIO()
+    op.write_instance(g, buf)
+    g2, _ = op.read_instance(io.StringIO(buf.getvalue()))
+    for name in ("arc_head", "arc_tail", "arc_weight", "fwd_ptr", "fwd_dst",
+                 "fwd_w", "rev_ptr", "rev_src", "rev_w", "m", "E",
+                 "max_weight"):
+        assert getattr(g2, name) == getattr(g, name), name
 
 
 #: the fields of a graph, all compared by ==
