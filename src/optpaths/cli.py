@@ -5,6 +5,9 @@ Wall times are reported in milliseconds and are never part of any
 correctness contract; the raw counters are.  No command picks a lane:
 ``run_pipeline`` runs the compiled one whenever it can and the reference
 one otherwise, and both print the same rows and write the same results.
+Every ``--out`` file is written through :func:`optpaths.graph.open_output`,
+so a failed command leaves an earlier file in place; ``gen``, ``compare``
+and ``bench`` take ``-`` for stdout.
 
 CSV schema (one header row, fixed column order, ratios recomputed from the
 raw counters at emit time):
@@ -17,6 +20,7 @@ raw counters at emit time):
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import Optional
 
@@ -24,7 +28,8 @@ from . import fastlane
 from .generators import (GridSpec, gen_grid, gen_random_graph, grid_comments,
                          shape_sweep_specs)
 from .graph import (_INT, Graph, GraphError, InstanceFormatError,
-                    read_instance_file, read_text, write_instance)
+                    open_output, read_instance_file, read_text,
+                    write_instance)
 from .oracles import verify_export
 from .partition import UNREACHED, OptReport, export_results_file
 from .pipeline import ALGORITHMS, InvariantViolation, PipelineResult, run_pipeline
@@ -175,9 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _open_out(path: str):
+    """``open_output(path)``, or stdout for ``-``."""
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+        return contextlib.nullcontext(sys.stdout)
+    return open_output(path)
 
 
 def cmd_gen(args) -> int:
@@ -194,12 +200,8 @@ def cmd_gen(args) -> int:
             f"random n={args.n} arcs={args.arcs} wmin={args.wmin} "
             f"wmax={args.wmax} seed={args.seed} directed={int(args.directed)}"
         ]
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         write_instance(g, out, comments)
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -308,19 +310,14 @@ def cmd_compare(args) -> int:
     base = costs[algos[0]]
     agree = all(costs[a] == base for a in algos[1:])
     lines.append("all agree" if agree else "DISAGREEMENT between optimizers")
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         out.write("\n".join(lines) + "\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_OK if agree else EXIT_VERIFY
 
 
 def cmd_bench(args) -> int:
     specs = shape_sweep_specs(args.n_total, args.kc, seed=args.seed)
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         out.write(",".join(CSV_COLUMNS) + "\n")
         for spec in specs:
             g, source, _ = gen_grid(spec)
@@ -328,9 +325,6 @@ def cmd_bench(args) -> int:
             for algo in args.algos:
                 res = run_pipeline(g, [source], algo)
                 out.write(csv_row(name, g, res, spec) + "\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 

@@ -22,18 +22,25 @@ reference build here, a stable counting sort that names the first bad arc.
 :func:`build_graph` takes a list of triples, the generators hand their arc
 columns to :func:`graph_from_columns`, and the compiled instance reader
 calls the kernel itself.  The package needs only the standard library.
+
+Every file the package writes goes through :func:`open_output`, which
+replaces a regular file only once its new content is complete.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import errno
 import functools
+import itertools
 import operator
 import os
 import re
+import stat
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 NodeId = int
 
@@ -305,7 +312,7 @@ def write_instance(g: Graph, out: TextIO, comments: Iterable[str] = ()) -> None:
 
 
 def write_instance_file(g: Graph, path: str, comments: Iterable[str] = ()) -> None:
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         write_instance(g, fh, comments)
 
 
@@ -374,6 +381,70 @@ def read_text(src: TextIO) -> str:
     except UnicodeDecodeError as exc:
         lineno = len((exc.object[:exc.start] + b"x").splitlines())
         raise InstanceFormatError(f"line {lineno}: not UTF-8 text") from None
+
+
+@contextlib.contextmanager
+def open_output(path: str) -> Iterator[TextIO]:
+    """A text file that replaces ``path`` only once it is complete.
+
+    The new bytes go to a sibling temp file, which takes the old file's
+    permission bits and is renamed into place after the old name is
+    unlinked.  On ext4, truncating a file and writing it again, or renaming
+    over it, flushes it to disk at close; a rename onto a free name does
+    not.  If the writer raises, the temp file is removed and ``path`` is
+    left as it was.  Symlinks are followed, so a link stays a link.
+
+    Targets that replacing would change for other names or readers are
+    written in place, as ``open(path, "w")`` does: anything but a regular
+    file (a FIFO, a device, a directory, or a path whose lookup fails),
+    a file with several hard links, a file owned by another user or group,
+    and any file in a directory the process cannot write.  So is a path
+    that ``open()`` would refuse, which then raises its usual error.
+    Nothing is fsynced.  Errors name ``path`` as given.
+    """
+    real = os.path.realpath(path)
+    head, tail = os.path.split(real)
+    try:
+        old = os.stat(real)
+        replace = (stat.S_ISREG(old.st_mode) and old.st_nlink == 1
+                   and old.st_uid == os.geteuid()
+                   and old.st_gid == os.getegid())
+    except FileNotFoundError:
+        old, replace = None, True
+    except OSError:  # open() raises it again, naming path
+        old, replace = None, False
+    # realpath() also resolves what open() refuses: a last component '',
+    # '.' or '..', or a '..' after a missing directory
+    if not (replace and os.path.basename(path) not in ("", ".", "..")
+            and os.path.isdir(os.path.dirname(path) or ".")
+            and os.access(head, os.W_OK)):
+        with open(path, "w") as fh:
+            yield fh
+        return
+    # open(path, "w") refuses a read-only file; unlinking it would not
+    if old is not None and not os.access(real, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    for i in itertools.count():
+        tmp = os.path.join(head, f"{tail[:32]}.{os.getpid()}.{i}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w") as fh:
+            yield fh
+            if old is not None:
+                os.fchmod(fd, stat.S_IMODE(old.st_mode))
+        if old is not None:
+            os.unlink(real)
+        os.rename(tmp, real)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 #: glibc's mallopt parameters (malloc.h) and the default of both

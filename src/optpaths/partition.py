@@ -11,6 +11,10 @@ The pull runs over the reverse adjacency: on an undirected graph that is
 literally the forward star unit, while on a directed graph a forward leaf at
 an upper rank need not be an in-neighbor, so the reverse unit is the one that
 carries the usable arcs.
+
+:func:`export_results_file` writes a result export through
+:func:`optpaths.graph.open_output`, so a failed write leaves an earlier
+export in place.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import UNSET, CostAlgebra, Graph, GraphError, NodeId
+from .graph import UNSET, CostAlgebra, Graph, GraphError, NodeId, open_output
 
 #: cost column marker for nodes the partition never reached
 UNREACHED = "UNREACHED"
@@ -241,5 +245,5 @@ def export_results(state: SolverState, regions: Regions, out) -> None:
 
 
 def export_results_file(state: SolverState, regions: Regions, path: str) -> None:
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         export_results(state, regions, fh)

@@ -1,11 +1,18 @@
+import ast
 import hashlib
+import os
+import pathlib
 import re
+import stat
+import threading
 import time
 
 import pytest
 
 import optpaths as op
-from optpaths import fastlane
+from optpaths import cli, fastlane
+from optpaths.graph import open_output
+from optpaths.pipeline import InvariantViolation
 from optpaths.cli import (CSV_COLUMNS, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
                           main)
 
@@ -613,3 +620,276 @@ class TestUsage:
 
     def test_bad_flag_value(self, capsys):
         assert run(["bench", "--n-total", "100", "--kc", "x"]) == EXIT_USAGE
+
+
+#: for each kind of output file, the arguments that write it to ``{out}``
+#: from an instance ``g.txt``; CSV rows carry times, which are masked
+WRITERS = {
+    "instance": "gen grid --rows 9 --cols 7 --seed 4 --hzp --out {out}",
+    "results": "solve --instance g.txt --algo multi --sources 1,40 "
+               "--out {out}",
+    "csv": "bench --n-total 24 --kc 2,6 --algos ht,fr --out {out}",
+    "compare": "compare --instance g.txt --format csv --out {out}",
+}
+COMMANDS = {
+    "gen": ["gen", "grid", "--rows", "3", "--cols", "3"],
+    "solve": ["solve", "--instance", "g.txt", "--algo", "ht"],
+    "compare": ["compare", "--instance", "g.txt"],
+    "bench": ["bench", "--n-total", "12", "--kc", "3"],
+}
+
+
+def _masked(data: bytes) -> bytes:
+    return re.sub(rb",[0-9]+\.[0-9]{3},[0-9]+\.[0-9]{3},[0-9]+\.[0-9]{3},",
+                  b",ms,ms,ms,", data)
+
+
+class TestOutputFiles:
+    """Every ``--out`` goes through ``graph.open_output``: a regular file is
+    replaced by a renamed sibling once complete; other targets are written
+    in place.  Every test stays under ``tmp_path``: a faulty writer pointed
+    at a shared device such as /dev/null would unlink it."""
+
+    @pytest.fixture
+    def work(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["gen", "grid", "--rows", "8", "--cols", "6", "--seed", "2",
+                    "--out", "g.txt"]) == EXIT_OK
+        capsys.readouterr()
+        return tmp_path
+
+    def write(self, kind, out, capsys):
+        assert run(WRITERS[kind].format(out=out).split()) == EXIT_OK
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("cmd", sorted(COMMANDS))
+    @pytest.mark.parametrize("out,err", [
+        ("nodir/x", "[Errno 2] No such file or directory: 'nodir/x'"),
+        ("d", "[Errno 21] Is a directory: 'd'"),
+        # realpath() resolves these, open() does not
+        ("x/", "[Errno 21] Is a directory: 'x/'"),
+        ("x/.", "[Errno 2] No such file or directory: 'x/.'"),
+        ("nodir/../x", "[Errno 2] No such file or directory: 'nodir/../x'"),
+        ("g.txt/", "[Errno 21] Is a directory: 'g.txt/'"),
+        ("g.txt/x", "[Errno 20] Not a directory: 'g.txt/x'"),
+    ])
+    def test_failure_messages_name_the_path_as_given(self, work, capsys,
+                                                     cmd, out, err):
+        (work / "d").mkdir()
+        before = {p: p.read_bytes() for p in work.iterdir() if p.is_file()}
+        assert run([*COMMANDS[cmd], "--out", out]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"optpaths: error: {err}\n"
+        assert {p: p.read_bytes() for p in work.iterdir() if p.is_file()} \
+            == before
+
+    @pytest.mark.parametrize("cmd", sorted(COMMANDS))
+    def test_read_only_file_is_refused(self, work, capsys, monkeypatch, cmd):
+        # open(path, "w") refuses a 0444 file for any user but root; the
+        # writer could unlink it instead, so it asks os.access first
+        ro = work / "ro.txt"
+        ro.write_bytes(b"keep\n")
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda p, mode, **kw: (
+            os.path.basename(p) != "ro.txt" and access(p, mode, **kw)))
+        assert run([*COMMANDS[cmd], "--out", "ro.txt"]) == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "optpaths: error: [Errno 13] Permission denied: 'ro.txt'\n"
+        assert ro.read_bytes() == b"keep\n"
+        assert sorted(os.listdir(work)) == ["g.txt", "ro.txt"]
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_overwrite_equals_a_fresh_write_and_keeps_the_mode(
+            self, work, capsys, kind):
+        self.write(kind, "fresh", capsys)
+        old = work / "old"
+        old.write_bytes(b"x" * 100_000)  # longer than any new content
+        old.chmod(0o640)
+        inode = old.stat().st_ino
+        self.write(kind, "old", capsys)
+        assert _masked(old.read_bytes()) == _masked((work / "fresh").read_bytes())
+        assert stat.S_IMODE(old.stat().st_mode) == 0o640
+        assert old.stat().st_ino != inode  # replaced, not truncated
+        assert sorted(os.listdir(work)) == ["fresh", "g.txt", "old"]
+
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_symlink_survives_and_its_target_gets_the_bytes(
+            self, work, capsys, exists):
+        self.write("results", "fresh", capsys)
+        (work / "sub").mkdir()
+        target = work / "sub" / "target"
+        if exists:
+            target.write_bytes(b"old\n")
+        (work / "link").symlink_to("sub/target")
+        self.write("results", "link", capsys)
+        assert os.readlink(work / "link") == "sub/target"
+        assert target.read_bytes() == (work / "fresh").read_bytes()
+        assert os.listdir(work / "sub") == ["target"]
+
+    def test_hard_linked_file_is_written_in_place(self, work, capsys):
+        self.write("instance", "fresh", capsys)
+        a, b = work / "a", work / "b"
+        a.write_bytes(b"old\n" * 10_000)
+        os.link(a, b)
+        self.write("instance", "a", capsys)
+        assert a.read_bytes() == b.read_bytes() == (work / "fresh").read_bytes()
+        assert os.path.samefile(a, b) and a.stat().st_nlink == 2
+
+    @pytest.mark.parametrize("patch", ["read-only directory", "other owner",
+                                       "other group"])
+    def test_file_replacing_would_change_is_written_in_place(
+            self, work, capsys, monkeypatch, patch):
+        # as any user but root: open(path, "w") can write a writable file in
+        # a directory it cannot create files in, and replacing a file owned
+        # by another user or group would make it ours
+        self.write("results", "fresh", capsys)
+        res = work / "res"
+        res.write_bytes(b"old\n")
+        inode = res.stat().st_ino
+        if patch == "other owner":
+            monkeypatch.setattr(os, "geteuid", lambda: os.getuid() + 1)
+        elif patch == "other group":
+            monkeypatch.setattr(os, "getegid", lambda: os.getgid() + 1)
+        else:
+            access = os.access
+            monkeypatch.setattr(os, "access", lambda p, mode, **kw: (
+                p != str(work) and access(p, mode, **kw)))
+        self.write("results", "res", capsys)
+        assert res.read_bytes() == (work / "fresh").read_bytes()
+        assert res.stat().st_ino == inode
+
+    def test_fifo_gets_the_bytes(self, work, capsys):
+        self.write("instance", "fresh", capsys)
+        fifo = work / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        self.write("instance", "fifo", capsys)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert got == [(work / "fresh").read_bytes()]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    def test_solve_writes_a_file_named_dash(self, work, capsys):
+        self.write("results", "fresh", capsys)
+        self.write("results", "-", capsys)
+        assert (work / "-").read_bytes() == (work / "fresh").read_bytes()
+
+    def test_a_stale_temp_file_is_left_alone(self, work, capsys):
+        self.write("results", "fresh", capsys)
+        stale = work / f"res.{os.getpid()}.0.tmp"
+        stale.write_bytes(b"stale\n")
+        self.write("results", "res", capsys)
+        assert stale.read_bytes() == b"stale\n"
+        assert (work / "res").read_bytes() == (work / "fresh").read_bytes()
+        assert sorted(os.listdir(work)) == ["fresh", "g.txt", "res",
+                                            stale.name]
+
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_a_failed_writer_keeps_the_old_file(self, tmp_path, exists):
+        path = tmp_path / "out.txt"
+        if exists:
+            path.write_bytes(b"old\n")
+        with pytest.raises(RuntimeError, match="boom"):
+            with open_output(str(path)) as fh:
+                fh.write("new\n" * 100_000)
+                raise RuntimeError("boom")
+        assert os.listdir(tmp_path) == (["out.txt"] if exists else [])
+        if exists:
+            assert path.read_bytes() == b"old\n"
+
+    def test_a_failed_bench_keeps_the_old_csv(self, work, capsys,
+                                              monkeypatch):
+        self.write("csv", "sweep.csv", capsys)
+        before = (work / "sweep.csv").read_bytes()
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise InvariantViolation("planted")
+            return run_pipeline(*args, **kwargs)
+
+        run_pipeline = cli.run_pipeline
+        monkeypatch.setattr(cli, "run_pipeline", failing)
+        assert run(WRITERS["csv"].format(out="sweep.csv").split()) \
+            == EXIT_VERIFY
+        assert capsys.readouterr().err == \
+            "optpaths: invariant violation: planted\n"
+        assert (work / "sweep.csv").read_bytes() == before
+        assert sorted(os.listdir(work)) == ["g.txt", "sweep.csv"]
+
+
+#: os.open flags that open a file only for reading
+_READ_FLAGS = {"os", "O_RDONLY", "O_CLOEXEC", "O_NOFOLLOW", "O_DIRECTORY",
+               "O_NONBLOCK"}
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether ``call`` is an open(), os.open(), os.fdopen(), Path.open(),
+    write_text() or write_bytes() call that may write; a mode or flags
+    argument that is not a literal counts as writing."""
+    fn = call.func
+    name = getattr(fn, "attr", getattr(fn, "id", None))
+    owner = getattr(getattr(fn, "value", None), "id", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name == "open" and owner == "os":
+        flags = call.args[1] if len(call.args) > 1 else call.keywords[0].value
+        names = {getattr(n, "attr", getattr(n, "id", None))
+                 for n in ast.walk(flags) if isinstance(n, (ast.Attribute,
+                                                            ast.Name))}
+        return not names <= _READ_FLAGS or not names
+    if name not in ("open", "fdopen"):
+        return False
+    # builtin open, io.open and os.fdopen take the mode second, Path.open first
+    at = 0 if isinstance(fn, ast.Attribute) and owner not in ("io", "os") else 1
+    mode = next((k.value for k in call.keywords if k.arg == "mode"),
+                call.args[at] if len(call.args) > at else None)
+    if mode is None:
+        return False
+    return not isinstance(mode, ast.Constant) or any(c in mode.value
+                                                     for c in "wax+")
+
+
+def _writing_opens(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing function) of every call in ``source`` that opens a
+    file for writing."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and _opens_for_writing(child):
+                found.append((child.lineno, func))
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_writer_check_sees_every_kind_of_open():
+    src = ("import io, os\n"
+           "def f(p, m):\n"
+           "    open(p, 'w'); open(p, mode='a'); open(p, m); io.open(p, 'x')\n"
+           "    os.open(p, os.O_WRONLY | os.O_CREAT); os.fdopen(3, 'r+')\n"
+           "    p.open('w'); p.write_text('x'); os.open(p, flags)\n"
+           "    open(p); open(p, 'rb'); p.open(); os.open(p, os.O_RDONLY)\n")
+    assert _writing_opens(src) == [(3, "f")] * 4 + [(4, "f")] * 2 \
+        + [(5, "f")] * 3
+
+
+def test_every_file_is_written_through_open_output():
+    # a later open(path, "w") would bring back the close-time flush of a
+    # truncated file, and a partial file on failure
+    package = pathlib.Path(op.__file__).parent
+    found = {path.name: _writing_opens(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    assert len(found) >= 10
+    elsewhere = {name: [(line, func) for line, func in calls
+                        if func != "open_output"]
+                 for name, calls in found.items()}
+    assert all(not calls for calls in elsewhere.values()), elsewhere
+    # the writer's own three opens: in place, the temp file, its text layer
+    assert [func for _, func in found["graph.py"]] == ["open_output"] * 3
