@@ -22,17 +22,18 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import fastlane
-from .generators import (GridSpec, gen_grid, gen_random_graph, grid_comments,
-                         shape_sweep_specs)
 from .graph import (_INT, Graph, GraphError, InstanceFormatError,
                     open_output, read_instance_file, read_text,
                     write_instance)
 from .oracles import verify_export
 from .partition import UNREACHED, OptReport, export_results_file
 from .pipeline import ALGORITHMS, InvariantViolation, PipelineResult, run_pipeline
+
+if TYPE_CHECKING:
+    from .generators import GridSpec
 
 CSV_COLUMNS = [
     "instance", "algorithm", "rows", "cols", "n", "arcs", "directed", "seed",
@@ -187,6 +188,8 @@ def _open_out(path: str):
 
 
 def cmd_gen(args) -> int:
+    from .generators import (GridSpec, gen_grid, gen_random_graph,
+                             grid_comments)
     if args.kind == "grid":
         spec = GridSpec(k_r=args.rows, k_c=args.cols, weight_min=args.wmin,
                         weight_max=args.wmax, seed=args.seed,
@@ -316,6 +319,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .generators import gen_grid, shape_sweep_specs
     specs = shape_sweep_specs(args.n_total, args.kc, seed=args.seed)
     with _open_out(args.out) as out:
         out.write(",".join(CSV_COLUMNS) + "\n")

@@ -21,8 +21,7 @@ weights are forced to at least 1 so the zero route is strictly optimal.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import fastlane
 from .graph import (INT64_MAX, Graph, GraphError, _allocate,
@@ -56,8 +55,7 @@ def _check_weight_range(wmin: int, wmax: int) -> None:
                          f"satisfy 0 <= wmin <= wmax <= {INT64_MAX}")
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple):
     k_r: int  # rows
     k_c: int  # columns
     weight_min: int = 1
@@ -75,8 +73,7 @@ class GridSpec:
         _check_weight_range(self.weight_min, self.weight_max)
 
 
-@dataclass(frozen=True)
-class HzpPlan:
+class HzpPlan(NamedTuple):
     """The planted zero path: a Hamiltonian node sequence and its terminal."""
 
     path: tuple[int, ...]

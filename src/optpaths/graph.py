@@ -39,8 +39,7 @@ import os
 import re
 import stat
 from array import array
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 NodeId = int
 
@@ -59,8 +58,7 @@ class InstanceFormatError(ValueError):
     """Raised on malformed instance files; message carries the line number."""
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     """A weighted arc from ``head`` to ``tail`` (head is the origin end)."""
 
     head: int
@@ -68,8 +66,7 @@ class Arc:
     weight: int
 
 
-@dataclass(frozen=True)
-class CostAlgebra:
+class CostAlgebra(NamedTuple):
     """The cost seam shared by every relaxation operator.
 
     ``extend`` combines a path cost with an arc weight into a new path cost,

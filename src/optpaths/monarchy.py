@@ -25,7 +25,6 @@ all three end at the same fixpoint costs as the plain sweeps.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -39,12 +38,13 @@ class SchedulerKind(str, Enum):
     HT = "ht"
 
 
-@dataclass
 class StatusMap:
     """Binary activity map over nodes (1 = origin candidate, 0 = dormant)."""
 
-    status: list[int]
-    origin_count: int
+
+    def __init__(self, status: list[int], origin_count: int):
+        self.status = status
+        self.origin_count = origin_count
 
 
 def classify_status(g: Graph, state: SolverState, algebra: CostAlgebra,

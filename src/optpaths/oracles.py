@@ -17,8 +17,7 @@ only when it is not (or cannot say).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import fastlane
 from .graph import (UNSET, CostAlgebra, Graph, NodeId, in_neighbors, leaves,
@@ -26,17 +25,20 @@ from .graph import (UNSET, CostAlgebra, Graph, NodeId, in_neighbors, leaves,
 from .partition import UNREACHED, Regions, SolverState
 
 
-@dataclass
-class OracleResult:
+class OracleResult(NamedTuple):
     """Distances (None = unreached) and parents (0 = unset) per node, 1-based."""
 
     dist: list[Optional[int]]
     parent: list[int]
 
 
-@dataclass
 class VerificationReport:
-    failures: list[tuple[str, str, object, object]] = field(default_factory=list)
+    """The failures of one audit, as (check, where, expected, got)."""
+
+
+    def __init__(self, failures=None):
+        self.failures: list[tuple[str, str, object, object]] = (
+            [] if failures is None else failures)
 
     @property
     def ok(self) -> bool:

@@ -20,8 +20,7 @@ export in place.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graph import UNSET, CostAlgebra, Graph, GraphError, NodeId, open_output
 
@@ -29,7 +28,6 @@ from .graph import UNSET, CostAlgebra, Graph, GraphError, NodeId, open_output
 UNREACHED = "UNREACHED"
 
 
-@dataclass
 class Regions:
     """The partition triple.
 
@@ -41,9 +39,12 @@ class Regions:
     int64 arrays on the compiled one.
     """
 
-    order: Sequence[int]
-    region_of: Sequence[int]
-    position_of: Sequence[int]
+
+    def __init__(self, order: Sequence[int], region_of: Sequence[int],
+                 position_of: Sequence[int]):
+        self.order = order
+        self.region_of = region_of
+        self.position_of = position_of
 
     @property
     def reached_count(self) -> int:
@@ -54,7 +55,6 @@ class Regions:
         return self.region_of[self.order[-1]] if self.order else 0
 
 
-@dataclass
 class SolverState:
     """Mutable heart of every solver run.
 
@@ -67,13 +67,18 @@ class SolverState:
     costs and generic algebras need; int64 arrays on the compiled one.
     """
 
-    n: int
-    sources: tuple[int, ...]
-    parent: Sequence[int]
-    cost: Sequence[int]
-    weight_used: Sequence[int]
-    is_source: Sequence[int]
-    tags: Sequence[int] | None = None
+
+    def __init__(self, n: int, sources: tuple[int, ...],
+                 parent: Sequence[int], cost: Sequence[int],
+                 weight_used: Sequence[int], is_source: Sequence[int],
+                 tags: Sequence[int] | None = None):
+        self.n = n
+        self.sources = sources
+        self.parent = parent
+        self.cost = cost
+        self.weight_used = weight_used
+        self.is_source = is_source
+        self.tags = tags
 
     @classmethod
     def fresh(cls, n: int, sources: Sequence[int], zero: int) -> "SolverState":
@@ -99,14 +104,12 @@ class SolverState:
         return self.parent[v] != UNSET or self.is_source[v]
 
 
-@dataclass
-class HdaReport:
+class HdaReport(NamedTuple):
     arc_inspections: int
     wall_time_ms: float
 
 
-@dataclass
-class OptReport:
+class OptReport(NamedTuple):
     """Counters for one optimizer run, sweeps and schedulers alike.
 
     ``big_loops`` counts full passes, the final clean one included.

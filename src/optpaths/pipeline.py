@@ -22,7 +22,6 @@ Both lanes give identical states, tags and counters.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import fastlane
@@ -39,16 +38,22 @@ class InvariantViolation(AssertionError):
     """A big-loop audit failed during a debug-instrumented run."""
 
 
-@dataclass
 class PipelineResult:
-    algo: str
-    regions: Regions
-    state: SolverState
-    hda_report: HdaReport
-    classify_ms: float
-    origins: int
-    opt_report: Optional[OptReport]
-    lane: str = "reference"  # or "compiled"
+    """What one :func:`run_pipeline` call returns; ``lane`` is
+    ``"reference"`` or ``"compiled"``."""
+
+
+    def __init__(self, algo: str, regions: Regions, state: SolverState,
+                 hda_report: HdaReport, classify_ms: float, origins: int,
+                 opt_report: Optional[OptReport], lane: str = "reference"):
+        self.algo = algo
+        self.regions = regions
+        self.state = state
+        self.hda_report = hda_report
+        self.classify_ms = classify_ms
+        self.origins = origins
+        self.opt_report = opt_report
+        self.lane = lane
 
 
 def _debug_hook(g: Graph, regions: Regions, state: SolverState, label: str,

@@ -281,12 +281,18 @@ import os, sys
 sys.modules["numpy"] = None  # every import of numpy now fails
 import optpaths.cli
 from optpaths import fastlane
-print(sorted(m for m in ("subprocess", "hashlib") if m in sys.modules),
+LAZY = ("subprocess", "hashlib", "dataclasses", "optpaths.generators")
+print(sorted(m for m in LAZY if m in sys.modules),
       os.path.exists(fastlane._cache_dir()))
 lane, d = sys.argv[1:]
 if lane == "reference":
     fastlane._BUILD = ("/nonexistent/cc",) + fastlane._BUILD[1:]
 grid, rand, res = (os.path.join(d, f) for f in ("grid", "rand", "res"))
+tri = os.path.join(d, "tri")
+with open(tri, "w") as fh:
+    fh.write("n 3 3 directed\\n1 2 10\\n1 3 1\\n3 2 1\\n")
+assert optpaths.cli.main(["solve", "--instance", tri, "--algo", "ht"]) == 0
+print("after solve:", [m for m in ("optpaths.generators",) if m in sys.modules])
 for argv in (
         ["gen", "grid", "--rows", "6", "--cols", "5", "--hzp", "--out", grid],
         ["gen", "random", "--n", "30", "--arcs", "120", "--seed", "3",
@@ -328,8 +334,10 @@ def test_solve_and_verify_do_not_load_numpy(tmp_path):
 
 
 def test_import_builds_and_loads_nothing(tmp_path):
-    # importing the CLI builds no kernels and loads neither subprocess nor
-    # hashlib; then every command runs with numpy unimportable, on each lane
+    # importing the CLI builds no kernels and loads neither subprocess,
+    # hashlib, dataclasses nor the generators, and solve does not load the
+    # generators either; then every command runs with numpy unimportable,
+    # on each lane
     lanes = ["reference"] + (["compiled"] if shutil.which("cc") else [])
     for lane in lanes:
         d = tmp_path / lane
@@ -341,6 +349,7 @@ def test_import_builds_and_loads_nothing(tmp_path):
             env=env, check=True, capture_output=True,
             text=True).stdout.splitlines()
         assert out[0] == "[] False"
+        assert out[2] == "after solve: []"
         assert "OK" in out and "all agree" in out
         assert out[-1] == str(lane == "compiled")
         assert len((d / "res").read_text().splitlines()) == 30

@@ -1,4 +1,3 @@
-import dataclasses
 import operator
 
 import pytest
@@ -13,7 +12,7 @@ needs_lane = pytest.mark.skipif(not fastlane.available(),
 
 def counters(res):
     """A run's reports with the wall times zeroed."""
-    return [dataclasses.replace(rep, wall_time_ms=0.0)
+    return [rep._replace(wall_time_ms=0.0)
             for rep in (res.hda_report, res.opt_report) if rep is not None]
 
 
