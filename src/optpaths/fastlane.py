@@ -50,11 +50,13 @@ import time
 import zlib
 from array import array
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .graph import INT64_MAX, Graph, GraphError, _zeros
-from .monarchy import SchedulerKind, _KIND_CODE
 from .partition import HdaReport, OptReport, Regions, SolverState
+
+if TYPE_CHECKING:
+    from .monarchy import SchedulerKind
 
 #: compile command; ``-o <object> <source>`` is appended
 _BUILD = ("cc", "-O2", "-shared", "-fPIC")
@@ -416,6 +418,7 @@ class FastRun:
 
     def schedule(self, kind: SchedulerKind) -> OptReport:
         """Push to the fixpoint from the origins; :meth:`classify` runs first."""
+        from .monarchy import _KIND_CODE, SchedulerKind
         g, r = self.g, self.regions
         code = _KIND_CODE[SchedulerKind(kind)]
         out = _zeros(6)

@@ -25,10 +25,7 @@ import time
 from typing import Optional, Sequence
 
 from . import fastlane
-from .evolve import eom, eom_two_course
 from .graph import CostAlgebra, Graph, GraphError, min_plus_algebra
-from .monarchy import classify_status, run_scheduler
-from .oracles import check_reachability, check_tree
 from .partition import HdaReport, OptReport, Regions, SolverState, hda_multi
 
 ALGORITHMS = ("hda", "eom", "eom2", "hrp", "fr", "ht")
@@ -58,6 +55,7 @@ class PipelineResult:
 
 def _debug_hook(g: Graph, regions: Regions, state: SolverState, label: str,
                 algebra: CostAlgebra):
+    from .oracles import check_reachability, check_tree
     reached_sizes = []
 
     def hook(big_loop: int) -> None:
@@ -101,10 +99,12 @@ def run_pipeline(g: Graph, sources: Sequence[int], algo: str,
     if algo == "hda":
         return PipelineResult(algo, regions, state, hda_rep, 0.0, 0, None)
     if algo in ("eom", "eom2"):
+        from .evolve import eom, eom_two_course
         run = eom if algo == "eom" else eom_two_course
         rep = run(g, regions, state, algebra, debug_check=hook)
         return PipelineResult(algo, regions, state, hda_rep, 0.0, 0, rep)
 
+    from .monarchy import classify_status, run_scheduler
     t0 = time.perf_counter()
     statuses = classify_status(g, state, algebra, regions)
     classify_ms = (time.perf_counter() - t0) * 1e3

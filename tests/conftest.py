@@ -11,12 +11,14 @@ big-loop invariant audits enabled, and caches the outcomes for the whole
 session; the acceptance criteria and several unit tests share it.
 
 ``fresh_lane`` and ``broken_compiler`` let a test run the same commands with
-the compiled lane loaded and with no compiler at all.
+the compiled lane loaded and with no compiler at all.  No test may end the
+test process: ``os._exit`` raises instead.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import random
 from dataclasses import dataclass
 
@@ -138,3 +140,14 @@ def broken_compiler(monkeypatch, fresh_lane):
         fresh_lane()
 
     return use
+
+
+@pytest.fixture(autouse=True)
+def no_process_exit(monkeypatch):
+    """``cli.main(argv)`` must return; were it to call ``os._exit`` in-process,
+    the run would stop without a report."""
+
+    def refuse(code):
+        raise AssertionError(f"os._exit({code}) in the test process")
+
+    monkeypatch.setattr(os, "_exit", refuse)

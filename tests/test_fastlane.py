@@ -281,30 +281,37 @@ import os, sys
 sys.modules["numpy"] = None  # every import of numpy now fails
 import optpaths.cli
 from optpaths import fastlane
-LAZY = ("subprocess", "hashlib", "dataclasses", "optpaths.generators")
+LAZY = ("subprocess", "hashlib", "dataclasses", "optpaths.generators",
+        "optpaths.oracles", "optpaths.monarchy", "optpaths.evolve")
 print(sorted(m for m in LAZY if m in sys.modules),
       os.path.exists(fastlane._cache_dir()))
-lane, d = sys.argv[1:]
+lane, d, *argv = sys.argv[1:]
 if lane == "reference":
     fastlane._BUILD = ("/nonexistent/cc",) + fastlane._BUILD[1:]
-grid, rand, res = (os.path.join(d, f) for f in ("grid", "rand", "res"))
-tri = os.path.join(d, "tri")
-with open(tri, "w") as fh:
-    fh.write("n 3 3 directed\\n1 2 10\\n1 3 1\\n3 2 1\\n")
-assert optpaths.cli.main(["solve", "--instance", tri, "--algo", "ht"]) == 0
-print("after solve:", [m for m in ("optpaths.generators",) if m in sys.modules])
-for argv in (
-        ["gen", "grid", "--rows", "6", "--cols", "5", "--hzp", "--out", grid],
-        ["gen", "random", "--n", "30", "--arcs", "120", "--seed", "3",
-         "--directed", "--out", rand],
-        ["solve", "--instance", rand, "--algo", "multi", "--sources", "1,17",
-         "--out", res],
-        ["verify", "--instance", rand, "--results", res, "--fixpoint"],
-        ["compare", "--instance", grid],
-        ["bench", "--n-total", "60", "--kc", "3,5", "--algos", "eom,ht"]):
-    assert optpaths.cli.main(argv) == 0, argv
+os.chdir(d)
+assert optpaths.cli.main(argv) == 0, argv
+print(sorted(m[9:] for m in sys.modules if m.startswith("optpaths.")))
 print(fastlane.available())
 """
+
+#: the modules ``import optpaths.cli`` loads
+CLI_MODULES = {"cli", "fastlane", "graph", "partition", "pipeline"}
+
+#: each command, the modules it loads on top of CLI_MODULES, and those it
+#: loads only on the reference lane
+COMMAND_MODULES = [
+    ("solve --instance tri --algo ht", {"monarchy"}, set()),
+    ("gen grid --rows 6 --cols 5 --hzp --out grid", {"generators"}, set()),
+    ("gen random --n 30 --arcs 120 --seed 3 --directed --out rand",
+     {"generators"}, set()),
+    ("solve --instance rand --algo multi --sources 1,17 --out res",
+     {"monarchy"}, set()),
+    ("solve --instance grid --algo eom", set(), {"evolve"}),
+    ("verify --instance rand --results res --fixpoint", {"oracles"}, set()),
+    ("compare --instance grid", {"monarchy"}, {"evolve"}),
+    ("bench --n-total 60 --kc 3,5 --algos eom,ht", {"generators", "monarchy"},
+     {"evolve"}),
+]
 
 
 _SOLVE_THEN_VERIFY = """
@@ -335,23 +342,31 @@ def test_solve_and_verify_do_not_load_numpy(tmp_path):
 
 def test_import_builds_and_loads_nothing(tmp_path):
     # importing the CLI builds no kernels and loads neither subprocess,
-    # hashlib, dataclasses nor the generators, and solve does not load the
-    # generators either; then every command runs with numpy unimportable,
-    # on each lane
+    # hashlib, dataclasses nor any module a command may not need; each
+    # command, in a fresh process, loads only the modules it runs; and every
+    # command runs with numpy unimportable, on each lane
     lanes = ["reference"] + (["compiled"] if shutil.which("cc") else [])
     for lane in lanes:
         d = tmp_path / lane
         d.mkdir()
+        (d / "tri").write_text("n 3 3 directed\n1 2 10\n1 3 1\n3 2 1\n")
         env = dict(os.environ, XDG_CACHE_HOME=str(d / "cache"),
                    PYTHONPATH=os.pathsep.join(sys.path))
-        out = subprocess.run(
-            [sys.executable, "-c", _CLI_WITHOUT_NUMPY, lane, str(d)],
-            env=env, check=True, capture_output=True,
-            text=True).stdout.splitlines()
-        assert out[0] == "[] False"
-        assert out[2] == "after solve: []"
-        assert "OK" in out and "all agree" in out
-        assert out[-1] == str(lane == "compiled")
+        printed = []
+        for i, (command, loads, reference_loads) in enumerate(COMMAND_MODULES):
+            out = subprocess.run(
+                [sys.executable, "-c", _CLI_WITHOUT_NUMPY, lane, str(d),
+                 *command.split()], env=env, check=True,
+                capture_output=True, text=True).stdout.splitlines()
+            # no kernel cache until the first command has run
+            assert out[0] in ("[] False", "[] True")[:i + 1], command
+            want = CLI_MODULES | loads
+            if lane == "reference":
+                want |= reference_loads
+            assert out[-2] == str(sorted(want)), command
+            assert out[-1] == str(lane == "compiled")
+            printed += out[1:-2]
+        assert "OK" in printed and "all agree" in printed
         assert len((d / "res").read_text().splitlines()) == 30
     if len(lanes) == 2:
         for name in ("grid", "rand", "res"):
