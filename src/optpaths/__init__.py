@@ -18,8 +18,9 @@ from importlib import import_module
 _EXPORTS = {
     "evolve": ("eom", "eom_two_course"),
     "generators": ("GridSpec", "HzpPlan", "gen_grid", "gen_random_graph",
-                   "serpentine_path", "shape_sweep_specs", "splitmix64"),
-    "graph": ("UNSET", "Arc", "CostAlgebra", "Graph", "GraphError",
+                   "grid_columns", "random_columns", "serpentine_path",
+                   "shape_sweep_specs", "splitmix64"),
+    "graph": ("UNSET", "CostAlgebra", "Graph", "GraphError",
               "InstanceFormatError", "build_graph", "graph_from_columns",
               "in_neighbors", "leaves", "min_plus_algebra", "read_instance",
               "read_instance_file", "write_instance", "write_instance_file"),

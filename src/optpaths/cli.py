@@ -198,23 +198,24 @@ def _open_out(path: str):
 
 
 def cmd_gen(args) -> int:
-    from .generators import (GridSpec, gen_grid, gen_random_graph,
-                             grid_comments)
+    from .generators import (GridSpec, grid_columns, grid_comments,
+                             random_columns)
     if args.kind == "grid":
         spec = GridSpec(k_r=args.rows, k_c=args.cols, weight_min=args.wmin,
                         weight_max=args.wmax, seed=args.seed,
                         plant_hzp=args.hzp)
-        g, _, plan = gen_grid(spec)
-        comments = grid_comments(spec, plan)
+        *columns, plan = grid_columns(spec)
+        n, directed, comments = spec.n, False, grid_comments(spec, plan)
     else:
-        g = gen_random_graph(args.n, args.arcs, args.wmin, args.wmax,
-                             args.seed, directed=args.directed)
+        columns = random_columns(args.n, args.arcs, args.wmin, args.wmax,
+                                 args.seed)
+        n, directed = args.n, args.directed
         comments = [
             f"random n={args.n} arcs={args.arcs} wmin={args.wmin} "
             f"wmax={args.wmax} seed={args.seed} directed={int(args.directed)}"
         ]
     with _open_out(args.out) as out:
-        write_instance(g, out, comments)
+        write_instance(n, *columns, directed, out, comments)
     return EXIT_OK
 
 

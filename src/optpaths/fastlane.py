@@ -14,7 +14,9 @@ accepts and returns None for any other arcs, which the reference build of
 :mod:`graph` then builds or rejects.  :func:`read_graph` is the compiled
 instance reader: it parses an arc block it fully accepts and builds it
 with the same kernel, and returns None for any other block, which the
-reference reader then reads or rejects.  :func:`draws` (kernel
+reference reader then reads or rejects.  A graph keeps only its CSR
+arrays, not the arc columns it was built from, so the reader's parsed
+columns are freed once its build returns.  :func:`draws` (kernel
 ``optpaths_draws``) fills an arc column with the generators' splitmix64
 draws.  Results files get the same treatment: :func:`format_rows` writes
 the rows of a results export or an instance file, :func:`read_results`
@@ -65,10 +67,10 @@ _SOURCE = Path(__file__).with_name("kernels.c")
 _P, _I, _U = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
 #: kernel name -> (argtypes, restype), matching kernels.c
 _SIGNATURES = {
-    "optpaths_hda": ([_P] * 6 + [_I] + [_P] * 9, _I),
+    "optpaths_hda": ([_P] * 6 + [_I] + [_P] * 8, _I),
     "optpaths_classify": ([_P, _I] + [_P] * 5, _I),
-    "optpaths_eom": ([_P, _I] + [_P] * 9 + [_I, _P], None),
-    "optpaths_schedule": ([_I, _P, _I] + [_P] * 12, None),
+    "optpaths_eom": ([_P, _I] + [_P] * 8 + [_I, _P], None),
+    "optpaths_schedule": ([_I, _P, _I] + [_P] * 11, None),
     "optpaths_build": ([_I] * 3 + [_P] * 10, _I),
     "optpaths_read": ([ctypes.c_char_p] + [_I] * 4 + [_P] * 10, _I),
     "optpaths_draws": ([_U] * 3 + [_I, _I, _U, _P], None),
@@ -161,7 +163,7 @@ def _built(kernel, n: int, arcs: Sequence[array],
     if kernel(*map(_ptr, (*arcs, *fwd, *rev, stats))):
         return None
     m, max_weight = stats
-    return Graph(n, directed, *arcs, fwd, rev, m, E, max_weight)
+    return Graph(n, directed, fwd, rev, m, E, max_weight)
 
 
 def build(n: int, head: array, tail: array, weight: array,
@@ -368,18 +370,17 @@ class FastRun:
         src_ids = array("q", srcs)  # alive through the kernel call
         t0 = time.perf_counter()
         order = _zeros(g.n)
-        region, pos, parent, cost, wu, issrc, self._tags = (
-            _zeros(g.n + 1) for _ in range(7))
+        region, pos, parent, cost, issrc, self._tags = (
+            _zeros(g.n + 1) for _ in range(6))
         inspections = _zeros(1)
         count = self._lib.optpaths_hda(
             _ptr(g.fwd_ptr), _ptr(g.fwd_dst), _ptr(g.rev_ptr),
             _ptr(g.rev_src), _ptr(g.rev_w), _ptr(src_ids),
             len(srcs), _ptr(order), _ptr(region), _ptr(pos), _ptr(parent),
-            _ptr(cost), _ptr(wu), _ptr(issrc), _ptr(self._tags),
-            _ptr(inspections))
+            _ptr(cost), _ptr(issrc), _ptr(self._tags), _ptr(inspections))
         del order[count:]
         self.regions = Regions(order, region, pos)
-        self.state = SolverState(g.n, tuple(srcs), parent, cost, wu, issrc,
+        self.state = SolverState(g.n, tuple(srcs), parent, cost, issrc,
                                  self._tags if len(srcs) > 1 else None)
         self.hda_report = HdaReport(
             arc_inspections=int(inspections[0]),
@@ -401,10 +402,10 @@ class FastRun:
         return self.origin_count
 
     def _labels(self) -> list[int]:
-        """The addresses of the parent, cost, weight, source and tag arrays."""
+        """The addresses of the parent, cost, source and tag arrays."""
         st = self.state
-        return [_ptr(a) for a in (st.parent, st.cost, st.weight_used,
-                                  st.is_source, self._tags)]
+        return [_ptr(a) for a in (st.parent, st.cost, st.is_source,
+                                  self._tags)]
 
     def eom(self, two_course: bool = False) -> OptReport:
         g, order = self.g, self.regions.order

@@ -7,7 +7,8 @@ a run seeded with s is the splitmix64 finalizer applied to
 modulus into the requested range.  The compiled lane of :mod:`fastlane`
 fills whole arc columns with these draws; without it, :func:`splitmix64`
 draws them one at a time.  Arc columns are ``array('q')``, sized before
-they are filled and built into a graph by :func:`graph.graph_from_columns`.
+they are filled; ``gen`` writes them to a file as they are, and
+:func:`gen_grid` and :func:`gen_random_graph` build them into a graph.
 
 Grid layout: ``k_r`` rows by ``k_c`` columns, node ids assigned column-major
 from the bottom-left corner (``id(r, c) = (c-1)*k_r + r``), source fixed at
@@ -93,8 +94,10 @@ def serpentine_path(k_r: int, k_c: int) -> tuple[int, ...]:
     return tuple(path)
 
 
-def gen_grid(spec: GridSpec) -> tuple[Graph, int, Optional[HzpPlan]]:
-    """Undirected grid with seeded uniform weights, optionally a zero path.
+def grid_columns(spec: GridSpec) -> tuple[array, array, array,
+                                          Optional[HzpPlan]]:
+    """The head, tail and weight columns of the undirected grid of ``spec``,
+    with seeded uniform weights, and its planted zero path, if any.
 
     Arc order is deterministic: all vertical arcs by node id, then all
     horizontal arcs by node id; the weight stream indexes arcs in that
@@ -133,12 +136,19 @@ def gen_grid(spec: GridSpec) -> tuple[Graph, int, Optional[HzpPlan]]:
             weight[n_v + (c - 1) * k_r + (k_r - 1 if c % 2 else 0)] = 0
         path = serpentine_path(k_r, k_c)
         plan = HzpPlan(path=path, terminal=path[-1])
-    return graph_from_columns(n, head, tail, weight, directed=False), 1, plan
+    return head, tail, weight, plan
 
 
-def gen_random_graph(n: int, arc_count: int, weight_min: int, weight_max: int,
-                     seed: int, directed: bool = False) -> Graph:
-    """Seeded uniform multigraph sampling (no self-loops, parallels allowed).
+def gen_grid(spec: GridSpec) -> tuple[Graph, int, Optional[HzpPlan]]:
+    """The graph of :func:`grid_columns`, its source 1 and its zero path."""
+    head, tail, weight, plan = grid_columns(spec)
+    return graph_from_columns(spec.n, head, tail, weight), 1, plan
+
+
+def random_columns(n: int, arc_count: int, weight_min: int, weight_max: int,
+                   seed: int) -> tuple[array, array, array]:
+    """The head, tail and weight columns of a seeded uniform multigraph
+    sample on ``n`` nodes (no self-loops, parallels allowed).
 
     Arc ``j`` takes draws ``3j``, ``3j + 1`` and ``3j + 2`` for its head,
     tail and weight.
@@ -159,7 +169,14 @@ def gen_random_graph(n: int, arc_count: int, weight_min: int, weight_max: int,
     tail = array("q", [t + (t >= h) for h, t in zip(head, tail)])
     weight = _draws(arc_count, what, seed, 2, 3, weight_min,
                     weight_max - weight_min + 1)
-    return graph_from_columns(n, head, tail, weight, directed=directed)
+    return head, tail, weight
+
+
+def gen_random_graph(n: int, arc_count: int, weight_min: int, weight_max: int,
+                     seed: int, directed: bool = False) -> Graph:
+    """The graph of :func:`random_columns`, one-way arcs if ``directed``."""
+    return graph_from_columns(n, *random_columns(n, arc_count, weight_min,
+                                                 weight_max, seed), directed)
 
 
 def shape_sweep_specs(n_total: int, k_c_values: list[int],

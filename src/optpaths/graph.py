@@ -13,8 +13,9 @@ position in the input list, so iterating ``leaves(g, u)`` is deterministic
 and reproducible across runs.
 
 Weights are nonnegative integers; zero is permitted (and required by the
-planted zero-path instances).  Parallel arcs are stored verbatim; the
-relaxation operators naturally keep the best of a parallel bundle.
+planted zero-path instances).  Each parallel arc keeps its own adjacency
+entry; the relaxation operators naturally keep the best of a parallel
+bundle.
 
 Graphs are built from int64 arc columns by one build: the compiled kernel
 of :mod:`fastlane` when it loads and accepts every arc, and otherwise the
@@ -58,14 +59,6 @@ class InstanceFormatError(ValueError):
     """Raised on malformed instance files; message carries the line number."""
 
 
-class Arc(NamedTuple):
-    """A weighted arc from ``head`` to ``tail`` (head is the origin end)."""
-
-    head: int
-    tail: int
-    weight: int
-
-
 class CostAlgebra(NamedTuple):
     """The cost seam shared by every relaxation operator.
 
@@ -91,7 +84,6 @@ class Graph:
     Attributes:
         n: node count (ids 1..n).
         directed: whether the input arcs were taken as one-way.
-        arc_head, arc_tail, arc_weight: the input arc list, verbatim.
         fwd_ptr, fwd_dst, fwd_w: CSR of out-leaves per node.
         rev_ptr, rev_src, rev_w: CSR of in-neighbors per node.
         m: maximum out-degree over all nodes.
@@ -100,41 +92,29 @@ class Graph:
         max_weight: the largest arc weight (0 without arcs).
 
     Every array is an ``array('q')``; for an undirected graph the reverse
-    CSR is the forward one.
+    CSR is the forward one.  The arc list the graph was built from is not
+    kept.
     """
 
     __slots__ = (
         "n", "directed",
-        "arc_head", "arc_tail", "arc_weight",
         "fwd_ptr", "fwd_dst", "fwd_w",
         "rev_ptr", "rev_src", "rev_w",
         "m", "E", "max_weight",
     )
 
-    def __init__(self, n, directed, arc_head, arc_tail, arc_weight,
-                 fwd, rev, m, E, max_weight):
+    def __init__(self, n, directed, fwd, rev, m, E, max_weight):
         self.n = n
         self.directed = directed
-        self.arc_head = arc_head
-        self.arc_tail = arc_tail
-        self.arc_weight = arc_weight
         self.fwd_ptr, self.fwd_dst, self.fwd_w = fwd
         self.rev_ptr, self.rev_src, self.rev_w = rev
         self.m = m
         self.E = E
         self.max_weight = max_weight
 
-    @property
-    def arcs(self) -> list[Arc]:
-        """The input arc list as Arc objects (builds a fresh list)."""
-        return [
-            Arc(int(h), int(t), int(w))
-            for h, t, w in zip(self.arc_head, self.arc_tail, self.arc_weight)
-        ]
-
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
-        return f"Graph(n={self.n}, arcs={len(self.arc_head)}, {kind}, E={self.E}, m={self.m})"
+        return f"Graph(n={self.n}, {kind}, E={self.E}, m={self.m})"
 
 
 def _int64_overflow(arcs) -> str:
@@ -151,7 +131,7 @@ def build_graph(n: int, arcs: Sequence[tuple[int, int, int]],
     """Validate an arc list and assemble the CSR adjacency in both directions.
 
     Rejects out-of-range endpoints, negative weights and self-loops, naming
-    the first offending arc.  Parallel arcs are allowed and stored verbatim.
+    the first offending arc.  Parallel arcs are allowed.
     """
     if n < 1:
         raise GraphError(f"node count must be >= 1, got {n}")
@@ -171,7 +151,8 @@ def build_graph(n: int, arcs: Sequence[tuple[int, int, int]],
 def graph_from_columns(n: int, head: array, tail: array, weight: array,
                        directed: bool = False) -> Graph:
     """The graph of :func:`build_graph` on arc ``i`` = ``(head[i], tail[i],
-    weight[i])``, from equally long int64 arrays, which the graph keeps.
+    weight[i])``, from equally long int64 arrays, which the graph does not
+    keep.
 
     The compiled build of :mod:`fastlane` assembles the CSR when the lane
     loads and it accepts every arc; otherwise :func:`_build_reference`
@@ -224,8 +205,7 @@ def _build_reference(n: int, head: array, tail: array, weight: array,
         fwd = rev = _counting_sort(n, key, dst, w2)
     ptr = fwd[0]
     m = max(map(operator.sub, ptr[2:], ptr[1:-1]), default=0)
-    return Graph(n, directed, head, tail, weight, fwd, rev, m, len(fwd[1]),
-                 max(weight, default=0))
+    return Graph(n, directed, fwd, rev, m, len(fwd[1]), max(weight, default=0))
 
 
 def _zeros(k: int) -> array:
@@ -287,30 +267,35 @@ def in_neighbors(g: Graph, u: NodeId) -> list[tuple[NodeId, int]]:
 # whitespace and every integer is ASCII [+-]?[0-9]+.  Files are UTF-8.
 # ---------------------------------------------------------------------------
 
-def write_instance(g: Graph, out: TextIO, comments: Iterable[str] = ()) -> None:
-    """Emit the instance format; ``comments`` become '#'-prefixed lines.
+def write_instance(n: int, head: Sequence[int], tail: Sequence[int],
+                   weight: Sequence[int], directed: bool, out: TextIO,
+                   comments: Iterable[str] = ()) -> None:
+    """Emit the instance of ``n`` nodes whose arc ``i`` is ``(head[i],
+    tail[i], weight[i])``; ``comments`` become '#'-prefixed lines.
 
-    The compiled formatter of :mod:`fastlane` writes the arc lines when the
+    The arcs are written as given, in order; they are not checked.  The
+    compiled formatter of :mod:`fastlane` writes the arc lines when the
     lane loads, and the same lines are formatted here when it does not.
     """
+    if not len(head) == len(tail) == len(weight):
+        raise GraphError("arc columns differ in length")
     for c in comments:
         out.write(f"# {c}\n")
-    kind = "directed" if g.directed else "undirected"
-    out.write(f"n {g.n} {len(g.arc_head)} {kind}\n")
+    kind = "directed" if directed else "undirected"
+    out.write(f"n {n} {len(head)} {kind}\n")
     from .fastlane import format_rows  # fastlane imports this module
 
-    text = format_rows((g.arc_head, g.arc_tail, g.arc_weight))
+    text = format_rows((head, tail, weight))
     if text is None:
-        text = "".join(
-            f"{h} {t} {w}\n"
-            for h, t, w in zip(g.arc_head.tolist(), g.arc_tail.tolist(),
-                               g.arc_weight.tolist()))
+        text = "".join(f"{h} {t} {w}\n" for h, t, w in zip(head, tail, weight))
     out.write(text)
 
 
-def write_instance_file(g: Graph, path: str, comments: Iterable[str] = ()) -> None:
+def write_instance_file(n: int, head: Sequence[int], tail: Sequence[int],
+                        weight: Sequence[int], directed: bool, path: str,
+                        comments: Iterable[str] = ()) -> None:
     with open_output(path) as fh:
-        write_instance(g, fh, comments)
+        write_instance(n, head, tail, weight, directed, fh, comments)
 
 
 def read_instance(src: TextIO) -> tuple[Graph, list[str]]:

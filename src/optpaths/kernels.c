@@ -7,11 +7,12 @@
  * exceeds INT64_MAX, which bounds every candidate cost + weight below
  * overflow.  tags names, per node, the source whose influence labeled it:
  * each source starts tagged with itself and every accepted relaxation
- * copies the new parent's tag.  Every kernel accepts relaxations through
- * relax below, which mirrors partition.relax, the one rule of the
- * reference lane.  The optimizer kernels write their counters to out[] in
- * the field order of partition.OptReport: big_loops, node_scans,
- * improvements, regular_way, wrong_way, arc_relaxations.
+ * copies the new parent's tag.  No label keeps its arc's weight.  Every
+ * kernel accepts relaxations through relax below, which mirrors
+ * partition.relax, the one rule of the reference lane.  The optimizer
+ * kernels write their counters to out[] in the field order of
+ * partition.OptReport: big_loops, node_scans, improvements, regular_way,
+ * wrong_way, arc_relaxations.
  *
  * The build, the readers and the audit are the exception: they certify or
  * refuse, and are not statement-for-statement mirrors of the Python code
@@ -43,11 +44,10 @@
 #include <string.h>
 
 /* u offers itself as parent of v over an arc of weight w: v accepts its
- * first label or a strictly cheaper cost; sources are never relabeled.
- * Returns 1 when v accepts. */
+ * first label or a strictly cheaper cost, and takes u as parent, that cost
+ * and u's tag; sources are never relabeled.  Returns 1 when v accepts. */
 static inline int relax(int64_t u, int64_t v, int64_t w, int64_t *parent,
-                        int64_t *cost, int64_t *wu, const int64_t *issrc,
-                        int64_t *tags)
+                        int64_t *cost, const int64_t *issrc, int64_t *tags)
 {
     if (issrc[v])
         return 0;
@@ -56,7 +56,6 @@ static inline int relax(int64_t u, int64_t v, int64_t w, int64_t *parent,
         return 0;
     parent[v] = u;
     cost[v] = c;
-    wu[v] = w;
     tags[v] = tags[u];
     return 1;
 }
@@ -69,8 +68,7 @@ int64_t optpaths_hda(const int64_t *fptr, const int64_t *fdst,
                      const int64_t *rw, const int64_t *sources,
                      int64_t n_sources, int64_t *order, int64_t *region,
                      int64_t *pos, int64_t *parent, int64_t *cost,
-                     int64_t *wu, int64_t *issrc, int64_t *tags,
-                     int64_t *inspections)
+                     int64_t *issrc, int64_t *tags, int64_t *inspections)
 {
     int64_t count = 0;
     for (int64_t j = 0; j < n_sources; j++) {
@@ -102,7 +100,7 @@ int64_t optpaths_hda(const int64_t *fptr, const int64_t *fdst,
             int64_t v = rsrc[k];
             int64_t rv = region[v];
             if (0 < rv && rv < reg)
-                relax(v, u, rw[k], parent, cost, wu, issrc, tags);
+                relax(v, u, rw[k], parent, cost, issrc, tags);
         }
         i += 1;
     }
@@ -145,8 +143,8 @@ int64_t optpaths_classify(const int64_t *order, int64_t n_order,
 void optpaths_eom(const int64_t *order, int64_t n_order,
                   const int64_t *region, const int64_t *rptr,
                   const int64_t *rsrc, const int64_t *rw, int64_t *parent,
-                  int64_t *cost, int64_t *wu, const int64_t *issrc,
-                  int64_t *tags, int64_t two_course, int64_t *out)
+                  int64_t *cost, const int64_t *issrc, int64_t *tags,
+                  int64_t two_course, int64_t *out)
 {
     int64_t big_loops = 0;
     int64_t improvements = 0;
@@ -166,7 +164,7 @@ void optpaths_eom(const int64_t *order, int64_t n_order,
                 if (parent[v] == 0 && issrc[v] == 0)
                     continue;
                 arc_relax += 1;
-                if (relax(v, u, rw[k], parent, cost, wu, issrc, tags)) {
+                if (relax(v, u, rw[k], parent, cost, issrc, tags)) {
                     flag += 1;
                     if (ru > region[v])
                         regular += 1;
@@ -194,8 +192,8 @@ void optpaths_schedule(int64_t code, const int64_t *order, int64_t n_order,
                        const int64_t *region, const int64_t *pos,
                        const int64_t *fptr, const int64_t *fdst,
                        const int64_t *fw, int64_t *parent, int64_t *cost,
-                       int64_t *wu, const int64_t *issrc, int64_t *tags,
-                       int64_t *status, int64_t *out)
+                       const int64_t *issrc, int64_t *tags, int64_t *status,
+                       int64_t *out)
 {
     int64_t big_loops = 1;
     int64_t node_scans = 0;
@@ -227,7 +225,7 @@ void optpaths_schedule(int64_t code, const int64_t *order, int64_t n_order,
         arc_relax += fptr[u + 1] - fptr[u];
         for (int64_t k = fptr[u]; k < fptr[u + 1]; k++) {
             int64_t v = fdst[k];
-            if (relax(u, v, fw[k], parent, cost, wu, issrc, tags)) {
+            if (relax(u, v, fw[k], parent, cost, issrc, tags)) {
                 improvements += 1;
                 cycle_flag += 1;
                 status[v] = 1;

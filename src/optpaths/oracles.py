@@ -279,30 +279,31 @@ def _labeled(state: SolverState) -> list[bool]:
 
 def check_tree(state: SolverState, g: Graph,
                algebra: CostAlgebra) -> VerificationReport:
-    """Audit the parent array: arcs exist, costs are consistent, no cycles."""
+    """Audit the parent array: arcs exist, costs are consistent, no cycles.
+
+    The parent ``p`` of ``v`` needs an arc ``(p, v, w)`` through which
+    ``cost[v]`` is not better than ``extend(cost[p], w)``.  Mid-run, under
+    an isotone algebra, a parent that improves after ``v`` adopts it leaves
+    ``cost[v]`` stale-worse, which is sound; exact equality is the fixpoint
+    audit's job.
+    """
     rep = VerificationReport()
-    parent, cost, wu = state.parent, state.cost, state.weight_used
-    # recorded parent arcs must exist with the recorded weight
-    found = _arc_pass(g, parent, lambda p, v, w: w == wu[v], cost, None,
-                      algebra, rep)
+    parent, cost = state.parent, state.cost
+    extend, better = algebra.extend, algebra.better
+    found = _arc_pass(g, parent,
+                      lambda p, v, w: not better(cost[v], extend(cost[p], w)),
+                      cost, None, algebra, rep)
     for v in range(1, state.n + 1):
         p = parent[v]
-        if p == UNSET:
+        if p == UNSET or found[v]:
             continue
-        if not found[v]:
-            rep.add("parent-arc", f"node {v}",
-                    f"arc ({p},{v},{wu[v]}) in graph", "absent")
+        offers = [extend(cost[p], w) for x, w in leaves(g, p) if x == v]
+        if not offers:
+            rep.add("parent-arc", f"node {v}", f"arc ({p},{v}) in graph",
+                    "absent")
             continue
-        # weight_used stores the raw arc weight accepted into the parent
-        # link, so the recorded cost is checkable against the tree.  Mid-run
-        # an ancestor may have improved after v adopted it, leaving cost[v]
-        # stale-worse; that is sound.  A cost *better* than what the parent
-        # link provides claims a path the tree cannot justify and is
-        # rejected.  (Exact equality is the fixpoint audit's job.)
-        achievable = algebra.extend(cost[p], wu[v])
-        if algebra.better(cost[v], achievable):
-            rep.add("cost-consistency", f"node {v}",
-                    f"cost >= {achievable}", cost[v])
+        best = next(c for c in offers if not any(better(d, c) for d in offers))
+        rep.add("cost-consistency", f"node {v}", f"cost >= {best}", cost[v])
     _chain_colors(parent, state.is_source, _labeled(state), rep, "acyclic")
     # sources never carry a parent
     for s in state.sources:

@@ -58,25 +58,22 @@ class Regions:
 class SolverState:
     """Mutable heart of every solver run.
 
-    ``parent[v]`` is the chosen predecessor (0 = unset; always 0 at sources),
-    ``cost[v]`` the current path cost, ``weight_used[v]`` the weight of the
-    arc actually accepted into ``parent[v] -> v`` (kept so cost consistency
-    is checkable even with parallel arcs).  ``tags`` is present exactly when
-    the run has two or more distinct sources and names, per node, the source
-    whose influence labeled it.  Lists on the reference lane, which big-int
-    costs and generic algebras need; int64 arrays on the compiled one.
+    ``parent[v]`` is the chosen predecessor (0 = unset; always 0 at sources)
+    and ``cost[v]`` the current path cost; no arc weight is kept.  ``tags``
+    is present exactly when the run has two or more distinct sources and
+    names, per node, the source whose influence labeled it.  Lists on the
+    reference lane, which big-int costs and generic algebras need; int64
+    arrays on the compiled one.
     """
 
 
     def __init__(self, n: int, sources: tuple[int, ...],
                  parent: Sequence[int], cost: Sequence[int],
-                 weight_used: Sequence[int], is_source: Sequence[int],
-                 tags: Sequence[int] | None = None):
+                 is_source: Sequence[int], tags: Sequence[int] | None = None):
         self.n = n
         self.sources = sources
         self.parent = parent
         self.cost = cost
-        self.weight_used = weight_used
         self.is_source = is_source
         self.tags = tags
 
@@ -95,7 +92,6 @@ class SolverState:
             sources=tuple(sources),
             parent=[UNSET] * (n + 1),
             cost=[zero] * (n + 1),
-            weight_used=[0] * (n + 1),
             is_source=is_source,
             tags=tags,
         )
@@ -147,7 +143,6 @@ def relax(state: SolverState, algebra: CostAlgebra,
     if state.parent[v] == UNSET or algebra.better(c, state.cost[v]):
         state.parent[v] = u
         state.cost[v] = c
-        state.weight_used[v] = weight
         if state.tags is not None:
             state.tags[v] = state.tags[u]
         return True

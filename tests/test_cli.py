@@ -82,7 +82,8 @@ class TestGen:
         spec = op.GridSpec(k_r=4, k_c=7, seed=9, plant_hzp=True)
         expected, _, plan = op.gen_grid(spec)
         assert g.n == expected.n
-        assert g.arc_weight.tolist() == expected.arc_weight.tolist()
+        for name in ("fwd_ptr", "fwd_dst", "fwd_w"):
+            assert getattr(g, name) == getattr(expected, name), name
         assert op.generators.parse_hzp_comment(comments) == plan
 
     def test_random_roundtrip(self, tmp_path):
@@ -90,7 +91,7 @@ class TestGen:
         assert run(["gen", "random", "--n", "12", "--arcs", "30",
                     "--seed", "4", "--directed", "--out", path]) == EXIT_OK
         g, comments = op.read_instance_file(path)
-        assert g.n == 12 and len(g.arc_head) == 30 and g.directed
+        assert g.n == 12 and g.E == 30 and g.directed
         assert any(c.startswith("random ") for c in comments)
 
     def test_gen_to_stdout(self, capsys):
@@ -118,7 +119,14 @@ class TestGen:
     @needs_lane
     @pytest.mark.parametrize("argv,digest", GEN_DIGESTS)
     def test_output_bytes_are_pinned_on_both_lanes(self, argv, digest,
-                                                   capsys, broken_compiler):
+                                                   capsys, broken_compiler,
+                                                   monkeypatch):
+        # gen writes the generator's columns and builds no graph
+        def no_build(*args, **kwargs):
+            raise AssertionError("gen built a graph")
+
+        monkeypatch.setattr(op.graph, "graph_from_columns", no_build)
+        monkeypatch.setattr(fastlane, "build", no_build)
         for lane in ("compiled", "reference"):
             if lane == "reference":
                 broken_compiler()
@@ -139,13 +147,28 @@ class TestGen:
         assert run(["gen", *argv.split()]) == EXIT_USAGE
         assert capsys.readouterr().err == f"optpaths: error: {err}\n"
 
+    def test_node_count_too_large_to_solve_is_still_generated(self, tmp_path,
+                                                              capsys):
+        # gen writes the arcs without allocating per-node arrays; solve
+        # needs them and refuses the file
+        path = tmp_path / "huge.txt"
+        assert run(["gen", "random", "--n", str(2**62), "--arcs", "1",
+                    "--out", str(path)]) == EXIT_OK
+        rows = [l for l in path.read_text().splitlines()
+                if not l.startswith("#")]
+        assert rows[0] == f"n {2**62} 1 undirected" and len(rows) == 2
+        assert run(["solve", "--instance", str(path), "--algo", "ht"]) \
+            == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"optpaths: error: node count {2**62} is too large to allocate\n")
+
     def test_largest_int64_weight_is_accepted(self, tmp_path):
         path = str(tmp_path / "rand.txt")
         assert run(["gen", "random", "--n", "5", "--arcs", "3",
                     "--wmin", "9223372036854775800",
                     "--wmax", "9223372036854775807", "--out", path]) == EXIT_OK
         g, _ = op.read_instance_file(path)
-        assert min(g.arc_weight) >= 9223372036854775800
+        assert min(g.fwd_w) >= 9223372036854775800
 
 
 class TestSolve:

@@ -46,7 +46,7 @@ class TestGridGeneration:
         assert source == 1 and plan is None
         assert g.n == 12
         # vertical arcs: (k_r-1) per column; horizontal: k_r per column gap
-        assert len(g.arc_head) == 4 * 2 + 3 * 3
+        assert g.E == 2 * (4 * 2 + 3 * 3)
         # bottom-left corner: up neighbor id 2, right neighbor id 1+k_r
         assert sorted(v for v, _ in op.leaves(g, 1)) == [2, 4]
         # interior node has degree 4
@@ -62,12 +62,12 @@ class TestGridGeneration:
         spec = GridSpec(k_r=5, k_c=7, seed=11)
         g1, _, _ = op.gen_grid(spec)
         g2, _, _ = op.gen_grid(spec)
-        assert g1.arc_weight == g2.arc_weight
+        assert (g1.fwd_dst, g1.fwd_w) == (g2.fwd_dst, g2.fwd_w)
 
     def test_weights_in_range(self):
         g, _, _ = op.gen_grid(GridSpec(k_r=6, k_c=6, weight_min=2,
                                        weight_max=4, seed=3))
-        assert min(g.arc_weight) >= 2 and max(g.arc_weight) <= 4
+        assert min(g.fwd_w) >= 2 and max(g.fwd_w) <= 4
 
     def test_validation(self):
         with pytest.raises(GraphError, match="dims"):
@@ -77,9 +77,9 @@ class TestGridGeneration:
 
     def test_single_row_and_column(self):
         g, _, _ = op.gen_grid(GridSpec(k_r=1, k_c=4, seed=0))
-        assert g.n == 4 and len(g.arc_head) == 3
+        assert g.n == 4 and g.E == 2 * 3
         g, _, _ = op.gen_grid(GridSpec(k_r=4, k_c=1, seed=0))
-        assert g.n == 4 and len(g.arc_head) == 3
+        assert g.n == 4 and g.E == 2 * 3
 
 
 class TestSerpentine:
@@ -107,12 +107,12 @@ class TestPlantedZeroPath:
         assert plan.terminal == plan.path[-1]
         on_path = set(zip(plan.path, plan.path[1:]))
         on_path |= {(b, a) for a, b in on_path}
-        for h, t, w in zip(g.arc_head.tolist(), g.arc_tail.tolist(),
-                           g.arc_weight.tolist()):
-            if (h, t) in on_path:
-                assert w == 0
-            else:
-                assert w >= 1
+        for h in range(1, g.n + 1):
+            for t, w in op.leaves(g, h):
+                if (h, t) in on_path:
+                    assert w == 0
+                else:
+                    assert w >= 1
 
     def test_zero_path_is_strictly_optimal(self, algebra):
         g, source, plan = op.gen_grid(GridSpec(k_r=6, k_c=5, seed=4,
@@ -126,25 +126,27 @@ class TestPlantedZeroPath:
                                           seed=6, plant_hzp=True))
         on_path = set(zip(plan.path, plan.path[1:]))
         on_path |= {(b, a) for a, b in on_path}
-        for h, t, w in zip(g.arc_head.tolist(), g.arc_tail.tolist(),
-                           g.arc_weight.tolist()):
-            if (h, t) not in on_path:
-                assert w >= 1
+        for h in range(1, g.n + 1):
+            for t, w in op.leaves(g, h):
+                if (h, t) not in on_path:
+                    assert w >= 1
 
 
 class TestRandomGraphs:
     def test_counts_and_ranges(self):
+        head, tail, weight = op.random_columns(20, 100, 3, 9, seed=1)
+        assert len(head) == len(tail) == len(weight) == 100
+        assert min(weight) >= 3 and max(weight) <= 9
+        assert not any(h == t for h, t in zip(head, tail))
         g = op.gen_random_graph(20, 100, 3, 9, seed=1)
-        assert g.n == 20 and len(g.arc_head) == 100
-        assert min(g.arc_weight) >= 3 and max(g.arc_weight) <= 9
-        assert not any(h == t for h, t in zip(g.arc_head, g.arc_tail))
+        assert g.n == 20 and g.E == 2 * 100
 
     def test_deterministic(self):
         g1 = op.gen_random_graph(15, 40, 0, 10, seed=5, directed=True)
         g2 = op.gen_random_graph(15, 40, 0, 10, seed=5, directed=True)
-        assert g1.arc_head == g2.arc_head
-        assert g1.arc_tail == g2.arc_tail
-        assert g1.arc_weight == g2.arc_weight
+        for name in ("fwd_ptr", "fwd_dst", "fwd_w", "rev_ptr", "rev_src",
+                     "rev_w"):
+            assert getattr(g1, name) == getattr(g2, name), name
 
     def test_zero_arcs(self):
         g = op.gen_random_graph(5, 0, 1, 10, seed=0)

@@ -13,6 +13,21 @@ import optpaths as op
 from optpaths import GraphError, InstanceFormatError, fastlane
 
 
+#: the fields of a graph, all compared by ==
+GRAPH_FIELDS = ("n", "directed",
+                "fwd_ptr", "fwd_dst", "fwd_w", "rev_ptr", "rev_src", "rev_w",
+                "m", "E", "max_weight")
+
+
+def fields(g):
+    return {name: getattr(g, name) for name in GRAPH_FIELDS}
+
+
+def arc_columns(arcs):
+    """The head, tail and weight columns of a list of triples."""
+    return [array("q", c) for c in zip(*arcs)] or [array("q")] * 3
+
+
 class TestBuildValidation:
     def test_rejects_bad_node_count(self):
         with pytest.raises(GraphError, match="node count"):
@@ -91,28 +106,36 @@ class TestAdjacency:
         with pytest.raises(GraphError):
             op.in_neighbors(g, 3)
 
-    def test_arcs_property_roundtrips_input(self):
+    def test_written_columns_read_back_as_the_built_graph(self):
         arcs = [(2, 1, 4), (1, 3, 0)]
         g = op.build_graph(3, arcs, directed=True)
-        assert [(a.head, a.tail, a.weight) for a in g.arcs] == arcs
+        buf = io.StringIO()
+        op.write_instance(3, *arc_columns(arcs), True, buf)
+        assert buf.getvalue() == "n 3 2 directed\n2 1 4\n1 3 0\n"
+        g2, _ = op.read_instance(io.StringIO(buf.getvalue()))
+        assert fields(g2) == fields(g)
+
+    def test_repr_names_the_shape(self):
+        g = op.build_graph(3, [(2, 1, 4), (1, 3, 0)], directed=True)
+        assert repr(g) == "Graph(n=3, directed, E=2, m=1)"
 
 
 class TestInstanceFormat:
-    def roundtrip(self, g, comments=()):
+    def roundtrip(self, n, arcs, directed, comments=()):
         buf = io.StringIO()
-        op.write_instance(g, buf, comments)
+        op.write_instance(n, *arc_columns(arcs), directed, buf, comments)
         text = buf.getvalue()
         g2, c2 = op.read_instance(io.StringIO(text))
         buf2 = io.StringIO()
-        op.write_instance(g2, buf2, c2)
+        op.write_instance(n, *arc_columns(arcs), directed, buf2, c2)
         return text, buf2.getvalue(), g2, c2
 
     def test_roundtrip_byte_identical(self):
-        g = op.build_graph(3, [(1, 2, 5), (2, 3, 0)], directed=True)
-        first, second, g2, c2 = self.roundtrip(g, ["hello world"])
+        arcs = [(1, 2, 5), (2, 3, 0)]
+        first, second, g2, c2 = self.roundtrip(3, arcs, True, ["hello world"])
         assert first == second
         assert c2 == ["hello world"]
-        assert g2.directed and g2.n == 3
+        assert fields(g2) == fields(op.build_graph(3, arcs, directed=True))
 
     def test_missing_header(self):
         with pytest.raises(InstanceFormatError, match="line 1"):
@@ -143,36 +166,58 @@ class TestInstanceFormat:
             op.read_instance(io.StringIO("n 2 1 directed\n1 1 3\n"))
 
     def test_file_roundtrip(self, tmp_path):
-        g = op.build_graph(2, [(1, 2, 7)])
+        arcs = [(1, 2, 7)]
         path = str(tmp_path / "inst.txt")
-        op.write_instance_file(g, path, ["c1"])
+        op.write_instance_file(2, *arc_columns(arcs), False, path, ["c1"])
         g2, comments = op.read_instance_file(path)
         assert comments == ["c1"]
-        assert g2.arc_head == g.arc_head
-        assert g2.arc_weight == g.arc_weight
+        assert fields(g2) == fields(op.build_graph(2, arcs))
+
+    def test_columns_of_unequal_length_are_refused(self):
+        with pytest.raises(GraphError, match="differ in length"):
+            op.write_instance(3, [1, 2], [2], [5, 6], True, io.StringIO())
 
 
-@pytest.mark.skipif(not fastlane.available(), reason="no C compiler")
-def test_reading_holds_one_copy_of_the_text_beside_the_graph(tmp_path):
-    # the decoded text is dropped before the compiled reader builds the
-    # graph, so the peak is the graph plus about one encoded copy of the file
+def csr_bytes(g):
+    arrays = {id(a): a for a in (g.fwd_ptr, g.fwd_dst, g.fwd_w,
+                                 g.rev_ptr, g.rev_src, g.rev_w)}
+    return sum(len(a) * a.itemsize for a in arrays.values())
+
+
+@pytest.fixture()
+def traced_read(tmp_path):
+    """The graph of a 1.2 MB instance read on the compiled lane, the file's
+    size, and tracemalloc's current and peak traced bytes of the read."""
     path = tmp_path / "inst.txt"
-    op.write_instance_file(op.gen_random_graph(20000, 90000, 0, 9, seed=5,
-                                               directed=True), str(path))
-    size = path.stat().st_size
-    assert size > 10**6
+    op.write_instance_file(20000, *op.random_columns(20000, 90000, 0, 9,
+                                                     seed=5),
+                           True, str(path))
     op.read_instance_file(str(path))  # load the lane first
     tracemalloc.start()
     try:
         g, _ = op.read_instance_file(str(path))
-        peak = tracemalloc.get_traced_memory()[1]
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    arrays = {id(a): a for a in (g.arc_head, g.arc_tail, g.arc_weight,
-                                 g.fwd_ptr, g.fwd_dst, g.fwd_w,
-                                 g.rev_ptr, g.rev_src, g.rev_w)}
-    held = sum(len(a) * a.itemsize for a in arrays.values())
+    return g, path.stat().st_size, current, peak
+
+
+@pytest.mark.skipif(not fastlane.available(), reason="no C compiler")
+def test_reading_holds_one_copy_of_the_text_beside_the_graph(traced_read):
+    # the decoded text is dropped before the compiled reader builds the
+    # graph, so the peak is the graph and its three parse columns, which
+    # are freed once the build returns, plus about one encoded copy of the
+    # file
+    g, size, _, peak = traced_read
+    assert size > 10**6
+    held = csr_bytes(g) + 3 * 90000 * 8
     assert peak - held < 1.5 * size
+
+
+@pytest.mark.skipif(not fastlane.available(), reason="no C compiler")
+def test_a_read_graph_holds_only_its_csr_arrays(traced_read):
+    g, _, current, _ = traced_read
+    assert csr_bytes(g) < current < csr_bytes(g) + 64 * 1024
 
 
 @settings(max_examples=50, deadline=None)
@@ -185,7 +230,7 @@ def test_roundtrip_random(n, data):
     directed = data.draw(st.booleans())
     g = op.build_graph(n, arcs, directed=directed)
     buf = io.StringIO()
-    op.write_instance(g, buf)
+    op.write_instance(n, *arc_columns(arcs), directed, buf)
     g2, _ = op.read_instance(io.StringIO(buf.getvalue()))
     assert g2.n == g.n and g2.directed == g.directed and g2.E == g.E
     for u in range(1, n + 1):
@@ -235,20 +280,10 @@ def test_csr_order_on_both_sides_of_the_16_bit_key_width(n, directed):
             assert list(zip(idx, wts)) == want
         assert g.max_weight == max(w for _, _, w in arcs)
     # the reader, compiled where present, builds the same arrays
-    g = graphs[0]
     buf = io.StringIO()
-    op.write_instance(g, buf)
+    op.write_instance(n, *arc_columns(arcs), directed, buf)
     g2, _ = op.read_instance(io.StringIO(buf.getvalue()))
-    for name in ("arc_head", "arc_tail", "arc_weight", "fwd_ptr", "fwd_dst",
-                 "fwd_w", "rev_ptr", "rev_src", "rev_w", "m", "E",
-                 "max_weight"):
-        assert getattr(g2, name) == getattr(g, name), name
-
-
-#: the fields of a graph, all compared by ==
-GRAPH_FIELDS = ("n", "directed", "arc_head", "arc_tail", "arc_weight",
-                "fwd_ptr", "fwd_dst", "fwd_w", "rev_ptr", "rev_src", "rev_w",
-                "m", "E", "max_weight")
+    assert fields(g2) == fields(graphs[0])
 
 
 def built(n, arcs, directed, lane=True):
@@ -260,7 +295,7 @@ def built(n, arcs, directed, lane=True):
             g = op.build_graph(n, arcs, directed=directed)
     except GraphError as exc:
         return str(exc)
-    return {name: getattr(g, name) for name in GRAPH_FIELDS}
+    return fields(g)
 
 
 #: what may sit in an arc list that is no triple of integers
@@ -322,9 +357,9 @@ def test_compiled_build_equals_reference_build(instance):
         if isinstance(want, str):
             continue
         # the kernel itself accepted the arcs, in plain bucketing order
-        cols = [array("q", c) for c in zip(*arcs)] or [array("q")] * 3
+        cols = arc_columns(arcs)
         g = fastlane.build(n, *cols, directed)
-        assert {name: getattr(g, name) for name in GRAPH_FIELDS} == want
+        assert fields(g) == want
         if directed:
             fwd = python_csr(n, cols[0], list(zip(cols[1], cols[2])))
             rev = python_csr(n, cols[1], list(zip(cols[0], cols[2])))
@@ -339,6 +374,6 @@ def test_compiled_build_equals_reference_build(instance):
             assert list(zip(idx, wts)) == entries
         # the compiled reader builds the same graph from the written file
         buf = io.StringIO()
-        op.write_instance(g, buf)
+        op.write_instance(n, *cols, directed, buf)
         g2, _ = op.read_instance(io.StringIO(buf.getvalue()))
-        assert {name: getattr(g2, name) for name in GRAPH_FIELDS} == want
+        assert fields(g2) == want

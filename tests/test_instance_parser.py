@@ -90,8 +90,7 @@ def outcome(read, *args):
         g, comments = read(*args)
     except InstanceFormatError as exc:
         return ("error", str(exc))
-    arrays = (g.arc_head, g.arc_tail, g.arc_weight, g.fwd_ptr, g.fwd_dst,
-              g.fwd_w, g.rev_ptr, g.rev_src, g.rev_w)
+    arrays = (g.fwd_ptr, g.fwd_dst, g.fwd_w, g.rev_ptr, g.rev_src, g.rev_w)
     assert all(a.typecode == "q" for a in arrays)
     return ("graph", g.n, g.directed, g.m, g.E,
             [a.tolist() for a in arrays], comments)
@@ -230,11 +229,14 @@ def test_read_instance_file_without_a_compiler_agrees_with_the_line_scanner(
 def test_the_compiled_reader_builds_the_graph_itself(monkeypatch):
     if not fastlane.available():
         pytest.skip("no C compiler")
-    g, _, _ = op.gen_grid(op.GridSpec(k_r=7, k_c=5, seed=4, plant_hzp=True))
+    *grid, _ = op.grid_columns(op.GridSpec(k_r=7, k_c=5, seed=4,
+                                           plant_hzp=True))
     texts = []
-    for graph in (g, op.gen_random_graph(40, 300, 0, 9, seed=2, directed=True)):
+    for n, columns, directed in (
+            (35, grid, False),
+            (40, op.random_columns(40, 300, 0, 9, seed=2), True)):
         buf = io.StringIO()
-        op.write_instance(graph, buf, ["made here"])
+        op.write_instance(n, *columns, directed, buf, ["made here"])
         texts.append(buf.getvalue().replace("\n", " \t\r\n", 7))
     wants = [outcome(reference_read_instance, io.StringIO(t)) for t in texts]
 
@@ -300,7 +302,7 @@ def test_the_token_grammar_is_ascii_digits_with_a_sign():
     for field in ("1_0", "٣", "３"):
         text = f"n 3 1 directed\n1 2 {field}\n"
         g, _ = reference_read_instance(io.StringIO(text))  # int() took it
-        assert g.arc_weight.tolist() == [int(field)]
+        assert g.fwd_w.tolist() == [int(field)]
         assert outcome(op.read_instance, io.StringIO(text)) \
             == ("error", "line 2: non-integer field")
     assert outcome(op.read_instance, io.StringIO("n 1_0 0 directed\n")) \

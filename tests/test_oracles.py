@@ -108,12 +108,24 @@ class TestStructuralAudits:
         assert broken[0] and broken[1]
         assert broken == audits(ref)
 
-    def test_bogus_parent_arc_detected(self, triangle, algebra):
-        _, state = self.solved(triangle, algebra)
-        state.weight_used[2] = 99  # no (1,2) arc weighs 99
-        rep = op.check_tree(state, triangle, algebra)
-        assert not rep.ok
-        assert any(check == "parent-arc" for check, *_ in rep.failures)
+    def test_bogus_parent_arc_detected(self, algebra):
+        path = op.build_graph(3, [(1, 2, 4), (2, 3, 5)])
+        _, state = self.solved(path, algebra)
+        state.parent[3] = 1  # no arc joins 1 and 3
+        rep = op.check_tree(state, path, algebra)
+        assert rep.failures == [("parent-arc", "node 3", "arc (1,3) in graph",
+                                 "absent")]
+
+    def test_parallel_parent_arcs_any_one_supports_the_cost(self, algebra):
+        g = op.build_graph(2, [(1, 2, 5), (1, 2, 3)], directed=True)
+        _, state = self.solved(g, algebra)
+        assert (state.parent[2], state.cost[2]) == (1, 3)
+        assert op.check_tree(state, g, algebra).ok  # through the 3-arc
+        state.cost[2] = 5  # through the 5-arc, or stale-high
+        assert op.check_tree(state, g, algebra).ok
+        state.cost[2] = 2  # below both
+        rep = op.check_tree(state, g, algebra)
+        assert rep.failures == [("cost-consistency", "node 2", "cost >= 3", 2)]
 
     def test_unsound_cost_detected(self, triangle, algebra):
         _, state = self.solved(triangle, algebra)
@@ -130,8 +142,8 @@ class TestStructuralAudits:
 
     def test_two_cycle_rejected_with_cycle_named(self, triangle, algebra):
         _, state = self.solved(triangle, algebra)
-        state.parent[2], state.weight_used[2], state.cost[2] = 3, 1, 2
-        state.parent[3], state.weight_used[3], state.cost[3] = 2, 1, 3
+        state.parent[2], state.cost[2] = 3, 2
+        state.parent[3], state.cost[3] = 2, 3
         rep = op.check_tree(state, triangle, algebra)
         assert not rep.ok
         assert any("cycle" in str(got) and "2" in str(got) and "3" in str(got)
@@ -140,7 +152,6 @@ class TestStructuralAudits:
     def test_source_with_parent_rejected(self, triangle, algebra):
         _, state = self.solved(triangle, algebra)
         state.parent[1] = 3
-        state.weight_used[1] = 1
         rep = op.check_tree(state, triangle, algebra)
         assert any(check == "source-root" for check, *_ in rep.failures)
 

@@ -18,8 +18,9 @@ import optpaths as op
 EXPORTS = {
     "evolve": ["eom", "eom_two_course"],
     "generators": ["GridSpec", "HzpPlan", "gen_grid", "gen_random_graph",
-                   "serpentine_path", "shape_sweep_specs", "splitmix64"],
-    "graph": ["UNSET", "Arc", "CostAlgebra", "Graph", "GraphError",
+                   "grid_columns", "random_columns", "serpentine_path",
+                   "shape_sweep_specs", "splitmix64"],
+    "graph": ["UNSET", "CostAlgebra", "Graph", "GraphError",
               "InstanceFormatError", "build_graph", "graph_from_columns",
               "in_neighbors", "leaves", "min_plus_algebra", "read_instance",
               "read_instance_file", "write_instance", "write_instance_file"],
@@ -78,7 +79,6 @@ class TestNamespace:
 
 class TestRecords:
     def test_named_tuple_fields_and_defaults(self):
-        assert op.Arc._fields == ("head", "tail", "weight")
         assert op.CostAlgebra._fields == ("extend", "better", "zero")
         assert op.HzpPlan._fields == ("path", "terminal")
         assert op.HdaReport._fields == ("arc_inspections", "wall_time_ms")
@@ -96,7 +96,6 @@ class TestRecords:
             op.GridSpec(0, 3).validate()
 
     @pytest.mark.parametrize("record, field", [
-        (op.Arc(1, 2, 3), "weight"),
         (op.min_plus_algebra(), "zero"),
         (op.GridSpec(2, 2), "seed"),
         (op.HzpPlan((1, 2), 2), "terminal"),
@@ -108,7 +107,7 @@ class TestRecords:
     def test_plain_classes_take_the_same_arguments(self):
         regions = op.Regions([1, 2], [0, 1, 2], [0, 1, 2])
         assert (regions.reached_count, regions.region_count) == (2, 2)
-        state = op.SolverState(2, (1,), [0, 0, 1], [0, 0, 5], [0, 0, 5],
+        state = op.SolverState(2, (1,), [0, 0, 1], [0, 0, 5],
                                [False, True, False])
         assert state.tags is None and state.labeled(2)
         assert op.SolverState.fresh(2, [1, 2], 0).tags == [0, 1, 2]

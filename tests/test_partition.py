@@ -22,7 +22,6 @@ class TestTriangleExample:
         _, state, _ = op.hda_multi(triangle, [1], algebra)
         assert state.cost[1:] == [0, 10, 1]
         assert state.parent[1:] == [0, 1, 1]
-        assert state.weight_used[2] == 10
 
 
 class TestPartitionStructure:

@@ -76,8 +76,7 @@ class TestRunPipeline:
             for field in ("order", "region_of", "position_of"):
                 assert list(getattr(fast.regions, field)) \
                     == getattr(ref.regions, field)
-            for field in ("parent", "cost", "weight_used", "is_source",
-                          "tags"):
+            for field in ("parent", "cost", "is_source", "tags"):
                 assert list(getattr(fast.state, field)) \
                     == getattr(ref.state, field)
             assert (fast.state.n, fast.state.sources) \
@@ -91,8 +90,8 @@ class TestDebugHook:
         regions, state, _ = op.hda_multi(triangle, [1], algebra)
         hook = _debug_hook(triangle, regions, state, "demo", algebra)
         hook(0)
-        state.parent[2], state.weight_used[2], state.cost[2] = 3, 1, 2
-        state.parent[3], state.weight_used[3], state.cost[3] = 2, 1, 3
+        state.parent[2], state.cost[2] = 3, 2
+        state.parent[3], state.cost[3] = 2, 3
         with pytest.raises(InvariantViolation, match="tree audit"):
             hook(1)
 

@@ -345,7 +345,7 @@ def state_and_regions(region, parent, cost, tags=None):
         position[v] = i
     state = op.SolverState(
         n=n, sources=tuple(v for v in order if not parent[v]),
-        parent=parent, cost=cost, weight_used=[0] * (n + 1),
+        parent=parent, cost=cost,
         is_source=[bool(region[v]) and not parent[v] for v in range(n + 1)],
         tags=tags)
     return state, op.Regions(order, region, position)
@@ -395,31 +395,29 @@ def test_export_rows_with_and_without_a_compiler(name, request):
     assert export_text(columns) == want
 
 
-def instance_text(g):
+def instance_text(n, columns, directed):
     buf = io.StringIO()
-    op.write_instance(g, buf, ["a comment"])
+    op.write_instance(n, *columns, directed, buf, ["a comment"])
     return buf.getvalue()
 
 
 def test_instance_rows_with_and_without_a_compiler(request, tmp_path):
-    graphs = [op.build_graph(3, [(1, 2, INT64_MAX), (3, 1, 0)],
-                             directed=True),
-              op.build_graph(1, []),
-              op.gen_random_graph(30, 90, 0, 10**12, seed=1)]
+    instances = [(3, ([1, 3], [2, 1], [INT64_MAX, 0]), True),
+                 (1, ([], [], []), False),
+                 (30, op.random_columns(30, 90, 0, 10**12, seed=1), False)]
     want = [("# a comment\nn 3 2 directed\n"
              f"1 2 {INT64_MAX}\n3 1 0\n"),
             "# a comment\nn 1 0 undirected\n"]
-    arcs = zip(*(a.tolist() for a in (graphs[2].arc_head, graphs[2].arc_tail,
-                                      graphs[2].arc_weight)))
+    arcs = zip(*instances[2][1])
     want.append("# a comment\nn 30 90 undirected\n"
                 + "".join(f"{h} {t} {w}\n" for h, t, w in arcs))
     gen = ["gen", "random", "--n", "40", "--arcs", "200", "--seed", "3",
            "--directed"]
     compiled = tmp_path / "compiled.txt"
     assert cli.main(gen + ["--out", str(compiled)]) == cli.EXIT_OK
-    assert [instance_text(g) for g in graphs] == want
+    assert [instance_text(*inst) for inst in instances] == want
     without_a_compiler(request)
-    assert [instance_text(g) for g in graphs] == want
+    assert [instance_text(*inst) for inst in instances] == want
     reference = tmp_path / "reference.txt"
     assert cli.main(gen + ["--out", str(reference)]) == cli.EXIT_OK
     assert compiled.read_bytes() == reference.read_bytes()
