@@ -24,15 +24,15 @@ _EXPORTS = {
               "InstanceFormatError", "build_graph", "graph_from_columns",
               "in_neighbors", "leaves", "min_plus_algebra", "read_instance",
               "read_instance_file", "write_instance", "write_instance_file"),
-    "monarchy": ("SchedulerKind", "StatusMap", "classify_status",
-                 "run_scheduler"),
+    "monarchy": ("StatusMap", "classify_status", "run_scheduler"),
     "oracles": ("OracleResult", "VerificationReport", "bellman_ford_oracle",
                 "brute_force_oracle", "check_fixpoint", "check_reachability",
                 "check_tree", "dijkstra_oracle", "minhop_dp_oracle",
                 "verify_export"),
-    "partition": ("UNREACHED", "HdaReport", "OptReport", "Regions",
-                  "SolverState", "export_results", "export_results_file",
-                  "hda_multi", "relax"),
+    "partition": ("SCHEDULERS", "UNREACHED", "HdaReport", "OptReport",
+                  "Regions", "SolverState", "export_results",
+                  "export_results_file", "hda_multi", "read_results_file",
+                  "relax"),
     "pipeline": ("ALGORITHMS", "InvariantViolation", "PipelineResult",
                  "run_pipeline"),
 }

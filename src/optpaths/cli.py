@@ -25,11 +25,9 @@ import os
 import sys
 from typing import TYPE_CHECKING, Optional
 
-from . import fastlane
 from .graph import (_INT, Graph, GraphError, InstanceFormatError,
-                    open_output, read_instance_file, read_text,
-                    write_instance)
-from .partition import UNREACHED, OptReport, export_results_file
+                    open_output, read_instance_file, write_instance)
+from .partition import OptReport, export_results_file, read_results_file
 from .pipeline import ALGORITHMS, InvariantViolation, PipelineResult, run_pipeline
 
 if TYPE_CHECKING:
@@ -236,75 +234,11 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _parse_results(path: str, n: int):
-    """Read an export: region, parent, cost, has_cost and tags per node.
-
-    ``cost`` and ``has_cost`` are 0 where a row says UNREACHED.  Every row
-    has 4 columns, or every row has 5 (the tag column); tags is None for a
-    4-column file.  The compiled reader reads the file into int64 arrays
-    when it can; any file it refuses goes to the reference reader,
-    :func:`_scan_results`, which gives the same lists or names the fault.
-    """
-    with open(path, "rb") as fh:
-        rows = fastlane.read_results(fh.read(), n)
-    return rows if rows is not None else _scan_results(path, n)
-
-
-def _scan_results(path: str, n: int):
-    """The reference reader of :func:`_parse_results`; the first fault
-    raises an InstanceFormatError naming its line."""
-    region = [0] * (n + 1)
-    parent = [0] * (n + 1)
-    cost = [0] * (n + 1)
-    has_cost = [0] * (n + 1)
-    tags = [0] * (n + 1)
-    seen = [False] * (n + 1)
-    width = None
-    with open(path, encoding="utf-8") as fh:
-        text = read_text(fh)
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) not in (4, 5):
-            raise InstanceFormatError(
-                f"line {lineno}: expected '<id> <region> <parent> <cost> [tag]'")
-        if width is None:
-            width = len(parts)
-        elif len(parts) != width:
-            raise InstanceFormatError(
-                f"line {lineno}: {len(parts)} columns where earlier rows "
-                f"have {width}")
-        # int() also takes '_' and non-ASCII digits; on other tokens it takes
-        # exactly graph._INT's [+-]?[0-9]+, for less than a regex per field
-        if not line.isascii() or "_" in line:
-            raise InstanceFormatError(f"line {lineno}: non-integer field")
-        try:
-            v, reg, par = int(parts[0]), int(parts[1]), int(parts[2])
-            c = 0 if parts[3] == UNREACHED else int(parts[3])
-            tag = int(parts[4]) if width == 5 else 0
-        except ValueError:
-            raise InstanceFormatError(f"line {lineno}: non-integer field") from None
-        if not 1 <= v <= n or seen[v]:
-            raise InstanceFormatError(
-                f"line {lineno}: bad or duplicate node id {v}")
-        if not 0 <= par <= n:
-            raise InstanceFormatError(
-                f"line {lineno}: parent {par} out of range 0..{n}")
-        seen[v] = True
-        region[v], parent[v], cost[v], tags[v] = reg, par, c, tag
-        has_cost[v] = int(parts[3] != UNREACHED)
-    missing = [v for v in range(1, n + 1) if not seen[v]]
-    if missing:
-        raise InstanceFormatError(f"results missing node(s) {missing[:5]}")
-    return region, parent, cost, has_cost, tags if width == 5 else None
-
-
 def cmd_verify(args) -> int:
     from .oracles import verify_export
     g, _ = read_instance_file(args.instance)
-    region, parent, cost, has_cost, tags = _parse_results(args.results, g.n)
+    region, parent, cost, has_cost, tags = read_results_file(args.results,
+                                                             g.n)
     rep = verify_export(g, region, parent, cost, has_cost,
                         fixpoint=args.fixpoint, tags=tags)
     print(rep.summary())

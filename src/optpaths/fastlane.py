@@ -7,24 +7,20 @@ are generic over the cost algebra and carry debug hooks; the kernels in
 They mirror the reference loops statement for statement -- including every
 counter and the per-node source tags -- and the test suite asserts exact
 equality of states and counters between the two lanes, so either lane
-certifies the other.  Results stay in the kernels' ``array('q')``
-buffers from solve to export.  :func:`build` (kernel ``optpaths_build``)
-assembles the CSR adjacency of int64 arc columns whose every arc it
-accepts and returns None for any other arcs, which the reference build of
-:mod:`graph` then builds or rejects.  :func:`read_graph` is the compiled
-instance reader: it parses an arc block it fully accepts and builds it
-with the same kernel, and returns None for any other block, which the
-reference reader then reads or rejects.  A graph keeps only its CSR
-arrays, not the arc columns it was built from, so the reader's parsed
-columns are freed once its build returns.  :func:`draws` (kernel
-``optpaths_draws``) fills an arc column with the generators' splitmix64
-draws.  Results files get the same treatment: :func:`format_rows` writes
-the rows of a results export or an instance file, :func:`read_results`
-reads a results file it fully accepts into int64 arrays, and
-:func:`export_is_clean` certifies an export that
-:func:`oracles.verify_export` would pass.  Each
-returns None or False wherever it cannot answer, and the Python code, the
-reference, decides.
+certifies the other.  Schedulers are named as in
+:data:`partition.SCHEDULERS`, and this module imports none of the
+reference solvers.  Results stay in the kernels' ``array('q')`` buffers
+from solve to export.
+
+The other kernels certify or refuse.  :func:`build` assembles the CSR of
+int64 arc columns, :func:`read_graph` parses an instance's arc block and
+builds it, :func:`read_results` reads a results file, :func:`format_rows`
+writes the rows of either file, :func:`draws` makes the generators'
+splitmix64 draws, and :func:`export_is_clean` certifies an export that
+:func:`oracles.verify_export` would pass.  Each returns None or False
+wherever it cannot answer, and the Python code, the reference, decides.
+A graph keeps only its CSR arrays, so the arc columns a build reads are
+freed once it returns.
 
 This module needs only the standard library plus, optionally, a C
 compiler: every array it passes to a kernel is an ``array('q')``, and
@@ -35,11 +31,13 @@ under a name keyed by a checksum of the source and the compile command,
 then loaded with ctypes; later processes load the cached object.
 
 :func:`refusal` names the one reason, if any, that this lane cannot run a
-graph from a source set: a bad source, a malformed CSR, a graph whose
-``max_weight * n`` exceeds ``2**63 - 1`` (an int64 cost could wrap; the
-reference lane computes such instances exactly), or no compiler.
-``FastRun`` raises :class:`GraphError` with that reason; ``run_pipeline``
-runs the reference lane instead.
+graph from a source set: a bad source, a graph whose ``max_weight * n``
+exceeds ``2**63 - 1`` (an int64 cost could wrap; the reference lane
+computes such instances exactly), or no compiler.  ``FastRun`` raises
+:class:`GraphError` with that reason; ``run_pipeline`` runs the reference
+lane instead.  Before a kernel walks a graph, one kernel pass checks its
+CSR: ``FastRun`` and :func:`export_is_clean`, and so ``run_pipeline`` and
+``verify_export``, raise :class:`GraphError` on a malformed one.
 """
 
 from __future__ import annotations
@@ -52,13 +50,10 @@ import time
 import zlib
 from array import array
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .graph import INT64_MAX, Graph, GraphError, _zeros
-from .partition import HdaReport, OptReport, Regions, SolverState
-
-if TYPE_CHECKING:
-    from .monarchy import SchedulerKind
+from .partition import SCHEDULERS, HdaReport, OptReport, Regions, SolverState
 
 #: compile command; ``-o <object> <source>`` is appended
 _BUILD = ("cc", "-O2", "-shared", "-fPIC")
@@ -72,6 +67,7 @@ _SIGNATURES = {
     "optpaths_eom": ([_P, _I] + [_P] * 8 + [_I, _P], None),
     "optpaths_schedule": ([_I, _P, _I] + [_P] * 11, None),
     "optpaths_build": ([_I] * 3 + [_P] * 10, _I),
+    "optpaths_check_csr": ([_I, _P, _P, _I], _I),
     "optpaths_read": ([ctypes.c_char_p] + [_I] * 4 + [_P] * 10, _I),
     "optpaths_draws": ([_U] * 3 + [_I, _I, _U, _P], None),
     "optpaths_format": ([_I] * 4 + [_P] * 2, _I),
@@ -147,7 +143,7 @@ def _built(kernel, n: int, arcs: Sequence[array],
            directed: bool) -> Optional[Graph]:
     """The graph ``kernel`` builds on ``arcs``, or None if it refuses.
 
-    ``kernel`` takes the arc and CSR arrays and the stats of
+    ``kernel`` takes the arc and CSR arrays and the maximum-weight cell of
     ``optpaths_build``; None also means that the pointer arrays of ``n``
     nodes cannot be allocated.
     """
@@ -159,11 +155,10 @@ def _built(kernel, n: int, arcs: Sequence[array],
     E = len(arcs[0]) * (1 if directed else 2)
     fwd = (fwd_ptr, _zeros(E), _zeros(E))
     rev = (rev_ptr, _zeros(E), _zeros(E)) if directed else fwd
-    stats = _zeros(2)
-    if kernel(*map(_ptr, (*arcs, *fwd, *rev, stats))):
+    max_weight = _zeros(1)
+    if kernel(*map(_ptr, (*arcs, *fwd, *rev, max_weight))):
         return None
-    m, max_weight = stats
-    return Graph(n, directed, fwd, rev, m, E, max_weight)
+    return Graph(n, directed, fwd, rev, E, max_weight[0])
 
 
 def build(n: int, head: array, tail: array, weight: array,
@@ -271,9 +266,10 @@ _MIN_ROW_BYTES = 8
 def read_results(data: bytes, n: int):
     """A results export read by the compiled reader, or None.
 
-    Returns what ``cli._parse_results`` returns for ``data``, the bytes of
-    a file, as int64 arrays: region, parent, cost (0 where unreached),
-    has_cost (0 where unreached, else 1) and tags, None for 4-column rows.
+    Returns what ``partition.read_results_file`` returns for ``data``, the
+    bytes of a file, as int64 arrays: region, parent, cost (0 where
+    unreached), has_cost (0 where unreached, else 1) and tags, None for
+    4-column rows.
     None means the reader refused ``data`` -- it names no fault -- or that
     the lane is unavailable; either way the reference reader then decides.
     """
@@ -300,11 +296,13 @@ def export_is_clean(g: Graph, region: Sequence[int], parent: Sequence[int],
     True means :func:`oracles.verify_export` under min-plus would report no
     failure.  False names no fault: some check fails, a value is no
     int64, or the lane is unavailable; the caller then runs the reference
-    audit.  int64 arrays go to the kernel as they are.
+    audit.  int64 arrays go to the kernel as they are.  A malformed CSR
+    raises GraphError.
     """
     lib = _lane()[0]
-    if lib is None or not _csr_ok(g):
+    if lib is None:
         return False
+    _check_csr(lib, g)
     n = g.n
     cols = [region, parent, cost, has_cost] + ([] if tags is None else [tags])
     cols = [_int64s(c) for c in cols]
@@ -318,12 +316,18 @@ def export_is_clean(g: Graph, region: Sequence[int], parent: Sequence[int],
         *map(_ptr, scratch)) == 0
 
 
-def _csr_ok(g: Graph) -> bool:
-    """Whether both CSRs of ``g`` have consistent lengths."""
-    return all(len(ptr) == g.n + 2 and len(idx) == len(w)
-               and int(ptr[-1]) == len(idx)
-               for ptr, idx, w in ((g.fwd_ptr, g.fwd_dst, g.fwd_w),
-                                   (g.rev_ptr, g.rev_src, g.rev_w)))
+def _check_csr(lib: ctypes.CDLL, g: Graph) -> None:
+    """Raise GraphError unless both CSRs of ``g`` are well formed, as
+    ``optpaths_check_csr`` defines it, so that no kernel reaches outside an
+    array; an undirected graph's one CSR is checked once."""
+    fwd = (g.fwd_ptr, g.fwd_dst, g.fwd_w)
+    rev = (g.rev_ptr, g.rev_src, g.rev_w)
+    same = all(a is b for a, b in zip(fwd, rev))
+    for ptr, idx, w in (fwd,) if same else (fwd, rev):
+        if not (len(ptr) == g.n + 2 and len(idx) == len(w)
+                and lib.optpaths_check_csr(g.n, _ptr(ptr), _ptr(idx),
+                                           len(idx)) == 0):
+            raise GraphError("malformed CSR adjacency")
 
 
 def refusal(g: Graph, sources: Sequence[int]) -> Optional[str]:
@@ -340,8 +344,6 @@ def refusal(g: Graph, sources: Sequence[int]) -> Optional[str]:
     for s in sources:
         if not 1 <= s <= g.n:
             return f"source {s} out of range 1..{g.n}"
-    if not _csr_ok(g):
-        return "malformed CSR adjacency"
     if g.max_weight * g.n > INT64_MAX:
         return (f"max weight {g.max_weight} x {g.n} nodes exceeds 2**63 - 1, so "
                 f"int64 path costs could overflow; use the reference lane")
@@ -357,7 +359,8 @@ class FastRun:
     ``regions`` and ``state`` hold the kernels' int64 buffers, which
     :meth:`eom` and :meth:`schedule` update in place.  Raises
     :class:`GraphError` with the :func:`refusal` reason when the lane cannot
-    run the graph; it never falls back to Python loops.
+    run the graph, and for a malformed CSR; it never falls back to Python
+    loops.
     """
 
     def __init__(self, g: Graph, sources: Sequence[int]):
@@ -366,6 +369,7 @@ class FastRun:
         if why is not None:
             raise GraphError(why)
         self._lib = _lane()[0]
+        _check_csr(self._lib, g)
         self.g = g
         src_ids = array("q", srcs)  # alive through the kernel call
         t0 = time.perf_counter()
@@ -417,11 +421,12 @@ class FastRun:
             int(two_course), _ptr(out))
         return OptReport(*out.tolist(), (time.perf_counter() - t0) * 1e3)
 
-    def schedule(self, kind: SchedulerKind) -> OptReport:
-        """Push to the fixpoint from the origins; :meth:`classify` runs first."""
-        from .monarchy import _KIND_CODE, SchedulerKind
+    def schedule(self, kind: str) -> OptReport:
+        """Push to the fixpoint from the origins under the pointer rule
+        ``kind``, one of :data:`partition.SCHEDULERS`; :meth:`classify` runs
+        first."""
         g, r = self.g, self.regions
-        code = _KIND_CODE[SchedulerKind(kind)]
+        code = SCHEDULERS.index(kind)
         out = _zeros(6)
         t0 = time.perf_counter()
         self._lib.optpaths_schedule(

@@ -202,11 +202,3 @@ def grid_comments(spec: GridSpec, plan: Optional[HzpPlan]) -> list[str]:
     if plan is not None:
         out.append("hzp-path " + " ".join(str(v) for v in plan.path))
     return out
-
-
-def parse_hzp_comment(comments: list[str]) -> Optional[HzpPlan]:
-    for c in comments:
-        if c.startswith("hzp-path "):
-            path = tuple(int(tok) for tok in c.split()[1:])
-            return HzpPlan(path=path, terminal=path[-1])
-    return None

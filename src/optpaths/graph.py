@@ -86,35 +86,35 @@ class Graph:
         directed: whether the input arcs were taken as one-way.
         fwd_ptr, fwd_dst, fwd_w: CSR of out-leaves per node.
         rev_ptr, rev_src, rev_w: CSR of in-neighbors per node.
-        m: maximum out-degree over all nodes.
         E: total number of directed adjacency entries (an undirected arc
            counts twice).
         max_weight: the largest arc weight (0 without arcs).
 
     Every array is an ``array('q')``; for an undirected graph the reverse
-    CSR is the forward one.  The arc list the graph was built from is not
-    kept.
+    CSR is the forward one.  Nothing else is kept: not the arc list the
+    graph was built from, nor any degree statistic.  A graph built by hand
+    as ``Graph(n, directed, fwd, rev, E, max_weight)`` must keep the
+    builds' CSR shape; the compiled lane checks it before any kernel runs.
     """
 
     __slots__ = (
         "n", "directed",
         "fwd_ptr", "fwd_dst", "fwd_w",
         "rev_ptr", "rev_src", "rev_w",
-        "m", "E", "max_weight",
+        "E", "max_weight",
     )
 
-    def __init__(self, n, directed, fwd, rev, m, E, max_weight):
+    def __init__(self, n, directed, fwd, rev, E, max_weight):
         self.n = n
         self.directed = directed
         self.fwd_ptr, self.fwd_dst, self.fwd_w = fwd
         self.rev_ptr, self.rev_src, self.rev_w = rev
-        self.m = m
         self.E = E
         self.max_weight = max_weight
 
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
-        return f"Graph(n={self.n}, {kind}, E={self.E}, m={self.m})"
+        return f"Graph(n={self.n}, {kind}, E={self.E})"
 
 
 def _int64_overflow(arcs) -> str:
@@ -203,9 +203,7 @@ def _build_reference(n: int, head: array, tail: array, weight: array,
         dst[0::2], dst[1::2] = tail, head
         w2[0::2], w2[1::2] = weight, weight
         fwd = rev = _counting_sort(n, key, dst, w2)
-    ptr = fwd[0]
-    m = max(map(operator.sub, ptr[2:], ptr[1:-1]), default=0)
-    return Graph(n, directed, fwd, rev, m, len(fwd[1]), max(weight, default=0))
+    return Graph(n, directed, fwd, rev, len(fwd[1]), max(weight, default=0))
 
 
 def _zeros(k: int) -> array:

@@ -2,39 +2,33 @@
  *
  * Each solver function mirrors the reference solver of the same name
  * statement for statement, counters included, over the graph's int64 CSR
- * arrays.  Node ids are 1-based; every per-node array has n + 1 entries.
- * Costs are plain int64: the caller refuses graphs whose max_weight * n
- * exceeds INT64_MAX, which bounds every candidate cost + weight below
- * overflow.  tags names, per node, the source whose influence labeled it:
- * each source starts tagged with itself and every accepted relaxation
- * copies the new parent's tag.  No label keeps its arc's weight.  Every
- * kernel accepts relaxations through relax below, which mirrors
- * partition.relax, the one rule of the reference lane.  The optimizer
- * kernels write their counters to out[] in the field order of
- * partition.OptReport: big_loops, node_scans, improvements, regular_way,
- * wrong_way, arc_relaxations.
+ * arrays, which optpaths_check_csr has checked.  Node ids are 1-based;
+ * every per-node array has n + 1 entries.  Costs are plain int64: the
+ * caller refuses graphs whose max_weight * n exceeds INT64_MAX, which
+ * bounds every candidate cost + weight below overflow.  tags names, per
+ * node, the source whose influence labeled it: each source starts tagged
+ * with itself and every accepted relaxation copies the new parent's tag.
+ * No label keeps its arc's weight.  Every kernel accepts relaxations
+ * through relax below, which mirrors partition.relax, the one rule of the
+ * reference lane.  The optimizer kernels write their counters to out[] in
+ * the field order of partition.OptReport: big_loops, node_scans,
+ * improvements, regular_way, wrong_way, arc_relaxations.
  *
- * The build, the readers and the audit are the exception: they certify or
- * refuse, and are not statement-for-statement mirrors of the Python code
- * they stand in for.  optpaths_build assembles the CSR adjacency of an arc
- * list it fully accepts and refuses any other without saying why; the
- * caller then runs the reference build of graph.py, which builds the same
- * graph or names the first bad arc.  optpaths_read is a stricter reader
- * than the reference one (graph._scan_arc_block plus graph.build_graph):
- * it parses an arc block it fully accepts and builds it with
- * optpaths_build, and refuses everything else without saying why; the
- * caller then hands the block to the reference reader, which builds the
- * same graph or names the fault.
- * optpaths_read_results does the same for a results file against
- * cli._scan_results.  optpaths_audit answers one question about a results
- * export, whether oracles.verify_export would find no failure; on any
- * other answer the reference audit runs and names every failure.
- * Differential tests (tests/test_graph.py, tests/test_instance_parser.py
- * and tests/test_results_files.py) certify that each agrees with its
- * reference wherever it accepts.  optpaths_format writes the rows of both
- * file kinds, byte for byte as the Python formatters do, and
- * optpaths_draws the splitmix64 draws of the generators, number for
- * number as generators.splitmix64 does.
+ * The other kernels certify or refuse, and are not statement-for-statement
+ * mirrors of the Python code they stand in for; whatever they refuse, they
+ * refuse without saying why, and the reference then decides and names the
+ * fault.  optpaths_build assembles the CSR adjacency of an arc list it
+ * fully accepts (the reference is the build of graph.py);
+ * optpaths_read parses an arc block it fully accepts and builds it
+ * (graph._scan_arc_block plus graph.build_graph); optpaths_read_results
+ * reads a results file (partition._scan_results); and optpaths_audit
+ * answers whether oracles.verify_export would find no failure in a
+ * results export.  Differential tests (tests/test_graph.py,
+ * tests/test_instance_parser.py and tests/test_results_files.py) certify
+ * that each agrees with its reference wherever it accepts.
+ * optpaths_format writes the rows of both file kinds, byte for byte as the
+ * Python formatters do, and optpaths_draws the splitmix64 draws of the
+ * generators, number for number as generators.splitmix64 does.
  *
  * Built on first use by fastlane.py with the system C compiler and called
  * through ctypes; no Python headers are needed.
@@ -277,14 +271,13 @@ static inline int is_sep(char c)
  * an undirected arc adds its two directions in turn, as the reference
  * build in graph.py does.  fptr and rptr (n + 2 entries) must arrive
  * zero-filled; fdst and fw hold k entries when directed, 2k when not;
- * rptr, rsrc and rw are unused when undirected.  Returns 0 with stats[0] =
- * the largest out-degree and stats[1] = the largest weight, or 1 to
- * refuse. */
+ * rptr, rsrc and rw are unused when undirected.  Returns 0 with
+ * *max_weight set to the largest weight (0 without arcs), or 1 to refuse. */
 int64_t optpaths_build(int64_t n, int64_t k, int64_t directed,
                        const int64_t *head, const int64_t *tail,
                        const int64_t *weight, int64_t *fptr, int64_t *fdst,
                        int64_t *fw, int64_t *rptr, int64_t *rsrc,
-                       int64_t *rw, int64_t *stats)
+                       int64_t *rw, int64_t *max_weight)
 {
     int64_t w_max = 0;
     for (int64_t i = 0; i < k; i++) {
@@ -299,10 +292,7 @@ int64_t optpaths_build(int64_t n, int64_t k, int64_t directed,
         else
             fptr[t + 1] += 1;
     }
-    int64_t m = 0;
     for (int64_t u = 1; u <= n + 1; u++) {
-        if (fptr[u] > m)
-            m = fptr[u];
         fptr[u] += fptr[u - 1];
         if (directed)
             rptr[u] += rptr[u - 1];
@@ -329,8 +319,26 @@ int64_t optpaths_build(int64_t n, int64_t k, int64_t directed,
         if (directed)
             rptr[u] = rptr[u - 1];
     }
-    stats[0] = m;
-    stats[1] = w_max;
+    *max_weight = w_max;
+    return 0;
+}
+
+/* Checks a CSR of n nodes whose idx array holds len entries: ptr (n + 2
+ * entries) starts at 0, never falls and ends at len, and every idx entry
+ * is a node id in 1..n.  Every kernel that walks a CSR relies on this;
+ * optpaths_build's CSRs hold it by construction.  Returns 0 when it
+ * holds, 1 otherwise. */
+int64_t optpaths_check_csr(int64_t n, const int64_t *ptr, const int64_t *idx,
+                           int64_t len)
+{
+    if (ptr[0] != 0 || ptr[n + 1] != len)
+        return 1;
+    for (int64_t u = 0; u <= n; u++)
+        if (ptr[u + 1] < ptr[u])
+            return 1;
+    for (int64_t k = 0; k < len; k++)
+        if (idx[k] < 1 || idx[k] > n)
+            return 1;
     return 0;
 }
 
@@ -345,7 +353,7 @@ int64_t optpaths_read(const char *s, int64_t len, int64_t n, int64_t k,
                       int64_t directed, int64_t *head, int64_t *tail,
                       int64_t *weight, int64_t *fptr, int64_t *fdst,
                       int64_t *fw, int64_t *rptr, int64_t *rsrc,
-                      int64_t *rw, int64_t *stats)
+                      int64_t *rw, int64_t *max_weight)
 {
     const char *p = s, *end = s + len;
     int64_t count = 0;
@@ -404,7 +412,7 @@ int64_t optpaths_read(const char *s, int64_t len, int64_t n, int64_t k,
     if (count != k)
         return 1;
     return optpaths_build(n, k, directed, head, tail, weight, fptr, fdst, fw,
-                          rptr, rsrc, rw, stats);
+                          rptr, rsrc, rw, max_weight);
 }
 
 /* Fills out[0..count) with lo + splitmix64(seed, start + i * stride) %
@@ -494,8 +502,8 @@ static inline int is_blank(unsigned char c)
 
 /* Reads a results file, s[0..len), for n nodes: one row per node,
  * "<id> <region> <parent> <cost|UNREACHED> [tag]".  Like optpaths_read it
- * is stricter than the reference reader (cli._scan_results) and refuses
- * without saying why.  It accepts only text whose every byte is printable
+ * is stricter than the reference reader (partition._scan_results) and
+ * refuses without saying why.  It accepts only text whose every byte is printable
  * ASCII, a space, a tab or '\n', in which every line is blank, a
  * whole-line '#' comment, or a row of 4 or 5 fields separated by spaces
  * and tabs; each field is [+-]?[0-9]+ of magnitude at most INT64_MAX,

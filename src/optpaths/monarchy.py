@@ -25,17 +25,10 @@ all three end at the same fixpoint costs as the plain sweeps.
 from __future__ import annotations
 
 import time
-from enum import Enum
 from typing import Callable, Optional
 
 from .graph import CostAlgebra, Graph, GraphError
-from .partition import OptReport, Regions, SolverState, relax
-
-
-class SchedulerKind(str, Enum):
-    HRP = "hrp"
-    FR = "fr"
-    HT = "ht"
+from .partition import SCHEDULERS, OptReport, Regions, SolverState, relax
 
 
 class StatusMap:
@@ -78,17 +71,15 @@ def classify_status(g: Graph, state: SolverState, algebra: CostAlgebra,
     return StatusMap(status=status, origin_count=sum(status))
 
 
-_KIND_CODE = {SchedulerKind.HRP: 0, SchedulerKind.FR: 1, SchedulerKind.HT: 2}
-
-
-def run_scheduler(kind: SchedulerKind, g: Graph, regions: Regions,
+def run_scheduler(kind: str, g: Graph, regions: Regions,
                   state: SolverState, statuses: StatusMap,
                   algebra: CostAlgebra,
                   debug_check: Optional[Callable[[int], None]] = None,
                   ) -> OptReport:
-    """Drive push-relaxation to the fixpoint under the selected pointer rule."""
+    """Drive push-relaxation to the fixpoint under the pointer rule ``kind``,
+    one of :data:`partition.SCHEDULERS`; any other kind raises GraphError."""
     try:
-        code = _KIND_CODE[SchedulerKind(kind)]
+        code = SCHEDULERS.index(kind)
     except ValueError:
         raise GraphError(f"unknown scheduler kind: {kind!r}") from None
 

@@ -162,11 +162,15 @@ def minhop_dp_oracle(g: Graph, source: NodeId, algebra: CostAlgebra) -> OracleRe
     return OracleResult(dist, parent)
 
 
-def brute_force_oracle(g: Graph, source: NodeId, algebra: CostAlgebra,
-                       max_n: int = 12) -> OracleResult:
+#: the largest graph :func:`brute_force_oracle` enumerates
+MAX_BRUTE_N = 12
+
+
+def brute_force_oracle(g: Graph, source: NodeId,
+                       algebra: CostAlgebra) -> OracleResult:
     """Exhaustive simple-path enumeration; certification of the oracles only."""
-    if g.n > max_n:
-        raise ValueError(f"brute force capped at n <= {max_n}, got n={g.n}")
+    if g.n > MAX_BRUTE_N:
+        raise ValueError(f"brute force capped at n <= {MAX_BRUTE_N}, got n={g.n}")
     dist: list[Optional[int]] = [None] * (g.n + 1)
     parent = [UNSET] * (g.n + 1)
     dist[source] = algebra.zero

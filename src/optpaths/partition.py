@@ -14,7 +14,7 @@ carries the usable arcs.
 
 :func:`export_results_file` writes a result export through
 :func:`optpaths.graph.open_output`, so a failed write leaves an earlier
-export in place.
+export in place, and :func:`read_results_file` reads one back.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from __future__ import annotations
 import time
 from typing import NamedTuple, Sequence
 
-from .graph import UNSET, CostAlgebra, Graph, GraphError, NodeId, open_output
+from .graph import (UNSET, CostAlgebra, Graph, GraphError,
+                    InstanceFormatError, NodeId, open_output, read_text)
 
 #: cost column marker for nodes the partition never reached
 UNREACHED = "UNREACHED"
@@ -35,8 +36,9 @@ class Regions:
     later phases sweep).  ``region_of[v]`` is the 1-based layer of ``v``
     (source layer is 1; 0 means never reached).  ``position_of[v]`` is the
     1-based position of ``v`` in ``order`` (0 means never reached), i.e.
-    ``order[position_of[v] - 1] == v``.  Lists on the reference lane,
-    int64 arrays on the compiled one.
+    ``order[position_of[v] - 1] == v``.  So ``len(order)`` nodes were
+    reached, and ``region_of[order[-1]]`` layers hold them.  Lists on the
+    reference lane, int64 arrays on the compiled one.
     """
 
 
@@ -45,14 +47,6 @@ class Regions:
         self.order = order
         self.region_of = region_of
         self.position_of = position_of
-
-    @property
-    def reached_count(self) -> int:
-        return len(self.order)
-
-    @property
-    def region_count(self) -> int:
-        return self.region_of[self.order[-1]] if self.order else 0
 
 
 class SolverState:
@@ -126,6 +120,11 @@ class OptReport(NamedTuple):
     wall_time_ms: float
 
 
+#: the worklist schedulers of :mod:`monarchy`; a scheduler's index here is
+#: its code in the compiled kernel
+SCHEDULERS = ("hrp", "fr", "ht")
+
+
 def relax(state: SolverState, algebra: CostAlgebra,
           u: NodeId, v: NodeId, weight: int) -> bool:
     """``u`` offers itself as parent of ``v``; True when ``v`` accepts.
@@ -153,10 +152,9 @@ def hda_multi(g: Graph, sources: Sequence[NodeId], algebra: CostAlgebra,
               ) -> tuple[Regions, SolverState, HdaReport]:
     """Frontier partition plus upper-rank pull from all sources at layer 1.
 
-    Disconnected inputs are not an error: unreached nodes keep layer 0, and
-    ``Regions.reached_count`` says how many were reached.  Every arc is
-    inspected at most twice (once for discovery, once for the pull), so
-    this is a single pass.
+    Disconnected inputs are not an error: unreached nodes keep layer 0 and
+    stay out of ``Regions.order``.  Every arc is inspected at most twice
+    (once for discovery, once for the pull), so this is a single pass.
     """
     if not sources:
         raise GraphError("source set must be non-empty")
@@ -245,3 +243,71 @@ def export_results(state: SolverState, regions: Regions, out) -> None:
 def export_results_file(state: SolverState, regions: Regions, path: str) -> None:
     with open_output(path) as fh:
         export_results(state, regions, fh)
+
+
+def read_results_file(path: str, n: int):
+    """Read an export: region, parent, cost, has_cost and tags per node.
+
+    ``cost`` and ``has_cost`` are 0 where a row says UNREACHED.  Every row
+    has 4 columns, or every row has 5 (the tag column); tags is None for a
+    4-column file.  The compiled reader reads the file into int64 arrays
+    when it can; any file it refuses goes to the reference reader,
+    :func:`_scan_results`, which gives the same lists or names the fault.
+    """
+    from .fastlane import read_results  # fastlane imports this module
+
+    with open(path, "rb") as fh:
+        rows = read_results(fh.read(), n)
+    return rows if rows is not None else _scan_results(path, n)
+
+
+def _scan_results(path: str, n: int):
+    """The reference reader of :func:`read_results_file`; the first fault
+    raises an InstanceFormatError naming its line."""
+    region = [0] * (n + 1)
+    parent = [0] * (n + 1)
+    cost = [0] * (n + 1)
+    has_cost = [0] * (n + 1)
+    tags = [0] * (n + 1)
+    seen = [False] * (n + 1)
+    width = None
+    with open(path, encoding="utf-8") as fh:
+        text = read_text(fh)
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) not in (4, 5):
+            raise InstanceFormatError(
+                f"line {lineno}: expected '<id> <region> <parent> <cost> [tag]'")
+        if width is None:
+            width = len(parts)
+        elif len(parts) != width:
+            raise InstanceFormatError(
+                f"line {lineno}: {len(parts)} columns where earlier rows "
+                f"have {width}")
+        # int() also takes '_' and non-ASCII digits; on other tokens it takes
+        # exactly graph._INT's [+-]?[0-9]+, for less than a regex per field
+        if not line.isascii() or "_" in line:
+            raise InstanceFormatError(f"line {lineno}: non-integer field")
+        try:
+            v, reg, par = int(parts[0]), int(parts[1]), int(parts[2])
+            c = 0 if parts[3] == UNREACHED else int(parts[3])
+            tag = int(parts[4]) if width == 5 else 0
+        except ValueError:
+            raise InstanceFormatError(f"line {lineno}: non-integer field") from None
+        if not 1 <= v <= n or seen[v]:
+            raise InstanceFormatError(
+                f"line {lineno}: bad or duplicate node id {v}")
+        if not 0 <= par <= n:
+            raise InstanceFormatError(
+                f"line {lineno}: parent {par} out of range 0..{n}")
+        seen[v] = True
+        region[v], parent[v], cost[v], tags[v] = reg, par, c, tag
+        has_cost[v] = int(parts[3] != UNREACHED)
+    missing = [v for v in range(1, n + 1) if not seen[v]]
+    if missing:
+        raise InstanceFormatError(f"results missing node(s) {missing[:5]}")
+    return region, parent, cost, has_cost, tags if width == 5 else None
+

@@ -4,7 +4,8 @@ Every command that solves -- ``solve`` (``multi`` included), ``compare`` and
 ``bench`` -- calls ``run_pipeline``: it runs the partition phase from the
 source set, then the selected optimizer, and returns all phase reports plus
 the final state.  A run has per-node source tags exactly when it has two or
-more distinct sources.  With ``debug_invariants`` set, the tree and
+more distinct sources, and each tag names the source its node's parent
+chain ends at.  With ``debug_invariants`` set, the tree and
 reachability audits run under the run's cost algebra at every big-loop
 boundary and any failure raises :class:`InvariantViolation` (the reached
 labeled set must also never shrink).
@@ -25,10 +26,11 @@ import time
 from typing import Optional, Sequence
 
 from . import fastlane
-from .graph import CostAlgebra, Graph, GraphError, min_plus_algebra
-from .partition import HdaReport, OptReport, Regions, SolverState, hda_multi
+from .graph import UNSET, CostAlgebra, Graph, GraphError, min_plus_algebra
+from .partition import (SCHEDULERS, HdaReport, OptReport, Regions,
+                        SolverState, hda_multi)
 
-ALGORITHMS = ("hda", "eom", "eom2", "hrp", "fr", "ht")
+ALGORITHMS = ("hda", "eom", "eom2", *SCHEDULERS)
 
 
 class InvariantViolation(AssertionError):
@@ -79,6 +81,27 @@ def _debug_hook(g: Graph, regions: Regions, state: SolverState, label: str,
     return hook
 
 
+def _root_tags(state: SolverState) -> None:
+    """Retag every node with the source its parent chain ends at.
+
+    Under ``max`` or ``min`` as ``extend``, a node keeps its parent and its
+    old tag when that parent improves but offers only an equal cost; under
+    min-plus a better parent always offers better, so nothing changes.
+    """
+    parent, tags = state.parent, state.tags
+    fixed = [False] * (state.n + 1)  # tags[v] names its chain's source
+    for v in (UNSET, *state.sources):
+        fixed[v] = True
+    for v in range(1, state.n + 1):
+        chain, u = [], v
+        while not fixed[u]:
+            fixed[u] = True
+            chain.append(u)
+            u = parent[u]
+        for x in chain:
+            tags[x] = tags[u]
+
+
 def run_pipeline(g: Graph, sources: Sequence[int], algo: str,
                  algebra: Optional[CostAlgebra] = None,
                  debug_invariants: bool = False) -> PipelineResult:
@@ -86,7 +109,16 @@ def run_pipeline(g: Graph, sources: Sequence[int], algo: str,
         raise GraphError(f"unknown algorithm {algo!r}; pick one of {ALGORITHMS}")
     if (algebra is None and not debug_invariants
             and fastlane.refusal(g, sources) is None):
-        return _run_fast(g, sources, algo)
+        run = fastlane.FastRun(g, sources)
+        rep = None
+        if algo in ("eom", "eom2"):
+            rep = run.eom(two_course=(algo == "eom2"))
+        elif algo != "hda":
+            run.classify()
+            rep = run.schedule(algo)
+        return PipelineResult(algo, run.regions, run.state, run.hda_report,
+                              run.classify_ms, run.origin_count, rep,
+                              "compiled")
     if algebra is None:
         algebra = min_plus_algebra()
 
@@ -96,32 +128,20 @@ def run_pipeline(g: Graph, sources: Sequence[int], algo: str,
         hook = _debug_hook(g, regions, state, algo, algebra)
         hook(0)  # audit the partition output itself
 
-    if algo == "hda":
-        return PipelineResult(algo, regions, state, hda_rep, 0.0, 0, None)
+    classify_ms, origins, rep = 0.0, 0, None
     if algo in ("eom", "eom2"):
         from .evolve import eom, eom_two_course
         run = eom if algo == "eom" else eom_two_course
         rep = run(g, regions, state, algebra, debug_check=hook)
-        return PipelineResult(algo, regions, state, hda_rep, 0.0, 0, rep)
-
-    from .monarchy import classify_status, run_scheduler
-    t0 = time.perf_counter()
-    statuses = classify_status(g, state, algebra, regions)
-    classify_ms = (time.perf_counter() - t0) * 1e3
-    rep = run_scheduler(algo, g, regions, state, statuses, algebra,
-                        debug_check=hook)
-    return PipelineResult(algo, regions, state, hda_rep, classify_ms,
-                          statuses.origin_count, rep)
-
-
-def _run_fast(g: Graph, sources: Sequence[int], algo: str) -> PipelineResult:
-    run = fastlane.FastRun(g, sources)
-    if algo == "hda":
-        rep = None
-    elif algo in ("eom", "eom2"):
-        rep = run.eom(two_course=(algo == "eom2"))
-    else:
-        run.classify()
-        rep = run.schedule(algo)
-    return PipelineResult(algo, run.regions, run.state, run.hda_report,
-                          run.classify_ms, run.origin_count, rep, "compiled")
+    elif algo != "hda":
+        from .monarchy import classify_status, run_scheduler
+        t0 = time.perf_counter()
+        statuses = classify_status(g, state, algebra, regions)
+        classify_ms = (time.perf_counter() - t0) * 1e3
+        origins = statuses.origin_count
+        rep = run_scheduler(algo, g, regions, state, statuses, algebra,
+                            debug_check=hook)
+    if state.tags is not None:
+        _root_tags(state)
+    return PipelineResult(algo, regions, state, hda_rep, classify_ms, origins,
+                          rep)

@@ -15,7 +15,7 @@ import time
 import pytest
 
 import optpaths as op
-from optpaths import SchedulerKind, fastlane
+from optpaths import fastlane
 from optpaths.cli import CSV_COLUMNS, EXIT_OK, main
 
 OPTIMIZERS = ("eom", "eom2", "hrp", "fr", "ht")
@@ -112,7 +112,7 @@ def test_criterion_05_reachability(corpus_results):
         for algo in ("hda",) + OPTIMIZERS:
             run = inst.runs[algo]
             assert op.check_reachability(run.state, run.regions).ok, name
-            assert run.regions.reached_count == sum(
+            assert len(run.regions.order) == sum(
                 1 for v in range(1, inst.graph.n + 1)
                 if run.state.labeled(v))
     report(5, "PASS", "reachability audit clean at every boundary; labeled "
@@ -203,8 +203,8 @@ def test_criterion_09_multi_source(algebra):
             arcs.append((u, v, rng.randint(0, 10)))
         g = op.build_graph(n, arcs, directed=directed)
         sources = rng.sample(range(1, n + 1), rng.randint(2, 4))
-        kind = rng.choice(list(SchedulerKind))
-        state = op.run_pipeline(g, sources, kind.value, algebra).state
+        kind = rng.choice(op.SCHEDULERS)
+        state = op.run_pipeline(g, sources, kind, algebra).state
         tags = state.tags
         per_source = {s: op.dijkstra_oracle(g, s, algebra) for s in sources}
         for v in range(1, n + 1):

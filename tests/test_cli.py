@@ -84,7 +84,7 @@ class TestGen:
         assert g.n == expected.n
         for name in ("fwd_ptr", "fwd_dst", "fwd_w"):
             assert getattr(g, name) == getattr(expected, name), name
-        assert op.generators.parse_hzp_comment(comments) == plan
+        assert comments[-1] == "hzp-path " + " ".join(map(str, plan.path))
 
     def test_random_roundtrip(self, tmp_path):
         path = str(tmp_path / "rand.txt")

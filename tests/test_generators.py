@@ -178,8 +178,10 @@ class TestSidecarComments:
         spec = GridSpec(k_r=3, k_c=4, seed=9, plant_hzp=True)
         g, _, plan = op.gen_grid(spec)
         comments = op.generators.grid_comments(spec, plan)
-        parsed = op.generators.parse_hzp_comment(comments)
-        assert parsed == plan
+        assert comments[1:] == ["hzp-path " + " ".join(map(str, plan.path))]
 
     def test_absent_path_returns_none(self):
-        assert op.generators.parse_hzp_comment(["grid rows=2"]) is None
+        spec = GridSpec(k_r=3, k_c=4, seed=9, plant_hzp=False)
+        assert op.gen_grid(spec)[2] is None
+        comments = op.generators.grid_comments(spec, None)
+        assert not [c for c in comments if c.startswith("hzp-path")]

@@ -92,7 +92,7 @@ def outcome(read, *args):
         return ("error", str(exc))
     arrays = (g.fwd_ptr, g.fwd_dst, g.fwd_w, g.rev_ptr, g.rev_src, g.rev_w)
     assert all(a.typecode == "q" for a in arrays)
-    return ("graph", g.n, g.directed, g.m, g.E,
+    return ("graph", g.n, g.directed, g.E,
             [a.tolist() for a in arrays], comments)
 
 

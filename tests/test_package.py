@@ -24,15 +24,15 @@ EXPORTS = {
               "InstanceFormatError", "build_graph", "graph_from_columns",
               "in_neighbors", "leaves", "min_plus_algebra", "read_instance",
               "read_instance_file", "write_instance", "write_instance_file"],
-    "monarchy": ["SchedulerKind", "StatusMap", "classify_status",
-                 "run_scheduler"],
+    "monarchy": ["StatusMap", "classify_status", "run_scheduler"],
     "oracles": ["OracleResult", "VerificationReport", "bellman_ford_oracle",
                 "brute_force_oracle", "check_fixpoint", "check_reachability",
                 "check_tree", "dijkstra_oracle", "minhop_dp_oracle",
                 "verify_export"],
-    "partition": ["UNREACHED", "HdaReport", "OptReport", "Regions",
-                  "SolverState", "export_results", "export_results_file",
-                  "hda_multi", "relax"],
+    "partition": ["SCHEDULERS", "UNREACHED", "HdaReport", "OptReport",
+                  "Regions", "SolverState", "export_results",
+                  "export_results_file", "hda_multi", "read_results_file",
+                  "relax"],
     "pipeline": ["ALGORITHMS", "InvariantViolation", "PipelineResult",
                  "run_pipeline"],
 }
@@ -106,7 +106,8 @@ class TestRecords:
 
     def test_plain_classes_take_the_same_arguments(self):
         regions = op.Regions([1, 2], [0, 1, 2], [0, 1, 2])
-        assert (regions.reached_count, regions.region_count) == (2, 2)
+        assert (len(regions.order), regions.region_of[regions.order[-1]]) \
+            == (2, 2)
         state = op.SolverState(2, (1,), [0, 0, 1], [0, 0, 5],
                                [False, True, False])
         assert state.tags is None and state.labeled(2)

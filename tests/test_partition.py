@@ -14,8 +14,8 @@ class TestTriangleExample:
         assert regions.order == [1, 2, 3]
         assert regions.region_of[1:] == [1, 2, 2]
         assert regions.position_of[1:] == [1, 2, 3]
-        assert regions.reached_count == 3
-        assert regions.region_count == 2
+        assert len(regions.order) == 3                  # reached nodes
+        assert regions.region_of[regions.order[-1]] == 2  # layers
         assert report.arc_inspections == 2 * triangle.E  # both stars, once
 
     def test_min_hop_costs(self, triangle, algebra):
@@ -40,7 +40,7 @@ class TestPartitionStructure:
     def test_disconnected_nodes_unreached(self, algebra):
         g = op.build_graph(4, [(1, 2, 3)], directed=True)
         regions, state, _ = op.hda_multi(g, [1], algebra)
-        assert regions.reached_count == 2
+        assert len(regions.order) == 2
         assert regions.region_of[3] == 0 and regions.position_of[3] == 0
         assert not state.labeled(3)
 

@@ -1,6 +1,8 @@
 import operator
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import optpaths as op
 from optpaths import GraphError, InvariantViolation, fastlane
@@ -83,6 +85,83 @@ class TestRunPipeline:
                 == (ref.state.n, ref.state.sources)
             assert counters(fast) == counters(ref)
             assert fast.origins == ref.origins
+
+
+#: two algebras under which a better parent can make an offer that is only
+#: equal, not better: bottleneck (a path costs its heaviest arc) and widest
+#: (a path carries its lightest arc)
+NON_STRICT_ALGEBRAS = {
+    "bottleneck": op.CostAlgebra(max, operator.lt, 0),
+    "widest": op.CostAlgebra(min, operator.gt, 10**9),
+}
+
+#: undirected, sources 6 and 7: every optimizer ends with node 5's parent
+#: chain 5 -> 4 -> 2 -> 6, after 5 first took its tag from 4 while 4 hung
+#: off 7
+PINNED_ARCS = [(4, 5, 4), (1, 3, 6), (8, 1, 5), (3, 7, 3), (4, 7, 3),
+               (4, 8, 5), (1, 7, 6), (4, 2, 1), (4, 6, 3), (7, 3, 1),
+               (1, 2, 5), (5, 8, 4), (2, 6, 0), (1, 5, 4)]
+
+
+@st.composite
+def two_source_graphs(draw):
+    """Node count, arcs, orientation and two sources of a 3-9 node graph."""
+    n = draw(st.integers(3, 9))
+    node = st.integers(1, n)
+    arcs = draw(st.lists(st.tuples(node, node, st.integers(0, 9)).filter(
+        lambda a: a[0] != a[1]), min_size=n, max_size=4 * n))
+    sources = draw(st.lists(node, min_size=2, max_size=2, unique=True))
+    return n, arcs, draw(st.booleans()), sources
+
+
+def chain_roots(state):
+    """Per node, the source its parent chain ends at; 0 where unlabeled."""
+    roots = [0] * (state.n + 1)
+    for v in range(1, state.n + 1):
+        if state.labeled(v):
+            u = v
+            while state.parent[u]:
+                u = state.parent[u]
+            roots[v] = u
+    return roots
+
+
+def assert_tags_are_chain_roots(g, res, algebra):
+    assert list(res.state.tags) == chain_roots(res.state)
+    region = res.regions.region_of
+    has_cost = [int(r != 0) for r in region]
+    assert op.verify_export(g, region, res.state.parent, res.state.cost,
+                            has_cost, algebra, tags=res.state.tags).ok
+
+
+class TestTags:
+    @pytest.mark.parametrize("algo", ("eom", "eom2", "hrp", "fr", "ht"))
+    def test_pinned_bottleneck_case(self, algo):
+        g = op.build_graph(8, PINNED_ARCS)
+        algebra = NON_STRICT_ALGEBRAS["bottleneck"]
+        res = op.run_pipeline(g, [6, 7], algo, algebra=algebra)
+        parent = res.state.parent
+        assert (parent[5], parent[4], parent[2], parent[6]) == (4, 2, 6, 0)
+        assert res.state.tags[5] == 6
+        assert_tags_are_chain_roots(g, res, algebra)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=two_source_graphs(),
+           name=st.sampled_from(sorted(NON_STRICT_ALGEBRAS)))
+    @example(case=(8, PINNED_ARCS, False, [6, 7]), name="bottleneck")
+    @example(case=(5, [(3, 1, 6), (1, 5, 9), (2, 3, 5), (4, 3, 2), (5, 2, 0)],
+                   False, [2, 5]), name="widest")
+    def test_tags_are_chain_roots_under_non_strict_algebras(self, case,
+                                                             name):
+        n, arcs, directed, sources = case
+        g = op.build_graph(n, arcs, directed=directed)
+        algebra = NON_STRICT_ALGEBRAS[name]
+        for algo in op.ALGORITHMS:
+            res = op.run_pipeline(g, sources, algo, algebra=algebra)
+            assert_tags_are_chain_roots(g, res, algebra)
+            # min-plus, on the compiled lane when it loads, needs no retag
+            assert_tags_are_chain_roots(g, op.run_pipeline(g, sources, algo),
+                                        None)
 
 
 class TestDebugHook:

@@ -7,9 +7,10 @@ which stays the reference and names every fault:
   ``partition.export_results`` and ``graph.write_instance``, with and
   without a compiler;
 - the results reader (``fastlane.read_results``) against the reference
-  reader ``cli._scan_results``: wherever it accepts a file, its arrays
-  must hold the reference's lists, and ``cli._parse_results`` must give
-  the same values or the same message;
+  reader ``partition._scan_results``: wherever it accepts a file, its
+  arrays must hold the reference's lists, and
+  ``partition.read_results_file`` must give the same values or the same
+  message;
 - the audit (``fastlane.export_is_clean``) against the reference
   ``verify_export``: on solved exports, clean and with one mutation each,
   it must answer "clean" exactly when the reference reports no failure.
@@ -25,7 +26,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import optpaths as op
-from optpaths import InstanceFormatError, cli, fastlane, oracles
+from optpaths import InstanceFormatError, cli, fastlane, oracles, partition
 
 INT64_MAX = 2**63 - 1
 INT64_MIN = -2**63
@@ -312,11 +313,11 @@ def test_results_reader_agrees_with_the_reference_reader(tmp_path, case):
     n, data = case
     path = tmp_path / "res.txt"
     path.write_bytes(data)
-    want = outcome(cli._scan_results, str(path), n)
+    want = outcome(partition._scan_results, str(path), n)
     rows = fastlane.read_results(data, n)
     if rows is not None:
         assert ("rows", as_lists(rows)) == want
-    assert outcome(cli._parse_results, str(path), n) == want
+    assert outcome(partition.read_results_file, str(path), n) == want
 
 
 @needs_lane
@@ -332,7 +333,7 @@ def test_the_compiled_reader_reads_solve_exports(tmp_path):
         path.write_bytes(data)
         rows = fastlane.read_results(data, g.n)
         assert rows is not None
-        assert as_lists(rows) == cli._scan_results(str(path), g.n)
+        assert as_lists(rows) == partition._scan_results(str(path), g.n)
 
 
 # -- the formatter: exports and instance files -----------------------------------
