@@ -9,6 +9,14 @@ Every ``--out`` file is written through :func:`optpaths.graph.open_output`,
 so a failed command leaves an earlier file in place; ``gen``, ``compare``
 and ``bench`` take ``-`` for stdout.
 
+One option table, :data:`OPTIONS`, describes every command line.  A line
+that the table alone settles -- each option at most once, by its full
+string, with a value that passes its check, and every required option
+given -- is read by :func:`_read_args`, which imports nothing.  Every other line, help and usage errors included, goes to
+the argparse parser built from the same table (:func:`build_parser`), so
+help, error messages and exit codes are argparse's; argparse, with the
+``gettext`` and ``locale`` modules it imports, loads only then.
+
 CSV schema (one header row, fixed column order, ratios recomputed from the
 raw counters at emit time):
 
@@ -19,10 +27,10 @@ raw counters at emit time):
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import os
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional
 
 from .graph import (_INT, Graph, GraphError, InstanceFormatError,
@@ -94,19 +102,13 @@ def text_line(g: Graph, res: PipelineResult) -> str:
     )
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage problems exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def _algo_list(text: str) -> list[str]:
     algos = text.replace(",", " ").split()
     if not algos:
-        raise argparse.ArgumentTypeError("expected at least one algorithm")
+        raise ValueError("expected at least one algorithm")
     unknown = [a for a in algos if a not in ALGORITHMS]
     if unknown:
-        raise argparse.ArgumentTypeError(
+        raise ValueError(
             f"unknown algorithm {unknown[0]!r}; pick one of {ALGORITHMS}")
     return algos
 
@@ -117,74 +119,181 @@ def _int(text: str) -> int:
     Bare ``int()`` would also take ``1_0`` and non-ASCII digits.
     """
     if not _INT.match(text):
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        raise ValueError(f"expected an integer, got {text!r}")
     return int(text)
 
 
 def _int_list(text: str) -> list[int]:
     values = [_int(tok) for tok in text.replace(",", " ").split()]
     if not values:
-        raise argparse.ArgumentTypeError("expected at least one integer")
+        raise ValueError("expected at least one integer")
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="optpaths",
-                description="Single-source optimal-paths engine and benchmark harness")
-    sub = p.add_subparsers(dest="command", required=True,
-                           parser_class=_Parser)
+_SOURCES = (("--sources", "--source"),
+            {"type": _int_list, "default": [1],
+             "help": "comma-separated source ids (default 1)"})
+_FORMAT = (("--format",), {"choices": ["csv", "text"], "default": "text"})
 
-    g = sub.add_parser("gen", help="generate an instance file")
-    gsub = g.add_subparsers(dest="kind", required=True,
-                            parser_class=_Parser)
-    gg = gsub.add_parser("grid")
-    gg.add_argument("--rows", type=_int, required=True)
-    gg.add_argument("--cols", type=_int, required=True)
-    gg.add_argument("--wmin", type=_int, default=1)
-    gg.add_argument("--wmax", type=_int, default=10)
-    gg.add_argument("--seed", type=_int, default=0)
-    gg.add_argument("--hzp", action="store_true",
-                    help="plant the serpentine zero path")
-    gg.add_argument("--out", default="-")
-    gr = gsub.add_parser("random")
-    gr.add_argument("--n", type=_int, required=True)
-    gr.add_argument("--arcs", type=_int, required=True)
-    gr.add_argument("--wmin", type=_int, default=0)
-    gr.add_argument("--wmax", type=_int, default=10)
-    gr.add_argument("--seed", type=_int, default=0)
-    gr.add_argument("--directed", action="store_true")
-    gr.add_argument("--out", default="-")
+#: the help line of each command
+COMMANDS = {
+    "gen": "generate an instance file",
+    "solve": "run one pipeline on an instance",
+    "verify": "audit a result export against its instance",
+    "compare": "run all five optimizers and compare them",
+    "bench": "shape sweep over constant-node grids",
+}
 
-    s = sub.add_parser("solve", help="run one pipeline on an instance")
-    s.add_argument("--instance", required=True)
-    s.add_argument("--algo", required=True, choices=ALGORITHMS + ("multi",))
-    s.add_argument("--sources", "--source", type=_int_list, default=[1],
-                   help="comma-separated source ids (default 1)")
-    s.add_argument("--out", help="write per-node results here")
-    s.add_argument("--format", choices=["csv", "text"], default="text")
-    s.add_argument("--debug-invariants", action="store_true")
+#: the options of each command line, keyed by its command and, for ``gen``,
+#: its kind: option strings and ``add_argument`` keywords.  A ``type``
+#: raises ValueError on a bad value, with the message the user sees.
+OPTIONS = {
+    ("gen", "grid"): [
+        (("--rows",), {"type": _int, "required": True}),
+        (("--cols",), {"type": _int, "required": True}),
+        (("--wmin",), {"type": _int, "default": 1}),
+        (("--wmax",), {"type": _int, "default": 10}),
+        (("--seed",), {"type": _int, "default": 0}),
+        (("--hzp",), {"action": "store_true",
+                      "help": "plant the serpentine zero path"}),
+        (("--out",), {"default": "-"}),
+    ],
+    ("gen", "random"): [
+        (("--n",), {"type": _int, "required": True}),
+        (("--arcs",), {"type": _int, "required": True}),
+        (("--wmin",), {"type": _int, "default": 0}),
+        (("--wmax",), {"type": _int, "default": 10}),
+        (("--seed",), {"type": _int, "default": 0}),
+        (("--directed",), {"action": "store_true"}),
+        (("--out",), {"default": "-"}),
+    ],
+    ("solve",): [
+        (("--instance",), {"required": True}),
+        (("--algo",), {"required": True, "choices": ALGORITHMS + ("multi",)}),
+        _SOURCES,
+        (("--out",), {"help": "write per-node results here"}),
+        _FORMAT,
+        (("--debug-invariants",), {"action": "store_true"}),
+    ],
+    ("verify",): [
+        (("--instance",), {"required": True}),
+        (("--results",), {"required": True}),
+        (("--fixpoint",), {"action": "store_true",
+                           "help": "also require the no-improving-arc "
+                                   "condition"}),
+    ],
+    ("compare",): [
+        (("--instance",), {"required": True}),
+        _SOURCES,
+        _FORMAT,
+        (("--out",), {"default": "-"}),
+    ],
+    ("bench",): [
+        (("--n-total",), {"type": _int, "required": True}),
+        (("--kc",), {"type": _int_list, "required": True,
+                     "help": "comma-separated column counts (must divide "
+                             "n-total)"}),
+        (("--algos",), {"type": _algo_list, "default": ["eom", "ht"]}),
+        (("--seed",), {"type": _int, "default": 7}),
+        (("--out",), {"default": "-"}),
+    ],
+}
 
-    v = sub.add_parser("verify", help="audit a result export against its instance")
-    v.add_argument("--instance", required=True)
-    v.add_argument("--results", required=True)
-    v.add_argument("--fixpoint", action="store_true",
-                   help="also require the no-improving-arc condition")
 
-    c = sub.add_parser("compare",
-                       help="run all five optimizers and compare them")
-    c.add_argument("--instance", required=True)
-    c.add_argument("--sources", "--source", type=_int_list, default=[1],
-                   help="comma-separated source ids (default 1)")
-    c.add_argument("--format", choices=["csv", "text"], default="text")
-    c.add_argument("--out", default="-")
+def _dest(strings) -> str:
+    """argparse's attribute name for an option: ``--n-total`` -> ``n_total``."""
+    return strings[0][2:].replace("-", "_")
 
-    b = sub.add_parser("bench", help="shape sweep over constant-node grids")
-    b.add_argument("--n-total", type=_int, required=True)
-    b.add_argument("--kc", type=_int_list, required=True,
-                   help="comma-separated column counts (must divide n-total)")
-    b.add_argument("--algos", type=_algo_list, default=["eom", "ht"])
-    b.add_argument("--seed", type=_int, default=7)
-    b.add_argument("--out", default="-")
+
+def _read_args(argv: list[str]):
+    """The namespace argparse gives for ``argv``, or None where the option
+    table alone does not settle it.
+
+    It settles a command (and ``gen`` kind) of :data:`OPTIONS` followed by
+    options given by their full strings, each at most once, every value one
+    token that does not start with ``-`` (a lone ``-`` aside) and that its
+    type and choices accept, with every required option present.  Any other
+    line -- help, an error, or a form argparse reads in its own way, such as
+    ``--opt=value``, a prefix or a repeat -- gets None.
+    """
+    key = tuple(argv[:2] if argv[:1] == ["gen"] else argv[:1])
+    options = OPTIONS.get(key)
+    if options is None:
+        return None
+    by_string = {s: (_dest(strings), kw)
+                 for strings, kw in options for s in strings}
+    given = {}
+    tokens = iter(argv[len(key):])
+    for token in tokens:
+        if token not in by_string:
+            return None
+        dest, kw = by_string[token]
+        if dest in given:
+            return None
+        if "action" in kw:  # a store_true flag
+            given[dest] = True
+            continue
+        text = next(tokens, None)
+        if text is None or (text.startswith("-") and text != "-"):
+            return None
+        try:
+            value = kw["type"](text) if "type" in kw else text
+        except ValueError:
+            return None
+        if value not in kw.get("choices", (value,)):
+            return None
+        given[dest] = value
+    values = dict(zip(("command", "kind"), key))
+    for strings, kw in options:
+        dest = _dest(strings)
+        if dest in given:
+            values[dest] = given[dest]
+        elif kw.get("required"):
+            return None
+        else:
+            values[dest] = kw.get("default", False if "action" in kw else None)
+    return SimpleNamespace(**values)
+
+
+def build_parser():
+    """The argparse parser of :data:`OPTIONS`, for the command lines that
+    :func:`_read_args` leaves to it: help, usage errors and the forms only
+    argparse reads.  Usage errors exit 1, not argparse's 2."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def checked(convert):
+        """``convert`` as an argparse type: a ValueError it raises is a
+        usage error with the same message."""
+        def parse(text):
+            try:
+                return convert(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return parse
+
+    def add_options(parser, options):
+        for strings, kw in options:
+            if "type" in kw:
+                kw = dict(kw, type=checked(kw["type"]))
+            parser.add_argument(*strings, **kw)
+
+    p = Parser(prog="optpaths",
+               description="Single-source optimal-paths engine and benchmark harness")
+    sub = p.add_subparsers(dest="command", required=True, parser_class=Parser)
+    for command, help_line in COMMANDS.items():
+        cp = sub.add_parser(command, help=help_line)
+        if command == "gen":
+            kinds = cp.add_subparsers(dest="kind", required=True,
+                                      parser_class=Parser)
+            for kind in ("grid", "random"):
+                add_options(kinds.add_parser(kind), OPTIONS["gen", kind])
+        else:
+            add_options(cp, OPTIONS[command,])
     return p
 
 
@@ -299,8 +408,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     pipe) prints one error line and exits 1.  With an explicit ``argv``
     list, or under a tracer or profiler, ``main`` returns the code.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _read_args(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     handlers = {
         "gen": cmd_gen,
         "solve": cmd_solve,

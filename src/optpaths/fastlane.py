@@ -26,23 +26,24 @@ This module needs only the standard library plus, optionally, a C
 compiler: every array it passes to a kernel is an ``array('q')``, and
 ctypes takes its address from ``buffer_info()``.  On the first call that
 needs them -- never at import -- the kernels are compiled with the system
-``cc`` into ``$XDG_CACHE_HOME/optpaths`` (default ``~/.cache/optpaths``)
-under a name keyed by a checksum of the source and the compile command,
-then loaded with ctypes; later processes load the cached object.
+``cc`` (by :func:`coldpath.build_kernels`) into ``$XDG_CACHE_HOME/optpaths``
+(default ``~/.cache/optpaths``) under a name keyed by a checksum of the
+source and the compile command, then loaded with ctypes; later processes
+load the cached object.
 
-:func:`refusal` names the one reason, if any, that this lane cannot run a
-graph from a source set: a bad source, a graph whose ``max_weight * n``
-exceeds ``2**63 - 1`` (an int64 cost could wrap; the reference lane
-computes such instances exactly), or no compiler.  ``FastRun`` raises
+Before a kernel walks a graph, one kernel pass checks its CSR and reads
+its largest weight: ``FastRun`` and :func:`export_is_clean`, and so
+``run_pipeline`` and ``verify_export``, raise :class:`GraphError` on a
+malformed one.  :func:`refusal` names the one reason, if any, that this
+lane cannot run a graph from a source set: a bad source, no compiler, or a
+largest weight times ``n`` past ``2**63 - 1`` (an int64 cost could wrap;
+the reference lane computes such instances exactly).  ``FastRun`` raises
 :class:`GraphError` with that reason; ``run_pipeline`` runs the reference
-lane instead.  Before a kernel walks a graph, one kernel pass checks its
-CSR: ``FastRun`` and :func:`export_is_clean`, and so ``run_pipeline`` and
-``verify_export``, raise :class:`GraphError` on a malformed one.
+lane instead.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import os
@@ -67,7 +68,7 @@ _SIGNATURES = {
     "optpaths_eom": ([_P, _I] + [_P] * 8 + [_I, _P], None),
     "optpaths_schedule": ([_I, _P, _I] + [_P] * 11, None),
     "optpaths_build": ([_I] * 3 + [_P] * 10, _I),
-    "optpaths_check_csr": ([_I, _P, _P, _I], _I),
+    "optpaths_check_csr": ([_I, _P, _P, _P, _I, _P], _I),
     "optpaths_read": ([ctypes.c_char_p] + [_I] * 4 + [_P] * 10, _I),
     "optpaths_draws": ([_U] * 3 + [_I, _I, _U, _P], None),
     "optpaths_format": ([_I] * 4 + [_P] * 2, _I),
@@ -81,37 +82,14 @@ def _cache_dir() -> Path:
     return Path(base) / "optpaths"
 
 
-def _build(path: Path) -> None:
-    """Compile the kernels to ``path``.
-
-    The compiler writes a private temporary file that is then renamed into
-    place, so concurrent builds of the same object cannot see a partial one.
-    """
-    import subprocess
-    import tempfile
-
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".build-", suffix=".so")
-    os.close(fd)
-    try:
-        proc = subprocess.run([*_BUILD, "-o", tmp, str(_SOURCE)],
-                              capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise OSError(f"{_BUILD[0]} exited {proc.returncode}: "
-                          f"{proc.stderr.strip()[-500:]}")
-        os.replace(tmp, path)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-
-
 def _load() -> ctypes.CDLL:
     """Load the kernels from the cache, compiling them there first if needed."""
     key = zlib.crc32(" ".join(_BUILD + (os.uname().machine,)).encode()
                      + _SOURCE.read_bytes())
     path = _cache_dir() / f"kernels-{key:08x}.so"
     if not path.exists():
-        _build(path)
+        from .coldpath import build_kernels
+        build_kernels(path, _BUILD, _SOURCE)
     lib = ctypes.CDLL(str(path))
     for name, (argtypes, restype) in _SIGNATURES.items():
         fn = getattr(lib, name)
@@ -316,40 +294,49 @@ def export_is_clean(g: Graph, region: Sequence[int], parent: Sequence[int],
         *map(_ptr, scratch)) == 0
 
 
-def _check_csr(lib: ctypes.CDLL, g: Graph) -> None:
-    """Raise GraphError unless both CSRs of ``g`` are well formed, as
-    ``optpaths_check_csr`` defines it, so that no kernel reaches outside an
-    array; an undirected graph's one CSR is checked once."""
+def _check_csr(lib: ctypes.CDLL, g: Graph) -> int:
+    """The largest weight in the CSRs of ``g``, as ``optpaths_check_csr``
+    reads it; a GraphError unless both are well formed as that kernel
+    defines it, so that no kernel reaches outside an array.  An undirected
+    graph's one CSR is checked once."""
     fwd = (g.fwd_ptr, g.fwd_dst, g.fwd_w)
     rev = (g.rev_ptr, g.rev_src, g.rev_w)
     same = all(a is b for a, b in zip(fwd, rev))
+    max_weight = _zeros(1)
+    largest = 0
     for ptr, idx, w in (fwd,) if same else (fwd, rev):
         if not (len(ptr) == g.n + 2 and len(idx) == len(w)
-                and lib.optpaths_check_csr(g.n, _ptr(ptr), _ptr(idx),
-                                           len(idx)) == 0):
+                and lib.optpaths_check_csr(g.n, _ptr(ptr), _ptr(idx), _ptr(w),
+                                           len(idx), _ptr(max_weight)) == 0):
             raise GraphError("malformed CSR adjacency")
+        largest = max(largest, max_weight[0])
+    return largest
 
 
 def refusal(g: Graph, sources: Sequence[int]) -> Optional[str]:
-    """Why the compiled lane cannot run ``g`` from ``sources``, or None.
+    """Why the compiled lane cannot run ``g`` from ``sources``, or None;
+    GraphError if the CSR of ``g`` is malformed.
 
     The int64 bound: every label starts at or below the cost of its BFS-tree
-    path, at most ``max_weight * (n - 1)``, and labels only decrease; so
-    every candidate ``cost + w`` any kernel forms is at most
-    ``max_weight * n``.  The library is resolved last, since the first
-    resolution may build it.
+    path, at most ``w * (n - 1)`` for the largest weight ``w`` in the
+    CSR, and labels only decrease; so every candidate ``cost + w`` any
+    kernel forms is at most ``w * n``.  ``w`` is what the CSR check reads
+    from the arrays, not ``Graph.max_weight``, which a caller may have
+    changed.  The library is resolved before that check, since the check
+    is a kernel, and the first resolution may build it.
     """
     if not sources:
         return "source set must be non-empty"
     for s in sources:
         if not 1 <= s <= g.n:
             return f"source {s} out of range 1..{g.n}"
-    if g.max_weight * g.n > INT64_MAX:
-        return (f"max weight {g.max_weight} x {g.n} nodes exceeds 2**63 - 1, so "
-                f"int64 path costs could overflow; use the reference lane")
     lib, why = _lane()
     if lib is None:
         return f"compiled lane unavailable ({why}); use the reference lane"
+    max_weight = _check_csr(lib, g)
+    if max_weight * g.n > INT64_MAX:
+        return (f"max weight {max_weight} x {g.n} nodes exceeds 2**63 - 1, so "
+                f"int64 path costs could overflow; use the reference lane")
     return None
 
 
@@ -369,7 +356,6 @@ class FastRun:
         if why is not None:
             raise GraphError(why)
         self._lib = _lane()[0]
-        _check_csr(self._lib, g)
         self.g = g
         src_ids = array("q", srcs)  # alive through the kernel call
         t0 = time.perf_counter()

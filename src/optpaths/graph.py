@@ -19,13 +19,15 @@ bundle.
 
 Graphs are built from int64 arc columns by one build: the compiled kernel
 of :mod:`fastlane` when it loads and accepts every arc, and otherwise the
-reference build here, a stable counting sort that names the first bad arc.
+reference build of :mod:`coldpath`, a stable counting sort that names the
+first bad arc.
 :func:`build_graph` takes a list of triples, the generators hand their arc
 columns to :func:`graph_from_columns`, and the compiled instance reader
 calls the kernel itself.  The package needs only the standard library.
 
 Every file the package writes goes through :func:`open_output`, which
-replaces a regular file only once its new content is complete.
+writes UTF-8 and replaces a regular file only once its new content is
+complete.
 """
 
 from __future__ import annotations
@@ -117,15 +119,6 @@ class Graph:
         return f"Graph(n={self.n}, {kind}, E={self.E})"
 
 
-def _int64_overflow(arcs) -> str:
-    """Name the first arc with a field outside int64."""
-    lo, hi = -INT64_MAX - 1, INT64_MAX
-    for i, arc in enumerate(arcs):
-        if any(not lo <= int(x) <= hi for x in arc):
-            return f"arc {i} ({','.join(map(str, arc))}): value outside int64"
-    return "arc value outside int64"
-
-
 def build_graph(n: int, arcs: Sequence[tuple[int, int, int]],
                 directed: bool = False) -> Graph:
     """Validate an arc list and assemble the CSR adjacency in both directions.
@@ -141,7 +134,8 @@ def build_graph(n: int, arcs: Sequence[tuple[int, int, int]],
             raise TypeError
         head, tail, weight = (array("q", c) for c in columns)
     except OverflowError:
-        raise GraphError(_int64_overflow(arcs)) from None
+        from .coldpath import int64_overflow
+        raise GraphError(int64_overflow(arcs)) from None
     except (TypeError, ValueError):
         raise GraphError(
             "arcs must be a sequence of (head, tail, weight) triples") from None
@@ -155,8 +149,9 @@ def graph_from_columns(n: int, head: array, tail: array, weight: array,
     keep.
 
     The compiled build of :mod:`fastlane` assembles the CSR when the lane
-    loads and it accepts every arc; otherwise :func:`_build_reference`
-    builds the same graph or names the first bad arc.
+    loads and it accepts every arc; otherwise the reference build,
+    :func:`coldpath.build_reference`, builds the same graph or names the
+    first bad arc.
     """
     if n < 1:
         raise GraphError(f"node count must be >= 1, got {n}")
@@ -165,45 +160,10 @@ def graph_from_columns(n: int, head: array, tail: array, weight: array,
     from .fastlane import build  # fastlane imports this module
 
     g = build(n, head, tail, weight, directed)
-    return g if g is not None else _build_reference(n, head, tail, weight,
-                                                    directed)
-
-
-def _first(bad: Iterable[bool]):
-    """The index of the first true item, or None."""
-    return next((i for i, b in enumerate(bad) if b), None)
-
-
-def _build_reference(n: int, head: array, tail: array, weight: array,
-                     directed: bool) -> Graph:
-    """The reference build: check the arcs, then sort them into CSR by a
-    stable counting sort.  The first check that fails raises a GraphError
-    naming its first arc: endpoints, then weights, then self-loops."""
-    i = _first(not (1 <= h <= n and 1 <= t <= n) for h, t in zip(head, tail))
-    if i is not None:
-        raise GraphError(f"arc {i} ({head[i]},{tail[i]},{weight[i]}): "
-                         f"endpoint out of range 1..{n}")
-    i = _first(w < 0 for w in weight)
-    if i is not None:
-        raise GraphError(
-            f"arc {i} ({head[i]},{tail[i]},{weight[i]}): negative weight")
-    i = _first(map(operator.eq, head, tail))
-    if i is not None:
-        raise GraphError(f"arc {i} ({head[i]},{tail[i]}): self-loop")
-
-    if directed:
-        fwd = _counting_sort(n, head, tail, weight)
-        rev = _counting_sort(n, tail, head, weight)
-    else:
-        # Both directions of each arc in turn, so that the per-node entry
-        # order equals "append both ends while reading the list".
-        k = len(head)
-        key, dst, w2 = (_zeros(2 * k) for _ in range(3))
-        key[0::2], key[1::2] = head, tail
-        dst[0::2], dst[1::2] = tail, head
-        w2[0::2], w2[1::2] = weight, weight
-        fwd = rev = _counting_sort(n, key, dst, w2)
-    return Graph(n, directed, fwd, rev, len(fwd[1]), max(weight, default=0))
+    if g is None:
+        from .coldpath import build_reference
+        g = build_reference(n, head, tail, weight, directed)
+    return g
 
 
 def _zeros(k: int) -> array:
@@ -217,24 +177,6 @@ def _allocate(count: int, what: str) -> array:
         return _zeros(count)
     except (MemoryError, OverflowError):
         raise GraphError(f"{what} is too large to allocate") from None
-
-
-def _counting_sort(n: int, key: array, dst: array, w: array):
-    """Bucket (key -> (dst, w)) entries into CSR, stable in input order."""
-    ptr = _allocate(n + 2, f"node count {n}")
-    for u in key:
-        ptr[u + 1] += 1
-    for u in range(1, n + 2):
-        ptr[u] += ptr[u - 1]
-    # ptr[u] now starts node u's entries; used as its cursor, it ends at the
-    # start of node u + 1, and the shift below restores it.
-    out_dst, out_w = _zeros(len(key)), _zeros(len(key))
-    for u, v, x in zip(key, dst, w):
-        j = ptr[u]
-        ptr[u] = j + 1
-        out_dst[j], out_w[j] = v, x
-    ptr[1:] = ptr[:-1]
-    return ptr, out_dst, out_w
 
 
 def _check_node(g: Graph, u: int) -> None:
@@ -303,7 +245,8 @@ def read_instance(src: TextIO) -> tuple[Graph, list[str]]:
     included, separates fields.  Every integer field is ASCII
     ``[+-]?[0-9]+``.  The compiled reader reads the arc block when it can;
     any block it refuses goes to the reference reader, the line scanner
-    :func:`_scan_arc_block`, which gives the same graph or names the fault.
+    :func:`coldpath.scan_arc_block`, which gives the same graph or names
+    the fault.
     """
     pin_malloc_thresholds()
     text = read_text(src)
@@ -342,8 +285,9 @@ def read_instance(src: TextIO) -> tuple[Graph, list[str]]:
     del text
     g = read_graph(body, n, arc_count, directed)
     if g is None:
-        g = _scan_arc_block(body.decode("utf-8", "surrogatepass"), lineno + 1,
-                            n, arc_count, directed)
+        from .coldpath import scan_arc_block
+        g = scan_arc_block(body.decode("utf-8", "surrogatepass"), lineno + 1,
+                           n, arc_count, directed)
     return g, [c.strip() for c in comments]
 
 
@@ -367,7 +311,8 @@ def read_text(src: TextIO) -> str:
 def open_output(path: str) -> Iterator[TextIO]:
     """A text file that replaces ``path`` only once it is complete.
 
-    The new bytes go to a sibling temp file, which takes the old file's
+    The text is encoded as UTF-8, which every reader of the package
+    decodes, whatever the locale's encoding.  The new bytes go to a sibling temp file, which takes the old file's
     permission bits and is renamed into place after the old name is
     unlinked.  On ext4, truncating a file and writing it again, or renaming
     over it, flushes it to disk at close; a rename onto a free name does
@@ -398,7 +343,7 @@ def open_output(path: str) -> Iterator[TextIO]:
     if not (replace and os.path.basename(path) not in ("", ".", "..")
             and os.path.isdir(os.path.dirname(path) or ".")
             and os.access(head, os.W_OK)):
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
     # open(path, "w") refuses a read-only file; unlinking it would not
@@ -414,7 +359,7 @@ def open_output(path: str) -> Iterator[TextIO]:
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, path) from None
     try:
-        with open(fd, "w") as fh:
+        with open(fd, "w", encoding="utf-8") as fh:
             yield fh
             if old is not None:
                 os.fchmod(fd, stat.S_IMODE(old.st_mode))
@@ -461,33 +406,3 @@ def pin_malloc_thresholds() -> None:
 _COMMENT = re.compile(r"^[^\S\n]*#(.*)", re.MULTILINE)
 #: the token grammar of every integer field
 _INT = re.compile(r"[+-]?[0-9]+\Z")
-
-
-def _scan_arc_block(body: str, first_lineno: int, n: int, arc_count: int,
-                    directed: bool) -> Graph:
-    """The reference reader: the graph of an arc block, read line by line.
-
-    ``body`` is the text after the header line, whose line number is
-    ``first_lineno - 1``.  The first fault raises an InstanceFormatError:
-    a malformed line by its number, then a wrong arc count, then whatever
-    :func:`build_graph` rejects.
-    """
-    arcs: list[tuple[int, int, int]] = []
-    for lineno, raw in enumerate(body.split("\n"), start=first_lineno):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise InstanceFormatError(
-                f"line {lineno}: expected '<head> <tail> <weight>'")
-        if not all(_INT.match(p) for p in parts):
-            raise InstanceFormatError(f"line {lineno}: non-integer field")
-        arcs.append((int(parts[0]), int(parts[1]), int(parts[2])))
-    if len(arcs) != arc_count:
-        raise InstanceFormatError(
-            f"header declares {arc_count} arcs but file contains {len(arcs)}")
-    try:
-        return build_graph(n, arcs, directed=directed)
-    except GraphError as exc:
-        raise InstanceFormatError(str(exc)) from exc

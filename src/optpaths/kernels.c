@@ -4,8 +4,9 @@
  * statement for statement, counters included, over the graph's int64 CSR
  * arrays, which optpaths_check_csr has checked.  Node ids are 1-based;
  * every per-node array has n + 1 entries.  Costs are plain int64: the
- * caller refuses graphs whose max_weight * n exceeds INT64_MAX, which
- * bounds every candidate cost + weight below overflow.  tags names, per
+ * caller refuses graphs whose largest weight, as optpaths_check_csr reads
+ * it, times n exceeds INT64_MAX, which bounds every candidate cost + weight
+ * below overflow.  tags names, per
  * node, the source whose influence labeled it: each source starts tagged
  * with itself and every accepted relaxation copies the new parent's tag.
  * No label keeps its arc's weight.  Every kernel accepts relaxations
@@ -18,10 +19,10 @@
  * mirrors of the Python code they stand in for; whatever they refuse, they
  * refuse without saying why, and the reference then decides and names the
  * fault.  optpaths_build assembles the CSR adjacency of an arc list it
- * fully accepts (the reference is the build of graph.py);
+ * fully accepts (the reference is coldpath.build_reference);
  * optpaths_read parses an arc block it fully accepts and builds it
- * (graph._scan_arc_block plus graph.build_graph); optpaths_read_results
- * reads a results file (partition._scan_results); and optpaths_audit
+ * (coldpath.scan_arc_block plus graph.build_graph); optpaths_read_results
+ * reads a results file (coldpath.scan_results); and optpaths_audit
  * answers whether oracles.verify_export would find no failure in a
  * results export.  Differential tests (tests/test_graph.py,
  * tests/test_instance_parser.py and tests/test_results_files.py) certify
@@ -323,22 +324,30 @@ int64_t optpaths_build(int64_t n, int64_t k, int64_t directed,
     return 0;
 }
 
-/* Checks a CSR of n nodes whose idx array holds len entries: ptr (n + 2
- * entries) starts at 0, never falls and ends at len, and every idx entry
- * is a node id in 1..n.  Every kernel that walks a CSR relies on this;
- * optpaths_build's CSRs hold it by construction.  Returns 0 when it
- * holds, 1 otherwise. */
+/* Checks a CSR of n nodes whose idx and w arrays hold len entries: ptr
+ * (n + 2 entries) starts at 0, never falls and ends at len, and every idx
+ * entry is a node id in 1..n.  Every kernel that walks a CSR relies on
+ * this; optpaths_build's CSRs hold it by construction.  Stores the largest
+ * entry of w (0 when len is 0) in *max_weight: the caller bounds the
+ * solver kernels' costs by that value, read here from the array, not by
+ * whatever weight the graph claims.  Returns 0 when the CSR holds, 1
+ * otherwise. */
 int64_t optpaths_check_csr(int64_t n, const int64_t *ptr, const int64_t *idx,
-                           int64_t len)
+                           const int64_t *w, int64_t len, int64_t *max_weight)
 {
     if (ptr[0] != 0 || ptr[n + 1] != len)
         return 1;
     for (int64_t u = 0; u <= n; u++)
         if (ptr[u + 1] < ptr[u])
             return 1;
-    for (int64_t k = 0; k < len; k++)
+    int64_t w_max = 0;
+    for (int64_t k = 0; k < len; k++) {
         if (idx[k] < 1 || idx[k] > n)
             return 1;
+        if (w[k] > w_max)
+            w_max = w[k];
+    }
+    *max_weight = w_max;
     return 0;
 }
 

@@ -22,8 +22,7 @@ from __future__ import annotations
 import time
 from typing import NamedTuple, Sequence
 
-from .graph import (UNSET, CostAlgebra, Graph, GraphError,
-                    InstanceFormatError, NodeId, open_output, read_text)
+from .graph import UNSET, CostAlgebra, Graph, GraphError, NodeId, open_output
 
 #: cost column marker for nodes the partition never reached
 UNREACHED = "UNREACHED"
@@ -252,62 +251,14 @@ def read_results_file(path: str, n: int):
     has 4 columns, or every row has 5 (the tag column); tags is None for a
     4-column file.  The compiled reader reads the file into int64 arrays
     when it can; any file it refuses goes to the reference reader,
-    :func:`_scan_results`, which gives the same lists or names the fault.
+    :func:`coldpath.scan_results`, which gives the same lists or names the
+    fault.
     """
     from .fastlane import read_results  # fastlane imports this module
 
     with open(path, "rb") as fh:
         rows = read_results(fh.read(), n)
-    return rows if rows is not None else _scan_results(path, n)
-
-
-def _scan_results(path: str, n: int):
-    """The reference reader of :func:`read_results_file`; the first fault
-    raises an InstanceFormatError naming its line."""
-    region = [0] * (n + 1)
-    parent = [0] * (n + 1)
-    cost = [0] * (n + 1)
-    has_cost = [0] * (n + 1)
-    tags = [0] * (n + 1)
-    seen = [False] * (n + 1)
-    width = None
-    with open(path, encoding="utf-8") as fh:
-        text = read_text(fh)
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) not in (4, 5):
-            raise InstanceFormatError(
-                f"line {lineno}: expected '<id> <region> <parent> <cost> [tag]'")
-        if width is None:
-            width = len(parts)
-        elif len(parts) != width:
-            raise InstanceFormatError(
-                f"line {lineno}: {len(parts)} columns where earlier rows "
-                f"have {width}")
-        # int() also takes '_' and non-ASCII digits; on other tokens it takes
-        # exactly graph._INT's [+-]?[0-9]+, for less than a regex per field
-        if not line.isascii() or "_" in line:
-            raise InstanceFormatError(f"line {lineno}: non-integer field")
-        try:
-            v, reg, par = int(parts[0]), int(parts[1]), int(parts[2])
-            c = 0 if parts[3] == UNREACHED else int(parts[3])
-            tag = int(parts[4]) if width == 5 else 0
-        except ValueError:
-            raise InstanceFormatError(f"line {lineno}: non-integer field") from None
-        if not 1 <= v <= n or seen[v]:
-            raise InstanceFormatError(
-                f"line {lineno}: bad or duplicate node id {v}")
-        if not 0 <= par <= n:
-            raise InstanceFormatError(
-                f"line {lineno}: parent {par} out of range 0..{n}")
-        seen[v] = True
-        region[v], parent[v], cost[v], tags[v] = reg, par, c, tag
-        has_cost[v] = int(parts[3] != UNREACHED)
-    missing = [v for v in range(1, n + 1) if not seen[v]]
-    if missing:
-        raise InstanceFormatError(f"results missing node(s) {missing[:5]}")
-    return region, parent, cost, has_cost, tags if width == 5 else None
-
+    if rows is None:
+        from .coldpath import scan_results
+        rows = scan_results(path, n)
+    return rows

@@ -12,12 +12,16 @@ labeled set must also never shrink).
 
 ``run_pipeline`` also picks the lane, from its inputs alone.  It runs the
 compiled min-plus lane of :mod:`fastlane` exactly when no algebra is passed,
-``debug_invariants`` is off and :func:`fastlane.refusal` has no objection
-(a compiler is there and the graph is inside the int64 bound); otherwise it
-runs the generic reference lane, so an explicit algebra -- even
-:func:`min_plus_algebra` -- or a debug run always gets the reference lane.
-Both lanes give identical states, tags and counters.
-``PipelineResult.lane`` records the lane that ran.
+``debug_invariants`` is off and :class:`fastlane.FastRun` takes the run
+(:func:`fastlane.refusal` has no objection: a compiler is there and the
+graph is inside the int64 bound); otherwise it runs the generic reference
+lane, so an explicit algebra -- even :func:`min_plus_algebra` -- or a debug
+run always gets the reference lane.  A bad source or a malformed CSR makes
+``FastRun`` raise, and the reference lane then raises the same GraphError.
+The reference lane's code beyond the solvers themselves, its CSR
+check, debug hook and multi-source retagging, is in :mod:`coldpath`.  Both
+lanes give identical states, tags and counters.  ``PipelineResult.lane``
+records the lane that ran.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import time
 from typing import Optional, Sequence
 
 from . import fastlane
-from .graph import UNSET, CostAlgebra, Graph, GraphError, min_plus_algebra
+from .graph import CostAlgebra, Graph, GraphError, min_plus_algebra
 from .partition import (SCHEDULERS, HdaReport, OptReport, Regions,
                         SolverState, hda_multi)
 
@@ -55,77 +59,35 @@ class PipelineResult:
         self.lane = lane
 
 
-def _debug_hook(g: Graph, regions: Regions, state: SolverState, label: str,
-                algebra: CostAlgebra):
-    from .oracles import check_reachability, check_tree
-    reached_sizes = []
-
-    def hook(big_loop: int) -> None:
-        rep = check_tree(state, g, algebra)
-        if not rep.ok:
-            raise InvariantViolation(
-                f"{label}: tree audit failed at big loop {big_loop}:\n"
-                + rep.summary())
-        rep = check_reachability(state, regions)
-        if not rep.ok:
-            raise InvariantViolation(
-                f"{label}: reachability audit failed at big loop {big_loop}:\n"
-                + rep.summary())
-        labeled = sum(1 for v in range(1, state.n + 1) if state.labeled(v))
-        if reached_sizes and labeled < reached_sizes[-1]:
-            raise InvariantViolation(
-                f"{label}: labeled set shrank at big loop {big_loop}: "
-                f"{reached_sizes[-1]} -> {labeled}")
-        reached_sizes.append(labeled)
-
-    return hook
-
-
-def _root_tags(state: SolverState) -> None:
-    """Retag every node with the source its parent chain ends at.
-
-    Under ``max`` or ``min`` as ``extend``, a node keeps its parent and its
-    old tag when that parent improves but offers only an equal cost; under
-    min-plus a better parent always offers better, so nothing changes.
-    """
-    parent, tags = state.parent, state.tags
-    fixed = [False] * (state.n + 1)  # tags[v] names its chain's source
-    for v in (UNSET, *state.sources):
-        fixed[v] = True
-    for v in range(1, state.n + 1):
-        chain, u = [], v
-        while not fixed[u]:
-            fixed[u] = True
-            chain.append(u)
-            u = parent[u]
-        for x in chain:
-            tags[x] = tags[u]
-
-
 def run_pipeline(g: Graph, sources: Sequence[int], algo: str,
                  algebra: Optional[CostAlgebra] = None,
                  debug_invariants: bool = False) -> PipelineResult:
     if algo not in ALGORITHMS:
         raise GraphError(f"unknown algorithm {algo!r}; pick one of {ALGORITHMS}")
-    if (algebra is None and not debug_invariants
-            and fastlane.refusal(g, sources) is None):
-        run = fastlane.FastRun(g, sources)
-        rep = None
-        if algo in ("eom", "eom2"):
-            rep = run.eom(two_course=(algo == "eom2"))
-        elif algo != "hda":
-            run.classify()
-            rep = run.schedule(algo)
-        return PipelineResult(algo, run.regions, run.state, run.hda_report,
-                              run.classify_ms, run.origin_count, rep,
-                              "compiled")
+    if algebra is None and not debug_invariants:
+        try:
+            run = fastlane.FastRun(g, sources)
+        except GraphError:
+            pass  # the reference lane runs it, or raises the same fault
+        else:
+            rep = None
+            if algo in ("eom", "eom2"):
+                rep = run.eom(two_course=(algo == "eom2"))
+            elif algo != "hda":
+                run.classify()
+                rep = run.schedule(algo)
+            return PipelineResult(algo, run.regions, run.state,
+                                  run.hda_report, run.classify_ms,
+                                  run.origin_count, rep, "compiled")
     if algebra is None:
         algebra = min_plus_algebra()
 
+    from . import coldpath
+    coldpath.check_csr(g)
     regions, state, hda_rep = hda_multi(g, sources, algebra)
     hook = None
     if debug_invariants:
-        hook = _debug_hook(g, regions, state, algo, algebra)
+        hook = coldpath.debug_hook(g, regions, state, algo, algebra)
         hook(0)  # audit the partition output itself
 
     classify_ms, origins, rep = 0.0, 0, None
@@ -142,6 +104,6 @@ def run_pipeline(g: Graph, sources: Sequence[int], algo: str,
         rep = run_scheduler(algo, g, regions, state, statuses, algebra,
                             debug_check=hook)
     if state.tags is not None:
-        _root_tags(state)
+        coldpath.root_tags(state)
     return PipelineResult(algo, regions, state, hda_rep, classify_ms, origins,
                           rep)

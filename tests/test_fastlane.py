@@ -193,6 +193,7 @@ def test_both_lanes_exact_at_the_int64_bound(algo):
     assert op.run_pipeline(g, [1], algo).lane == "compiled"
 
 
+@needs_lane  # without the lane, refusal names the missing compiler
 @pytest.mark.parametrize("weights", [[W_AT_BOUND] * 5 + [W_AT_BOUND + 1],
                                      [6 * 10**18] * 2])
 def test_compiled_lane_refuses_one_above_the_bound(weights):
@@ -205,6 +206,17 @@ def test_compiled_lane_refuses_one_above_the_bound(weights):
     res = op.run_pipeline(g, [1], "eom")
     assert res.lane == "reference"
     assert res.state.cost[g.n] == sum(weights)
+
+
+@needs_lane
+def test_the_bound_is_read_from_the_weights_not_the_graph():
+    # a claimed max_weight of 1 would let the kernels wrap 2**62 + 2**62
+    g = path_graph([2**62, 2**62])
+    g.max_weight = 1
+    assert "overflow" in fastlane.refusal(g, [1])
+    res = op.run_pipeline(g, [1], "ht")
+    assert res.lane == "reference"
+    assert res.state.cost[3] == 2**63
 
 
 # -- building and loading the shared object ------------------------------------
@@ -303,6 +315,19 @@ def test_a_malformed_csr_reaches_no_kernel():
     assert proc.stdout.splitlines() == ["malformed CSR adjacency"] * 4
 
 
+def test_a_malformed_csr_is_refused_on_the_reference_lane(broken_compiler):
+    broken_compiler()
+    g = op.build_graph(3, [(1, 2, 1), (2, 3, 1)])
+    g.fwd_dst[0] = 10**7
+    export = ([0, 1, 2, 3], [0, 0, 1, 2], [0, 0, 1, 2], [0, 1, 1, 1])
+    for call in (lambda: op.run_pipeline(g, [1], "ht"),
+                 lambda: op.run_pipeline(g, [1], "eom",
+                                         debug_invariants=True),
+                 lambda: op.verify_export(g, *export)):
+        with pytest.raises(GraphError, match="^malformed CSR adjacency$"):
+            call()
+
+
 #: a kernel definition in kernels.c: return type, name, parameter list
 _KERNEL = re.compile(r"^(void|int64_t) (optpaths_\w+)\(([^)]*)\)",
                      re.MULTILINE)
@@ -341,8 +366,10 @@ import os, sys
 sys.modules["numpy"] = None  # every import of numpy now fails
 import optpaths.cli
 from optpaths import fastlane
-LAZY = ("subprocess", "hashlib", "dataclasses", "optpaths.generators",
-        "optpaths.oracles", "optpaths.monarchy", "optpaths.evolve")
+STDLIB = ("argparse", "gettext", "locale", "heapq", "subprocess", "hashlib",
+          "dataclasses")
+LAZY = STDLIB + ("optpaths.generators", "optpaths.oracles", "optpaths.monarchy",
+                 "optpaths.evolve", "optpaths.coldpath")
 print(sorted(m for m in LAZY if m in sys.modules),
       os.path.exists(fastlane._cache_dir()))
 lane, d, *argv = sys.argv[1:]
@@ -350,15 +377,24 @@ if lane == "reference":
     fastlane._BUILD = ("/nonexistent/cc",) + fastlane._BUILD[1:]
 os.chdir(d)
 assert optpaths.cli.main(argv) == 0, argv
-print(sorted(m[9:] for m in sys.modules if m.startswith("optpaths.")))
+print(sorted([m[9:] for m in sys.modules if m.startswith("optpaths.")]
+             + [m for m in STDLIB if m in sys.modules]))
 print(fastlane.available())
 """
 
-#: the modules ``import optpaths.cli`` loads
+#: the modules ``import optpaths.cli`` loads: of the package's, and of the
+#: standard library modules that some command loads and some does not
+#: (``STDLIB`` above), none
 CLI_MODULES = {"cli", "fastlane", "graph", "partition", "pipeline"}
 
+#: the modules a process loads to compile the kernels, or to try: every
+#: process on the reference lane (no compiler) and the first on the compiled
+#: one.  ``subprocess`` loads ``locale``.
+COMPILE_MODULES = {"coldpath", "subprocess", "locale"}
+
 #: each command, the modules it loads on top of CLI_MODULES, and those it
-#: loads only on the reference lane
+#: loads only on the reference lane.  No well-formed command line loads
+#: argparse or its gettext and locale.
 COMMAND_MODULES = [
     ("solve --instance tri --algo ht", set(), {"monarchy"}),
     ("gen grid --rows 6 --cols 5 --hzp --out grid", {"generators"}, set()),
@@ -367,7 +403,8 @@ COMMAND_MODULES = [
     ("solve --instance rand --algo multi --sources 1,17 --out res",
      set(), {"monarchy"}),
     ("solve --instance grid --algo eom", set(), {"evolve"}),
-    ("verify --instance rand --results res --fixpoint", {"oracles"}, set()),
+    ("verify --instance rand --results res --fixpoint", {"oracles", "heapq"},
+     set()),
     ("compare --instance grid", set(), {"evolve", "monarchy"}),
     ("bench --n-total 60 --kc 3,5 --algos eom,ht", {"generators"},
      {"evolve", "monarchy"}),
@@ -401,10 +438,10 @@ def test_solve_and_verify_do_not_load_numpy(tmp_path):
 
 
 def test_import_builds_and_loads_nothing(tmp_path):
-    # importing the CLI builds no kernels and loads neither subprocess,
-    # hashlib, dataclasses nor any module a command may not need; each
-    # command, in a fresh process, loads only the modules it runs; and every
-    # command runs with numpy unimportable, on each lane
+    # importing the CLI builds no kernels and loads neither argparse,
+    # subprocess, hashlib, dataclasses nor any module a command may not
+    # need; each command, in a fresh process, loads only the modules it
+    # runs; and every command runs with numpy unimportable, on each lane
     lanes = ["reference"] + (["compiled"] if shutil.which("cc") else [])
     for lane in lanes:
         d = tmp_path / lane
@@ -423,6 +460,8 @@ def test_import_builds_and_loads_nothing(tmp_path):
             want = CLI_MODULES | loads
             if lane == "reference":
                 want |= reference_loads
+            if lane == "reference" or i == 0:
+                want |= COMPILE_MODULES
             assert out[-2] == str(sorted(want)), command
             assert out[-1] == str(lane == "compiled")
             printed += out[1:-2]
@@ -432,3 +471,25 @@ def test_import_builds_and_loads_nothing(tmp_path):
         for name in ("grid", "rand", "res"):
             assert (tmp_path / "reference" / name).read_bytes() \
                 == (tmp_path / "compiled" / name).read_bytes()
+
+
+_USAGE_ERROR = """
+import sys
+from optpaths.cli import main
+try:
+    main()
+finally:
+    print(sorted(m for m in ("argparse", "gettext", "locale")
+                 if m in sys.modules))
+"""
+
+
+def test_a_usage_error_loads_argparse_and_exits_1():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _USAGE_ERROR, "solve",
+                           "--instance", "tri"], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == "['argparse', 'gettext', 'locale']\n"
+    assert proc.stderr.endswith("optpaths solve: error: the following "
+                                "arguments are required: --algo\n")

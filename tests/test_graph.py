@@ -1,6 +1,9 @@
 import contextlib
 import io
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from array import array
 from unittest import mock
@@ -178,6 +181,29 @@ class TestInstanceFormat:
         g2, comments = op.read_instance_file(path)
         assert comments == ["c1"]
         assert fields(g2) == fields(op.build_graph(2, arcs))
+
+    def test_files_are_utf8_under_an_ascii_locale(self, tmp_path):
+        # every reader decodes UTF-8, so the writer must not use the
+        # locale's encoding; a hard-linked file is written in place, a new
+        # one through a temp file
+        fresh, linked = tmp_path / "fresh.txt", tmp_path / "linked.txt"
+        linked.write_text("old\n")
+        os.link(linked, tmp_path / "other.txt")
+        code = ("import sys, optpaths as op\n"
+                "for path in sys.argv[1:]:\n"
+                "    op.write_instance_file(2, [1], [2], [7], False, path,\n"
+                "                           ['caf\\xe9'])\n"
+                "    print(ascii(op.read_instance_file(path)[1]))\n")
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+                   PYTHONUTF8="0", PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", code, str(fresh),
+                               str(linked)], env=env, capture_output=True,
+                              text=True, encoding="utf-8")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["['caf\\xe9']"] * 2
+        for path in (fresh, linked):
+            assert path.read_bytes() == "# café\nn 2 1 undirected\n1 2 7\n" \
+                .encode("utf-8")
 
     def test_columns_of_unequal_length_are_refused(self):
         with pytest.raises(GraphError, match="differ in length"):

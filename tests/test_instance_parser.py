@@ -9,7 +9,7 @@ every drawn text: the same graph and comments, or the same error message.
 
 Each differential test runs twice: with the compiled reader, which reads
 every arc block it accepts, and with no compiler, where every block goes
-to the reference reader (``graph._scan_arc_block``).  The compiled reader
+to the reference reader (``coldpath.scan_arc_block``).  The compiled reader
 is not a line-for-line copy of either; these tests are what certify it.
 """
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import optpaths as op
 from optpaths import GraphError, InvariantViolation, fastlane
-from optpaths.pipeline import _debug_hook
+from optpaths.coldpath import debug_hook
 
 needs_lane = pytest.mark.skipif(not fastlane.available(),
                                 reason="no C compiler")
@@ -167,7 +167,7 @@ class TestTags:
 class TestDebugHook:
     def test_hook_raises_on_corrupted_tree(self, triangle, algebra):
         regions, state, _ = op.hda_multi(triangle, [1], algebra)
-        hook = _debug_hook(triangle, regions, state, "demo", algebra)
+        hook = debug_hook(triangle, regions, state, "demo", algebra)
         hook(0)
         state.parent[2], state.cost[2] = 3, 2
         state.parent[3], state.cost[3] = 2, 3
@@ -177,7 +177,7 @@ class TestDebugHook:
     def test_hook_raises_on_shrinking_labeled_set(self, algebra):
         g = op.build_graph(3, [(1, 2, 1), (2, 3, 1)])
         regions, state, _ = op.hda_multi(g, [1], algebra)
-        hook = _debug_hook(g, regions, state, "demo", algebra)
+        hook = debug_hook(g, regions, state, "demo", algebra)
         hook(0)
         # un-label node 3 in both views so tree/reachability stay clean
         state.parent[3] = op.UNSET

@@ -7,7 +7,7 @@ which stays the reference and names every fault:
   ``partition.export_results`` and ``graph.write_instance``, with and
   without a compiler;
 - the results reader (``fastlane.read_results``) against the reference
-  reader ``partition._scan_results``: wherever it accepts a file, its
+  reader ``coldpath.scan_results``: wherever it accepts a file, its
   arrays must hold the reference's lists, and
   ``partition.read_results_file`` must give the same values or the same
   message;
@@ -26,7 +26,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import optpaths as op
-from optpaths import InstanceFormatError, cli, fastlane, oracles, partition
+from optpaths import (InstanceFormatError, cli, coldpath, fastlane,
+                      partition)
 
 INT64_MAX = 2**63 - 1
 INT64_MIN = -2**63
@@ -182,7 +183,7 @@ def test_verify_export_lane_rule(monkeypatch, triangle):
     def reference_audit(*args, **kwargs):
         raise AssertionError("the reference audit ran")
 
-    monkeypatch.setattr(oracles, "_arc_pass", reference_audit)
+    monkeypatch.setattr(coldpath, "_arc_pass", reference_audit)
     assert op.verify_export(*export, fixpoint=True).ok
     # an explicit algebra, min-plus included, gets the reference audit
     with pytest.raises(AssertionError, match="reference audit ran"):
@@ -313,7 +314,7 @@ def test_results_reader_agrees_with_the_reference_reader(tmp_path, case):
     n, data = case
     path = tmp_path / "res.txt"
     path.write_bytes(data)
-    want = outcome(partition._scan_results, str(path), n)
+    want = outcome(coldpath.scan_results, str(path), n)
     rows = fastlane.read_results(data, n)
     if rows is not None:
         assert ("rows", as_lists(rows)) == want
@@ -333,7 +334,7 @@ def test_the_compiled_reader_reads_solve_exports(tmp_path):
         path.write_bytes(data)
         rows = fastlane.read_results(data, g.n)
         assert rows is not None
-        assert as_lists(rows) == partition._scan_results(str(path), g.n)
+        assert as_lists(rows) == coldpath.scan_results(str(path), g.n)
 
 
 # -- the formatter: exports and instance files -----------------------------------
