@@ -106,7 +106,7 @@ def build_reference(n: int, head: array, tail: array, weight: array,
         dst[0::2], dst[1::2] = tail, head
         w2[0::2], w2[1::2] = weight, weight
         fwd = rev = _counting_sort(n, key, dst, w2)
-    return Graph(n, directed, fwd, rev, len(fwd[1]), max(weight, default=0))
+    return Graph(n, directed, fwd, rev, len(fwd[1]))
 
 
 def _counting_sort(n: int, key: array, dst: array, w: array):
@@ -216,8 +216,8 @@ def check_csr(g: Graph) -> None:
     """Raise GraphError unless both CSRs of ``g`` are well formed, by the
     rule of the compiled lane's ``optpaths_check_csr``: int64 arrays, a
     pointer array of ``n + 2`` entries that starts at 0, never falls and
-    ends at the entry count, weights as many as entries, and every entry a
-    node id in ``1..n``."""
+    ends at the entry count, weights as many as entries and none below 0,
+    and every entry a node id in ``1..n``."""
     n = g.n
     fwd = (g.fwd_ptr, g.fwd_dst, g.fwd_w)
     rev = (g.rev_ptr, g.rev_src, g.rev_w)
@@ -228,7 +228,8 @@ def check_csr(g: Graph) -> None:
                 and len(ptr) == n + 2 and len(idx) == len(w)
                 and ptr[0] == 0 and ptr[-1] == len(idx)
                 and all(map(operator.le, ptr, ptr[1:]))
-                and (not idx or 1 <= min(idx) and max(idx) <= n)):
+                and (not idx or 1 <= min(idx) and max(idx) <= n)
+                and (not w or min(w) >= 0)):
             raise GraphError("malformed CSR adjacency")
 
 

@@ -67,9 +67,9 @@ _SIGNATURES = {
     "optpaths_classify": ([_P, _I] + [_P] * 5, _I),
     "optpaths_eom": ([_P, _I] + [_P] * 8 + [_I, _P], None),
     "optpaths_schedule": ([_I, _P, _I] + [_P] * 11, None),
-    "optpaths_build": ([_I] * 3 + [_P] * 10, _I),
+    "optpaths_build": ([_I] * 3 + [_P] * 9, _I),
     "optpaths_check_csr": ([_I, _P, _P, _P, _I, _P], _I),
-    "optpaths_read": ([ctypes.c_char_p] + [_I] * 4 + [_P] * 10, _I),
+    "optpaths_read": ([ctypes.c_char_p] + [_I] * 4 + [_P] * 9, _I),
     "optpaths_draws": ([_U] * 3 + [_I, _I, _U, _P], None),
     "optpaths_format": ([_I] * 4 + [_P] * 2, _I),
     "optpaths_read_results": ([ctypes.c_char_p, _I, _I] + [_P] * 6, _I),
@@ -121,9 +121,8 @@ def _built(kernel, n: int, arcs: Sequence[array],
            directed: bool) -> Optional[Graph]:
     """The graph ``kernel`` builds on ``arcs``, or None if it refuses.
 
-    ``kernel`` takes the arc and CSR arrays and the maximum-weight cell of
-    ``optpaths_build``; None also means that the pointer arrays of ``n``
-    nodes cannot be allocated.
+    ``kernel`` takes the arc and CSR arrays of ``optpaths_build``; None
+    also means that the pointer arrays of ``n`` nodes cannot be allocated.
     """
     try:
         fwd_ptr = _zeros(n + 2)
@@ -133,10 +132,9 @@ def _built(kernel, n: int, arcs: Sequence[array],
     E = len(arcs[0]) * (1 if directed else 2)
     fwd = (fwd_ptr, _zeros(E), _zeros(E))
     rev = (rev_ptr, _zeros(E), _zeros(E)) if directed else fwd
-    max_weight = _zeros(1)
-    if kernel(*map(_ptr, (*arcs, *fwd, *rev, max_weight))):
+    if kernel(*map(_ptr, (*arcs, *fwd, *rev))):
         return None
-    return Graph(n, directed, fwd, rev, E, max_weight[0])
+    return Graph(n, directed, fwd, rev, E)
 
 
 def build(n: int, head: array, tail: array, weight: array,
@@ -317,13 +315,13 @@ def refusal(g: Graph, sources: Sequence[int]) -> Optional[str]:
     """Why the compiled lane cannot run ``g`` from ``sources``, or None;
     GraphError if the CSR of ``g`` is malformed.
 
-    The int64 bound: every label starts at or below the cost of its BFS-tree
-    path, at most ``w * (n - 1)`` for the largest weight ``w`` in the
-    CSR, and labels only decrease; so every candidate ``cost + w`` any
-    kernel forms is at most ``w * n``.  ``w`` is what the CSR check reads
-    from the arrays, not ``Graph.max_weight``, which a caller may have
-    changed.  The library is resolved before that check, since the check
-    is a kernel, and the first resolution may build it.
+    The int64 bound: the CSR check refuses a weight below 0 and reads the
+    largest weight ``w`` from the arrays, so a caller who changed them
+    after the build is bounded too.  Every label starts at or below the
+    cost of its BFS-tree path, at most ``w * (n - 1)``, and labels only
+    decrease; so every candidate ``cost + w`` any kernel forms lies in
+    ``0..w * n``.  The library is resolved before that check, since the
+    check is a kernel, and the first resolution may build it.
     """
     if not sources:
         return "source set must be non-empty"

@@ -90,29 +90,27 @@ class Graph:
         rev_ptr, rev_src, rev_w: CSR of in-neighbors per node.
         E: total number of directed adjacency entries (an undirected arc
            counts twice).
-        max_weight: the largest arc weight (0 without arcs).
 
     Every array is an ``array('q')``; for an undirected graph the reverse
     CSR is the forward one.  Nothing else is kept: not the arc list the
-    graph was built from, nor any degree statistic.  A graph built by hand
-    as ``Graph(n, directed, fwd, rev, E, max_weight)`` must keep the
-    builds' CSR shape; the compiled lane checks it before any kernel runs.
+    graph was built from, nor its largest weight, nor any degree statistic.
+    A graph built by hand as ``Graph(n, directed, fwd, rev, E)`` must keep
+    the builds' CSR shape; both lanes check it before any solver runs.
     """
 
     __slots__ = (
         "n", "directed",
         "fwd_ptr", "fwd_dst", "fwd_w",
         "rev_ptr", "rev_src", "rev_w",
-        "E", "max_weight",
+        "E",
     )
 
-    def __init__(self, n, directed, fwd, rev, E, max_weight):
+    def __init__(self, n, directed, fwd, rev, E):
         self.n = n
         self.directed = directed
         self.fwd_ptr, self.fwd_dst, self.fwd_w = fwd
         self.rev_ptr, self.rev_src, self.rev_w = rev
         self.E = E
-        self.max_weight = max_weight
 
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"

@@ -272,21 +272,18 @@ static inline int is_sep(char c)
  * an undirected arc adds its two directions in turn, as the reference
  * build in graph.py does.  fptr and rptr (n + 2 entries) must arrive
  * zero-filled; fdst and fw hold k entries when directed, 2k when not;
- * rptr, rsrc and rw are unused when undirected.  Returns 0 with
- * *max_weight set to the largest weight (0 without arcs), or 1 to refuse. */
+ * rptr, rsrc and rw are unused when undirected.  Returns 0, or 1 to
+ * refuse. */
 int64_t optpaths_build(int64_t n, int64_t k, int64_t directed,
                        const int64_t *head, const int64_t *tail,
                        const int64_t *weight, int64_t *fptr, int64_t *fdst,
                        int64_t *fw, int64_t *rptr, int64_t *rsrc,
-                       int64_t *rw, int64_t *max_weight)
+                       int64_t *rw)
 {
-    int64_t w_max = 0;
     for (int64_t i = 0; i < k; i++) {
         int64_t h = head[i], t = tail[i], w = weight[i];
         if (h < 1 || h > n || t < 1 || t > n || h == t || w < 0)
             return 1;
-        if (w > w_max)
-            w_max = w;
         fptr[h + 1] += 1;
         if (directed)
             rptr[t + 1] += 1;
@@ -320,18 +317,17 @@ int64_t optpaths_build(int64_t n, int64_t k, int64_t directed,
         if (directed)
             rptr[u] = rptr[u - 1];
     }
-    *max_weight = w_max;
     return 0;
 }
 
 /* Checks a CSR of n nodes whose idx and w arrays hold len entries: ptr
- * (n + 2 entries) starts at 0, never falls and ends at len, and every idx
- * entry is a node id in 1..n.  Every kernel that walks a CSR relies on
- * this; optpaths_build's CSRs hold it by construction.  Stores the largest
- * entry of w (0 when len is 0) in *max_weight: the caller bounds the
- * solver kernels' costs by that value, read here from the array, not by
- * whatever weight the graph claims.  Returns 0 when the CSR holds, 1
- * otherwise. */
+ * (n + 2 entries) starts at 0, never falls and ends at len, every idx
+ * entry is a node id in 1..n, and every w entry is at least 0.  Every
+ * kernel that walks a CSR relies on this; optpaths_build's CSRs hold it by
+ * construction.  Stores the largest entry of w (0 when len is 0) in
+ * *max_weight: the caller bounds the solver kernels' costs by that value,
+ * read here from the array, since a caller may have changed the weights
+ * after the build.  Returns 0 when the CSR holds, 1 otherwise. */
 int64_t optpaths_check_csr(int64_t n, const int64_t *ptr, const int64_t *idx,
                            const int64_t *w, int64_t len, int64_t *max_weight)
 {
@@ -342,7 +338,7 @@ int64_t optpaths_check_csr(int64_t n, const int64_t *ptr, const int64_t *idx,
             return 1;
     int64_t w_max = 0;
     for (int64_t k = 0; k < len; k++) {
-        if (idx[k] < 1 || idx[k] > n)
+        if (idx[k] < 1 || idx[k] > n || w[k] < 0)
             return 1;
         if (w[k] > w_max)
             w_max = w[k];
@@ -362,7 +358,7 @@ int64_t optpaths_read(const char *s, int64_t len, int64_t n, int64_t k,
                       int64_t directed, int64_t *head, int64_t *tail,
                       int64_t *weight, int64_t *fptr, int64_t *fdst,
                       int64_t *fw, int64_t *rptr, int64_t *rsrc,
-                      int64_t *rw, int64_t *max_weight)
+                      int64_t *rw)
 {
     const char *p = s, *end = s + len;
     int64_t count = 0;
@@ -421,7 +417,7 @@ int64_t optpaths_read(const char *s, int64_t len, int64_t n, int64_t k,
     if (count != k)
         return 1;
     return optpaths_build(n, k, directed, head, tail, weight, fptr, fdst, fw,
-                          rptr, rsrc, rw, max_weight);
+                          rptr, rsrc, rw);
 }
 
 /* Fills out[0..count) with lo + splitmix64(seed, start + i * stride) %

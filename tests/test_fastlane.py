@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import threading
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -193,30 +194,50 @@ def test_both_lanes_exact_at_the_int64_bound(algo):
     assert op.run_pipeline(g, [1], algo).lane == "compiled"
 
 
-@needs_lane  # without the lane, refusal names the missing compiler
+def assert_refused_for_overflow(g):
+    # the bound is checked by a kernel, so without the lane refusal names
+    # the missing compiler instead
+    why = "overflow" if fastlane.available() else "compiled lane unavailable"
+    assert why in fastlane.refusal(g, [1])
+    with pytest.raises(GraphError, match=why):
+        fastlane.FastRun(g, [1])
+
+
 @pytest.mark.parametrize("weights", [[W_AT_BOUND] * 5 + [W_AT_BOUND + 1],
                                      [6 * 10**18] * 2])
 def test_compiled_lane_refuses_one_above_the_bound(weights):
     g = path_graph(weights)
     assert max(weights) * g.n > fastlane.INT64_MAX
-    assert "overflow" in fastlane.refusal(g, [1])
-    with pytest.raises(GraphError, match="overflow"):
-        fastlane.FastRun(g, [1])
+    assert_refused_for_overflow(g)
     # the default routes to the reference lane, which is exact
     res = op.run_pipeline(g, [1], "eom")
     assert res.lane == "reference"
     assert res.state.cost[g.n] == sum(weights)
 
 
-@needs_lane
-def test_the_bound_is_read_from_the_weights_not_the_graph():
-    # a claimed max_weight of 1 would let the kernels wrap 2**62 + 2**62
-    g = path_graph([2**62, 2**62])
-    g.max_weight = 1
-    assert "overflow" in fastlane.refusal(g, [1])
+def test_weights_changed_after_the_build_are_bounded():
+    # weights raised after the build would let the kernels wrap 2**62 + 2**62
+    g = path_graph([1, 1])
+    for w in (g.fwd_w, g.rev_w):
+        w[:] = array("q", [2**62] * 2)
+    assert_refused_for_overflow(g)
     res = op.run_pipeline(g, [1], "ht")
     assert res.lane == "reference"
     assert res.state.cost[3] == 2**63
+    # negative weights after the build would wrap downwards: both lanes
+    # refuse them as a malformed CSR
+    g = path_graph([1, 1, 1])
+    for w in (g.fwd_w, g.rev_w):
+        w[:] = array("q", [-2**62] * 3)
+    if fastlane.available():
+        with pytest.raises(GraphError, match="malformed CSR"):
+            fastlane.refusal(g, [1])
+    for algebra in (None, op.min_plus_algebra()):
+        with pytest.raises(GraphError, match="malformed CSR"):
+            op.run_pipeline(g, [1], "ht", algebra=algebra)
+    with pytest.raises(GraphError, match="malformed CSR"):
+        op.verify_export(g, [0, 1, 2, 3, 4], [0, 0, 1, 2, 3], [0] * 5,
+                         [0, 1, 1, 1, 1])
 
 
 # -- building and loading the shared object ------------------------------------
@@ -290,7 +311,7 @@ from optpaths import GraphError
 q = lambda *xs: array("q", xs)
 # directed, 3 nodes, one arc 1 -> 2 whose leaf id reads 10**7
 hand_built = op.Graph(3, True, (q(0, 0, 1, 1, 1), q(10**7), q(1)),
-                      (q(0, 0, 0, 1, 1), q(1), q(1)), 1, 1)
+                      (q(0, 0, 0, 1, 1), q(1), q(1)), 1)
 patched = op.build_graph(3, [(1, 2, 1), (2, 3, 1)])
 patched.fwd_dst[0] = 10**7
 export = ([0, 1, 2, 3], [0, 0, 1, 2], [0, 0, 1, 2], [0, 1, 1, 1])
