@@ -64,7 +64,7 @@ def __getattr__(name: str):
 
 
 #: the counters of a run without an optimizer (``hda`` alone)
-_NO_OPT = OptReport(0, 0, 0, 0, 0, 0, 0.0)
+_NO_OPT = OptReport(0, 0, 0, 0, 0, 0)
 
 
 def _ratios(g: Graph, res: PipelineResult):
@@ -82,8 +82,8 @@ def csv_row(instance: str, g: Graph, res: PipelineResult,
                         else (spec.k_r, spec.k_c, spec.seed))
     vals = [
         instance, res.algo, rows, cols, g.n, g.E, int(g.directed), seed,
-        f"{res.hda_report.wall_time_ms:.3f}", f"{res.classify_ms:.3f}",
-        f"{rep.wall_time_ms:.3f}",
+        f"{res.hda_ms:.3f}", f"{res.classify_ms:.3f}",
+        f"{res.schedule_ms:.3f}",
         rep.big_loops, rep.node_scans, rep.improvements, res.origins,
         snoa, ooa, onoa, snoa, rep.regular_way, rep.wrong_way,
     ]
@@ -97,8 +97,8 @@ def text_line(g: Graph, res: PipelineResult) -> str:
         f"improved={rep.improvements} origins={res.origins} "
         f"snoa={snoa:.4f} ooa={ooa:.4f} onoa={onoa:.4f} "
         f"regular={rep.regular_way} wrong={rep.wrong_way} "
-        f"hda={res.hda_report.wall_time_ms:.1f}ms "
-        f"classify={res.classify_ms:.1f}ms schedule={rep.wall_time_ms:.1f}ms"
+        f"hda={res.hda_ms:.1f}ms "
+        f"classify={res.classify_ms:.1f}ms schedule={res.schedule_ms:.1f}ms"
     )
 
 

@@ -29,17 +29,17 @@ needs them -- never at import -- the kernels are compiled with the system
 ``cc`` (by :func:`coldpath.build_kernels`) into ``$XDG_CACHE_HOME/optpaths``
 (default ``~/.cache/optpaths``) under a name keyed by a checksum of the
 source and the compile command, then loaded with ctypes; later processes
-load the cached object.
+load the cached object.  Without the compiler on the ``PATH`` no compile
+is tried; one that is there but fails is tried again in every process.
 
 Before a kernel walks a graph, one kernel pass checks its CSR and reads
 its largest weight: ``FastRun`` and :func:`export_is_clean`, and so
 ``run_pipeline`` and ``verify_export``, raise :class:`GraphError` on a
 malformed one.  :func:`refusal` names the one reason, if any, that this
-lane cannot run a graph from a source set: a bad source, no compiler, or a
-largest weight times ``n`` past ``2**63 - 1`` (an int64 cost could wrap;
-the reference lane computes such instances exactly).  ``FastRun`` raises
-:class:`GraphError` with that reason; ``run_pipeline`` runs the reference
-lane instead.
+lane cannot run a graph: no compiler, or a largest weight times ``n``
+past ``2**63 - 1`` (an int64 cost could wrap; the reference lane computes
+such instances exactly).  ``FastRun`` raises :class:`GraphError` with
+that reason; ``run_pipeline`` runs the reference lane instead.
 """
 
 from __future__ import annotations
@@ -47,14 +47,14 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
-import time
 import zlib
 from array import array
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .graph import INT64_MAX, Graph, GraphError, _zeros
-from .partition import SCHEDULERS, HdaReport, OptReport, Regions, SolverState
+from .partition import (SCHEDULERS, HdaReport, OptReport, Regions,
+                        SolverState, source_set)
 
 #: compile command; ``-o <object> <source>`` is appended
 _BUILD = ("cc", "-O2", "-shared", "-fPIC")
@@ -88,6 +88,9 @@ def _load() -> ctypes.CDLL:
                      + _SOURCE.read_bytes())
     path = _cache_dir() / f"kernels-{key:08x}.so"
     if not path.exists():
+        import shutil
+        if shutil.which(_BUILD[0]) is None:
+            raise OSError(f"no compiler {_BUILD[0]!r} on the PATH")
         from .coldpath import build_kernels
         build_kernels(path, _BUILD, _SOURCE)
     lib = ctypes.CDLL(str(path))
@@ -311,9 +314,9 @@ def _check_csr(lib: ctypes.CDLL, g: Graph) -> int:
     return largest
 
 
-def refusal(g: Graph, sources: Sequence[int]) -> Optional[str]:
-    """Why the compiled lane cannot run ``g`` from ``sources``, or None;
-    GraphError if the CSR of ``g`` is malformed.
+def refusal(g: Graph) -> Optional[str]:
+    """Why the compiled lane cannot run ``g``, or None; GraphError if the
+    CSR of ``g`` is malformed.  :func:`partition.source_set` checks sources.
 
     The int64 bound: the CSR check refuses a weight below 0 and reads the
     largest weight ``w`` from the arrays, so a caller who changed them
@@ -323,11 +326,6 @@ def refusal(g: Graph, sources: Sequence[int]) -> Optional[str]:
     ``0..w * n``.  The library is resolved before that check, since the
     check is a kernel, and the first resolution may build it.
     """
-    if not sources:
-        return "source set must be non-empty"
-    for s in sources:
-        if not 1 <= s <= g.n:
-            return f"source {s} out of range 1..{g.n}"
     lib, why = _lane()
     if lib is None:
         return f"compiled lane unavailable ({why}); use the reference lane"
@@ -343,20 +341,19 @@ class FastRun:
 
     ``regions`` and ``state`` hold the kernels' int64 buffers, which
     :meth:`eom` and :meth:`schedule` update in place.  Raises
-    :class:`GraphError` with the :func:`refusal` reason when the lane cannot
-    run the graph, and for a malformed CSR; it never falls back to Python
-    loops.
+    :class:`GraphError` for a bad source (:func:`partition.source_set`),
+    with the :func:`refusal` reason, and for a malformed CSR; it never falls
+    back to Python loops.  Its reports are counters; nothing here is timed.
     """
 
     def __init__(self, g: Graph, sources: Sequence[int]):
-        srcs = sorted(set(int(s) for s in sources))
-        why = refusal(g, srcs)
+        srcs = source_set(g, sources)
+        why = refusal(g)
         if why is not None:
             raise GraphError(why)
         self._lib = _lane()[0]
         self.g = g
         src_ids = array("q", srcs)  # alive through the kernel call
-        t0 = time.perf_counter()
         order = _zeros(g.n)
         region, pos, parent, cost, issrc, self._tags = (
             _zeros(g.n + 1) for _ in range(6))
@@ -370,24 +367,15 @@ class FastRun:
         self.regions = Regions(order, region, pos)
         self.state = SolverState(g.n, tuple(srcs), parent, cost, issrc,
                                  self._tags if len(srcs) > 1 else None)
-        self.hda_report = HdaReport(
-            arc_inspections=int(inspections[0]),
-            wall_time_ms=(time.perf_counter() - t0) * 1e3,
-        )
-        self.origin_count = 0
-        self.classify_ms = 0.0
+        self.hda_report = HdaReport(arc_inspections=int(inspections[0]))
 
     def classify(self) -> int:
         """Screen the origins into ``self.status``; returns their count."""
         g, order = self.g, self.regions.order
-        t0 = time.perf_counter()
         self.status = _zeros(g.n + 1)
-        origins = self._lib.optpaths_classify(
+        return int(self._lib.optpaths_classify(
             _ptr(order), len(order), _ptr(g.fwd_ptr), _ptr(g.fwd_dst),
-            _ptr(g.fwd_w), _ptr(self.state.cost), _ptr(self.status))
-        self.origin_count = int(origins)
-        self.classify_ms = (time.perf_counter() - t0) * 1e3
-        return self.origin_count
+            _ptr(g.fwd_w), _ptr(self.state.cost), _ptr(self.status)))
 
     def _labels(self) -> list[int]:
         """The addresses of the parent, cost, source and tag arrays."""
@@ -398,12 +386,11 @@ class FastRun:
     def eom(self, two_course: bool = False) -> OptReport:
         g, order = self.g, self.regions.order
         out = _zeros(6)
-        t0 = time.perf_counter()
         self._lib.optpaths_eom(
             _ptr(order), len(order), _ptr(self.regions.region_of),
             _ptr(g.rev_ptr), _ptr(g.rev_src), _ptr(g.rev_w), *self._labels(),
             int(two_course), _ptr(out))
-        return OptReport(*out.tolist(), (time.perf_counter() - t0) * 1e3)
+        return OptReport(*out.tolist())
 
     def schedule(self, kind: str) -> OptReport:
         """Push to the fixpoint from the origins under the pointer rule
@@ -412,9 +399,8 @@ class FastRun:
         g, r = self.g, self.regions
         code = SCHEDULERS.index(kind)
         out = _zeros(6)
-        t0 = time.perf_counter()
         self._lib.optpaths_schedule(
             code, _ptr(r.order), len(r.order), _ptr(r.region_of),
             _ptr(r.position_of), _ptr(g.fwd_ptr), _ptr(g.fwd_dst),
             _ptr(g.fwd_w), *self._labels(), _ptr(self.status), _ptr(out))
-        return OptReport(*out.tolist(), (time.perf_counter() - t0) * 1e3)
+        return OptReport(*out.tolist())

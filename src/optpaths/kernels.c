@@ -265,15 +265,38 @@ static inline int is_sep(char c)
     return c == ' ' || c == '\t' || c == '\r';
 }
 
+/* Reads the field [+-]?[0-9]+ at p (before end) into *x; returns its end,
+ * or NULL to refuse no such field or one whose magnitude exceeds int64. */
+static inline const char *read_int(const char *p, const char *end,
+                                   int64_t *x)
+{
+    int neg = 0;
+    if (p < end && (*p == '+' || *p == '-')) {
+        neg = *p == '-';
+        p++;
+    }
+    if (p == end || *p < '0' || *p > '9')
+        return NULL;
+    int64_t v = 0;
+    for (; p < end && *p >= '0' && *p <= '9'; p++) {
+        int64_t d = *p - '0';
+        if (v > (INT64_MAX - d) / 10)
+            return NULL;
+        v = v * 10 + d;
+    }
+    *x = neg ? -v : v;
+    return p;
+}
+
 /* Builds the CSR adjacency of k arcs on nodes 1..n.  It accepts the arcs
  * only when every arc has both ends in 1..n, differing, and a weight of at
  * least 0; it then fills the forward CSR -- and for a directed graph the
  * reverse one -- by a stable counting sort, so entries keep arc order and
  * an undirected arc adds its two directions in turn, as the reference
- * build in graph.py does.  fptr and rptr (n + 2 entries) must arrive
- * zero-filled; fdst and fw hold k entries when directed, 2k when not;
- * rptr, rsrc and rw are unused when undirected.  Returns 0, or 1 to
- * refuse. */
+ * build, coldpath.build_reference, does.  fptr and rptr (n + 2 entries)
+ * must arrive zero-filled; fdst and fw hold k entries when directed, 2k
+ * when not; rptr, rsrc and rw are unused when undirected.  Returns 0, or
+ * 1 to refuse. */
 int64_t optpaths_build(int64_t n, int64_t k, int64_t directed,
                        const int64_t *head, const int64_t *tail,
                        const int64_t *weight, int64_t *fptr, int64_t *fdst,
@@ -388,22 +411,9 @@ int64_t optpaths_read(const char *s, int64_t len, int64_t n, int64_t k,
                 while (p < end && is_sep(*p))
                     p++;
             }
-            int neg = 0;
-            if (p < end && (*p == '+' || *p == '-')) {
-                neg = *p == '-';
-                p++;
-            }
-            if (p == end || *p < '0' || *p > '9')
+            p = read_int(p, end, &v[f]);
+            if (p == NULL)
                 return 1;
-            int64_t x = 0;
-            while (p < end && *p >= '0' && *p <= '9') {
-                int64_t d = *p - '0';
-                if (x > (INT64_MAX - d) / 10)
-                    return 1;
-                x = x * 10 + d;
-                p++;
-            }
-            v[f] = neg ? -x : x;
         }
         while (p < end && is_sep(*p))
             p++;
@@ -500,14 +510,14 @@ int64_t optpaths_format(int64_t lo, int64_t hi, int64_t results,
     return len;
 }
 
-static inline int is_blank(unsigned char c)
+static inline int is_blank(char c)
 {
     return c == ' ' || c == '\t';
 }
 
 /* Reads a results file, s[0..len), for n nodes: one row per node,
  * "<id> <region> <parent> <cost|UNREACHED> [tag]".  Like optpaths_read it
- * is stricter than the reference reader (partition._scan_results) and
+ * is stricter than the reference reader (coldpath.scan_results) and
  * refuses without saying why.  It accepts only text whose every byte is printable
  * ASCII, a space, a tab or '\n', in which every line is blank, a
  * whole-line '#' comment, or a row of 4 or 5 fields separated by spaces
@@ -523,7 +533,7 @@ int64_t optpaths_read_results(const char *s, int64_t len, int64_t n,
                               int64_t *cost, int64_t *has_cost,
                               int64_t *tags, int64_t *seen)
 {
-    const unsigned char *p = (const unsigned char *)s, *end = p + len;
+    const char *p = s, *end = s + len;
     int64_t width = 0, rows = 0;
     while (p < end) {
         while (p < end && is_blank(*p))
@@ -534,7 +544,7 @@ int64_t optpaths_read_results(const char *s, int64_t len, int64_t n,
             p++;
             continue;
         }
-        if (*p == '#') {
+        if (*p == '#') {  /* a byte past 0x7e is below 0 if char is signed */
             for (; p < end && *p != '\n'; p++)
                 if ((*p < 0x20 && *p != '\t') || *p > 0x7e)
                     return 0;
@@ -549,23 +559,8 @@ int64_t optpaths_read_results(const char *s, int64_t len, int64_t n,
                 is_unreached = 1;
                 f[nf++] = 0;
                 p += 9;
-            } else {
-                int neg = 0;
-                if (*p == '+' || *p == '-') {
-                    neg = *p == '-';
-                    p++;
-                }
-                if (p == end || *p < '0' || *p > '9')
-                    return 0;
-                int64_t x = 0;
-                while (p < end && *p >= '0' && *p <= '9') {
-                    int64_t d = *p - '0';
-                    if (x > (INT64_MAX - d) / 10)
-                        return 0;
-                    x = x * 10 + d;
-                    p++;
-                }
-                f[nf++] = neg ? -x : x;
+            } else if ((p = read_int(p, end, &f[nf++])) == NULL) {
+                return 0;
             }
             if (p < end && !is_blank(*p) && *p != '\n')
                 return 0;

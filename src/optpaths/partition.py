@@ -19,7 +19,6 @@ export in place, and :func:`read_results_file` reads one back.
 
 from __future__ import annotations
 
-import time
 from typing import NamedTuple, Sequence
 
 from .graph import UNSET, CostAlgebra, Graph, GraphError, NodeId, open_output
@@ -94,8 +93,10 @@ class SolverState:
 
 
 class HdaReport(NamedTuple):
+    """The partition's one counter; its wall time is
+    :attr:`pipeline.PipelineResult.hda_ms`."""
+
     arc_inspections: int
-    wall_time_ms: float
 
 
 class OptReport(NamedTuple):
@@ -107,7 +108,8 @@ class OptReport(NamedTuple):
     relaxation is classified by the improved node's layer against its new
     parent's: strictly below the parent is the regular way, at or above it
     the wrong way, so ``regular_way + wrong_way == improvements``.  The
-    kernels write their counters in this field order.
+    kernels write their counters in this field order; the wall time is
+    :attr:`pipeline.PipelineResult.schedule_ms`.
     """
 
     big_loops: int
@@ -116,7 +118,6 @@ class OptReport(NamedTuple):
     regular_way: int
     wrong_way: int
     arc_relaxations: int
-    wall_time_ms: float
 
 
 #: the worklist schedulers of :mod:`monarchy`; a scheduler's index here is
@@ -147,6 +148,19 @@ def relax(state: SolverState, algebra: CostAlgebra,
     return False
 
 
+def source_set(g: Graph, sources: Sequence[NodeId]) -> list[int]:
+    """The distinct ids of ``sources``, sorted; a GraphError names the
+    smallest outside ``1..g.n``, or an empty set.  ``run_pipeline`` calls it
+    before it picks a lane, and each lane's partition again as a guard."""
+    srcs = sorted(set(int(s) for s in sources))
+    if not srcs:
+        raise GraphError("source set must be non-empty")
+    for s in srcs:
+        if not 1 <= s <= g.n:
+            raise GraphError(f"source {s} out of range 1..{g.n}")
+    return srcs
+
+
 def hda_multi(g: Graph, sources: Sequence[NodeId], algebra: CostAlgebra,
               ) -> tuple[Regions, SolverState, HdaReport]:
     """Frontier partition plus upper-rank pull from all sources at layer 1.
@@ -155,14 +169,7 @@ def hda_multi(g: Graph, sources: Sequence[NodeId], algebra: CostAlgebra,
     stay out of ``Regions.order``.  Every arc is inspected at most twice
     (once for discovery, once for the pull), so this is a single pass.
     """
-    if not sources:
-        raise GraphError("source set must be non-empty")
-    srcs = sorted(set(int(s) for s in sources))
-    for s in srcs:
-        if not 1 <= s <= g.n:
-            raise GraphError(f"source {s} out of range 1..{g.n}")
-
-    t0 = time.perf_counter()
+    srcs = source_set(g, sources)
     n = g.n
     state = SolverState.fresh(n, srcs, algebra.zero)
     order: list[int] = []
@@ -203,11 +210,8 @@ def hda_multi(g: Graph, sources: Sequence[NodeId], algebra: CostAlgebra,
                 relax(state, algebra, v, u, rev_w[k])
         i += 1
 
-    report = HdaReport(
-        arc_inspections=inspections,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-    )
-    return Regions(order, region_of, position_of), state, report
+    return (Regions(order, region_of, position_of), state,
+            HdaReport(arc_inspections=inspections))
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,19 @@ reachability audits run under the run's cost algebra at every big-loop
 boundary and any failure raises :class:`InvariantViolation` (the reached
 labeled set must also never shrink).
 
+``run_pipeline`` checks the sources (:func:`partition.source_set`) before
+it picks a lane, and times the phases of both lanes: ``hda_ms`` includes
+the CSR check, and each phase its debug audits.  The clock starts once the
+compiled lane has resolved, so a first-use compile is in no phase.
+
 ``run_pipeline`` also picks the lane, from its inputs alone.  It runs the
 compiled min-plus lane of :mod:`fastlane` exactly when no algebra is passed,
 ``debug_invariants`` is off and :class:`fastlane.FastRun` takes the run
 (:func:`fastlane.refusal` has no objection: a compiler is there and the
 graph is inside the int64 bound); otherwise it runs the generic reference
 lane, so an explicit algebra -- even :func:`min_plus_algebra` -- or a debug
-run always gets the reference lane.  A bad source or a malformed CSR makes
-``FastRun`` raise, and the reference lane then raises the same GraphError.
+run always gets the reference lane.  A malformed CSR makes ``FastRun``
+raise, and the reference lane then raises the same GraphError.
 The reference lane's code beyond the solvers themselves, its CSR
 check, debug hook and multi-source retagging, is in :mod:`coldpath`.  Both
 lanes give identical states, tags and counters.  ``PipelineResult.lane``
@@ -32,7 +37,7 @@ from typing import Optional, Sequence
 from . import fastlane
 from .graph import CostAlgebra, Graph, GraphError, min_plus_algebra
 from .partition import (SCHEDULERS, HdaReport, OptReport, Regions,
-                        SolverState, hda_multi)
+                        SolverState, hda_multi, source_set)
 
 ALGORITHMS = ("hda", "eom", "eom2", *SCHEDULERS)
 
@@ -43,20 +48,25 @@ class InvariantViolation(AssertionError):
 
 class PipelineResult:
     """What one :func:`run_pipeline` call returns; ``lane`` is
-    ``"reference"`` or ``"compiled"``."""
+    ``"reference"`` or ``"compiled"``.  The ``*_ms`` phase times read 0.0
+    for a phase that did not run."""
 
 
     def __init__(self, algo: str, regions: Regions, state: SolverState,
-                 hda_report: HdaReport, classify_ms: float, origins: int,
-                 opt_report: Optional[OptReport], lane: str = "reference"):
+                 hda_report: HdaReport, origins: int,
+                 opt_report: Optional[OptReport], lane: str = "reference",
+                 hda_ms: float = 0.0, classify_ms: float = 0.0,
+                 schedule_ms: float = 0.0):
         self.algo = algo
         self.regions = regions
         self.state = state
         self.hda_report = hda_report
-        self.classify_ms = classify_ms
         self.origins = origins
         self.opt_report = opt_report
         self.lane = lane
+        self.hda_ms = hda_ms
+        self.classify_ms = classify_ms
+        self.schedule_ms = schedule_ms
 
 
 def run_pipeline(g: Graph, sources: Sequence[int], algo: str,
@@ -64,46 +74,52 @@ def run_pipeline(g: Graph, sources: Sequence[int], algo: str,
                  debug_invariants: bool = False) -> PipelineResult:
     if algo not in ALGORITHMS:
         raise GraphError(f"unknown algorithm {algo!r}; pick one of {ALGORITHMS}")
-    if algebra is None and not debug_invariants:
+    srcs = source_set(g, sources)
+    compiled = (algebra is None and not debug_invariants
+                and fastlane.available())
+    t0 = time.perf_counter()
+    run = hook = None
+    if compiled:
         try:
-            run = fastlane.FastRun(g, sources)
+            run = fastlane.FastRun(g, srcs)
         except GraphError:
-            pass  # the reference lane runs it, or raises the same fault
-        else:
-            rep = None
-            if algo in ("eom", "eom2"):
-                rep = run.eom(two_course=(algo == "eom2"))
-            elif algo != "hda":
-                run.classify()
-                rep = run.schedule(algo)
-            return PipelineResult(algo, run.regions, run.state,
-                                  run.hda_report, run.classify_ms,
-                                  run.origin_count, rep, "compiled")
-    if algebra is None:
-        algebra = min_plus_algebra()
+            pass  # the reference lane runs it, or names the malformed CSR
+    if run is not None:
+        regions, state, hda_rep = run.regions, run.state, run.hda_report
+    else:
+        from . import coldpath
+        if algebra is None:
+            algebra = min_plus_algebra()
+        coldpath.check_csr(g)
+        regions, state, hda_rep = hda_multi(g, srcs, algebra)
+        if debug_invariants:
+            hook = coldpath.debug_hook(g, regions, state, algo, algebra)
+            hook(0)  # audit the partition output itself
+    t1 = t2 = time.perf_counter()
 
-    from . import coldpath
-    coldpath.check_csr(g)
-    regions, state, hda_rep = hda_multi(g, sources, algebra)
-    hook = None
-    if debug_invariants:
-        hook = coldpath.debug_hook(g, regions, state, algo, algebra)
-        hook(0)  # audit the partition output itself
-
-    classify_ms, origins, rep = 0.0, 0, None
+    origins, rep = 0, None
     if algo in ("eom", "eom2"):
-        from .evolve import eom, eom_two_course
-        run = eom if algo == "eom" else eom_two_course
-        rep = run(g, regions, state, algebra, debug_check=hook)
+        if run is not None:
+            rep = run.eom(two_course=(algo == "eom2"))
+        else:
+            from .evolve import eom, eom_two_course
+            sweep = eom if algo == "eom" else eom_two_course
+            rep = sweep(g, regions, state, algebra, debug_check=hook)
     elif algo != "hda":
-        from .monarchy import classify_status, run_scheduler
-        t0 = time.perf_counter()
-        statuses = classify_status(g, state, algebra, regions)
-        classify_ms = (time.perf_counter() - t0) * 1e3
-        origins = statuses.origin_count
-        rep = run_scheduler(algo, g, regions, state, statuses, algebra,
-                            debug_check=hook)
-    if state.tags is not None:
+        if run is not None:
+            origins = run.classify()
+            t2 = time.perf_counter()
+            rep = run.schedule(algo)
+        else:
+            from .monarchy import classify_status, run_scheduler
+            statuses = classify_status(g, state, algebra, regions)
+            origins = statuses.origin_count
+            t2 = time.perf_counter()
+            rep = run_scheduler(algo, g, regions, state, statuses, algebra,
+                                debug_check=hook)
+    t3 = t2 if rep is None else time.perf_counter()
+    if run is None and state.tags is not None:
         coldpath.root_tags(state)
-    return PipelineResult(algo, regions, state, hda_rep, classify_ms, origins,
-                          rep)
+    return PipelineResult(algo, regions, state, hda_rep, origins, rep,
+                          "reference" if run is None else "compiled",
+                          (t1 - t0) * 1e3, (t2 - t1) * 1e3, (t3 - t2) * 1e3)

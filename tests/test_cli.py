@@ -272,7 +272,8 @@ class TestSolve:
                 time.sleep(0.02)
                 return lib.optpaths_classify(*args)
 
-        # --algo multi routes to the compiled lane, which times the kernel
+        # --algo multi routes to the compiled lane; run_pipeline times its
+        # classify phase
         monkeypatch.setattr(fastlane, "_lane", lambda: (SlowClassify(), ""))
         inst = make_grid_instance(tmp_path, rows=3, cols=3, hzp=False)
         assert run(["solve", "--instance", inst, "--algo", "multi",

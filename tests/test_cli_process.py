@@ -133,6 +133,30 @@ def test_child_matches_in_process_main(lane, tmp_path, monkeypatch, capsys,
     assert bool(kernels) == (lane == "compiled")
 
 
+_BAD_SOURCE = """
+import sys
+from optpaths.cli import main
+code = main(sys.argv[1:])
+print(code, "optpaths.coldpath" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("lane", LANES)
+def test_a_bad_source_is_refused_before_either_lane(lane, tmp_path):
+    # run_pipeline checks the sources once, before it picks a lane, so no
+    # lane falls through to the reference lane just to raise the error
+    (tmp_path / "tri.txt").write_text(TRIANGLE)
+    env = child_env(lane, tmp_path / "cache")
+    argv = "solve --instance tri.txt --algo ht --sources 4".split()
+    for _ in range(2):  # the first run on the compiled lane compiles
+        proc = subprocess.run([sys.executable, "-c", _BAD_SOURCE, *argv],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+    assert proc.stderr == "optpaths: error: source 4 out of range 1..3\n"
+    # without a compiler the instance reader itself is in coldpath
+    assert proc.stdout == f"{EXIT_USAGE} {lane == 'reference'}\n"
+
+
 def test_explicit_argv_always_returns(tmp_path, monkeypatch, capsys):
     # perfbench's traced run and library callers run main() in-process;
     # conftest makes os._exit raise, and no tracer may mask the argv rule

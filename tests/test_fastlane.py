@@ -50,18 +50,10 @@ def assert_states_equal(a, b):
 
 
 def assert_counters_equal(a, b):
-    assert a.hda_report.arc_inspections == b.hda_report.arc_inspections
+    # the reports carry counters only, so they compare whole
+    assert a.hda_report == b.hda_report
     assert a.origins == b.origins
-    ra, rb = a.opt_report, b.opt_report
-    if ra is None:
-        assert rb is None
-        return
-    assert ra.big_loops == rb.big_loops
-    assert ra.improvements == rb.improvements
-    assert ra.node_scans == rb.node_scans
-    assert ra.regular_way == rb.regular_way
-    assert ra.wrong_way == rb.wrong_way
-    assert ra.arc_relaxations == rb.arc_relaxations
+    assert a.opt_report == b.opt_report
 
 
 INSTANCES = [
@@ -137,7 +129,6 @@ def test_fast_run_class_surface(algebra):
                                            plant_hzp=True))
     run = fastlane.FastRun(g, [source])
     origins = run.classify()
-    assert origins == run.origin_count
     assert sum(run.status) == origins
     rep = run.schedule("ht")
     assert rep.regular_way + rep.wrong_way == rep.improvements
@@ -198,7 +189,7 @@ def assert_refused_for_overflow(g):
     # the bound is checked by a kernel, so without the lane refusal names
     # the missing compiler instead
     why = "overflow" if fastlane.available() else "compiled lane unavailable"
-    assert why in fastlane.refusal(g, [1])
+    assert why in fastlane.refusal(g)
     with pytest.raises(GraphError, match=why):
         fastlane.FastRun(g, [1])
 
@@ -231,7 +222,7 @@ def test_weights_changed_after_the_build_are_bounded():
         w[:] = array("q", [-2**62] * 3)
     if fastlane.available():
         with pytest.raises(GraphError, match="malformed CSR"):
-            fastlane.refusal(g, [1])
+            fastlane.refusal(g)
     for algebra in (None, op.min_plus_algebra()):
         with pytest.raises(GraphError, match="malformed CSR"):
             op.run_pipeline(g, [1], "ht", algebra=algebra)
@@ -243,7 +234,8 @@ def test_weights_changed_after_the_build_are_bounded():
 # -- building and loading the shared object ------------------------------------
 
 def cache_files(tmp_path):
-    return sorted(p.name for p in (tmp_path / "optpaths").iterdir())
+    cache = tmp_path / "optpaths"  # not made when no compiler is found
+    return sorted(p.name for p in cache.iterdir()) if cache.exists() else []
 
 
 @needs_lane
@@ -289,7 +281,7 @@ def test_missing_or_failing_compiler_disables_the_lane(
     broken_compiler(command)
     assert not fastlane.available()
     assert not [f for f in cache_files(tmp_path) if f.startswith(".build-")]
-    assert "compiled lane unavailable" in fastlane.refusal(triangle, [1])
+    assert "compiled lane unavailable" in fastlane.refusal(triangle)
     # a direct compiled run never falls back to Python loops
     with pytest.raises(GraphError, match="compiled lane unavailable"):
         fastlane.FastRun(triangle, [1])
@@ -408,27 +400,28 @@ print(fastlane.available())
 #: (``STDLIB`` above), none
 CLI_MODULES = {"cli", "fastlane", "graph", "partition", "pipeline"}
 
-#: the modules a process loads to compile the kernels, or to try: every
-#: process on the reference lane (no compiler) and the first on the compiled
-#: one.  ``subprocess`` loads ``locale``.
+#: the modules a process loads to compile the kernels: the first on the
+#: compiled lane.  ``subprocess`` loads ``locale``.  With no compiler on
+#: the PATH (the reference lane here) no process tries the compile.
 COMPILE_MODULES = {"coldpath", "subprocess", "locale"}
 
 #: each command, the modules it loads on top of CLI_MODULES, and those it
-#: loads only on the reference lane.  No well-formed command line loads
+#: loads only on the reference lane, where ``coldpath`` holds the reference
+#: readers, build, CSR check and audit.  No well-formed command line loads
 #: argparse or its gettext and locale.
 COMMAND_MODULES = [
-    ("solve --instance tri --algo ht", set(), {"monarchy"}),
+    ("solve --instance tri --algo ht", set(), {"monarchy", "coldpath"}),
     ("gen grid --rows 6 --cols 5 --hzp --out grid", {"generators"}, set()),
     ("gen random --n 30 --arcs 120 --seed 3 --directed --out rand",
      {"generators"}, set()),
     ("solve --instance rand --algo multi --sources 1,17 --out res",
-     set(), {"monarchy"}),
-    ("solve --instance grid --algo eom", set(), {"evolve"}),
+     set(), {"monarchy", "coldpath"}),
+    ("solve --instance grid --algo eom", set(), {"evolve", "coldpath"}),
     ("verify --instance rand --results res --fixpoint", {"oracles", "heapq"},
-     set()),
-    ("compare --instance grid", set(), {"evolve", "monarchy"}),
+     {"coldpath"}),
+    ("compare --instance grid", set(), {"evolve", "monarchy", "coldpath"}),
     ("bench --n-total 60 --kc 3,5 --algos eom,ht", {"generators"},
-     {"evolve", "monarchy"}),
+     {"evolve", "monarchy", "coldpath"}),
 ]
 
 
@@ -481,13 +474,15 @@ def test_import_builds_and_loads_nothing(tmp_path):
             want = CLI_MODULES | loads
             if lane == "reference":
                 want |= reference_loads
-            if lane == "reference" or i == 0:
+            if lane == "compiled" and i == 0:
                 want |= COMPILE_MODULES
             assert out[-2] == str(sorted(want)), command
             assert out[-1] == str(lane == "compiled")
             printed += out[1:-2]
         assert "OK" in printed and "all agree" in printed
         assert len((d / "res").read_text().splitlines()) == 30
+        # without a compiler no process makes a kernel cache
+        assert (d / "cache").exists() == (lane == "compiled")
     if len(lanes) == 2:
         for name in ("grid", "rand", "res"):
             assert (tmp_path / "reference" / name).read_bytes() \

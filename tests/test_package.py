@@ -81,10 +81,10 @@ class TestRecords:
     def test_named_tuple_fields_and_defaults(self):
         assert op.CostAlgebra._fields == ("extend", "better", "zero")
         assert op.HzpPlan._fields == ("path", "terminal")
-        assert op.HdaReport._fields == ("arc_inspections", "wall_time_ms")
+        assert op.HdaReport._fields == ("arc_inspections",)
         assert op.OptReport._fields == (
             "big_loops", "node_scans", "improvements", "regular_way",
-            "wrong_way", "arc_relaxations", "wall_time_ms")
+            "wrong_way", "arc_relaxations")
         assert op.OracleResult._fields == ("dist", "parent")
         spec = op.GridSpec(5, 5, seed=3)
         assert spec == op.GridSpec(k_r=5, k_c=5, weight_min=1, weight_max=10,
@@ -114,12 +114,13 @@ class TestRecords:
         assert op.SolverState.fresh(2, [1, 2], 0).tags == [0, 1, 2]
         status = op.StatusMap(status=[0, 1, 0], origin_count=1)
         assert (status.status, status.origin_count) == ([0, 1, 0], 1)
-        hda = op.HdaReport(arc_inspections=2, wall_time_ms=0.0)
-        res = op.PipelineResult("hda", regions, state, hda, 0.0, 0, None)
+        hda = op.HdaReport(arc_inspections=2)
+        res = op.PipelineResult("hda", regions, state, hda, 0, None)
         assert res.lane == "reference"
+        assert (res.hda_ms, res.classify_ms, res.schedule_ms) == (0.0,) * 3
         res.algo = "multi"  # cmd_solve relabels a multi-source run
         assert res.algo == "multi"
-        assert op.PipelineResult("ht", regions, state, hda, 0.0, 0, None,
+        assert op.PipelineResult("ht", regions, state, hda, 0, None,
                                  lane="compiled").lane == "compiled"
 
     def test_verification_reports_do_not_share_failures(self):

@@ -1,21 +1,18 @@
+import functools
 import operator
+import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import optpaths as op
-from optpaths import GraphError, InvariantViolation, fastlane
+from optpaths import GraphError, InvariantViolation, coldpath, fastlane
 from optpaths.coldpath import debug_hook
+from optpaths.partition import SCHEDULERS
 
 needs_lane = pytest.mark.skipif(not fastlane.available(),
                                 reason="no C compiler")
-
-
-def counters(res):
-    """A run's reports with the wall times zeroed."""
-    return [rep._replace(wall_time_ms=0.0)
-            for rep in (res.hda_report, res.opt_report) if rep is not None]
 
 
 class TestRunPipeline:
@@ -33,7 +30,7 @@ class TestRunPipeline:
     def test_scheduler_results_carry_origins(self, triangle):
         result = op.run_pipeline(triangle, [1], "hrp")
         assert result.origins == 1
-        assert result.opt_report.wall_time_ms >= 0.0
+        assert result.classify_ms >= 0.0 and result.schedule_ms >= 0.0
 
     def test_hda_result_has_no_opt_report(self, triangle):
         result = op.run_pipeline(triangle, [1], "hda")
@@ -83,8 +80,54 @@ class TestRunPipeline:
                     == getattr(ref.state, field)
             assert (fast.state.n, fast.state.sources) \
                 == (ref.state.n, ref.state.sources)
-            assert counters(fast) == counters(ref)
+            assert fast.hda_report == ref.hda_report
+            assert fast.opt_report == ref.opt_report
             assert fast.origins == ref.origins
+
+
+def slowed(fn, seconds=0.02):
+    """``fn``, sleeping ``seconds`` before each call."""
+    def slow(*args, **kwargs):
+        time.sleep(seconds)
+        return fn(*args, **kwargs)
+    return slow
+
+
+class TestPhaseClock:
+    """``run_pipeline`` times the phases, the same way on both lanes."""
+
+    @needs_lane
+    def test_hda_ms_covers_the_compiled_csr_check(self, monkeypatch, triangle):
+        monkeypatch.setattr(fastlane, "_check_csr",
+                            slowed(fastlane._check_csr))
+        res = op.run_pipeline(triangle, [1], "ht")
+        assert res.lane == "compiled"
+        assert res.hda_ms >= 20.0
+
+    def test_hda_ms_covers_the_reference_csr_check(self, monkeypatch,
+                                                   broken_compiler, triangle):
+        broken_compiler()
+        monkeypatch.setattr(coldpath, "check_csr", slowed(coldpath.check_csr))
+        res = op.run_pipeline(triangle, [1], "ht")
+        assert res.lane == "reference"
+        assert res.hda_ms >= 20.0
+
+    def test_a_first_use_compile_falls_in_no_phase(self, monkeypatch,
+                                                   triangle):
+        # the lane resolves once per process, here in 100 ms
+        lane = fastlane._lane()
+        monkeypatch.setattr(fastlane, "_lane",
+                            functools.cache(slowed(lambda: lane, 0.1)))
+        res = op.run_pipeline(triangle, [1], "ht")
+        assert max(res.hda_ms, res.classify_ms, res.schedule_ms) < 100.0
+
+    @pytest.mark.parametrize("algo", op.ALGORITHMS)
+    def test_phases_that_do_not_run_read_zero(self, triangle, algo):
+        for algebra in (None, op.min_plus_algebra()):
+            res = op.run_pipeline(triangle, [1], algo, algebra=algebra)
+            assert res.hda_ms > 0.0
+            assert (res.classify_ms > 0.0) == (algo in SCHEDULERS)
+            assert (res.schedule_ms > 0.0) == (algo != "hda")
 
 
 #: two algebras under which a better parent can make an offer that is only
