@@ -14,11 +14,14 @@ from solve to export.
 
 The other kernels certify or refuse.  :func:`build` assembles the CSR of
 int64 arc columns, :func:`read_graph` parses an instance's arc block and
-builds it, :func:`read_results` reads a results file, :func:`format_rows`
-writes the rows of either file, :func:`draws` makes the generators'
-splitmix64 draws, and :func:`export_is_clean` certifies an export that
-:func:`oracles.verify_export` would pass.  Each returns None or False
-wherever it cannot answer, and the Python code, the reference, decides.
+builds it, :func:`read_results` reads a results file, :func:`write_rows`
+writes the rows of either file, and :func:`draws` makes the generators'
+splitmix64 draws.  One audit core certifies an export that
+:func:`oracles.verify_export` would pass: :func:`export_is_clean` runs it
+over a graph's CSR, and :func:`block_is_clean` straight over the arc block
+of its instance, which ``verify`` reads with no graph built.  Each returns
+None or False wherever it cannot answer, and the Python code, the
+reference, decides.
 A graph keeps only its CSR arrays, so the arc columns a build reads are
 freed once it returns.
 
@@ -52,7 +55,7 @@ from array import array
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .graph import INT64_MAX, Graph, GraphError, _zeros
+from .graph import INT64_MAX, Graph, GraphError, InstanceHeader, _zeros
 from .partition import (SCHEDULERS, HdaReport, OptReport, Regions,
                         SolverState, source_set)
 
@@ -69,11 +72,13 @@ _SIGNATURES = {
     "optpaths_schedule": ([_I, _P, _I] + [_P] * 11, None),
     "optpaths_build": ([_I] * 3 + [_P] * 9, _I),
     "optpaths_check_csr": ([_I, _P, _P, _P, _I, _P], _I),
-    "optpaths_read": ([ctypes.c_char_p] + [_I] * 4 + [_P] * 9, _I),
-    "optpaths_draws": ([_U] * 3 + [_I, _I, _U, _P], None),
+    "optpaths_read": ([ctypes.c_char_p] + [_I] * 5 + [_P] * 9, _I),
+    "optpaths_draws": ([_U] * 3 + [_I, _I, _U, _P, _P], None),
     "optpaths_format": ([_I] * 4 + [_P] * 2, _I),
     "optpaths_read_results": ([ctypes.c_char_p, _I, _I] + [_P] * 6, _I),
-    "optpaths_audit": ([_I] + [_P] * 8 + [_I] + [_P] * 4, _I),
+    "optpaths_audit": ([_I] + [_P] * 8 + [_I] + [_P] * 3, _I),
+    "optpaths_audit_block": ([ctypes.c_char_p] + [_I] * 5 + [_P] * 5 + [_I]
+                             + [_P] * 3, _I),
 }
 
 
@@ -160,42 +165,46 @@ def build(n: int, head: array, tail: array, weight: array,
 _MIN_ARC_BYTES = 6
 
 
-def read_graph(body: bytes, n: int, arc_count: int,
-               directed: bool) -> Optional[Graph]:
-    """The graph of an arc block, read by the compiled reader, or None.
+def read_graph(data: bytes, h: InstanceHeader) -> Optional[Graph]:
+    """The graph of an instance's arc block, read by the compiled reader,
+    or None.
 
-    ``body`` is the instance text after the header line, which declared
-    ``n`` nodes and ``arc_count`` arcs.  None means the reader refused the
-    block -- it names no fault -- or that the lane is unavailable; either
-    way the reference reader then decides.  An arc count that the block
-    cannot hold is refused before anything is allocated, and an ``n``
-    whose pointer arrays cannot be allocated is refused as well.
+    ``data`` is the instance, ``h`` its header (:func:`graph.parse_header`),
+    and the arc block is ``data[h.body_start:]``.  None means the reader
+    refused the block -- it names no fault -- or that the lane is
+    unavailable; either way the reference reader then decides.  An arc
+    count that the block cannot hold is refused before anything is
+    allocated, and an ``n`` whose pointer arrays cannot be allocated is
+    refused as well.
     """
-    if not (1 <= n and 0 <= arc_count <= (len(body) + 1) // _MIN_ARC_BYTES):
+    n, arc_count = h.n, h.arc_count
+    if not (1 <= n and 0 <= arc_count
+            <= (len(data) - h.body_start + 1) // _MIN_ARC_BYTES):
         return None
     lib = _lane()[0]
     if lib is None:
         return None
-    return _built(functools.partial(lib.optpaths_read, body, len(body), n,
-                                    arc_count, int(directed)),
-                  n, [_zeros(arc_count) for _ in range(3)], directed)
+    return _built(functools.partial(lib.optpaths_read, data, h.body_start,
+                                    len(data), n, arc_count, int(h.directed)),
+                  n, [_zeros(arc_count) for _ in range(3)], h.directed)
 
 
 _MASK = 2**64 - 1
 
 
 def draws(out: array, seed: int, start: int, stride: int, lo: int,
-          span: int) -> bool:
-    """Fill ``out[i]`` with ``lo + splitmix64(seed, start + i * stride) %
-    span`` for every index ``i``; False, with ``out`` untouched, when the
-    lane is unavailable.  ``span`` is at least 1 and ``lo + span - 1`` fits
-    in int64.
+          span: int, skip: Optional[array] = None) -> bool:
+    """Fill ``out[i]`` with ``x = lo + splitmix64(seed, start + i * stride)
+    % span`` for every index ``i``, or ``x + 1`` where ``skip`` is given and
+    ``x >= skip[i]``; False, with ``out`` untouched, when the lane is
+    unavailable.  ``span`` is at least 1, ``lo + span`` fits in int64, and
+    ``skip`` is an int64 array as long as ``out``.
     """
     lib = _lane()[0]
     if lib is None:
         return False
     lib.optpaths_draws(seed & _MASK, start, stride, len(out), lo, span,
-                       _ptr(out))
+                       None if skip is None else _ptr(skip), _ptr(out))
     return True
 
 
@@ -209,32 +218,69 @@ def _int64s(values: Sequence[int]) -> Optional[array]:
         return None
 
 
-def format_rows(columns: Sequence[Sequence[int]],
-                results: bool = False) -> Optional[str]:
-    """The rows of equally long integer ``columns`` as text, or None.
+#: the most bytes a formatted field takes: "-9223372036854775808" and a space
+_FIELD_BYTES = 21
+#: the bytes of rows that one call of the formatter writes at most
+_CHUNK_BYTES = 1 << 18
+#: every character of a row; a sink whose encoding writes them as ASCII
+#: takes the rows as bytes
+_ROW_CHARS = "0123456789 -\nUNREACHED"
+
+
+def _byte_sink(out):
+    """The binary buffer under the text stream ``out``, or None if it has
+    none or its encoding does not write the characters of a row as ASCII."""
+    sink, encoding = (getattr(out, a, None) for a in ("buffer", "encoding"))
+    try:
+        ascii_rows = (_ROW_CHARS.encode(encoding)
+                      == _ROW_CHARS.encode("ascii"))
+    except (LookupError, TypeError):
+        return None
+    return sink if ascii_rows else None
+
+
+def write_rows(out, columns: Sequence[Sequence[int]],
+               results: bool = False) -> bool:
+    """Write the rows of equally long integer ``columns`` to the text stream
+    ``out``; False, with nothing written, when the lane is unavailable or a
+    value is no int64, and the caller then formats the rows itself.
 
     Row ``i`` is its fields ``columns[j][i]`` separated by spaces; with
     ``results``, the columns are per-node (region, parent, cost and,
     if any, tag; index 0 unused) and row ``i`` is node ``i``'s row of a
-    results export, as :func:`partition.export_results` writes it.  None
-    means the lane is unavailable or a value is no int64; the caller then
-    formats the rows itself.
+    results export, as :func:`partition.export_results` writes it.  The
+    kernel formats the rows once, in chunks of at most 256 KiB, into one
+    buffer.  Each chunk goes as bytes to the binary buffer under ``out``
+    (a file, stdout) once ``out`` is flushed, or as text to a sink without
+    one, such as ``io.StringIO``.
     """
     lib = _lane()[0]
     if lib is None:
-        return None
+        return False
     cols = [_int64s(c) for c in columns]
     hi = len(cols[0]) if cols else 0
     if any(c is None or len(c) != hi for c in cols):
-        return None
+        return False
     ptrs = (ctypes.c_void_p * len(cols))(*map(_ptr, cols))
     lo = 1 if results else 0  # a results row per node id, from 1
-    args = (lo, hi, int(results), len(cols), ptrs)
-    buf = bytearray(lib.optpaths_format(*args, None))
-    if buf:
-        target = (ctypes.c_char * len(buf)).from_buffer(buf)
-        lib.optpaths_format(*args, ctypes.addressof(target))
-    return buf.decode("ascii")
+    row_bytes = _FIELD_BYTES * (len(cols) + results)
+    step = max(1, _CHUNK_BYTES // row_bytes)
+    buf = bytearray(max(0, min(step, hi - lo)) * row_bytes)
+    if not buf:
+        return True
+    address = ctypes.addressof((ctypes.c_char * len(buf)).from_buffer(buf))
+    view = memoryview(buf)
+    sink = _byte_sink(out)
+    if sink is not None:
+        out.flush()
+    for i in range(lo, hi, step):
+        size = lib.optpaths_format(i, min(i + step, hi), int(results),
+                                   len(cols), ptrs, address)
+        if sink is not None:
+            sink.write(view[:size])
+        else:
+            out.write(str(view[:size], "ascii"))
+    return True
 
 
 #: the shortest results row, "1 0 0 0", plus the newline that ends all but
@@ -267,6 +313,23 @@ def read_results(data: bytes, n: int):
     return region, parent, cost, has_cost, tags if width == 5 else None
 
 
+def _audit_args(n: int, region: Sequence[int], parent: Sequence[int],
+                cost: Sequence[int], has_cost: Sequence[int], fixpoint: bool,
+                tags: Optional[Sequence[int]]) -> Optional[tuple]:
+    """The audit core's arguments after the graph's, for an export of ``n``
+    nodes, and the int64 arrays they point to (the columns and zero-filled
+    scratch), which must outlive the call; None if a value is no int64 or a
+    column does not hold ``n + 1`` entries."""
+    cols = [_int64s(c) for c in (region, parent, cost, has_cost)
+            + (() if tags is None else (tags,))]
+    if any(c is None or len(c) != n + 1 for c in cols):
+        return None
+    scratch = [_zeros(n + 1) for _ in range(3)]  # found, color, low
+    tag_ptr = None if tags is None else _ptr(cols[4])
+    return ([*map(_ptr, cols[:4]), tag_ptr, int(fixpoint),
+             *map(_ptr, scratch)], cols + scratch)
+
+
 def export_is_clean(g: Graph, region: Sequence[int], parent: Sequence[int],
                     cost: Sequence[int], has_cost: Sequence[int],
                     fixpoint: bool, tags: Optional[Sequence[int]]) -> bool:
@@ -282,17 +345,35 @@ def export_is_clean(g: Graph, region: Sequence[int], parent: Sequence[int],
     if lib is None:
         return False
     _check_csr(lib, g)
-    n = g.n
-    cols = [region, parent, cost, has_cost] + ([] if tags is None else [tags])
-    cols = [_int64s(c) for c in cols]
-    if any(c is None or len(c) != n + 1 for c in cols):
+    audit = _audit_args(g.n, region, parent, cost, has_cost, fixpoint, tags)
+    if audit is None:
         return False
-    tag_ptr = None if tags is None else _ptr(cols[4])
-    scratch = [_zeros(n + 1) for _ in range(3)] + [_zeros(n)]
-    return lib.optpaths_audit(
-        n, _ptr(g.fwd_ptr), _ptr(g.fwd_dst), _ptr(g.fwd_w),
-        *map(_ptr, cols[:4]), tag_ptr, int(fixpoint),
-        *map(_ptr, scratch)) == 0
+    return lib.optpaths_audit(g.n, _ptr(g.fwd_ptr), _ptr(g.fwd_dst),
+                              _ptr(g.fwd_w), *audit[0]) == 0
+
+
+def block_is_clean(data: bytes, h: InstanceHeader, region: Sequence[int],
+                   parent: Sequence[int], cost: Sequence[int],
+                   has_cost: Sequence[int], fixpoint: bool,
+                   tags: Optional[Sequence[int]]) -> bool:
+    """Whether the compiled audit certifies a results export as clean,
+    straight from the arc block of its instance, with no graph built.
+
+    ``data`` is the instance and ``h`` its header
+    (:func:`graph.parse_header`).  True means that the compiled reader
+    accepts the arc block, ``data[h.body_start:]``, and that
+    :func:`export_is_clean` holds on the graph it reads.  False names no
+    fault, as there.
+    """
+    lib = _lane()[0]
+    if lib is None or h.n < 1:
+        return False
+    audit = _audit_args(h.n, region, parent, cost, has_cost, fixpoint, tags)
+    if audit is None:
+        return False
+    return lib.optpaths_audit_block(data, h.body_start, len(data), h.n,
+                                    h.arc_count, int(h.directed),
+                                    *audit[0]) == 0
 
 
 def _check_csr(lib: ctypes.CDLL, g: Graph) -> int:

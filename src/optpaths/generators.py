@@ -41,12 +41,14 @@ def splitmix64(seed: int, index: int) -> int:
 
 
 def _draws(count: int, what: str, seed: int, start: int, stride: int,
-           lo: int, span: int) -> array:
-    """``lo + splitmix64(seed, start + i * stride) % span`` for i < count."""
+           lo: int, span: int, skip: Optional[array] = None) -> array:
+    """``x = lo + splitmix64(seed, start + i * stride) % span`` for i <
+    count, or ``x + 1`` where ``skip`` is given and ``x >= skip[i]``."""
     out = _allocate(count, what)
-    if not fastlane.draws(out, seed, start, stride, lo, span):
+    if not fastlane.draws(out, seed, start, stride, lo, span, skip):
         for i in range(count):
-            out[i] = lo + splitmix64(seed, start + i * stride) % span
+            x = lo + splitmix64(seed, start + i * stride) % span
+            out[i] = x if skip is None or x < skip[i] else x + 1
     return out
 
 
@@ -164,9 +166,8 @@ def random_columns(n: int, arc_count: int, weight_min: int, weight_max: int,
         raise GraphError(f"node count {n} is too large to allocate")
     what = f"arc count {arc_count}"
     head = _draws(arc_count, what, seed, 0, 3, 1, n)
-    tail = _draws(arc_count, what, seed, 1, 3, 1, n - 1)
-    # skip the head id to exclude self-loops
-    tail = array("q", [t + (t >= h) for h, t in zip(head, tail)])
+    # a tail drawn from 1..n-1 skips its head's id, so no arc is a self-loop
+    tail = _draws(arc_count, what, seed, 1, 3, 1, n - 1, skip=head)
     weight = _draws(arc_count, what, seed, 2, 3, weight_min,
                     weight_max - weight_min + 1)
     return head, tail, weight

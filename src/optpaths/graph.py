@@ -221,12 +221,11 @@ def write_instance(n: int, head: Sequence[int], tail: Sequence[int],
         out.write(f"# {c}\n")
     kind = "directed" if directed else "undirected"
     out.write(f"n {n} {len(head)} {kind}\n")
-    from .fastlane import format_rows  # fastlane imports this module
+    from .fastlane import write_rows  # fastlane imports this module
 
-    text = format_rows((head, tail, weight))
-    if text is None:
-        text = "".join(f"{h} {t} {w}\n" for h, t, w in zip(head, tail, weight))
-    out.write(text)
+    if not write_rows(out, (head, tail, weight)):
+        out.write("".join(f"{h} {t} {w}\n"
+                          for h, t, w in zip(head, tail, weight)))
 
 
 def write_instance_file(n: int, head: Sequence[int], tail: Sequence[int],
@@ -236,27 +235,39 @@ def write_instance_file(n: int, head: Sequence[int], tail: Sequence[int],
         write_instance(n, head, tail, weight, directed, fh, comments)
 
 
-def read_instance(src: TextIO) -> tuple[Graph, list[str]]:
-    """Parse the instance format; returns the graph and the comment lines.
+class InstanceHeader:
+    """The header line of an instance: the node and arc counts it
+    declares, the orientation, its line number, and the offsets in the
+    instance at which the line and the arc block after it start.  A plain
+    class, since every command's start-up pays for defining it."""
 
-    Only a newline ends a line; any other whitespace, a carriage return
-    included, separates fields.  Every integer field is ASCII
-    ``[+-]?[0-9]+``.  The compiled reader reads the arc block when it can;
-    any block it refuses goes to the reference reader, the line scanner
-    :func:`coldpath.scan_arc_block`, which gives the same graph or names
-    the fault.
+    __slots__ = ("n", "arc_count", "directed", "lineno", "line_start",
+                 "body_start")
+
+    def __init__(self, n, arc_count, directed, lineno, line_start,
+                 body_start):
+        self.n, self.arc_count, self.directed = n, arc_count, directed
+        self.lineno, self.line_start, self.body_start = (
+            lineno, line_start, body_start)
+
+
+def parse_header(data: bytes) -> InstanceHeader:
+    """The header of the instance ``data``: its first line that is neither
+    blank nor a comment; an InstanceFormatError names a malformed one.
+
+    ``data`` is UTF-8 (a lone surrogate may stand in it, as
+    ``surrogatepass`` writes it).  Each line read is decoded on its own, so
+    a header is read exactly as in the decoded text, Unicode whitespace
+    included, while the arc block stays bytes.
     """
-    pin_malloc_thresholds()
-    text = read_text(src)
-    # The header is the first line that is neither blank nor a comment.
     start, lineno = 0, 1
     while True:
-        end = text.find("\n", start)
-        end = len(text) if end < 0 else end
-        line = text[start:end].strip()
+        end = data.find(b"\n", start)
+        end = len(data) if end < 0 else end
+        line = data[start:end].decode("utf-8", "surrogatepass").strip()
         if line and not line.startswith("#"):
             break
-        if end == len(text):
+        if end == len(data):
             raise InstanceFormatError("line 1: missing header")
         start, lineno = end + 1, lineno + 1
     parts = line.split()
@@ -265,44 +276,97 @@ def read_instance(src: TextIO) -> tuple[Graph, list[str]]:
             f"line {lineno}: expected 'n <nodes> <arcs> <directed|undirected>'")
     if not (_INT.match(parts[1]) and _INT.match(parts[2])):
         raise InstanceFormatError(f"line {lineno}: non-integer count")
-    n, arc_count = int(parts[1]), int(parts[2])
     if parts[3] not in ("directed", "undirected"):
         raise InstanceFormatError(
             f"line {lineno}: orientation must be 'directed' or 'undirected'")
-    directed = parts[3] == "directed"
+    return InstanceHeader(int(parts[1]), int(parts[2]),
+                          parts[3] == "directed", lineno, start,
+                          min(end + 1, len(data)))
 
+
+def read_instance(src) -> tuple[Graph, list[str]]:
+    """Parse the instance format from a text stream or a binary file;
+    returns the graph and the comment lines.
+
+    Only a newline ends a line; any other whitespace, a carriage return
+    included, separates fields.  Every integer field is ASCII
+    ``[+-]?[0-9]+``.  A binary file is read as in text mode
+    (:func:`text_mode_bytes`), so its carriage returns end lines.  The
+    compiled reader reads the arc block when it can; any block it refuses
+    goes to the reference reader, the line scanner
+    :func:`coldpath.scan_arc_block`, which gives the same graph or names
+    the fault.
+    """
+    pin_malloc_thresholds()
+    data = read_text(src)
+    # A lone surrogate (only a str holds one) becomes bytes that no arc
+    # field accepts and that decode back to it.
+    data = (data.encode("utf-8", "surrogatepass") if isinstance(data, str)
+            else text_mode_bytes(data))
+    h = parse_header(data)
+    text = data[:h.line_start].decode("utf-8", "surrogatepass")
+    comments = _COMMENT.findall(text)
+    if data.find(b"#", h.body_start) >= 0:
+        text = data[h.body_start:].decode("utf-8", "surrogatepass")
+        comments += _COMMENT.findall(text)
+    del text
     from .fastlane import read_graph  # fastlane imports this module
 
-    comments = _COMMENT.findall(text, 0, start)
-    if text.find("#", end + 1) >= 0:
-        comments += _COMMENT.findall(text, end + 1)
-    # Only the encoded block outlives the text.  A lone surrogate (only a
-    # str holds one) becomes bytes that no arc field accepts and that decode
-    # back to it.
-    body = text[end + 1:].encode("utf-8", "surrogatepass")
-    del text
-    g = read_graph(body, n, arc_count, directed)
+    g = read_graph(data, h)
     if g is None:
         from .coldpath import scan_arc_block
-        g = scan_arc_block(body.decode("utf-8", "surrogatepass"), lineno + 1,
-                           n, arc_count, directed)
+        body = data[h.body_start:].decode("utf-8", "surrogatepass")
+        del data
+        g = scan_arc_block(body, h.lineno + 1, h.n, h.arc_count, h.directed)
     return g, [c.strip() for c in comments]
 
 
 def read_instance_file(path: str) -> tuple[Graph, list[str]]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return read_instance(fh)
 
 
+def read_instance_data(path: str) -> bytes:
+    """The :func:`text_mode_bytes` of the instance file at ``path``, for a
+    reader of its header (:func:`parse_header`) and arc block that builds
+    no graph."""
+    pin_malloc_thresholds()
+    with open(path, "rb") as fh:
+        return text_mode_bytes(fh.read())
+
+
+def text_mode_bytes(data: bytes) -> bytes:
+    """The bytes of a file, ``data``, as reading it in UTF-8 text mode gives
+    them: CR LF and a lone CR end a line as LF does.  A file that is not
+    UTF-8 raises an InstanceFormatError with the line number of its first
+    bad byte; an ASCII file needs no decoding, and none is kept.
+    """
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InstanceFormatError(
+                f"line {_line_of(exc)}: not UTF-8 text") from None
+    return data
+
+
 def read_text(src: TextIO) -> str:
-    """All of ``src``; a byte that does not decode raises an
-    InstanceFormatError with its line number, counted from where ``src``
-    stood (the top, for a freshly opened file)."""
+    """All of ``src``, bytes if it is a binary file; a byte that a text
+    stream cannot decode raises an InstanceFormatError with its line
+    number, counted from where ``src`` stood (the top, for a freshly
+    opened file)."""
     try:
         return src.read()
     except UnicodeDecodeError as exc:
-        lineno = len((exc.object[:exc.start] + b"x").splitlines())
-        raise InstanceFormatError(f"line {lineno}: not UTF-8 text") from None
+        raise InstanceFormatError(
+            f"line {_line_of(exc)}: not UTF-8 text") from None
+
+
+def _line_of(exc: UnicodeDecodeError) -> int:
+    """The line number of the byte that ``exc`` could not decode."""
+    return len((exc.object[:exc.start] + b"x").splitlines())
 
 
 @contextlib.contextmanager

@@ -22,14 +22,17 @@
  * fully accepts (the reference is coldpath.build_reference);
  * optpaths_read parses an arc block it fully accepts and builds it
  * (coldpath.scan_arc_block plus graph.build_graph); optpaths_read_results
- * reads a results file (coldpath.scan_results); and optpaths_audit
- * answers whether oracles.verify_export would find no failure in a
- * results export.  Differential tests (tests/test_graph.py,
- * tests/test_instance_parser.py and tests/test_results_files.py) certify
- * that each agrees with its reference wherever it accepts.
- * optpaths_format writes the rows of both file kinds, byte for byte as the
- * Python formatters do, and optpaths_draws the splitmix64 draws of the
- * generators, number for number as generators.splitmix64 does.
+ * reads a results file (coldpath.scan_results); and one audit core answers
+ * whether oracles.verify_export would find no failure in a results
+ * export, over a graph's CSR (optpaths_audit) or straight over the arc
+ * block of its instance, with no graph built (optpaths_audit_block).  One
+ * arc-line scanner, next_arc, reads every arc block.  Differential tests
+ * (tests/test_graph.py, tests/test_instance_parser.py and
+ * tests/test_results_files.py) certify that each agrees with its reference
+ * wherever it accepts.  optpaths_format writes the rows of both file
+ * kinds, byte for byte as the Python formatters do, and optpaths_draws the
+ * splitmix64 draws of the generators, number for number as
+ * generators.splitmix64 does, random arcs' self-loop skip included.
  *
  * Built on first use by fastlane.py with the system C compiler and called
  * through ctypes; no Python headers are needed.
@@ -280,7 +283,7 @@ static inline const char *read_int(const char *p, const char *end,
     int64_t v = 0;
     for (; p < end && *p >= '0' && *p <= '9'; p++) {
         int64_t d = *p - '0';
-        if (v > (INT64_MAX - d) / 10)
+        if (v >= INT64_MAX / 10 && (v > INT64_MAX / 10 || d > INT64_MAX % 10))
             return NULL;
         v = v * 10 + d;
     }
@@ -370,72 +373,88 @@ int64_t optpaths_check_csr(int64_t n, const int64_t *ptr, const int64_t *idx,
     return 0;
 }
 
-/* Reads the arc block of an instance: s[0..len) is everything after the
- * header line, which declared n nodes and k arcs.  It accepts a block only
- * when every line is blank, a whole-line '#' comment, or three fields
- * [+-]?[0-9]+ in int64 separated by spaces, tabs or '\r' (only '\n' ends
- * a line), and when there are exactly k arc lines.  It fills the arc
- * arrays (k entries each) and hands them to optpaths_build, with the other
- * arrays as that function asks; returns what it returns, or 1 to refuse. */
-int64_t optpaths_read(const char *s, int64_t len, int64_t n, int64_t k,
-                      int64_t directed, int64_t *head, int64_t *tail,
-                      int64_t *weight, int64_t *fptr, int64_t *fdst,
-                      int64_t *fw, int64_t *rptr, int64_t *rsrc,
-                      int64_t *rw)
+/* The one arc-line scanner of the instance grammar, which optpaths_read and
+ * optpaths_audit_block share.  From *pp (before end) it skips blank lines
+ * and whole-line '#' comments to the next arc line and reads it: three
+ * fields [+-]?[0-9]+ in int64 separated by spaces, tabs or '\r' (only '\n'
+ * ends a line), both ends in 1..n and differing, and a weight of at least
+ * 0.  *count counts the arc lines read so far, of the k that the header
+ * declared.  Returns 1 with the arc in arc[0..2] and *pp past its line, 0
+ * at the end of a block of exactly k arcs, or -1 to refuse. */
+static inline int next_arc(const char **pp, const char *end, int64_t n,
+                           int64_t k, int64_t *count, int64_t *arc)
 {
-    const char *p = s, *end = s + len;
-    int64_t count = 0;
-    while (p < end) {
+    const char *p = *pp;
+    for (;;) {
         while (p < end && is_sep(*p))
             p++;
-        if (p == end)
-            break;
-        if (*p == '\n') {
-            p++;
-            continue;
-        }
-        if (*p == '#') {
+        if (p < end && *p == '#')
             p = memchr(p, '\n', (size_t)(end - p));
-            if (p == NULL)
-                break;
-            p++;
-            continue;
-        }
-        if (count == k)
-            return 1;
-        int64_t v[3];
-        for (int f = 0; f < 3; f++) {
-            if (f > 0) {
-                if (p == end || !is_sep(*p))
-                    return 1;
-                while (p < end && is_sep(*p))
-                    p++;
-            }
-            p = read_int(p, end, &v[f]);
-            if (p == NULL)
-                return 1;
-        }
-        while (p < end && is_sep(*p))
-            p++;
-        if (p < end && *p++ != '\n')
-            return 1;
-        head[count] = v[0];
-        tail[count] = v[1];
-        weight[count] = v[2];
-        count += 1;
+        if (p == NULL || p == end)
+            return *count == k ? 0 : -1;
+        if (*p != '\n')
+            break;
+        p++;
     }
-    if (count != k)
+    if (*count == k)
+        return -1;
+    for (int f = 0; f < 3; f++) {
+        if (f > 0) {
+            if (p == end || !is_sep(*p))
+                return -1;
+            while (p < end && is_sep(*p))
+                p++;
+        }
+        p = read_int(p, end, &arc[f]);
+        if (p == NULL)
+            return -1;
+    }
+    while (p < end && is_sep(*p))
+        p++;
+    if (p < end && *p++ != '\n')
+        return -1;
+    if (arc[0] < 1 || arc[0] > n || arc[1] < 1 || arc[1] > n
+            || arc[0] == arc[1] || arc[2] < 0)
+        return -1;
+    *count += 1;
+    *pp = p;
+    return 1;
+}
+
+/* Reads the arc block of an instance, s[start..len), everything after the
+ * header line, which declared n nodes and k arcs.  It accepts the block
+ * when next_arc does, fills the arc arrays (k entries each) and hands them
+ * to optpaths_build, with the other arrays as that function asks; returns
+ * what it returns, or 1 to refuse. */
+int64_t optpaths_read(const char *s, int64_t start, int64_t len, int64_t n,
+                      int64_t k, int64_t directed, int64_t *head,
+                      int64_t *tail, int64_t *weight, int64_t *fptr,
+                      int64_t *fdst, int64_t *fw, int64_t *rptr,
+                      int64_t *rsrc, int64_t *rw)
+{
+    const char *p = s + start, *end = s + len;
+    int64_t count = 0, arc[3];
+    int r;
+    while ((r = next_arc(&p, end, n, k, &count, arc)) == 1) {
+        head[count - 1] = arc[0];
+        tail[count - 1] = arc[1];
+        weight[count - 1] = arc[2];
+    }
+    if (r < 0)
         return 1;
     return optpaths_build(n, k, directed, head, tail, weight, fptr, fdst, fw,
                           rptr, rsrc, rw);
 }
 
-/* Fills out[0..count) with lo + splitmix64(seed, start + i * stride) %
+/* Fills out[0..count) with x = lo + splitmix64(seed, start + i * stride) %
  * span, the splitmix64 draws of generators.splitmix64 reduced into
- * lo..lo + span - 1; all index arithmetic wraps modulo 2^64 as it does
- * there.  span is at least 1, and lo + span - 1 is at most INT64_MAX. */
+ * lo..lo + span - 1, plus 1 where skip is not NULL and x >= skip[i] (so a
+ * random arc's tail skips its head); all index arithmetic wraps modulo 2^64
+ * as it does there.  span is at least 1, and lo + span - 1 (plus 1 with
+ * skip) is at most INT64_MAX. */
 void optpaths_draws(uint64_t seed, uint64_t start, uint64_t stride,
-                    int64_t count, int64_t lo, uint64_t span, int64_t *out)
+                    int64_t count, int64_t lo, uint64_t span,
+                    const int64_t *skip, int64_t *out)
 {
     for (int64_t i = 0; i < count; i++) {
         uint64_t z = seed + (start + (uint64_t)i * stride + 1)
@@ -443,34 +462,31 @@ void optpaths_draws(uint64_t seed, uint64_t start, uint64_t stride,
         z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
         z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
         z ^= z >> 31;
-        out[i] = lo + (int64_t)(z % span);
+        int64_t x = lo + (int64_t)(z % span);
+        out[i] = skip && x >= skip[i] ? x + 1 : x;
     }
 }
 
 
 /* -- result files and instance rows ---------------------------------------- */
 
-/* Writes x in decimal followed by end at *p, when *p is not NULL, and
- * advances *p; returns the length either way. */
-static inline int64_t put_field(char **p, int64_t x, char end)
+/* Writes x in decimal followed by end at p; returns the end of the text. */
+static inline char *put_field(char *p, int64_t x, char end)
 {
     uint64_t u = x < 0 ? -(uint64_t)x : (uint64_t)x;
     int64_t k = 1;
     for (uint64_t t = u; t >= 10; t /= 10)
         k += 1;
     k += x < 0;
-    if (*p) {
-        char *q = *p + k;
-        *q = end;
-        do {
-            *--q = (char)('0' + u % 10);
-            u /= 10;
-        } while (u);
-        if (x < 0)
-            *--q = '-';
-        *p += k + 1;
-    }
-    return k + 1;
+    char *q = p + k;
+    *q = end;
+    do {
+        *--q = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    if (x < 0)
+        *--q = '-';
+    return p + k + 1;
 }
 
 /* Formats rows lo..hi-1 of ncols int64 columns as text: the fields of row
@@ -479,35 +495,32 @@ static inline int64_t put_field(char **p, int64_t x, char end)
  * instead: it starts with i, the node id, and when cols[0][i], the
  * node's region, is 0, the node is unreached and its later fields all
  * read 0, except the third (the cost), which reads UNREACHED.  Writes the
- * text to out unless out is NULL, and returns its length, so the caller
- * measures with NULL and then fills a buffer of that length. */
+ * text to out and returns its length.  out must hold 21 bytes for every
+ * field of every row, ncols fields plus the id with results: a field is at
+ * most 20 characters, as -9223372036854775808, and its separator. */
 int64_t optpaths_format(int64_t lo, int64_t hi, int64_t results,
                         int64_t ncols, const int64_t *const *cols, char *out)
 {
     static const char unreached[] = "UNREACHED";
-    int64_t len = 0;
     char *p = out;
     for (int64_t i = lo; i < hi; i++) {
         int reached = !results || cols[0][i] != 0;
         if (results)
-            len += put_field(&p, i, ' ');
+            p = put_field(p, i, ' ');
         for (int64_t j = 0; j < ncols; j++) {
             char end = j + 1 < ncols ? ' ' : '\n';
             if (reached) {
-                len += put_field(&p, cols[j][i], end);
+                p = put_field(p, cols[j][i], end);
             } else if (j == 2) {
-                if (p) {
-                    memcpy(p, unreached, sizeof unreached - 1);
-                    p += sizeof unreached - 1;
-                    *p++ = end;
-                }
-                len += sizeof unreached;
+                memcpy(p, unreached, sizeof unreached - 1);
+                p += sizeof unreached - 1;
+                *p++ = end;
             } else {
-                len += put_field(&p, 0, end);
+                p = put_field(p, 0, end);
             }
         }
     }
-    return len;
+    return p - out;
 }
 
 static inline int is_blank(char c)
@@ -591,79 +604,118 @@ int64_t optpaths_read_results(const char *s, int64_t len, int64_t n,
     return width;
 }
 
-/* Certifies a results export against the forward CSR of its graph: returns
- * 0 when oracles.verify_export, under min-plus, would report no failure,
- * and 1 otherwise, without saying why; the caller then runs the reference
- * audit, which names every failure.  region, parent, cost and has_cost
- * hold n + 1 entries; has_cost[v] is 0 where the export says UNREACHED.
- * tags is NULL for an export without the tag column.  found, color and
- * level (n + 1 entries) and queue (n) are zero-filled scratch.  The checks
- * are the reference's: parents in 0..n; a root is a reached node (region
- * not 0) without a parent, there is exactly one root without tags and at
- * least two with them, and every root costs 0; an unreached node has no
- * parent and no cost, a reached one has a cost, and its parent is reached,
- * has a cost and reaches it over an arc with cost[p] + w == cost[v]; tags
- * are the root's own id, the parent's tag, or 0 when unreached; every
- * parent chain ends at a root; regions equal the hop levels of a
- * breadth-first search from the roots; and with fixpoint set, no arc out
- * of a node with a cost leads to a node without one or improves it.  A sum
- * past INT64_MAX neither matches a cost nor improves one. */
-int64_t optpaths_audit(int64_t n, const int64_t *fptr, const int64_t *fdst,
-                       const int64_t *fw, const int64_t *region,
-                       const int64_t *parent, const int64_t *cost,
-                       const int64_t *has_cost, const int64_t *tags,
-                       int64_t fixpoint, int64_t *found, int64_t *color,
-                       int64_t *level, int64_t *queue)
+/* -- the audit core ----------------------------------------------------------
+ *
+ * optpaths_audit and optpaths_audit_block answer one question about a
+ * results export: would oracles.verify_export, under min-plus, report no
+ * failure?  They return 0 if so and 1 otherwise, without saying why; the
+ * caller then runs the reference audit, which names every failure.  Both
+ * entry points feed every arc u -> v of weight w to audit_arc, in any order,
+ * and then run audit_nodes once; they differ only in where the arcs come
+ * from.
+ *
+ * The checks are the reference's: parents in 0..n; a root is a reached
+ * node (region not 0) without a parent, there is exactly one root without
+ * tags and at least two with them, and every root costs 0; an unreached
+ * node has no parent and no cost, a reached one has a cost, and its parent
+ * is reached, has a cost and reaches it over an arc with cost[p] + w ==
+ * cost[v]; tags are the root's own id, the parent's tag, or 0 when
+ * unreached; every parent chain ends at a root; regions equal the hop
+ * levels of a breadth-first search from the roots; and with fixpoint set,
+ * no arc out of a node with a cost leads to a node without one or improves
+ * it.  A sum past INT64_MAX neither matches a cost nor improves one.
+ *
+ * The hop levels need no search.  Let S be the reached nodes and R the
+ * roots.  Regions equal the levels exactly when
+ *   (a) every root has region 1,
+ *   (b) every arc out of a node of S ends in S, and
+ *   (c) every non-root v of S has a smallest in-neighbour region over S,
+ *       low(v), with low(v) >= 1 and low(v) == region[v] - 1.
+ * The levels satisfy (a)-(c): the search labels its roots 1, labels every
+ * out-neighbour of a labeled node, gives no labeled in-neighbour of v a
+ * level below level(v) - 1, and discovers v from one at exactly
+ * level(v) - 1.  Conversely, by (a) and (c) every node of S has region >= 1
+ * and only roots have region 1, so stepping from v in S to an in-neighbour
+ * in S of region region[v] - 1 reaches a root in region[v] - 1 steps: S is
+ * reachable from R, and level(v) <= region[v].  By (b) S holds everything
+ * R reaches, and every arc u -> v with u in S has region[v] <=
+ * region[u] + 1 (by (c), or by (a) for a root v); so along a shortest path
+ * from R, region[v] <= level(v).  Hence region == level on S, and both are
+ * 0 off S.
+ */
+
+/* A results export under audit: the columns of optpaths_read_results for
+ * n nodes, with tags NULL for an export without the tag column, whether
+ * the fixpoint condition is asked for, and zero-filled scratch of n + 1
+ * entries each: found[v] is set once an arc from v's parent matches its
+ * cost, color serves the parent-chain walk, and low[v] is the smallest
+ * nonzero region of an in-neighbour of v (0 while there is none). */
+struct export {
+    int64_t n, fixpoint;
+    const int64_t *region, *parent, *cost, *has_cost, *tags;
+    int64_t *found, *color, *low;
+};
+
+/* The checks of arc u -> v of weight w; returns 1 to refuse. */
+static inline int audit_arc(const struct export *x, int64_t u, int64_t v,
+                            int64_t w)
 {
-    int64_t roots = 0;
-    for (int64_t v = 1; v <= n; v++) {
-        if (parent[v] < 0 || parent[v] > n)
-            return 1;
-        if (region[v] != 0 && parent[v] == 0) {
-            if (!has_cost[v] || cost[v] != 0)
-                return 1;
-            roots += 1;
-            color[v] = 2;
-            level[v] = 1;
-            queue[roots - 1] = v;
-        }
-    }
-    if (tags ? roots < 2 : roots != 1)
+    int64_t c;
+    int fits = x->has_cost[u] && !__builtin_add_overflow(x->cost[u], w, &c);
+    if (fits && x->parent[v] == u && x->has_cost[v] && c == x->cost[v])
+        x->found[v] = 1;
+    if (x->fixpoint && x->has_cost[u]
+            && (!x->has_cost[v] || (fits && c < x->cost[v])))
         return 1;
-
-    for (int64_t u = 1; u <= n; u++) {
-        for (int64_t k = fptr[u]; k < fptr[u + 1]; k++) {
-            int64_t v = fdst[k], c;
-            int fits = has_cost[u] && !__builtin_add_overflow(cost[u], fw[k], &c);
-            if (fits && parent[v] == u && has_cost[v] && c == cost[v])
-                found[v] = 1;
-            if (fixpoint && has_cost[u]
-                    && (!has_cost[v] || (fits && c < cost[v])))
-                return 1;
-        }
+    int64_t ru = x->region[u];
+    if (ru != 0) {
+        if (x->region[v] == 0)
+            return 1;
+        if (x->low[v] == 0 || ru < x->low[v])
+            x->low[v] = ru;
     }
+    return 0;
+}
 
+/* The checks of every node, once every arc has passed audit_arc; returns 1
+ * to refuse. */
+static int audit_nodes(const struct export *x)
+{
+    int64_t n = x->n, roots = 0;
+    const int64_t *region = x->region, *parent = x->parent,
+                  *has_cost = x->has_cost, *tags = x->tags;
+    int64_t *color = x->color;
     for (int64_t v = 1; v <= n; v++) {
-        int64_t p = parent[v];
-        if (region[v] == 0) {
-            if (p != 0 || has_cost[v])
+        int64_t p = parent[v], r = region[v];
+        if (p < 0 || p > n)
+            return 1;
+        if (r == 0) {
+            if (p != 0 || has_cost[v] || (tags && tags[v] != 0))
                 return 1;
             continue;
         }
         if (!has_cost[v])
             return 1;
-        if (p != 0 && (region[p] == 0 || !has_cost[p] || !found[v]))
+        if (p == 0) {
+            if (x->cost[v] != 0 || r != 1 || (tags && tags[v] != v))
+                return 1;
+            roots += 1;
+            color[v] = 2;
+            continue;
+        }
+        int64_t lo = x->low[v];  /* r - lo cannot wrap once r > lo >= 1 */
+        if (lo < 1 || r <= lo || r - lo != 1)
             return 1;
-        if (tags && tags[v] != (p == 0 ? v : tags[p]))
+        if (region[p] == 0 || !has_cost[p] || !x->found[v])
+            return 1;
+        if (tags && tags[v] != tags[p])
             return 1;
     }
-    if (tags)
-        for (int64_t v = 1; v <= n; v++)
-            if (region[v] == 0 && tags[v] != 0)
-                return 1;
+    if (tags ? roots < 2 : roots != 1)
+        return 1;
 
-    /* color: 0 unknown, 1 on the current walk, 2 reaches a root.  Every
-     * parent of a reached node is reached by now, and only roots lack one. */
+    /* color: 0 unknown, 1 on the current walk, 2 reaches a root.  The
+     * parent of a reached non-root is reached, and only roots lack one. */
     for (int64_t v = 1; v <= n; v++) {
         if (region[v] == 0 || color[v])
             continue;
@@ -677,20 +729,50 @@ int64_t optpaths_audit(int64_t n, const int64_t *fptr, const int64_t *fdst,
         for (u = v; color[u] == 1; u = parent[u])
             color[u] = 2;
     }
-
-    int64_t head = 0, tail = roots;
-    while (head < tail) {
-        int64_t u = queue[head++];
-        for (int64_t k = fptr[u]; k < fptr[u + 1]; k++) {
-            int64_t v = fdst[k];
-            if (level[v] == 0) {
-                level[v] = level[u] + 1;
-                queue[tail++] = v;
-            }
-        }
-    }
-    for (int64_t v = 1; v <= n; v++)
-        if (level[v] != region[v])
-            return 1;
     return 0;
+}
+
+/* The audit core's CSR entry point: audits an export against the forward CSR of
+ * its graph.  region, parent, cost and has_cost hold n + 1 entries, and
+ * has_cost[v] is 0 where the export says UNREACHED; tags is NULL for an
+ * export without the tag column; found, color and low are zero-filled
+ * scratch of n + 1 entries. */
+int64_t optpaths_audit(int64_t n, const int64_t *fptr, const int64_t *fdst,
+                       const int64_t *fw, const int64_t *region,
+                       const int64_t *parent, const int64_t *cost,
+                       const int64_t *has_cost, const int64_t *tags,
+                       int64_t fixpoint, int64_t *found, int64_t *color,
+                       int64_t *low)
+{
+    struct export x = {n, fixpoint, region, parent, cost, has_cost, tags,
+                       found, color, low};
+    for (int64_t u = 1; u <= n; u++)
+        for (int64_t k = fptr[u]; k < fptr[u + 1]; k++)
+            if (audit_arc(&x, u, fdst[k], fw[k]))
+                return 1;
+    return audit_nodes(&x);
+}
+
+/* The audit core's arc-block entry point: audits an export against the arc
+ * block of its instance, s[start..len), as optpaths_read reads it, without
+ * building a graph; an undirected arc is audited in both directions.  It
+ * refuses whatever optpaths_read refuses.  The other arguments are those
+ * of optpaths_audit. */
+int64_t optpaths_audit_block(const char *s, int64_t start, int64_t len,
+                             int64_t n, int64_t k, int64_t directed,
+                             const int64_t *region, const int64_t *parent,
+                             const int64_t *cost, const int64_t *has_cost,
+                             const int64_t *tags, int64_t fixpoint,
+                             int64_t *found, int64_t *color, int64_t *low)
+{
+    struct export x = {n, fixpoint, region, parent, cost, has_cost, tags,
+                       found, color, low};
+    const char *p = s + start, *end = s + len;
+    int64_t count = 0, arc[3];
+    int r;
+    while ((r = next_arc(&p, end, n, k, &count, arc)) == 1)
+        if (audit_arc(&x, arc[0], arc[1], arc[2])
+                || (!directed && audit_arc(&x, arc[1], arc[0], arc[2])))
+            return 1;
+    return r < 0 || audit_nodes(&x);
 }

@@ -229,7 +229,12 @@ def verify_export(g: Graph, region: Sequence[int], parent: Sequence[int],
     lane loads, and an export it certifies gets an empty report at once;
     anything else, and any explicit algebra, gets the reference audit
     (:func:`coldpath.audit_export`) under min-plus or that algebra, which
-    names every failure; either raises GraphError on a malformed CSR.
+    names every failure; either raises GraphError on a malformed CSR.  The
+    compiled audit checks the regions without a search, by local
+    conditions equivalent to the hop layers (see ``kernels.c``).  The
+    ``verify`` command calls this only for an export that the same
+    compiled audit, run over the instance's arc block
+    (:func:`fastlane.block_is_clean`), does not certify.
     """
     if algebra is None:
         if fastlane.export_is_clean(g, region, parent, cost, has_cost,

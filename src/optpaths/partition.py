@@ -220,27 +220,27 @@ def hda_multi(g: Graph, sources: Sequence[NodeId], algebra: CostAlgebra,
 # ---------------------------------------------------------------------------
 
 def export_results(state: SolverState, regions: Regions, out) -> None:
-    """Write every node's row with one ``write``.
+    """Write every node's row to ``out``.
 
-    The compiled formatter writes the rows whenever the lane loads and
-    every value fits int64; otherwise (say, the reference lane's big-int
-    costs, or no compiler) the same rows are formatted here.
+    The compiled formatter writes the rows (:func:`fastlane.write_rows`)
+    whenever the lane loads and every value fits int64; otherwise (say, the
+    reference lane's big-int costs, or no compiler) the same rows are
+    formatted here and written with one ``write``.
     """
-    from .fastlane import format_rows  # fastlane imports this module
+    from .fastlane import write_rows  # fastlane imports this module
 
     parent, cost, tags = state.parent, state.cost, state.tags
     columns = [regions.region_of, parent, cost] + ([] if tags is None else [tags])
-    text = format_rows(columns, results=True)
-    if text is None:
-        nodes = zip(range(1, state.n + 1), regions.region_of[1:])
-        if tags is None:
-            rows = [f"{v} {reg} {parent[v]} {cost[v]}\n" if reg
-                    else f"{v} 0 0 {UNREACHED}\n" for v, reg in nodes]
-        else:
-            rows = [f"{v} {reg} {parent[v]} {cost[v]} {tags[v]}\n" if reg
-                    else f"{v} 0 0 {UNREACHED} 0\n" for v, reg in nodes]
-        text = "".join(rows)
-    out.write(text)
+    if write_rows(out, columns, results=True):
+        return
+    nodes = zip(range(1, state.n + 1), regions.region_of[1:])
+    if tags is None:
+        rows = [f"{v} {reg} {parent[v]} {cost[v]}\n" if reg
+                else f"{v} 0 0 {UNREACHED}\n" for v, reg in nodes]
+    else:
+        rows = [f"{v} {reg} {parent[v]} {cost[v]} {tags[v]}\n" if reg
+                else f"{v} 0 0 {UNREACHED} 0\n" for v, reg in nodes]
+    out.write("".join(rows))
 
 
 def export_results_file(state: SolverState, regions: Regions, path: str) -> None:

@@ -157,6 +157,45 @@ def test_a_bad_source_is_refused_before_either_lane(lane, tmp_path):
     assert proc.stdout == f"{EXIT_USAGE} {lane == 'reference'}\n"
 
 
+_VERIFY_LOADS = """
+import sys
+from optpaths.cli import main
+code = main(sys.argv[1:])
+print(code, [m for m in ("optpaths.oracles", "optpaths.coldpath")
+             if m in sys.modules])
+"""
+
+
+@pytest.mark.skipif("compiled" not in LANES, reason="no C compiler")
+def test_a_clean_verify_loads_no_reference_audit(tmp_path):
+    # the compiled audit certifies a clean export straight from the arc
+    # block; only a failing one loads the reference audit, which names
+    # every failure
+    (tmp_path / "tri.txt").write_text(TRIANGLE)
+    env = child_env("compiled", tmp_path / "cache")
+    solve = "solve --instance tri.txt --algo ht --out tri.res".split()
+    assert run_child(solve, tmp_path, env).returncode == EXIT_OK
+    tamper(tmp_path / "tri.res", tmp_path / "tampered.res")
+    outputs = []
+    for res in ("tri.res", "tampered.res"):
+        argv = ["verify", "--instance", "tri.txt", "--results", res,
+                "--fixpoint"]
+        proc = subprocess.run([sys.executable, "-c", _VERIFY_LOADS, *argv],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.stderr == ""
+        outputs.append(proc.stdout)
+    assert outputs[0] == f"OK\n{EXIT_OK} []\n"
+    assert outputs[1] == (
+        "3 failure(s):\n"
+        "  [parent-arc] node 2: expected arc (3,2) with weight 2-2, got "
+        "absent\n"
+        "  [parent-arc] node 3: expected arc (1,3) with weight 2-0, got "
+        "absent\n"
+        "  [fixpoint] arc (1,3,1): expected cost[3] <= 1, got 2\n"
+        f"{EXIT_VERIFY} ['optpaths.oracles', 'optpaths.coldpath']\n")
+
+
 def test_explicit_argv_always_returns(tmp_path, monkeypatch, capsys):
     # perfbench's traced run and library callers run main() in-process;
     # conftest makes os._exit raise, and no tracer may mask the argv rule

@@ -407,8 +407,9 @@ COMPILE_MODULES = {"coldpath", "subprocess", "locale"}
 
 #: each command, the modules it loads on top of CLI_MODULES, and those it
 #: loads only on the reference lane, where ``coldpath`` holds the reference
-#: readers, build, CSR check and audit.  No well-formed command line loads
-#: argparse or its gettext and locale.
+#: readers, build, CSR check and audit, and where ``verify`` runs
+#: ``oracles.verify_export`` since no compiled audit certifies the export.
+#: No well-formed command line loads argparse or its gettext and locale.
 COMMAND_MODULES = [
     ("solve --instance tri --algo ht", set(), {"monarchy", "coldpath"}),
     ("gen grid --rows 6 --cols 5 --hzp --out grid", {"generators"}, set()),
@@ -417,8 +418,8 @@ COMMAND_MODULES = [
     ("solve --instance rand --algo multi --sources 1,17 --out res",
      set(), {"monarchy", "coldpath"}),
     ("solve --instance grid --algo eom", set(), {"evolve", "coldpath"}),
-    ("verify --instance rand --results res --fixpoint", {"oracles", "heapq"},
-     {"coldpath"}),
+    ("verify --instance rand --results res --fixpoint", set(),
+     {"oracles", "heapq", "coldpath"}),
     ("compare --instance grid", set(), {"evolve", "monarchy", "coldpath"}),
     ("bench --n-total 60 --kc 3,5 --algos eom,ht", {"generators"},
      {"evolve", "monarchy", "coldpath"}),

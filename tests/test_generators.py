@@ -1,9 +1,10 @@
+import hashlib
 from array import array
 
 import pytest
 
 import optpaths as op
-from optpaths import GraphError, GridSpec, fastlane
+from optpaths import GraphError, GridSpec, cli, fastlane
 from optpaths.generators import _draws
 
 
@@ -185,3 +186,32 @@ class TestSidecarComments:
         assert op.gen_grid(spec)[2] is None
         comments = op.generators.grid_comments(spec, None)
         assert not [c for c in comments if c.startswith("hzp-path")]
+
+
+#: the sha256 of small ``gen`` files: every lane, and both the file and the
+#: stdout writer, must keep these bytes, or every generated instance changes
+PINNED = {
+    "gen grid --rows 12 --cols 9 --hzp --seed 4":
+        "1e33706abc53a00aeade078147ac94abbf8440cb2c626f537590908b43d42e2d",
+    "gen random --n 60 --arcs 400 --seed 3 --directed":
+        "a11f5022235e4230d52298b5937956d67902b16188dd0048e3282f9b52a34dee",
+    "gen random --n 60 --arcs 400 --seed 3 --wmin 5 --wmax 1000000000000 "
+    "--directed":
+        "a6a5f069c9b8f0526aef905614c359eb9f6cd06dade2d2ce8df7d06c6e083423",
+}
+
+
+@pytest.mark.parametrize("lane", ["compiled", "reference"])
+@pytest.mark.parametrize("command", sorted(PINNED))
+def test_gen_bytes_are_pinned(command, lane, tmp_path, capsysbinary, request):
+    if lane == "reference":
+        request.getfixturevalue("broken_compiler")()
+    elif not fastlane.available():
+        pytest.skip("no C compiler")
+    out = tmp_path / "inst.txt"
+    assert cli.main(command.split() + ["--out", str(out)]) == cli.EXIT_OK
+    assert cli.main(command.split() + ["--out", "-"]) == cli.EXIT_OK
+    written = capsysbinary.readouterr().out
+    digests = {hashlib.sha256(b).hexdigest()
+               for b in (out.read_bytes(), written)}
+    assert digests == {PINNED[command]}

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 import optpaths as op
 from optpaths import GraphError, InstanceFormatError, cli, fastlane
+from optpaths.graph import parse_header
 
 INT64_MAX = 2**63 - 1
 
@@ -277,11 +278,9 @@ HOSTILE = [
                               "weight--1", "head--1"])
 def test_hostile_arc_blocks_get_the_reference_message(tmp_path, capsys, text,
                                                       message):
-    header, body = text.split("\n", 1)
-    _, n, arc_count, orientation = header.split()
     if fastlane.available():
-        assert fastlane.read_graph(body.encode(), int(n), int(arc_count),
-                                   orientation == "directed") is None
+        data = text.encode()
+        assert fastlane.read_graph(data, parse_header(data)) is None
     tracemalloc.start()
     try:
         with pytest.raises(InstanceFormatError) as exc:

@@ -3,7 +3,7 @@
 Each compiled kernel is checked against the Python code it stands in for,
 which stays the reference and names every fault:
 
-- the formatter (``fastlane.format_rows``) against the Python rows of
+- the formatter (``fastlane.write_rows``) against the Python rows of
   ``partition.export_results`` and ``graph.write_instance``, with and
   without a compiler;
 - the results reader (``fastlane.read_results``) against the reference
@@ -13,13 +13,17 @@ which stays the reference and names every fault:
   message;
 - the audit (``fastlane.export_is_clean``) against the reference
   ``verify_export``: on solved exports, clean and with one mutation each,
-  it must answer "clean" exactly when the reference reports no failure.
+  it must answer "clean" exactly when the reference reports no failure;
+  and both entry points of the audit core, over the CSR and over the arc
+  block (``fastlane.block_is_clean``), against ``coldpath.audit_export``,
+  with ``verify`` on every form of an instance printing what it always has.
 
 The reader and the audit certify and refuse; they are not line-for-line
 copies of the reference, and these tests are what certify them.
 """
 
 import io
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -28,6 +32,7 @@ from hypothesis import strategies as st
 import optpaths as op
 from optpaths import (InstanceFormatError, cli, coldpath, fastlane,
                       partition)
+from optpaths.graph import parse_header
 
 INT64_MAX = 2**63 - 1
 INT64_MIN = -2**63
@@ -188,6 +193,138 @@ def test_verify_export_lane_rule(monkeypatch, triangle):
     # an explicit algebra, min-plus included, gets the reference audit
     with pytest.raises(AssertionError, match="reference audit ran"):
         op.verify_export(*export, op.min_plus_algebra(), fixpoint=True)
+
+
+# -- the audit core's two entry points -----------------------------------------
+
+#: the one field a drawn export may have tampered with
+TAMPERS = ["region+1", "region-1", "parent", "cost+1", "cost-1", "swap-tags",
+           "written-unreached", "extra-root"]
+
+
+@st.composite
+def instance_exports(draw):
+    """The text of a small instance, directed or not, and a solved export of
+    it from 1..4 sources, clean or with one field tampered.  The arc block
+    has blank lines, whole-line comments, tabs and '\r' separators, all of
+    which the compiled reader accepts."""
+    n = draw(st.integers(2, 9))
+    directed = draw(st.booleans())
+    weight = (st.sampled_from([0, 1, 3, INT64_MAX])
+              if draw(st.integers(0, 3)) == 0 else st.integers(0, 4))
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(
+        lambda p: p[0] != p[1])
+    arcs = [(u, v, draw(weight))
+            for u, v in draw(st.lists(pairs, max_size=3 * n))]
+    g = op.build_graph(n, arcs, directed=directed)
+    sources = draw(st.lists(st.integers(1, n), min_size=1, max_size=4,
+                            unique=True))
+    res = op.run_pipeline(g, sources, draw(st.sampled_from(["hda", "ht"])),
+                          algebra=op.min_plus_algebra())
+    region = list(res.regions.region_of)
+    parent = list(res.state.parent)
+    has_cost = [int(res.state.labeled(v)) for v in range(n + 1)]
+    cost = [c if has_cost[v] else 0 for v, c in enumerate(res.state.cost)]
+    tags = None if res.state.tags is None else list(res.state.tags)
+
+    tamper = draw(st.sampled_from(TAMPERS + [None] * 4))
+    v = draw(st.integers(1, n))
+    if tamper in ("region+1", "region-1"):
+        region[v] += 1 if tamper == "region+1" else -1
+    elif tamper == "parent":
+        parent[v] = draw(st.integers(0, n).filter(lambda p: p != parent[v]))
+    elif tamper in ("cost+1", "cost-1"):
+        cost[v] += 1 if tamper == "cost+1" else -1
+    elif tamper == "swap-tags" and tags is not None:
+        u = draw(st.integers(1, n))
+        tags[u], tags[v] = tags[v], tags[u]
+    elif tamper == "written-unreached":
+        cost[v], has_cost[v] = 0, 0
+    elif tamper == "extra-root":
+        region[v], parent[v], cost[v], has_cost[v] = 1, 0, 0, 1
+        if tags is not None:
+            tags[v] = v
+
+    lines = [f"n {n} {len(arcs)} {'directed' if directed else 'undirected'}"]
+    for arc in arcs:
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(draw(st.sampled_from(["", "# a note", "  #", "\t"])))
+        sep = draw(st.sampled_from([" "] * 4 + ["\t", " \r ", "  "]))
+        lines.append(sep.join(map(str, arc)))
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    return text, region, parent, cost, has_cost, tags
+
+
+@needs_lane
+@settings(max_examples=300, deadline=None)
+@given(case=instance_exports(), fixpoint=st.booleans())
+@example(case=("n 2 0 undirected", [0, 1, 0], [0, 0, 0], [0, 0, 1],
+               [0, 1, 0], None), fixpoint=False)  # a header without '\n'
+def test_both_audit_entry_points_are_clean_exactly_when_the_reference_is(
+        case, fixpoint):
+    text, *export, tags = case
+    g, _ = op.read_instance(io.StringIO(text))
+    ref = coldpath.audit_export(g, *export, op.min_plus_algebra(), fixpoint,
+                                tags)
+    want = ref.ok and fits_int64(*export, tags)
+    assert fastlane.export_is_clean(g, *export, fixpoint, tags) == want
+    data = text.encode()
+    assert fastlane.block_is_clean(data, parse_header(data), *export,
+                                   fixpoint, tags) == want
+
+
+#: the triangle's instance in forms that ``verify`` reads, each with what
+#: it prints for the triangle's export: stream refusals name the fault as
+#: the full reader always has
+TRIANGLE_FORMS = {
+    "comments-in-block": (b"# top\nn 3 3 directed\n1 2 10\n  # mid\n"
+                          b"1 3 1\n\n3 2 1\n# end", 0, "OK\n", ""),
+    "crlf": (b"n 3 3 directed\r\n1 2 10\r\n1 3 1\r\n3 2 1\r\n", 0,
+             "OK\n", ""),
+    "non-ascii-comment": ("# caf\u00e9\nn 3 3 directed\n1 2 10\n"
+                          "# \u00fcber\n1 3 1\n3 2 1\n".encode(), 0,
+                          "OK\n", ""),
+    "not-utf8": (b"n 3 3 directed\r\n1 2 10\n# \xff\n1 3 1\n3 2 1\n", 1,
+                 "", "optpaths: error: line 3: not UTF-8 text\n"),
+    "arc-count": (b"n 3 4 directed\n1 2 10\n1 3 1\n3 2 1\n", 1, "",
+                  "optpaths: error: header declares 4 arcs but file "
+                  "contains 3\n"),
+    "self-loop": (b"n 3 3 directed\n1 2 10\n1 3 1\n3 3 1\n", 1, "",
+                  "optpaths: error: arc 2 (3,3): self-loop\n"),
+    "negative-weight": (b"n 3 3 directed\n1 2 10\n1 3 -1\n3 2 1\n", 1, "",
+                        "optpaths: error: arc 1 (1,3,-1): negative "
+                        "weight\n"),
+    # the export's parent arcs are written tail first: an undirected line
+    # serves both directions, a directed one only its own
+    "reversed-undirected": (b"n 3 3 undirected\n2 1 10\n3 1 1\n2 3 1\n", 0,
+                            "OK\n", ""),
+    "reversed-directed": (
+        b"n 3 3 directed\n2 1 10\n3 1 1\n2 3 1\n", 2,
+        "4 failure(s):\n"
+        "  [parent-arc] node 2: expected arc (3,2) with weight 2-1, got "
+        "absent\n"
+        "  [parent-arc] node 3: expected arc (1,3) with weight 1-0, got "
+        "absent\n"
+        "  [region] node 2: expected 0, got 2\n"
+        "  [region] node 3: expected 0, got 2\n", ""),
+}
+
+
+@pytest.mark.parametrize("lane", ["compiled", "reference"])
+@pytest.mark.parametrize("form", sorted(TRIANGLE_FORMS))
+def test_verify_reads_every_form_of_an_instance_as_before(
+        form, lane, tmp_path, capsys, request):
+    if lane == "reference":
+        request.getfixturevalue("broken_compiler")()
+    elif not fastlane.available():
+        pytest.skip("no C compiler")
+    data, code, out, err = TRIANGLE_FORMS[form]
+    (tmp_path / "tri.txt").write_bytes(data)
+    (tmp_path / "tri.res").write_text("1 1 0 0\n2 2 3 2\n3 2 1 1\n")
+    argv = ["verify", "--instance", str(tmp_path / "tri.txt"),
+            "--results", str(tmp_path / "tri.res"), "--fixpoint"]
+    assert cli.main(argv) == code
+    assert capsys.readouterr() == (out, err)
 
 
 # -- the results reader ---------------------------------------------------------
@@ -372,6 +509,16 @@ EXPORTS = {
 }
 
 
+def written_rows(columns):
+    """What ``fastlane.write_rows`` writes of an export's columns to a text
+    sink, or None if it declines and writes nothing."""
+    buf = io.StringIO()
+    if not fastlane.write_rows(buf, columns, results=True):
+        assert buf.getvalue() == ""
+        return None
+    return buf.getvalue()
+
+
 def export_text(columns):
     buf = io.StringIO()
     op.export_results(*state_and_regions(*columns), buf)
@@ -389,12 +536,41 @@ def without_a_compiler(request):
 def test_export_rows_with_and_without_a_compiler(name, request):
     columns, want = EXPORTS[name]
     if fastlane.available():
-        formatted = fastlane.format_rows(columns, results=True)
-        assert formatted == (None if name == "big-int" else want)
+        assert written_rows(columns) == (None if name == "big-int" else want)
     assert export_text(columns) == want
     without_a_compiler(request)
-    assert fastlane.format_rows(columns, results=True) is None
+    assert written_rows(columns) is None
     assert export_text(columns) == want
+
+
+@needs_lane
+@pytest.mark.parametrize("results", [False, True])
+def test_rows_span_chunks_in_every_kind_of_sink(results):
+    # rows past several chunks, with the widest fields; a sink with a byte
+    # buffer gets them between text written before and after, and a sink
+    # whose encoding does not write ASCII as itself gets them as text
+    step = fastlane._CHUNK_BYTES // (fastlane._FIELD_BYTES * (3 + results))
+    count = 2 * step + 3
+    cols = [array("q", [i % 3 for i in range(count)]),
+            array("q", [INT64_MIN + i for i in range(count)]),
+            array("q", [INT64_MAX - i for i in range(count)])]
+    if results:  # index 0 is no node
+        want = "".join(
+            f"{v} {cols[0][v]} {cols[1][v]} {cols[2][v]}\n" if cols[0][v]
+            else f"{v} 0 0 UNREACHED\n" for v in range(1, count))
+    else:
+        want = "".join(f"{h} {t} {w}\n" for h, t, w in zip(*cols))
+    text = io.StringIO()
+    assert fastlane.write_rows(text, cols, results=results)
+    assert text.getvalue() == want
+    for encoding in ("utf-8", "utf-16"):
+        raw = io.BytesIO()
+        sink = io.TextIOWrapper(raw, encoding=encoding)
+        sink.write("before\n")
+        assert fastlane.write_rows(sink, cols, results=results)
+        sink.write("after\n")
+        sink.flush()
+        assert raw.getvalue().decode(encoding) == f"before\n{want}after\n"
 
 
 def instance_text(n, columns, directed):
