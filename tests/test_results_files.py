@@ -115,6 +115,15 @@ def exports(draw):
     return g, region, parent, cost, has_cost, tags
 
 
+#: an export whose leaf 3 is written unreached although an arc from a
+#: reached node enters it: only the region check can tell, since no
+#: parent arc and, without --fixpoint, no cost check involves it
+LEAF_UNREACHED = ("n 3 2 directed\n1 2 1\n1 3 1\n",
+                  op.build_graph(3, [(1, 2, 1), (1, 3, 1)], directed=True),
+                  [0, 1, 2, 0], [0, 0, 1, 0], [0, 0, 1, 0], [0, 1, 1, 0],
+                  None)
+
+
 def wrap_example():
     """Node 3 claims parent 2 at a cost that only a wrapped int64 sum
     INT64_MAX + 1 reaches; every other check passes."""
@@ -139,6 +148,7 @@ def overflow_example():
 @example(export=wrap_example(), fixpoint=False)
 @example(export=wrap_example(), fixpoint=True)
 @example(export=overflow_example(), fixpoint=True)
+@example(export=LEAF_UNREACHED[1:], fixpoint=False)
 def test_compiled_audit_is_clean_exactly_when_the_reference_is(export,
                                                                fixpoint):
     g, region, parent, cost, has_cost, tags = export
@@ -199,7 +209,7 @@ def test_verify_export_lane_rule(monkeypatch, triangle):
 
 #: the one field a drawn export may have tampered with
 TAMPERS = ["region+1", "region-1", "parent", "cost+1", "cost-1", "swap-tags",
-           "written-unreached", "extra-root"]
+           "unreached-row", "unreached-cost", "extra-root"]
 
 
 @st.composite
@@ -238,7 +248,11 @@ def instance_exports(draw):
     elif tamper == "swap-tags" and tags is not None:
         u = draw(st.integers(1, n))
         tags[u], tags[v] = tags[v], tags[u]
-    elif tamper == "written-unreached":
+    elif tamper == "unreached-row":  # "v 0 0 UNREACHED [0]"
+        region[v], parent[v], cost[v], has_cost[v] = 0, 0, 0, 0
+        if tags is not None:
+            tags[v] = 0
+    elif tamper == "unreached-cost":  # "v <region> <parent> UNREACHED"
         cost[v], has_cost[v] = 0, 0
     elif tamper == "extra-root":
         region[v], parent[v], cost[v], has_cost[v] = 1, 0, 0, 1
@@ -260,6 +274,7 @@ def instance_exports(draw):
 @given(case=instance_exports(), fixpoint=st.booleans())
 @example(case=("n 2 0 undirected", [0, 1, 0], [0, 0, 0], [0, 0, 1],
                [0, 1, 0], None), fixpoint=False)  # a header without '\n'
+@example(case=(LEAF_UNREACHED[0],) + LEAF_UNREACHED[2:], fixpoint=False)
 def test_both_audit_entry_points_are_clean_exactly_when_the_reference_is(
         case, fixpoint):
     text, *export, tags = case
