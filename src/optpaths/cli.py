@@ -35,8 +35,8 @@ from typing import TYPE_CHECKING, Optional
 
 from .fastlane import block_is_clean
 from .graph import (_INT, Graph, GraphError, InstanceFormatError,
-                    open_output, parse_header, read_instance_data,
-                    read_instance_file, write_instance)
+                    open_output, parse_header, read_arc_block,
+                    read_instance_data, read_instance_file, write_instance)
 from .partition import OptReport, export_results_file, read_results_file
 from .pipeline import ALGORITHMS, InvariantViolation, PipelineResult, run_pipeline
 
@@ -345,37 +345,26 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _certified_clean(args) -> bool:
-    """Whether the compiled audit certifies ``verify``'s export clean from
-    the instance's header and arc block, with no graph built.
-
-    False names no fault: the lane is unavailable, a check fails, or a
-    file is refused or cannot be read (missing, malformed, not UTF-8, or
-    declaring more nodes than fit in memory); :func:`cmd_verify` then reads
-    both files and audits them as it always has, which reports the
-    failures or raises the error that applies.
-    """
+def cmd_verify(args) -> int:
+    """Audit an export, reading each file once: the compiled audit
+    certifies a clean export from the instance's arc block, with no graph
+    built; any other export gets the reference audit, which names every
+    failure, on the graph of the bytes already read."""
+    data = read_instance_data(args.instance)
+    h = parse_header(data)
     try:
-        data = read_instance_data(args.instance)
-        h = parse_header(data)
         region, parent, cost, has_cost, tags = read_results_file(
             args.results, h.n)
-        return block_is_clean(data, h, region, parent, cost, has_cost,
-                              args.fixpoint, tags)
-    except (OSError, ValueError, MemoryError, OverflowError):
-        return False
-
-
-def cmd_verify(args) -> int:
-    if _certified_clean(args):
+    except Exception:
+        read_arc_block(data, h)  # a fault of the instance is named first
+        raise
+    if block_is_clean(data, h, region, parent, cost, has_cost,
+                      args.fixpoint, tags):
         print("OK")
         return EXIT_OK
     from .oracles import verify_export
-    g, _ = read_instance_file(args.instance)
-    region, parent, cost, has_cost, tags = read_results_file(args.results,
-                                                             g.n)
-    rep = verify_export(g, region, parent, cost, has_cost,
-                        fixpoint=args.fixpoint, tags=tags)
+    rep = verify_export(read_arc_block(data, h), region, parent, cost,
+                        has_cost, fixpoint=args.fixpoint, tags=tags)
     print(rep.summary())
     return EXIT_OK if rep.ok else EXIT_VERIFY
 

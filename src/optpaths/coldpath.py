@@ -11,10 +11,10 @@ audit runs, no compiler loads, or the kernels must first be compiled:
   without naming;
 - the reference lane's CSR check (:func:`check_csr`) and its retagging of
   multi-source runs (:func:`root_tags`), for :func:`pipeline.run_pipeline`;
-- the audits: :func:`check_tree`, :func:`check_reachability` and
-  :func:`check_fixpoint` (served as names of :mod:`oracles`), the debug
-  hook of ``run_pipeline(..., debug_invariants=True)``, and the reference
-  audit (:func:`audit_export`) behind :func:`oracles.verify_export`;
+- the audits: :func:`check_tree`, :func:`check_reachability`,
+  :func:`check_fixpoint` and the reference audit of an export,
+  :func:`verify_export` (all served as names of :mod:`oracles`), and the
+  debug hook of ``run_pipeline(..., debug_invariants=True)``;
 - the compile step of the kernels (:func:`build_kernels`).
 
 A command that the compiled lane answers therefore never compiles this
@@ -30,7 +30,8 @@ from array import array
 from typing import Callable, Iterable, Optional, Sequence
 
 from .graph import (_INT, INT64_MAX, UNSET, CostAlgebra, Graph, GraphError,
-                    InstanceFormatError, _allocate, _zeros, leaves, read_text)
+                    InstanceFormatError, _allocate, _zeros, leaves,
+                    min_plus_algebra, read_text)
 from .partition import UNREACHED, Regions, SolverState
 
 
@@ -438,13 +439,36 @@ def check_fixpoint(g: Graph, state: SolverState, algebra: CostAlgebra):
     return rep
 
 
-def audit_export(g: Graph, region: Sequence[int], parent: Sequence[int],
-                 cost: Sequence[int], has_cost: Sequence[int],
-                 algebra: CostAlgebra, fixpoint: bool,
-                 tags: Optional[Sequence[int]]):
-    """The reference audit of :func:`oracles.verify_export`, which names
-    every failure; a malformed CSR raises GraphError."""
+def verify_export(g: Graph, region: Sequence[int], parent: Sequence[int],
+                  cost: Sequence[int], has_cost: Sequence[int],
+                  algebra: Optional[CostAlgebra] = None,
+                  fixpoint: bool = False,
+                  tags: Optional[Sequence[int]] = None):
+    """Audit an exported result against its instance, under ``algebra``
+    (min-plus when None), and name every failure in a
+    :class:`oracles.VerificationReport`.
+
+    The columns are per-node lists or int64 arrays; ``has_cost[v]`` is 0
+    where the export says ``UNREACHED``.  Roots are the reached nodes
+    without a parent (the sources).  Checks:
+    every root costs ``algebra.zero``; without ``tags`` there is exactly
+    one root, since ``solve`` writes the tag column exactly when a run has
+    two or more sources, and with ``tags`` at least two; parent arcs exist
+    and are cost-consistent, parent chains reach a root, regions equal hop
+    layers recomputed by an independent breadth-first search from the
+    roots, and optionally that no arc can still improve.  With ``tags``,
+    every root must tag itself, every other reached node must carry its
+    parent's tag, and every unreached node must carry 0.  A malformed CSR
+    raises GraphError.
+
+    This is the reference audit.  The ``verify`` command runs it only on
+    an export that the compiled audit, :func:`fastlane.block_is_clean`,
+    does not certify; that audit checks the regions without a search, by
+    local conditions equivalent to the hop layers (see ``kernels.c``).
+    """
     from .oracles import VerificationReport, _bfs_levels
+    if algebra is None:
+        algebra = min_plus_algebra()
     check_csr(g)
     rep = VerificationReport()
     n = g.n

@@ -1,5 +1,5 @@
 """Compiled min-plus kernels behind :func:`optpaths.pipeline.run_pipeline`,
-the instance and results files, and :func:`optpaths.oracles.verify_export`.
+the instance and results files, and the ``verify`` command.
 
 The reference solvers in :mod:`partition`, :mod:`evolve` and :mod:`monarchy`
 are generic over the cost algebra and carry debug hooks; the kernels in
@@ -16,10 +16,9 @@ The other kernels certify or refuse.  :func:`build` assembles the CSR of
 int64 arc columns, :func:`read_graph` parses an instance's arc block and
 builds it, :func:`read_results` reads a results file, :func:`write_rows`
 writes the rows of either file, and :func:`draws` makes the generators'
-splitmix64 draws.  One audit core certifies an export that
-:func:`oracles.verify_export` would pass: :func:`export_is_clean` runs it
-over a graph's CSR, and :func:`block_is_clean` straight over the arc block
-of its instance, which ``verify`` reads with no graph built.  Each returns
+splitmix64 draws.  :func:`block_is_clean` certifies an export that
+:func:`oracles.verify_export` would pass, straight from the arc block of
+its instance, which ``verify`` reads with no graph built.  Each returns
 None or False wherever it cannot answer, and the Python code, the
 reference, decides.
 A graph keeps only its CSR arrays, so the arc columns a build reads are
@@ -36,13 +35,13 @@ load the cached object.  Without the compiler on the ``PATH`` no compile
 is tried; one that is there but fails is tried again in every process.
 
 Before a kernel walks a graph, one kernel pass checks its CSR and reads
-its largest weight: ``FastRun`` and :func:`export_is_clean`, and so
-``run_pipeline`` and ``verify_export``, raise :class:`GraphError` on a
-malformed one.  :func:`refusal` names the one reason, if any, that this
-lane cannot run a graph: no compiler, or a largest weight times ``n``
-past ``2**63 - 1`` (an int64 cost could wrap; the reference lane computes
-such instances exactly).  ``FastRun`` raises :class:`GraphError` with
-that reason; ``run_pipeline`` runs the reference lane instead.
+its largest weight: ``FastRun``, and so ``run_pipeline``, raises
+:class:`GraphError` on a malformed one.  :func:`refusal` names the one
+reason, if any, that this lane cannot run a graph: no compiler, or a
+largest weight times ``n`` past ``2**63 - 1`` (an int64 cost could wrap;
+the reference lane computes such instances exactly).  ``FastRun`` raises
+:class:`GraphError` with that reason; ``run_pipeline`` runs the reference
+lane instead.
 """
 
 from __future__ import annotations
@@ -76,7 +75,6 @@ _SIGNATURES = {
     "optpaths_draws": ([_U] * 3 + [_I, _I, _U, _P, _P], None),
     "optpaths_format": ([_I] * 4 + [_P] * 2, _I),
     "optpaths_read_results": ([ctypes.c_char_p, _I, _I] + [_P] * 6, _I),
-    "optpaths_audit": ([_I] + [_P] * 8 + [_I] + [_P] * 3, _I),
     "optpaths_audit_block": ([ctypes.c_char_p] + [_I] * 5 + [_P] * 5 + [_I]
                              + [_P] * 3, _I),
 }
@@ -313,45 +311,6 @@ def read_results(data: bytes, n: int):
     return region, parent, cost, has_cost, tags if width == 5 else None
 
 
-def _audit_args(n: int, region: Sequence[int], parent: Sequence[int],
-                cost: Sequence[int], has_cost: Sequence[int], fixpoint: bool,
-                tags: Optional[Sequence[int]]) -> Optional[tuple]:
-    """The audit core's arguments after the graph's, for an export of ``n``
-    nodes, and the int64 arrays they point to (the columns and zero-filled
-    scratch), which must outlive the call; None if a value is no int64 or a
-    column does not hold ``n + 1`` entries."""
-    cols = [_int64s(c) for c in (region, parent, cost, has_cost)
-            + (() if tags is None else (tags,))]
-    if any(c is None or len(c) != n + 1 for c in cols):
-        return None
-    scratch = [_zeros(n + 1) for _ in range(3)]  # found, color, low
-    tag_ptr = None if tags is None else _ptr(cols[4])
-    return ([*map(_ptr, cols[:4]), tag_ptr, int(fixpoint),
-             *map(_ptr, scratch)], cols + scratch)
-
-
-def export_is_clean(g: Graph, region: Sequence[int], parent: Sequence[int],
-                    cost: Sequence[int], has_cost: Sequence[int],
-                    fixpoint: bool, tags: Optional[Sequence[int]]) -> bool:
-    """Whether the compiled audit certifies a results export as clean.
-
-    True means :func:`oracles.verify_export` under min-plus would report no
-    failure.  False names no fault: some check fails, a value is no
-    int64, or the lane is unavailable; the caller then runs the reference
-    audit.  int64 arrays go to the kernel as they are.  A malformed CSR
-    raises GraphError.
-    """
-    lib = _lane()[0]
-    if lib is None:
-        return False
-    _check_csr(lib, g)
-    audit = _audit_args(g.n, region, parent, cost, has_cost, fixpoint, tags)
-    if audit is None:
-        return False
-    return lib.optpaths_audit(g.n, _ptr(g.fwd_ptr), _ptr(g.fwd_dst),
-                              _ptr(g.fwd_w), *audit[0]) == 0
-
-
 def block_is_clean(data: bytes, h: InstanceHeader, region: Sequence[int],
                    parent: Sequence[int], cost: Sequence[int],
                    has_cost: Sequence[int], fixpoint: bool,
@@ -362,18 +321,25 @@ def block_is_clean(data: bytes, h: InstanceHeader, region: Sequence[int],
     ``data`` is the instance and ``h`` its header
     (:func:`graph.parse_header`).  True means that the compiled reader
     accepts the arc block, ``data[h.body_start:]``, and that
-    :func:`export_is_clean` holds on the graph it reads.  False names no
-    fault, as there.
+    :func:`oracles.verify_export` under min-plus would report no failure
+    on the graph it reads.  False names no fault: some check fails, the
+    reader refuses the block, a value is no int64, a column does not hold
+    ``h.n + 1`` entries, or the lane is unavailable; the caller then runs
+    the reference audit.  int64 arrays go to the kernel as they are.
     """
     lib = _lane()[0]
     if lib is None or h.n < 1:
         return False
-    audit = _audit_args(h.n, region, parent, cost, has_cost, fixpoint, tags)
-    if audit is None:
+    cols = [_int64s(c) for c in (region, parent, cost, has_cost)
+            + (() if tags is None else (tags,))]
+    if any(c is None or len(c) != h.n + 1 for c in cols):
         return False
-    return lib.optpaths_audit_block(data, h.body_start, len(data), h.n,
-                                    h.arc_count, int(h.directed),
-                                    *audit[0]) == 0
+    found, color, low = (_zeros(h.n + 1) for _ in range(3))
+    tag_ptr = None if tags is None else _ptr(cols[4])
+    return lib.optpaths_audit_block(
+        data, h.body_start, len(data), h.n, h.arc_count, int(h.directed),
+        *map(_ptr, cols[:4]), tag_ptr, int(fixpoint),
+        *map(_ptr, (found, color, low))) == 0
 
 
 def _check_csr(lib: ctypes.CDLL, g: Graph) -> int:

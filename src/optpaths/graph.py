@@ -310,15 +310,22 @@ def read_instance(src) -> tuple[Graph, list[str]]:
         text = data[h.body_start:].decode("utf-8", "surrogatepass")
         comments += _COMMENT.findall(text)
     del text
+    return read_arc_block(data, h), [c.strip() for c in comments]
+
+
+def read_arc_block(data: bytes, h: InstanceHeader) -> Graph:
+    """The graph of the arc block of the instance ``data``, whose header is
+    ``h`` (:func:`parse_header`): read by the compiled reader when it can,
+    and otherwise by the reference reader, which gives the same graph or
+    names the fault."""
     from .fastlane import read_graph  # fastlane imports this module
 
     g = read_graph(data, h)
     if g is None:
         from .coldpath import scan_arc_block
         body = data[h.body_start:].decode("utf-8", "surrogatepass")
-        del data
         g = scan_arc_block(body, h.lineno + 1, h.n, h.arc_count, h.directed)
-    return g, [c.strip() for c in comments]
+    return g
 
 
 def read_instance_file(path: str) -> tuple[Graph, list[str]]:

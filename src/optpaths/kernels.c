@@ -22,11 +22,11 @@
  * fully accepts (the reference is coldpath.build_reference);
  * optpaths_read parses an arc block it fully accepts and builds it
  * (coldpath.scan_arc_block plus graph.build_graph); optpaths_read_results
- * reads a results file (coldpath.scan_results); and one audit core answers
- * whether oracles.verify_export would find no failure in a results
- * export, over a graph's CSR (optpaths_audit) or straight over the arc
- * block of its instance, with no graph built (optpaths_audit_block).  One
- * arc-line scanner, next_arc, reads every arc block.  Differential tests
+ * reads a results file (coldpath.scan_results); and one audit,
+ * optpaths_audit_block, answers whether oracles.verify_export would find
+ * no failure in a results export, straight over the arc block of its
+ * instance, with no graph built.  One arc-line scanner, next_arc, reads
+ * every arc block.  Differential tests
  * (tests/test_graph.py, tests/test_instance_parser.py and
  * tests/test_results_files.py) certify that each agrees with its reference
  * wherever it accepts.  optpaths_format writes the rows of both file
@@ -606,13 +606,11 @@ int64_t optpaths_read_results(const char *s, int64_t len, int64_t n,
 
 /* -- the audit core ----------------------------------------------------------
  *
- * optpaths_audit and optpaths_audit_block answer one question about a
- * results export: would oracles.verify_export, under min-plus, report no
- * failure?  They return 0 if so and 1 otherwise, without saying why; the
- * caller then runs the reference audit, which names every failure.  Both
- * entry points feed every arc u -> v of weight w to audit_arc, in any order,
- * and then run audit_nodes once; they differ only in where the arcs come
- * from.
+ * optpaths_audit_block answers one question about a results export: would
+ * oracles.verify_export, under min-plus, report no failure?  It returns 0
+ * if so and 1 otherwise, without saying why; the caller then runs the
+ * reference audit, which names every failure.  It feeds every arc u -> v
+ * of weight w to audit_arc, in any order, and then runs audit_nodes once.
  *
  * The checks are the reference's: parents in 0..n; a root is a reached
  * node (region not 0) without a parent, there is exactly one root without
@@ -732,32 +730,13 @@ static int audit_nodes(const struct export *x)
     return 0;
 }
 
-/* The audit core's CSR entry point: audits an export against the forward CSR of
- * its graph.  region, parent, cost and has_cost hold n + 1 entries, and
- * has_cost[v] is 0 where the export says UNREACHED; tags is NULL for an
- * export without the tag column; found, color and low are zero-filled
- * scratch of n + 1 entries. */
-int64_t optpaths_audit(int64_t n, const int64_t *fptr, const int64_t *fdst,
-                       const int64_t *fw, const int64_t *region,
-                       const int64_t *parent, const int64_t *cost,
-                       const int64_t *has_cost, const int64_t *tags,
-                       int64_t fixpoint, int64_t *found, int64_t *color,
-                       int64_t *low)
-{
-    struct export x = {n, fixpoint, region, parent, cost, has_cost, tags,
-                       found, color, low};
-    for (int64_t u = 1; u <= n; u++)
-        for (int64_t k = fptr[u]; k < fptr[u + 1]; k++)
-            if (audit_arc(&x, u, fdst[k], fw[k]))
-                return 1;
-    return audit_nodes(&x);
-}
-
-/* The audit core's arc-block entry point: audits an export against the arc
- * block of its instance, s[start..len), as optpaths_read reads it, without
- * building a graph; an undirected arc is audited in both directions.  It
- * refuses whatever optpaths_read refuses.  The other arguments are those
- * of optpaths_audit. */
+/* The audit core's entry point: audits an export against the arc block of
+ * its instance, s[start..len), as optpaths_read reads it, without building
+ * a graph; an undirected arc is audited in both directions.  It refuses
+ * whatever optpaths_read refuses.  region, parent, cost and has_cost hold
+ * n + 1 entries, and has_cost[v] is 0 where the export says UNREACHED;
+ * tags is NULL for an export without the tag column; found, color and low
+ * are zero-filled scratch of n + 1 entries. */
 int64_t optpaths_audit_block(const char *s, int64_t start, int64_t len,
                              int64_t n, int64_t k, int64_t directed,
                              const int64_t *region, const int64_t *parent,

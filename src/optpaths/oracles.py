@@ -9,24 +9,21 @@ themselves.  The ``check_*`` audits verify tree shape, reachability and the
 no-improving-arc fixpoint condition directly on a solver state, and
 ``verify_export`` audits an exported result with the same core; all honour
 the cost algebra and collect every failure rather than stopping at the first.
-``verify_export`` without an algebra first asks the compiled audit of
-:mod:`fastlane` whether the export is clean, and runs the reference audit
-only when it is not (or cannot say).  The audits themselves are in
-:mod:`coldpath`, which loads on the first reference audit; ``check_tree``,
-``check_reachability`` and ``check_fixpoint`` stay names of this module.
+The audits themselves are in :mod:`coldpath`, which loads on the first of
+them; ``check_tree``, ``check_reachability``, ``check_fixpoint`` and
+``verify_export`` stay names of this module.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
-from . import fastlane
-from .graph import (UNSET, CostAlgebra, Graph, NodeId, in_neighbors, leaves,
-                    min_plus_algebra)
+from .graph import UNSET, CostAlgebra, Graph, NodeId, in_neighbors, leaves
 
-#: the audits of a solver state, defined in :mod:`coldpath`
-_AUDITS = ("check_tree", "check_reachability", "check_fixpoint")
+#: the audits of a solver state and of an export, defined in :mod:`coldpath`
+_AUDITS = ("check_tree", "check_reachability", "check_fixpoint",
+           "verify_export")
 
 
 def __getattr__(name: str):
@@ -203,44 +200,3 @@ def brute_force_oracle(g: Graph, source: NodeId,
 
     walk(source, algebra.zero)
     return OracleResult(dist, parent)
-
-
-def verify_export(g: Graph, region: Sequence[int], parent: Sequence[int],
-                  cost: Sequence[int], has_cost: Sequence[int],
-                  algebra: Optional[CostAlgebra] = None,
-                  fixpoint: bool = False,
-                  tags: Optional[Sequence[int]] = None) -> VerificationReport:
-    """Audit an exported result against its instance.
-
-    The columns are per-node lists or int64 arrays; ``has_cost[v]`` is 0
-    where the export says ``UNREACHED``.  Roots are the reached nodes
-    without a parent (the sources).  Checks:
-    every root costs ``algebra.zero``; without ``tags`` there is exactly
-    one root, since ``solve`` writes the tag column exactly when a run has
-    two or more sources, and with ``tags`` at least two; parent arcs exist
-    and are cost-consistent, parent chains reach a root, regions equal hop
-    layers recomputed by an independent breadth-first search from the
-    roots, and optionally that no arc can still improve.  With ``tags``,
-    every root must tag itself, every other reached node must carry its
-    parent's tag, and every unreached node must carry 0.
-
-    The lane follows ``run_pipeline``'s rule: with no ``algebra``, the
-    compiled audit (:func:`fastlane.export_is_clean`) runs first when the
-    lane loads, and an export it certifies gets an empty report at once;
-    anything else, and any explicit algebra, gets the reference audit
-    (:func:`coldpath.audit_export`) under min-plus or that algebra, which
-    names every failure; either raises GraphError on a malformed CSR.  The
-    compiled audit checks the regions without a search, by local
-    conditions equivalent to the hop layers (see ``kernels.c``).  The
-    ``verify`` command calls this only for an export that the same
-    compiled audit, run over the instance's arc block
-    (:func:`fastlane.block_is_clean`), does not certify.
-    """
-    if algebra is None:
-        if fastlane.export_is_clean(g, region, parent, cost, has_cost,
-                                    fixpoint, tags):
-            return VerificationReport()
-        algebra = min_plus_algebra()
-    from .coldpath import audit_export
-    return audit_export(g, region, parent, cost, has_cost, algebra, fixpoint,
-                        tags)

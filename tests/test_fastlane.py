@@ -13,6 +13,7 @@ import subprocess
 import sys
 import threading
 from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -364,6 +365,11 @@ def test_signatures_match_the_kernel_source():
             fastlane._SOURCE.read_text())}
     assert kernels == {name: (list(argtypes), restype) for name,
                        (argtypes, restype) in fastlane._SIGNATURES.items()}
+    # and every kernel has a caller: a dead one fails here.  Two are
+    # handed to functools.partial, so a use is any ``lib.<name>``.
+    used = set(re.findall(r"lib\.(optpaths_\w+)",
+                          Path(fastlane.__file__).read_text()))
+    assert set(kernels) <= used
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")

@@ -11,12 +11,12 @@ which stays the reference and names every fault:
   arrays must hold the reference's lists, and
   ``partition.read_results_file`` must give the same values or the same
   message;
-- the audit (``fastlane.export_is_clean``) against the reference
-  ``verify_export``: on solved exports, clean and with one mutation each,
-  it must answer "clean" exactly when the reference reports no failure;
-  and both entry points of the audit core, over the CSR and over the arc
-  block (``fastlane.block_is_clean``), against ``coldpath.audit_export``,
-  with ``verify`` on every form of an instance printing what it always has.
+- the audit (``fastlane.block_is_clean``), over the arc block of an
+  instance, against the reference ``verify_export``: on solved exports,
+  clean and with one mutation each, and on instances with every form of
+  arc line, it must answer "clean" exactly when the reference reports no
+  failure; ``verify`` on every form of an instance prints what it always
+  has, and reads each file once.
 
 The reader and the audit certify and refuse; they are not line-for-line
 copies of the reference, and these tests are what certify them.
@@ -52,11 +52,20 @@ MUTATIONS = ["cost+1", "cost-1", "parent", "region", "tag", "unreached",
              "2-cycle", "root-cost", "near-max", "extra-root", "width"]
 
 
+def instance(n, arcs, directed):
+    """The text of the instance of ``arcs``, as ``graph.write_instance``
+    writes it, and its graph."""
+    buf = io.StringIO()
+    op.write_instance(n, *(list(zip(*arcs)) or [(), (), ()]), directed, buf)
+    return buf.getvalue(), op.build_graph(n, arcs, directed=directed)
+
+
 @st.composite
 def exports(draw):
-    """A solved export of a small multigraph from 1..3 sources, as lists
-    (cost 0 and has_cost 0 where unreached), clean or with one mutation; a
-    third of the graphs have arc weights near 2**63 - 1."""
+    """The text of a small multigraph's instance, its graph and a solved
+    export of it from 1..3 sources, as lists (cost 0 and has_cost 0 where
+    unreached), clean or with one mutation; a third of the graphs have arc
+    weights near 2**63 - 1."""
     n = draw(st.integers(1, 9))
     directed = draw(st.booleans())
     weight = (st.sampled_from([0, 1, 3, INT64_MAX - 1, INT64_MAX])
@@ -67,7 +76,7 @@ def exports(draw):
             lambda p: p[0] != p[1])
         arcs = [(u, v, draw(weight))
                 for u, v in draw(st.lists(pairs, max_size=3 * n))]
-    g = op.build_graph(n, arcs, directed=directed)
+    text, g = instance(n, arcs, directed)
     sources = draw(st.lists(st.integers(1, n), min_size=1, max_size=3))
     algo = draw(st.sampled_from(["hda", "ht"]))
     # the reference lane keeps exact costs, even past int64
@@ -112,34 +121,39 @@ def exports(draw):
         tags = (None if tags is not None
                 else [0] + [roots[0] if region[u] else 0
                             for u in range(1, n + 1)])
-    return g, region, parent, cost, has_cost, tags
+    return text, g, region, parent, cost, has_cost, tags
 
 
 #: an export whose leaf 3 is written unreached although an arc from a
 #: reached node enters it: only the region check can tell, since no
 #: parent arc and, without --fixpoint, no cost check involves it
-LEAF_UNREACHED = ("n 3 2 directed\n1 2 1\n1 3 1\n",
-                  op.build_graph(3, [(1, 2, 1), (1, 3, 1)], directed=True),
+LEAF_UNREACHED = (*instance(3, [(1, 2, 1), (1, 3, 1)], True),
                   [0, 1, 2, 0], [0, 0, 1, 0], [0, 0, 1, 0], [0, 1, 1, 0],
                   None)
+
+#: a directed graph with an arc of weight INT64_MAX into node 2
+OVERFLOW_INSTANCE = instance(3, [(1, 2, INT64_MAX), (2, 3, 1), (1, 3, 5)],
+                             True)
 
 
 def wrap_example():
     """Node 3 claims parent 2 at a cost that only a wrapped int64 sum
     INT64_MAX + 1 reaches; every other check passes."""
-    g = op.build_graph(3, [(1, 2, INT64_MAX), (2, 3, 1), (1, 3, 5)],
-                       directed=True)
-    return (g, [0, 1, 2, 2], [0, 0, 1, 2], [0, 0, INT64_MAX, INT64_MIN],
-            [0, 1, 1, 1], None)
+    return (*OVERFLOW_INSTANCE, [0, 1, 2, 2], [0, 0, 1, 2],
+            [0, 0, INT64_MAX, INT64_MIN], [0, 1, 1, 1], None)
 
 
 def overflow_example():
     """A clean export in which the arc (2, 3) sums past INT64_MAX: the sum
     must neither match cost[3] nor improve it."""
-    g = op.build_graph(3, [(1, 2, INT64_MAX), (2, 3, 1), (1, 3, 5)],
-                       directed=True)
-    return (g, [0, 1, 2, 2], [0, 0, 1, 1], [0, 0, INT64_MAX, 5],
-            [0, 1, 1, 1], None)
+    return (*OVERFLOW_INSTANCE, [0, 1, 2, 2], [0, 0, 1, 1],
+            [0, 0, INT64_MAX, 5], [0, 1, 1, 1], None)
+
+
+def block_audit(text, *export):
+    """``fastlane.block_is_clean`` on the instance ``text``."""
+    data = text.encode()
+    return fastlane.block_is_clean(data, parse_header(data), *export)
 
 
 @needs_lane
@@ -148,16 +162,15 @@ def overflow_example():
 @example(export=wrap_example(), fixpoint=False)
 @example(export=wrap_example(), fixpoint=True)
 @example(export=overflow_example(), fixpoint=True)
-@example(export=LEAF_UNREACHED[1:], fixpoint=False)
+@example(export=LEAF_UNREACHED, fixpoint=False)
 def test_compiled_audit_is_clean_exactly_when_the_reference_is(export,
                                                                fixpoint):
-    g, region, parent, cost, has_cost, tags = export
+    text, g, region, parent, cost, has_cost, tags = export
     ref = op.verify_export(g, region, parent, cost, has_cost,
                            op.min_plus_algebra(), fixpoint=fixpoint, tags=tags)
-    clean = fastlane.export_is_clean(g, region, parent, cost, has_cost,
-                                     fixpoint, tags)
+    clean = block_audit(text, region, parent, cost, has_cost, fixpoint, tags)
     assert clean == (ref.ok and fits_int64(region, parent, cost, tags))
-    # without an algebra the report is the same, whichever lane wrote it
+    # without an algebra the audit is the min-plus one
     rep = op.verify_export(g, region, parent, cost, has_cost,
                            fixpoint=fixpoint, tags=tags)
     assert rep.failures == ref.failures
@@ -165,9 +178,9 @@ def test_compiled_audit_is_clean_exactly_when_the_reference_is(export,
 
 def test_the_overflow_examples_are_what_they_claim():
     alg = op.min_plus_algebra()
-    *export, tags = overflow_example()
+    _, *export, tags = overflow_example()
     assert op.verify_export(*export, alg, fixpoint=True, tags=tags).ok
-    *export, tags = wrap_example()
+    _, *export, tags = wrap_example()
     rep = op.verify_export(*export, alg, fixpoint=True, tags=tags)
     assert [check for check, *_ in rep.failures] == ["parent-arc"]
 
@@ -176,36 +189,21 @@ def test_the_overflow_examples_are_what_they_claim():
 @pytest.mark.parametrize("algo", ["hda", "ht"])
 @pytest.mark.parametrize("sources", [[1], [1, 17], [3, 30, 50]])
 def test_compiled_audit_certifies_solved_exports(algo, sources):
-    g = op.gen_random_graph(60, 240, 0, 9, seed=len(sources), directed=True)
+    arcs = list(zip(*op.random_columns(60, 240, 0, 9, seed=len(sources))))
+    text, g = instance(60, arcs, True)
     res = op.run_pipeline(g, sources, algo)
     has_cost = [res.state.labeled(v) for v in range(g.n + 1)]
-    export = (g, res.regions.region_of, res.state.parent, res.state.cost,
+    export = (res.regions.region_of, res.state.parent, res.state.cost,
               has_cost)
     tags = res.state.tags
-    assert fastlane.export_is_clean(*export, False, tags)
-    at_fixpoint = op.verify_export(*export, op.min_plus_algebra(),
+    assert block_audit(text, *export, False, tags)
+    at_fixpoint = op.verify_export(g, *export, op.min_plus_algebra(),
                                    fixpoint=True, tags=tags).ok
     assert at_fixpoint or algo == "hda"
-    assert fastlane.export_is_clean(*export, True, tags) == at_fixpoint
+    assert block_audit(text, *export, True, tags) == at_fixpoint
 
 
-@needs_lane
-def test_verify_export_lane_rule(monkeypatch, triangle):
-    res = op.run_pipeline(triangle, [1], "ht")
-    export = (triangle, res.regions.region_of, res.state.parent,
-              res.state.cost, [0, 1, 1, 1])
-
-    def reference_audit(*args, **kwargs):
-        raise AssertionError("the reference audit ran")
-
-    monkeypatch.setattr(coldpath, "_arc_pass", reference_audit)
-    assert op.verify_export(*export, fixpoint=True).ok
-    # an explicit algebra, min-plus included, gets the reference audit
-    with pytest.raises(AssertionError, match="reference audit ran"):
-        op.verify_export(*export, op.min_plus_algebra(), fixpoint=True)
-
-
-# -- the audit core's two entry points -----------------------------------------
+# -- the audit over every form of an arc block ------------------------------
 
 #: the one field a drawn export may have tampered with
 TAMPERS = ["region+1", "region-1", "parent", "cost+1", "cost-1", "swap-tags",
@@ -275,22 +273,30 @@ def instance_exports(draw):
 @example(case=("n 2 0 undirected", [0, 1, 0], [0, 0, 0], [0, 0, 1],
                [0, 1, 0], None), fixpoint=False)  # a header without '\n'
 @example(case=(LEAF_UNREACHED[0],) + LEAF_UNREACHED[2:], fixpoint=False)
-def test_both_audit_entry_points_are_clean_exactly_when_the_reference_is(
-        case, fixpoint):
+def test_block_audit_agrees_with_the_reference_on_every_line_form(case,
+                                                                  fixpoint):
     text, *export, tags = case
     g, _ = op.read_instance(io.StringIO(text))
-    ref = coldpath.audit_export(g, *export, op.min_plus_algebra(), fixpoint,
-                                tags)
-    want = ref.ok and fits_int64(*export, tags)
-    assert fastlane.export_is_clean(g, *export, fixpoint, tags) == want
-    data = text.encode()
-    assert fastlane.block_is_clean(data, parse_header(data), *export,
-                                   fixpoint, tags) == want
+    ref = op.verify_export(g, *export, op.min_plus_algebra(), fixpoint, tags)
+    assert block_audit(text, *export, fixpoint, tags) == (
+        ref.ok and fits_int64(*export, tags))
 
+
+#: the triangle's export, "1 1 0 0\n2 2 3 2\n3 2 1 1\n", with node 2's
+#: cost raised to 3
+RAISED_COST = "1 1 0 0\n2 2 3 3\n3 2 1 1\n"
+#: what ``verify`` prints for RAISED_COST on the directed triangle
+RAISED_COST_FAILURES = (
+    "2 failure(s):\n"
+    "  [parent-arc] node 2: expected arc (3,2) with weight 3-1, got "
+    "absent\n"
+    "  [fixpoint] arc (3,2,1): expected cost[2] <= 2, got 3\n")
 
 #: the triangle's instance in forms that ``verify`` reads, each with what
-#: it prints for the triangle's export: stream refusals name the fault as
-#: the full reader always has
+#: it prints for the triangle's export, or for the results text given
+#: fifth (None: no results file; ``<res>`` in stderr stands for its path):
+#: stream refusals name the fault as the full reader always has, and a
+#: fault of the instance is named before one of the results
 TRIANGLE_FORMS = {
     "comments-in-block": (b"# top\nn 3 3 directed\n1 2 10\n  # mid\n"
                           b"1 3 1\n\n3 2 1\n# end", 0, "OK\n", ""),
@@ -322,6 +328,27 @@ TRIANGLE_FORMS = {
         "absent\n"
         "  [region] node 2: expected 0, got 2\n"
         "  [region] node 3: expected 0, got 2\n", ""),
+    "self-loop-no-results": (b"n 3 3 directed\n1 2 10\n1 3 1\n3 3 1\n", 1,
+                             "", "optpaths: error: arc 2 (3,3): self-loop\n",
+                             None),
+    "no-results": (b"n 3 3 directed\n1 2 10\n1 3 1\n3 2 1\n", 1, "",
+                   "optpaths: error: [Errno 2] No such file or directory: "
+                   "'<res>'\n", None),
+    "non-integer-results": (b"n 3 3 directed\n1 2 10\n1 3 1\n3 2 1\n", 1,
+                            "", "optpaths: error: line 2: non-integer "
+                            "field\n", "1 1 0 0\n2 2 x 2\n3 2 1 1\n"),
+    "huge-node-count": (b"n 100000000000000000000 0 directed\n", 1, "",
+                        "optpaths: error: node count 100000000000000000000 "
+                        "is too large to allocate\n"),
+    # separators that only the reference reader takes: the compiled audit
+    # refuses the block and the reference audit decides
+    "nbsp": ("n 3 3 directed\n1 2 10\n1\u00a03 1\n3 2 1\n".encode(), 0,
+             "OK\n", ""),
+    "vertical-tab": (b"n 3 3 directed\n1 2 10\n1\x0b3 1\n3 2 1\n", 0,
+                     "OK\n", ""),
+    "nbsp-raised-cost": (
+        "n 3 3 directed\n1 2 10\n1\u00a03 1\n3 2 1\n".encode(), 2,
+        RAISED_COST_FAILURES, "", RAISED_COST),
 }
 
 
@@ -333,13 +360,41 @@ def test_verify_reads_every_form_of_an_instance_as_before(
         request.getfixturevalue("broken_compiler")()
     elif not fastlane.available():
         pytest.skip("no C compiler")
-    data, code, out, err = TRIANGLE_FORMS[form]
+    data, code, out, err, *results = TRIANGLE_FORMS[form]
+    results = results[0] if results else "1 1 0 0\n2 2 3 2\n3 2 1 1\n"
+    res = tmp_path / "tri.res"
     (tmp_path / "tri.txt").write_bytes(data)
-    (tmp_path / "tri.res").write_text("1 1 0 0\n2 2 3 2\n3 2 1 1\n")
+    if results is not None:
+        res.write_text(results)
+    argv = ["verify", "--instance", str(tmp_path / "tri.txt"),
+            "--results", str(res), "--fixpoint"]
+    assert cli.main(argv) == code
+    assert capsys.readouterr() == (out, err.replace("<res>", str(res)))
+
+
+@needs_lane
+def test_a_failing_verify_reads_each_file_once(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def spy(name):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, call)
+
+    for name in ("read_instance_data", "read_instance_file",
+                 "read_results_file", "block_is_clean"):
+        spy(name)
+    (tmp_path / "tri.txt").write_text(
+        "n 3 3 directed\n1 2 10\n1 3 1\n3 2 1\n")
+    (tmp_path / "tri.res").write_text(RAISED_COST)
     argv = ["verify", "--instance", str(tmp_path / "tri.txt"),
             "--results", str(tmp_path / "tri.res"), "--fixpoint"]
-    assert cli.main(argv) == code
-    assert capsys.readouterr() == (out, err)
+    assert cli.main(argv) == cli.EXIT_VERIFY
+    assert capsys.readouterr() == (RAISED_COST_FAILURES, "")
+    assert calls == ["read_instance_data", "read_results_file",
+                     "block_is_clean"]
 
 
 # -- the results reader ---------------------------------------------------------
