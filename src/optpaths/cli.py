@@ -7,7 +7,8 @@ correctness contract; the raw counters are.  No command picks a lane:
 one otherwise, and both print the same rows and write the same results.
 Every ``--out`` file is written through :func:`optpaths.graph.open_output`,
 so a failed command leaves an earlier file in place; ``gen``, ``compare``
-and ``bench`` take ``-`` for stdout.
+and ``bench`` take ``-`` for stdout, whose binary buffer then gets the
+same bytes as a file.
 
 One option table, :data:`OPTIONS`, describes every command line.  A line
 that the table alone settles -- each option at most once, by its full
@@ -35,8 +36,8 @@ from typing import TYPE_CHECKING, Optional
 
 from .fastlane import block_is_clean
 from .graph import (_INT, Graph, GraphError, InstanceFormatError,
-                    open_output, parse_header, read_arc_block,
-                    read_instance_data, read_instance_file, write_instance)
+                    open_output, parse_header, read_arc_block, read_data,
+                    read_instance_file, write_instance)
 from .partition import OptReport, export_results_file, read_results_file
 from .pipeline import ALGORITHMS, InvariantViolation, PipelineResult, run_pipeline
 
@@ -300,9 +301,11 @@ def build_parser():
 
 
 def _open_out(path: str):
-    """``open_output(path)``, or stdout for ``-``."""
+    """``open_output(path)``, or for ``-`` the binary buffer of stdout,
+    once the text written to stdout before is flushed."""
     if path == "-":
-        return contextlib.nullcontext(sys.stdout)
+        sys.stdout.flush()
+        return contextlib.nullcontext(sys.stdout.buffer)
     return open_output(path)
 
 
@@ -350,7 +353,7 @@ def cmd_verify(args) -> int:
     certifies a clean export from the instance's arc block, with no graph
     built; any other export gets the reference audit, which names every
     failure, on the graph of the bytes already read."""
-    data = read_instance_data(args.instance)
+    data = read_data(args.instance)
     h = parse_header(data)
     try:
         region, parent, cost, has_cost, tags = read_results_file(
@@ -384,7 +387,8 @@ def cmd_compare(args) -> int:
     agree = all(costs[a] == base for a in algos[1:])
     lines.append("all agree" if agree else "DISAGREEMENT between optimizers")
     with _open_out(args.out) as out:
-        out.write("\n".join(lines) + "\n")
+        # a CSV row's instance column is a path: its bytes go back as given
+        out.write(("\n".join(lines) + "\n").encode(errors="surrogateescape"))
     return EXIT_OK if agree else EXIT_VERIFY
 
 
@@ -392,13 +396,13 @@ def cmd_bench(args) -> int:
     from .generators import gen_grid, shape_sweep_specs
     specs = shape_sweep_specs(args.n_total, args.kc, seed=args.seed)
     with _open_out(args.out) as out:
-        out.write(",".join(CSV_COLUMNS) + "\n")
+        out.write((",".join(CSV_COLUMNS) + "\n").encode())
         for spec in specs:
             g, source, _ = gen_grid(spec)
             name = f"grid-{spec.k_r}x{spec.k_c}-hzp"
             for algo in args.algos:
                 res = run_pipeline(g, [source], algo)
-                out.write(csv_row(name, g, res, spec) + "\n")
+                out.write((csv_row(name, g, res, spec) + "\n").encode())
     return EXIT_OK
 
 

@@ -8,7 +8,8 @@ audit runs, no compiler loads, or the kernels must first be compiled:
   :func:`graph.graph_from_columns`, and the reference readers of instance
   arc blocks (:func:`scan_arc_block`) and results files
   (:func:`scan_results`), which name the first fault the kernels refuse
-  without naming;
+  without naming; they read the decoded text of bytes already read, and
+  open no file;
 - the reference lane's CSR check (:func:`check_csr`) and its retagging of
   multi-source runs (:func:`root_tags`), for :func:`pipeline.run_pipeline`;
 - the audits: :func:`check_tree`, :func:`check_reachability`,
@@ -31,7 +32,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .graph import (_INT, INT64_MAX, UNSET, CostAlgebra, Graph, GraphError,
                     InstanceFormatError, _allocate, _zeros, leaves,
-                    min_plus_algebra, read_text)
+                    min_plus_algebra)
 from .partition import UNREACHED, Regions, SolverState
 
 
@@ -160,9 +161,10 @@ def scan_arc_block(body: str, first_lineno: int, n: int, arc_count: int,
         raise InstanceFormatError(str(exc)) from exc
 
 
-def scan_results(path: str, n: int):
-    """The reference reader of :func:`partition.read_results_file`; the
-    first fault raises an InstanceFormatError naming its line."""
+def scan_results(text: str, n: int):
+    """The reference reader of :func:`partition.read_results_file`, over the
+    decoded ``text`` of a results file; the first fault raises an
+    InstanceFormatError naming its line."""
     region = [0] * (n + 1)
     parent = [0] * (n + 1)
     cost = [0] * (n + 1)
@@ -170,8 +172,6 @@ def scan_results(path: str, n: int):
     tags = [0] * (n + 1)
     seen = [False] * (n + 1)
     width = None
-    with open(path, encoding="utf-8") as fh:
-        text = read_text(fh)
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -15,13 +15,14 @@ from solve to export.
 The other kernels certify or refuse.  :func:`build` assembles the CSR of
 int64 arc columns, :func:`read_graph` parses an instance's arc block and
 builds it, :func:`read_results` reads a results file, :func:`write_rows`
-writes the rows of either file, and :func:`draws` makes the generators'
-splitmix64 draws.  :func:`block_is_clean` certifies an export that
-:func:`oracles.verify_export` would pass, straight from the arc block of
-its instance, which ``verify`` reads with no graph built.  Each returns
-None or False wherever it cannot answer, and the Python code, the
-reference, decides.
-A graph keeps only its CSR arrays, so the arc columns a build reads are
+writes the rows of either file to a binary file, and :func:`draws` makes
+the generators' splitmix64 draws.  :func:`block_is_clean` certifies an
+export that :func:`oracles.verify_export` would pass, straight from the
+arc block of its instance, which ``verify`` reads with no graph built.
+The readers and the audit take a file's bytes as
+:func:`graph.text_mode_bytes` leaves them, so no ``\r`` reaches a kernel.
+Each returns None or False wherever it cannot answer, and the Python code,
+the reference, decides.  A graph keeps only its CSR arrays, so the arc columns a build reads are
 freed once it returns.
 
 This module needs only the standard library plus, optionally, a C
@@ -220,37 +221,20 @@ def _int64s(values: Sequence[int]) -> Optional[array]:
 _FIELD_BYTES = 21
 #: the bytes of rows that one call of the formatter writes at most
 _CHUNK_BYTES = 1 << 18
-#: every character of a row; a sink whose encoding writes them as ASCII
-#: takes the rows as bytes
-_ROW_CHARS = "0123456789 -\nUNREACHED"
-
-
-def _byte_sink(out):
-    """The binary buffer under the text stream ``out``, or None if it has
-    none or its encoding does not write the characters of a row as ASCII."""
-    sink, encoding = (getattr(out, a, None) for a in ("buffer", "encoding"))
-    try:
-        ascii_rows = (_ROW_CHARS.encode(encoding)
-                      == _ROW_CHARS.encode("ascii"))
-    except (LookupError, TypeError):
-        return None
-    return sink if ascii_rows else None
 
 
 def write_rows(out, columns: Sequence[Sequence[int]],
                results: bool = False) -> bool:
-    """Write the rows of equally long integer ``columns`` to the text stream
-    ``out``; False, with nothing written, when the lane is unavailable or a
-    value is no int64, and the caller then formats the rows itself.
+    """Write the rows of equally long integer ``columns`` to the binary
+    file ``out``; False, with nothing written, when the lane is unavailable
+    or a value is no int64, and the caller then formats the rows itself.
 
     Row ``i`` is its fields ``columns[j][i]`` separated by spaces; with
     ``results``, the columns are per-node (region, parent, cost and,
     if any, tag; index 0 unused) and row ``i`` is node ``i``'s row of a
     results export, as :func:`partition.export_results` writes it.  The
     kernel formats the rows once, in chunks of at most 256 KiB, into one
-    buffer.  Each chunk goes as bytes to the binary buffer under ``out``
-    (a file, stdout) once ``out`` is flushed, or as text to a sink without
-    one, such as ``io.StringIO``.
+    buffer, and each chunk goes to ``out`` as it is formatted.
     """
     lib = _lane()[0]
     if lib is None:
@@ -268,16 +252,10 @@ def write_rows(out, columns: Sequence[Sequence[int]],
         return True
     address = ctypes.addressof((ctypes.c_char * len(buf)).from_buffer(buf))
     view = memoryview(buf)
-    sink = _byte_sink(out)
-    if sink is not None:
-        out.flush()
     for i in range(lo, hi, step):
         size = lib.optpaths_format(i, min(i + step, hi), int(results),
                                    len(cols), ptrs, address)
-        if sink is not None:
-            sink.write(view[:size])
-        else:
-            out.write(str(view[:size], "ascii"))
+        out.write(view[:size])
     return True
 
 
@@ -290,9 +268,9 @@ def read_results(data: bytes, n: int):
     """A results export read by the compiled reader, or None.
 
     Returns what ``partition.read_results_file`` returns for ``data``, the
-    bytes of a file, as int64 arrays: region, parent, cost (0 where
-    unreached), has_cost (0 where unreached, else 1) and tags, None for
-    4-column rows.
+    :func:`graph.text_mode_bytes` of a file, as int64 arrays: region,
+    parent, cost (0 where unreached), has_cost (0 where unreached, else 1)
+    and tags, None for 4-column rows.
     None means the reader refused ``data`` -- it names no fault -- or that
     the lane is unavailable; either way the reference reader then decides.
     """

@@ -25,9 +25,10 @@ first bad arc.
 columns to :func:`graph_from_columns`, and the compiled instance reader
 calls the kernel itself.  The package needs only the standard library.
 
-Every file the package writes goes through :func:`open_output`, which
-writes UTF-8 and replaces a regular file only once its new content is
-complete.
+Files are bytes at both ends.  Every reader takes the bytes of a file
+(:func:`read_instance`, :func:`read_data`), and every file the package
+writes goes through :func:`open_output`, a binary file that replaces a
+regular file only once its new content is complete.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import os
 import re
 import stat
 from array import array
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 NodeId = int
 
@@ -206,10 +207,11 @@ def in_neighbors(g: Graph, u: NodeId) -> list[tuple[NodeId, int]]:
 # ---------------------------------------------------------------------------
 
 def write_instance(n: int, head: Sequence[int], tail: Sequence[int],
-                   weight: Sequence[int], directed: bool, out: TextIO,
+                   weight: Sequence[int], directed: bool, out: BinaryIO,
                    comments: Iterable[str] = ()) -> None:
-    """Emit the instance of ``n`` nodes whose arc ``i`` is ``(head[i],
-    tail[i], weight[i])``; ``comments`` become '#'-prefixed lines.
+    """Write to the binary file ``out`` the instance of ``n`` nodes whose
+    arc ``i`` is ``(head[i], tail[i], weight[i])``; ``comments`` become
+    '#'-prefixed lines, in UTF-8.
 
     The arcs are written as given, in order; they are not checked.  The
     compiled formatter of :mod:`fastlane` writes the arc lines when the
@@ -217,15 +219,14 @@ def write_instance(n: int, head: Sequence[int], tail: Sequence[int],
     """
     if not len(head) == len(tail) == len(weight):
         raise GraphError("arc columns differ in length")
-    for c in comments:
-        out.write(f"# {c}\n")
     kind = "directed" if directed else "undirected"
-    out.write(f"n {n} {len(head)} {kind}\n")
+    out.write("".join([*(f"# {c}\n" for c in comments),
+                       f"n {n} {len(head)} {kind}\n"]).encode())
     from .fastlane import write_rows  # fastlane imports this module
 
     if not write_rows(out, (head, tail, weight)):
         out.write("".join(f"{h} {t} {w}\n"
-                          for h, t, w in zip(head, tail, weight)))
+                          for h, t, w in zip(head, tail, weight)).encode())
 
 
 def write_instance_file(n: int, head: Sequence[int], tail: Sequence[int],
@@ -255,16 +256,16 @@ def parse_header(data: bytes) -> InstanceHeader:
     """The header of the instance ``data``: its first line that is neither
     blank nor a comment; an InstanceFormatError names a malformed one.
 
-    ``data`` is UTF-8 (a lone surrogate may stand in it, as
-    ``surrogatepass`` writes it).  Each line read is decoded on its own, so
-    a header is read exactly as in the decoded text, Unicode whitespace
-    included, while the arc block stays bytes.
+    ``data`` is UTF-8, as :func:`text_mode_bytes` leaves it.  Each line
+    read is decoded on its own, so a header is read exactly as in the
+    decoded text, Unicode whitespace included, while the arc block stays
+    bytes.
     """
     start, lineno = 0, 1
     while True:
         end = data.find(b"\n", start)
         end = len(data) if end < 0 else end
-        line = data[start:end].decode("utf-8", "surrogatepass").strip()
+        line = data[start:end].decode().strip()
         if line and not line.startswith("#"):
             break
         if end == len(data):
@@ -284,32 +285,23 @@ def parse_header(data: bytes) -> InstanceHeader:
                           min(end + 1, len(data)))
 
 
-def read_instance(src) -> tuple[Graph, list[str]]:
-    """Parse the instance format from a text stream or a binary file;
+def read_instance(data: bytes) -> tuple[Graph, list[str]]:
+    """Parse the instance format from ``data``, the bytes of a file;
     returns the graph and the comment lines.
 
-    Only a newline ends a line; any other whitespace, a carriage return
-    included, separates fields.  Every integer field is ASCII
-    ``[+-]?[0-9]+``.  A binary file is read as in text mode
-    (:func:`text_mode_bytes`), so its carriage returns end lines.  The
-    compiled reader reads the arc block when it can; any block it refuses
-    goes to the reference reader, the line scanner
-    :func:`coldpath.scan_arc_block`, which gives the same graph or names
-    the fault.
+    ``data`` is read as in text mode (:func:`text_mode_bytes`), so CR LF
+    and a lone CR end a line as LF does; any other whitespace separates
+    fields.  Every integer field is ASCII ``[+-]?[0-9]+``.  The compiled
+    reader reads the arc block when it can; any block it refuses goes to
+    the reference reader, the line scanner :func:`coldpath.scan_arc_block`,
+    which gives the same graph or names the fault.
     """
     pin_malloc_thresholds()
-    data = read_text(src)
-    # A lone surrogate (only a str holds one) becomes bytes that no arc
-    # field accepts and that decode back to it.
-    data = (data.encode("utf-8", "surrogatepass") if isinstance(data, str)
-            else text_mode_bytes(data))
+    data = text_mode_bytes(data)
     h = parse_header(data)
-    text = data[:h.line_start].decode("utf-8", "surrogatepass")
-    comments = _COMMENT.findall(text)
+    comments = _COMMENT.findall(data[:h.line_start].decode())
     if data.find(b"#", h.body_start) >= 0:
-        text = data[h.body_start:].decode("utf-8", "surrogatepass")
-        comments += _COMMENT.findall(text)
-    del text
+        comments += _COMMENT.findall(data[h.body_start:].decode())
     return read_arc_block(data, h), [c.strip() for c in comments]
 
 
@@ -323,20 +315,18 @@ def read_arc_block(data: bytes, h: InstanceHeader) -> Graph:
     g = read_graph(data, h)
     if g is None:
         from .coldpath import scan_arc_block
-        body = data[h.body_start:].decode("utf-8", "surrogatepass")
-        g = scan_arc_block(body, h.lineno + 1, h.n, h.arc_count, h.directed)
+        g = scan_arc_block(data[h.body_start:].decode(), h.lineno + 1, h.n,
+                           h.arc_count, h.directed)
     return g
 
 
 def read_instance_file(path: str) -> tuple[Graph, list[str]]:
-    with open(path, "rb") as fh:
-        return read_instance(fh)
+    return read_instance(read_data(path))
 
 
-def read_instance_data(path: str) -> bytes:
-    """The :func:`text_mode_bytes` of the instance file at ``path``, for a
-    reader of its header (:func:`parse_header`) and arc block that builds
-    no graph."""
+def read_data(path: str) -> bytes:
+    """The :func:`text_mode_bytes` of the file at ``path``: the one read of
+    an instance or results file, whichever reader takes it."""
     pin_malloc_thresholds()
     with open(path, "rb") as fh:
         return text_mode_bytes(fh.read())
@@ -352,44 +342,27 @@ def text_mode_bytes(data: bytes) -> bytes:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if not data.isascii():
         try:
-            data.decode("utf-8")
+            data.decode()
         except UnicodeDecodeError as exc:
-            raise InstanceFormatError(
-                f"line {_line_of(exc)}: not UTF-8 text") from None
+            line = len((data[:exc.start] + b"x").splitlines())
+            raise InstanceFormatError(f"line {line}: not UTF-8 text") from None
     return data
 
 
-def read_text(src: TextIO) -> str:
-    """All of ``src``, bytes if it is a binary file; a byte that a text
-    stream cannot decode raises an InstanceFormatError with its line
-    number, counted from where ``src`` stood (the top, for a freshly
-    opened file)."""
-    try:
-        return src.read()
-    except UnicodeDecodeError as exc:
-        raise InstanceFormatError(
-            f"line {_line_of(exc)}: not UTF-8 text") from None
-
-
-def _line_of(exc: UnicodeDecodeError) -> int:
-    """The line number of the byte that ``exc`` could not decode."""
-    return len((exc.object[:exc.start] + b"x").splitlines())
-
-
 @contextlib.contextmanager
-def open_output(path: str) -> Iterator[TextIO]:
-    """A text file that replaces ``path`` only once it is complete.
+def open_output(path: str) -> Iterator[BinaryIO]:
+    """A binary file that replaces ``path`` only once it is complete.
 
-    The text is encoded as UTF-8, which every reader of the package
-    decodes, whatever the locale's encoding.  The new bytes go to a sibling temp file, which takes the old file's
-    permission bits and is renamed into place after the old name is
-    unlinked.  On ext4, truncating a file and writing it again, or renaming
+    The writers encode their text as UTF-8, which every reader of the
+    package decodes, whatever the locale's encoding.  The new bytes go to a
+    sibling temp file, which takes the old file's permission bits and is
+    renamed into place after the old name is unlinked.  On ext4, truncating a file and writing it again, or renaming
     over it, flushes it to disk at close; a rename onto a free name does
     not.  If the writer raises, the temp file is removed and ``path`` is
     left as it was.  Symlinks are followed, so a link stays a link.
 
     Targets that replacing would change for other names or readers are
-    written in place, as ``open(path, "w")`` does: anything but a regular
+    written in place, as ``open(path, "wb")`` does: anything but a regular
     file (a FIFO, a device, a directory, or a path whose lookup fails),
     a file with several hard links, a file owned by another user or group,
     and any file in a directory the process cannot write.  So is a path
@@ -412,10 +385,10 @@ def open_output(path: str) -> Iterator[TextIO]:
     if not (replace and os.path.basename(path) not in ("", ".", "..")
             and os.path.isdir(os.path.dirname(path) or ".")
             and os.access(head, os.W_OK)):
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "wb") as fh:
             yield fh
         return
-    # open(path, "w") refuses a read-only file; unlinking it would not
+    # open(path, "wb") refuses a read-only file; unlinking it would not
     if old is not None and not os.access(real, os.W_OK):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
     for i in itertools.count():
@@ -428,7 +401,7 @@ def open_output(path: str) -> Iterator[TextIO]:
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, path) from None
     try:
-        with open(fd, "w", encoding="utf-8") as fh:
+        with open(fd, "wb") as fh:
             yield fh
             if old is not None:
                 os.fchmod(fd, stat.S_IMODE(old.st_mode))

@@ -263,9 +263,12 @@ void optpaths_schedule(int64_t code, const int64_t *order, int64_t n_order,
 }
 
 
+/* The one field separator of both file kinds, space or tab: the readers
+ * get a file's bytes as graph.text_mode_bytes leaves them, so '\n' is the
+ * only line end and no '\r' is left. */
 static inline int is_sep(char c)
 {
-    return c == ' ' || c == '\t' || c == '\r';
+    return c == ' ' || c == '\t';
 }
 
 /* Reads the field [+-]?[0-9]+ at p (before end) into *x; returns its end,
@@ -376,11 +379,11 @@ int64_t optpaths_check_csr(int64_t n, const int64_t *ptr, const int64_t *idx,
 /* The one arc-line scanner of the instance grammar, which optpaths_read and
  * optpaths_audit_block share.  From *pp (before end) it skips blank lines
  * and whole-line '#' comments to the next arc line and reads it: three
- * fields [+-]?[0-9]+ in int64 separated by spaces, tabs or '\r' (only '\n'
- * ends a line), both ends in 1..n and differing, and a weight of at least
- * 0.  *count counts the arc lines read so far, of the k that the header
- * declared.  Returns 1 with the arc in arc[0..2] and *pp past its line, 0
- * at the end of a block of exactly k arcs, or -1 to refuse. */
+ * fields [+-]?[0-9]+ in int64 separated by spaces or tabs, both ends in
+ * 1..n and differing, and a weight of at least 0.  *count counts the arc
+ * lines read so far, of the k that the header declared.  Returns 1 with
+ * the arc in arc[0..2] and *pp past its line, 0 at the end of a block of
+ * exactly k arcs, or -1 to refuse. */
 static inline int next_arc(const char **pp, const char *end, int64_t n,
                            int64_t k, int64_t *count, int64_t *arc)
 {
@@ -523,11 +526,6 @@ int64_t optpaths_format(int64_t lo, int64_t hi, int64_t results,
     return p - out;
 }
 
-static inline int is_blank(char c)
-{
-    return c == ' ' || c == '\t';
-}
-
 /* Reads a results file, s[0..len), for n nodes: one row per node,
  * "<id> <region> <parent> <cost|UNREACHED> [tag]".  Like optpaths_read it
  * is stricter than the reference reader (coldpath.scan_results) and
@@ -549,7 +547,7 @@ int64_t optpaths_read_results(const char *s, int64_t len, int64_t n,
     const char *p = s, *end = s + len;
     int64_t width = 0, rows = 0;
     while (p < end) {
-        while (p < end && is_blank(*p))
+        while (p < end && is_sep(*p))
             p++;
         if (p == end)
             break;
@@ -575,9 +573,9 @@ int64_t optpaths_read_results(const char *s, int64_t len, int64_t n,
             } else if ((p = read_int(p, end, &f[nf++])) == NULL) {
                 return 0;
             }
-            if (p < end && !is_blank(*p) && *p != '\n')
+            if (p < end && !is_sep(*p) && *p != '\n')
                 return 0;
-            while (p < end && is_blank(*p))
+            while (p < end && is_sep(*p))
                 p++;
             if (p == end || *p == '\n')
                 break;

@@ -12,16 +12,17 @@ literally the forward star unit, while on a directed graph a forward leaf at
 an upper rank need not be an in-neighbor, so the reverse unit is the one that
 carries the usable arcs.
 
-:func:`export_results_file` writes a result export through
+:func:`export_results_file` writes a result export as bytes through
 :func:`optpaths.graph.open_output`, so a failed write leaves an earlier
-export in place, and :func:`read_results_file` reads one back.
+export in place, and :func:`read_results_file` reads the bytes of one back.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .graph import UNSET, CostAlgebra, Graph, GraphError, NodeId, open_output
+from .graph import (UNSET, CostAlgebra, Graph, GraphError, NodeId, open_output,
+                    read_data)
 
 #: cost column marker for nodes the partition never reached
 UNREACHED = "UNREACHED"
@@ -220,7 +221,7 @@ def hda_multi(g: Graph, sources: Sequence[NodeId], algebra: CostAlgebra,
 # ---------------------------------------------------------------------------
 
 def export_results(state: SolverState, regions: Regions, out) -> None:
-    """Write every node's row to ``out``.
+    """Write every node's row to the binary file ``out``.
 
     The compiled formatter writes the rows (:func:`fastlane.write_rows`)
     whenever the lane loads and every value fits int64; otherwise (say, the
@@ -240,7 +241,7 @@ def export_results(state: SolverState, regions: Regions, out) -> None:
     else:
         rows = [f"{v} {reg} {parent[v]} {cost[v]} {tags[v]}\n" if reg
                 else f"{v} 0 0 {UNREACHED} 0\n" for v, reg in nodes]
-    out.write("".join(rows))
+    out.write("".join(rows).encode())
 
 
 def export_results_file(state: SolverState, regions: Regions, path: str) -> None:
@@ -253,16 +254,17 @@ def read_results_file(path: str, n: int):
 
     ``cost`` and ``has_cost`` are 0 where a row says UNREACHED.  Every row
     has 4 columns, or every row has 5 (the tag column); tags is None for a
-    4-column file.  The compiled reader reads the file into int64 arrays
-    when it can; any file it refuses goes to the reference reader,
+    4-column file.  The file is read once (:func:`graph.read_data`).  The
+    compiled reader reads its bytes into int64 arrays when it can; any file
+    it refuses goes, decoded, to the reference reader,
     :func:`coldpath.scan_results`, which gives the same lists or names the
     fault.
     """
     from .fastlane import read_results  # fastlane imports this module
 
-    with open(path, "rb") as fh:
-        rows = read_results(fh.read(), n)
+    data = read_data(path)
+    rows = read_results(data, n)
     if rows is None:
         from .coldpath import scan_results
-        rows = scan_results(path, n)
+        rows = scan_results(data.decode(), n)
     return rows

@@ -55,7 +55,8 @@ def solve_on_both_lanes(argv, tmp_path, capsys, broken_compiler):
 
 
 #: gen arguments and the sha256 of the bytes the numpy-based generators
-#: wrote for them; both lanes must keep writing exactly these bytes
+#: wrote for them; both lanes must keep writing exactly these bytes to
+#: stdout's binary buffer
 GEN_DIGESTS = [
     ("grid --rows 200 --cols 200 --seed 5",
      "ae8638405b33c80c63a8ffe5c751aa9ebfcbac82efcf1ffe50b01975a075caaa"),
@@ -125,13 +126,16 @@ class TestGen:
         def no_build(*args, **kwargs):
             raise AssertionError("gen built a graph")
 
+        # generators binds graph_from_columns when first imported: import it
+        # now, so that it does not keep the stand-in after this test
+        assert op.generators.graph_from_columns is op.graph.graph_from_columns
         monkeypatch.setattr(op.graph, "graph_from_columns", no_build)
         monkeypatch.setattr(fastlane, "build", no_build)
         for lane in ("compiled", "reference"):
             if lane == "reference":
                 broken_compiler()
             assert fastlane.available() == (lane == "compiled")
-            assert run(["gen", *argv.split()]) == EXIT_OK
+            assert run(["gen", *argv.split(), "--out", "-"]) == EXIT_OK
             out = capsys.readouterr().out.encode()
             assert hashlib.sha256(out).hexdigest() == digest, lane
 
@@ -668,6 +672,54 @@ def _masked(data: bytes) -> bytes:
                   b",ms,ms,ms,", data)
 
 
+#: the commands besides ``gen`` (see GEN_DIGESTS) that write to stdout's
+#: binary buffer with ``--out -``, from an instance ``g.txt``, and the
+#: sha256 of their bytes, with the times of CSV rows and text lines masked
+STDOUT_DIGESTS = [
+    ("compare --instance g.txt",
+     "516c914278b071791e0b000406b8b0b9723c3f3d7eb728c441631da989839688"),
+    ("compare --instance g.txt --format csv",
+     "ca1698c243a50d15da44d6bc54420cdb83aa1571dcf6b8c9152374fb704e75bc"),
+    ("bench --n-total 24 --kc 2,6 --algos ht,fr",
+     "eb522ac24b218d9f1d5ca5f70e8c981456ebd56f485fd457eae642d4a9013588"),
+]
+
+
+@pytest.mark.parametrize("lane", ["compiled", "reference"])
+@pytest.mark.parametrize("argv,digest", STDOUT_DIGESTS)
+def test_stdout_bytes_are_pinned_on_both_lanes(argv, digest, lane, tmp_path,
+                                               monkeypatch, capsysbinary,
+                                               request):
+    if lane == "reference":
+        request.getfixturevalue("broken_compiler")()
+    elif not fastlane.available():
+        pytest.skip("no C compiler")
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen", "grid", "--rows", "8", "--cols", "6", "--seed", "2",
+                "--out", "g.txt"]) == EXIT_OK
+    assert run([*argv.split(), "--out", "-"]) == EXIT_OK
+    out = re.sub(rb"=[0-9.]+ms", b"=ms",
+                 _masked(capsysbinary.readouterr().out))
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+def test_an_undecodable_instance_path_is_written_back_as_its_bytes(
+        tmp_path, monkeypatch, capsysbinary):
+    # argv holds the bytes of a path that are no UTF-8 as lone surrogates;
+    # compare's instance column gives the path back as given, to stdout
+    # and to a file alike
+    monkeypatch.chdir(tmp_path)
+    name = os.fsdecode(b"\xffg.txt")
+    assert run(["gen", "grid", "--rows", "3", "--cols", "3", "--out",
+                name]) == EXIT_OK
+    compare = ["compare", "--instance", name, "--format", "csv", "--out"]
+    assert run([*compare, "-"]) == EXIT_OK
+    assert run([*compare, "c.csv"]) == EXIT_OK
+    out = capsysbinary.readouterr().out
+    assert _masked(out) == _masked((tmp_path / "c.csv").read_bytes())
+    assert out.splitlines()[1].startswith(b"\xffg.txt,eom,")
+
+
 class TestOutputFiles:
     """Every ``--out`` goes through ``graph.open_output``: a regular file is
     replaced by a renamed sibling once complete; other targets are written
@@ -817,7 +869,7 @@ class TestOutputFiles:
             path.write_bytes(b"old\n")
         with pytest.raises(RuntimeError, match="boom"):
             with open_output(str(path)) as fh:
-                fh.write("new\n" * 100_000)
+                fh.write(b"new\n" * 100_000)
                 raise RuntimeError("boom")
         assert os.listdir(tmp_path) == (["out.txt"] if exists else [])
         if exists:
@@ -915,5 +967,5 @@ def test_every_file_is_written_through_open_output():
                         if func != "open_output"]
                  for name, calls in found.items()}
     assert all(not calls for calls in elsewhere.values()), elsewhere
-    # the writer's own three opens: in place, the temp file, its text layer
+    # the writer's own three opens: in place, the temp file, its file object
     assert [func for _, func in found["graph.py"]] == ["open_output"] * 3

@@ -118,10 +118,10 @@ class TestAdjacency:
     def test_written_columns_read_back_as_the_built_graph(self):
         arcs = [(2, 1, 4), (1, 3, 0)]
         g = op.build_graph(3, arcs, directed=True)
-        buf = io.StringIO()
+        buf = io.BytesIO()
         op.write_instance(3, *arc_columns(arcs), True, buf)
-        assert buf.getvalue() == "n 3 2 directed\n2 1 4\n1 3 0\n"
-        g2, _ = op.read_instance(io.StringIO(buf.getvalue()))
+        assert buf.getvalue() == b"n 3 2 directed\n2 1 4\n1 3 0\n"
+        g2, _ = op.read_instance(buf.getvalue())
         assert fields(g2) == fields(g)
 
     def test_repr_names_the_shape(self):
@@ -131,11 +131,11 @@ class TestAdjacency:
 
 class TestInstanceFormat:
     def roundtrip(self, n, arcs, directed, comments=()):
-        buf = io.StringIO()
+        buf = io.BytesIO()
         op.write_instance(n, *arc_columns(arcs), directed, buf, comments)
         text = buf.getvalue()
-        g2, c2 = op.read_instance(io.StringIO(text))
-        buf2 = io.StringIO()
+        g2, c2 = op.read_instance(text)
+        buf2 = io.BytesIO()
         op.write_instance(n, *arc_columns(arcs), directed, buf2, c2)
         return text, buf2.getvalue(), g2, c2
 
@@ -148,31 +148,31 @@ class TestInstanceFormat:
 
     def test_missing_header(self):
         with pytest.raises(InstanceFormatError, match="line 1"):
-            op.read_instance(io.StringIO("1 2 3\n"))
+            op.read_instance(b"1 2 3\n")
 
     def test_bad_header_line_number(self):
         with pytest.raises(InstanceFormatError, match="line 2"):
-            op.read_instance(io.StringIO("# ok\nnope\n"))
+            op.read_instance(b"# ok\nnope\n")
 
     def test_bad_orientation(self):
         with pytest.raises(InstanceFormatError, match="orientation"):
-            op.read_instance(io.StringIO("n 2 1 sideways\n1 2 3\n"))
+            op.read_instance(b"n 2 1 sideways\n1 2 3\n")
 
     def test_bad_arc_line(self):
         with pytest.raises(InstanceFormatError, match="line 3"):
-            op.read_instance(io.StringIO("n 2 1 directed\n# c\n1 2\n"))
+            op.read_instance(b"n 2 1 directed\n# c\n1 2\n")
 
     def test_non_integer_field(self):
         with pytest.raises(InstanceFormatError, match="line 2"):
-            op.read_instance(io.StringIO("n 2 1 directed\n1 2 x\n"))
+            op.read_instance(b"n 2 1 directed\n1 2 x\n")
 
     def test_arc_count_mismatch(self):
         with pytest.raises(InstanceFormatError, match="declares 2"):
-            op.read_instance(io.StringIO("n 2 2 directed\n1 2 3\n"))
+            op.read_instance(b"n 2 2 directed\n1 2 3\n")
 
     def test_structural_errors_become_format_errors(self):
         with pytest.raises(InstanceFormatError, match="self-loop"):
-            op.read_instance(io.StringIO("n 2 1 directed\n1 1 3\n"))
+            op.read_instance(b"n 2 1 directed\n1 1 3\n")
 
     def test_file_roundtrip(self, tmp_path):
         arcs = [(1, 2, 7)]
@@ -207,7 +207,7 @@ class TestInstanceFormat:
 
     def test_columns_of_unequal_length_are_refused(self):
         with pytest.raises(GraphError, match="differ in length"):
-            op.write_instance(3, [1, 2], [2], [5, 6], True, io.StringIO())
+            op.write_instance(3, [1, 2], [2], [5, 6], True, io.BytesIO())
 
 
 def csr_bytes(g):
@@ -261,9 +261,9 @@ def test_roundtrip_random(n, data):
         max_size=30))
     directed = data.draw(st.booleans())
     g = op.build_graph(n, arcs, directed=directed)
-    buf = io.StringIO()
+    buf = io.BytesIO()
     op.write_instance(n, *arc_columns(arcs), directed, buf)
-    g2, _ = op.read_instance(io.StringIO(buf.getvalue()))
+    g2, _ = op.read_instance(buf.getvalue())
     assert g2.n == g.n and g2.directed == g.directed and g2.E == g.E
     for u in range(1, n + 1):
         assert op.leaves(g2, u) == op.leaves(g, u)
@@ -314,9 +314,9 @@ def test_csr_order_on_both_sides_of_the_16_bit_key_width(n, directed):
         if lib is not None:  # the weight the int64 bound is checked against
             assert fastlane._check_csr(lib, g) == max(w for _, _, w in arcs)
     # the reader, compiled where present, builds the same arrays
-    buf = io.StringIO()
+    buf = io.BytesIO()
     op.write_instance(n, *arc_columns(arcs), directed, buf)
-    g2, _ = op.read_instance(io.StringIO(buf.getvalue()))
+    g2, _ = op.read_instance(buf.getvalue())
     assert fields(g2) == fields(graphs[0])
 
 
@@ -407,7 +407,7 @@ def test_compiled_build_equals_reference_build(instance):
             assert ptr.tolist() == want_ptr
             assert list(zip(idx, wts)) == entries
         # the compiled reader builds the same graph from the written file
-        buf = io.StringIO()
+        buf = io.BytesIO()
         op.write_instance(n, *cols, directed, buf)
-        g2, _ = op.read_instance(io.StringIO(buf.getvalue()))
+        g2, _ = op.read_instance(buf.getvalue())
         assert fields(g2) == want

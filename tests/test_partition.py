@@ -113,9 +113,9 @@ class TestMultiSourceSeeding:
 class TestResultExport:
     def export(self, g, sources, algebra):
         regions, state, _ = op.hda_multi(g, sources, algebra)
-        buf = io.StringIO()
+        buf = io.BytesIO()
         op.export_results(state, regions, buf)
-        return buf.getvalue().splitlines()
+        return buf.getvalue().decode().splitlines()
 
     def test_reached_rows(self, triangle, algebra):
         rows = self.export(triangle, [1], algebra)

@@ -22,6 +22,7 @@ The reader and the audit certify and refuse; they are not line-for-line
 copies of the reference, and these tests are what certify them.
 """
 
+import builtins
 import io
 from array import array
 
@@ -32,7 +33,7 @@ from hypothesis import strategies as st
 import optpaths as op
 from optpaths import (InstanceFormatError, cli, coldpath, fastlane,
                       partition)
-from optpaths.graph import parse_header
+from optpaths.graph import parse_header, text_mode_bytes
 
 INT64_MAX = 2**63 - 1
 INT64_MIN = -2**63
@@ -55,9 +56,9 @@ MUTATIONS = ["cost+1", "cost-1", "parent", "region", "tag", "unreached",
 def instance(n, arcs, directed):
     """The text of the instance of ``arcs``, as ``graph.write_instance``
     writes it, and its graph."""
-    buf = io.StringIO()
+    buf = io.BytesIO()
     op.write_instance(n, *(list(zip(*arcs)) or [(), (), ()]), directed, buf)
-    return buf.getvalue(), op.build_graph(n, arcs, directed=directed)
+    return buf.getvalue().decode(), op.build_graph(n, arcs, directed=directed)
 
 
 @st.composite
@@ -214,7 +215,7 @@ TAMPERS = ["region+1", "region-1", "parent", "cost+1", "cost-1", "swap-tags",
 def instance_exports(draw):
     """The text of a small instance, directed or not, and a solved export of
     it from 1..4 sources, clean or with one field tampered.  The arc block
-    has blank lines, whole-line comments, tabs and '\r' separators, all of
+    has blank lines, whole-line comments and tab separators, all of
     which the compiled reader accepts."""
     n = draw(st.integers(2, 9))
     directed = draw(st.booleans())
@@ -261,7 +262,7 @@ def instance_exports(draw):
     for arc in arcs:
         if draw(st.integers(0, 3)) == 0:
             lines.append(draw(st.sampled_from(["", "# a note", "  #", "\t"])))
-        sep = draw(st.sampled_from([" "] * 4 + ["\t", " \r ", "  "]))
+        sep = draw(st.sampled_from([" "] * 4 + ["\t", " \t ", "  "]))
         lines.append(sep.join(map(str, arc)))
     text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
     return text, region, parent, cost, has_cost, tags
@@ -276,7 +277,7 @@ def instance_exports(draw):
 def test_block_audit_agrees_with_the_reference_on_every_line_form(case,
                                                                   fixpoint):
     text, *export, tags = case
-    g, _ = op.read_instance(io.StringIO(text))
+    g, _ = op.read_instance(text.encode())
     ref = op.verify_export(g, *export, op.min_plus_algebra(), fixpoint, tags)
     assert block_audit(text, *export, fixpoint, tags) == (
         ref.ok and fits_int64(*export, tags))
@@ -383,7 +384,7 @@ def test_a_failing_verify_reads_each_file_once(tmp_path, monkeypatch, capsys):
         real = getattr(cli, name)
         monkeypatch.setattr(cli, name, call)
 
-    for name in ("read_instance_data", "read_instance_file",
+    for name in ("read_data", "read_instance_file",
                  "read_results_file", "block_is_clean"):
         spy(name)
     (tmp_path / "tri.txt").write_text(
@@ -393,8 +394,35 @@ def test_a_failing_verify_reads_each_file_once(tmp_path, monkeypatch, capsys):
             "--results", str(tmp_path / "tri.res"), "--fixpoint"]
     assert cli.main(argv) == cli.EXIT_VERIFY
     assert capsys.readouterr() == (RAISED_COST_FAILURES, "")
-    assert calls == ["read_instance_data", "read_results_file",
+    assert calls == ["read_data", "read_results_file",
                      "block_is_clean"]
+
+
+@needs_lane
+def test_a_clean_crlf_verify_reads_each_file_once(tmp_path, monkeypatch,
+                                                  capsys):
+    # the compiled reader takes the export as text mode reads it
+    inst, res = tmp_path / "g.txt", tmp_path / "g.res"
+    assert cli.main(["gen", "grid", "--rows", "6", "--cols", "5", "--seed",
+                     "3", "--out", str(inst)]) == cli.EXIT_OK
+    assert cli.main(["solve", "--instance", str(inst), "--algo", "ht",
+                     "--out", str(res)]) == cli.EXIT_OK
+    res.write_bytes(res.read_bytes().replace(b"\n", b"\r\n"))
+    capsys.readouterr()
+    opened = []
+
+    def spy(file, *args, **kwargs):
+        if file in (str(inst), str(res)):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    real_open = builtins.open
+    monkeypatch.setattr(builtins, "open", spy)
+    argv = ["verify", "--instance", str(inst), "--results", str(res),
+            "--fixpoint"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr() == ("OK\n", "")
+    assert opened == [str(inst), str(res)]
 
 
 # -- the results reader ---------------------------------------------------------
@@ -486,6 +514,13 @@ def outcome(read, path, n):
         return ("error", str(exc))
 
 
+def reference_read(path, n):
+    """The reference reader on the file at ``path``, read as text mode
+    would read it."""
+    return coldpath.scan_results(text_mode_bytes(path.read_bytes()).decode(),
+                                 n)
+
+
 def results_examples(test):
     for n, text in reversed([
         (2, "1 1 0 0\r\n2 2 1 4\r\n"),
@@ -521,7 +556,7 @@ def test_results_reader_agrees_with_the_reference_reader(tmp_path, case):
     n, data = case
     path = tmp_path / "res.txt"
     path.write_bytes(data)
-    want = outcome(coldpath.scan_results, str(path), n)
+    want = outcome(reference_read, path, n)
     rows = fastlane.read_results(data, n)
     if rows is not None:
         assert ("rows", as_lists(rows)) == want
@@ -532,16 +567,14 @@ def test_results_reader_agrees_with_the_reference_reader(tmp_path, case):
 def test_the_compiled_reader_reads_solve_exports(tmp_path):
     g = op.gen_random_graph(50, 150, 0, 9, seed=4, directed=True)
     for sources in ([1], [1, 7, 30]):
-        buf = io.StringIO()
+        buf = io.BytesIO()
         res = op.run_pipeline(g, sources, "ht")
         op.export_results(res.state, res.regions, buf)
-        data = buf.getvalue().encode()
-        assert "UNREACHED" in buf.getvalue()
-        path = tmp_path / "res.txt"
-        path.write_bytes(data)
+        data = buf.getvalue()
+        assert b"UNREACHED" in data
         rows = fastlane.read_results(data, g.n)
         assert rows is not None
-        assert as_lists(rows) == coldpath.scan_results(str(path), g.n)
+        assert as_lists(rows) == coldpath.scan_results(data.decode(), g.n)
 
 
 # -- the formatter: exports and instance files -----------------------------------
@@ -580,19 +613,19 @@ EXPORTS = {
 
 
 def written_rows(columns):
-    """What ``fastlane.write_rows`` writes of an export's columns to a text
-    sink, or None if it declines and writes nothing."""
-    buf = io.StringIO()
+    """What ``fastlane.write_rows`` writes of an export's columns, as text,
+    or None if it declines and writes nothing."""
+    buf = io.BytesIO()
     if not fastlane.write_rows(buf, columns, results=True):
-        assert buf.getvalue() == ""
+        assert buf.getvalue() == b""
         return None
-    return buf.getvalue()
+    return buf.getvalue().decode()
 
 
 def export_text(columns):
-    buf = io.StringIO()
+    buf = io.BytesIO()
     op.export_results(*state_and_regions(*columns), buf)
-    return buf.getvalue()
+    return buf.getvalue().decode()
 
 
 def without_a_compiler(request):
@@ -615,10 +648,9 @@ def test_export_rows_with_and_without_a_compiler(name, request):
 
 @needs_lane
 @pytest.mark.parametrize("results", [False, True])
-def test_rows_span_chunks_in_every_kind_of_sink(results):
-    # rows past several chunks, with the widest fields; a sink with a byte
-    # buffer gets them between text written before and after, and a sink
-    # whose encoding does not write ASCII as itself gets them as text
+def test_rows_span_chunks_in_every_kind_of_sink(results, tmp_path):
+    # rows past several chunks, with the widest fields, between bytes
+    # written before and after, to a buffer in memory and to a file
     step = fastlane._CHUNK_BYTES // (fastlane._FIELD_BYTES * (3 + results))
     count = 2 * step + 3
     cols = [array("q", [i % 3 for i in range(count)]),
@@ -630,23 +662,18 @@ def test_rows_span_chunks_in_every_kind_of_sink(results):
             else f"{v} 0 0 UNREACHED\n" for v in range(1, count))
     else:
         want = "".join(f"{h} {t} {w}\n" for h, t, w in zip(*cols))
-    text = io.StringIO()
-    assert fastlane.write_rows(text, cols, results=results)
-    assert text.getvalue() == want
-    for encoding in ("utf-8", "utf-16"):
-        raw = io.BytesIO()
-        sink = io.TextIOWrapper(raw, encoding=encoding)
-        sink.write("before\n")
-        assert fastlane.write_rows(sink, cols, results=results)
-        sink.write("after\n")
-        sink.flush()
-        assert raw.getvalue().decode(encoding) == f"before\n{want}after\n"
-
-
+    want = f"before\n{want}after\n".encode()
+    buf, path = io.BytesIO(), tmp_path / "rows.txt"
+    with open(path, "wb") as fh:
+        for sink in (buf, fh):
+            sink.write(b"before\n")
+            assert fastlane.write_rows(sink, cols, results=results)
+            sink.write(b"after\n")
+    assert buf.getvalue() == path.read_bytes() == want
 def instance_text(n, columns, directed):
-    buf = io.StringIO()
+    buf = io.BytesIO()
     op.write_instance(n, *columns, directed, buf, ["a comment"])
-    return buf.getvalue()
+    return buf.getvalue().decode()
 
 
 def test_instance_rows_with_and_without_a_compiler(request, tmp_path):
