@@ -304,6 +304,8 @@ def _open_out(path: str):
     """``open_output(path)``, or for ``-`` the binary buffer of stdout,
     once the text written to stdout before is flushed."""
     if path == "-":
+        if sys.stdout is None:  # None when started with fd 1 closed
+            raise OSError("standard output is closed")
         sys.stdout.flush()
         return contextlib.nullcontext(sys.stdout.buffer)
     return open_output(path)

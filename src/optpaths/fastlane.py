@@ -20,10 +20,14 @@ the generators' splitmix64 draws.  :func:`block_is_clean` certifies an
 export that :func:`oracles.verify_export` would pass, straight from the
 arc block of its instance, which ``verify`` reads with no graph built.
 The readers and the audit take a file's bytes as
-:func:`graph.text_mode_bytes` leaves them, so no ``\r`` reaches a kernel.
-Each returns None or False wherever it cannot answer, and the Python code,
-the reference, decides.  A graph keeps only its CSR arrays, so the arc columns a build reads are
-freed once it returns.
+:func:`graph.text_mode_bytes` leaves them, so no ``\r`` reaches a kernel,
+and one row scanner in ``kernels.c`` reads the rows of both file kinds:
+blank lines, whole-line ``#`` comments of printable ASCII or tabs, and
+int64 fields ``[+-]?[0-9]+`` separated by spaces or tabs.  Each returns
+None or False wherever it cannot answer, a comment of any other byte
+included, and the Python code, the reference, decides.  A graph keeps
+only its CSR arrays, so the arc columns a build reads are freed once it
+returns.
 
 This module needs only the standard library plus, optionally, a C
 compiler: every array it passes to a kernel is an ``array('q')``, and

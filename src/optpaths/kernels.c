@@ -25,8 +25,9 @@
  * reads a results file (coldpath.scan_results); and one audit,
  * optpaths_audit_block, answers whether oracles.verify_export would find
  * no failure in a results export, straight over the arc block of its
- * instance, with no graph built.  One arc-line scanner, next_arc, reads
- * every arc block.  Differential tests
+ * instance, with no graph built.  One row scanner, next_row, reads every
+ * row of both file kinds, under one rule for blank lines, comments and
+ * fields.  Differential tests
  * (tests/test_graph.py, tests/test_instance_parser.py and
  * tests/test_results_files.py) certify that each agrees with its reference
  * wherever it accepts.  optpaths_format writes the rows of both file
@@ -294,6 +295,57 @@ static inline const char *read_int(const char *p, const char *end,
     return p;
 }
 
+/* The word a results row may hold as its cost; optpaths_format writes it. */
+static const char unreached[] = "UNREACHED";
+
+/* The one row scanner of both file kinds.  From *pp (before end) it skips
+ * blank lines and whole-line '#' comments, whose every byte is printable
+ * ASCII or a tab, to the next row, and reads it: at most max fields
+ * separated by spaces or tabs, each [+-]?[0-9]+ of magnitude at most
+ * INT64_MAX, except that a fourth field may be UNREACHED, which reads as
+ * INT64_MIN, a value no digit field gives.  Returns the field count, with
+ * the fields in f[0..) and *pp past the row, 0 at the end of the text, or
+ * -1 to refuse. */
+static inline int next_row(const char **pp, const char *end, int max,
+                           int64_t *f)
+{
+    const char *p = *pp;
+    for (;;) {
+        while (p < end && is_sep(*p))
+            p++;
+        if (p < end && *p == '#')  /* a byte past 0x7e is below 0 if signed */
+            for (; p < end && *p != '\n'; p++)
+                if ((*p < 0x20 && *p != '\t') || *p > 0x7e)
+                    return -1;
+        if (p == end)
+            return 0;
+        if (*p != '\n')
+            break;
+        p++;
+    }
+    int nf = 0;
+    size_t w = sizeof unreached - 1;
+    for (;;) {  /* p stands on the first byte of a field */
+        if (nf == 3 && (size_t)(end - p) >= w
+                && memcmp(p, unreached, w) == 0) {
+            f[nf++] = INT64_MIN;
+            p += w;
+        } else if ((p = read_int(p, end, &f[nf++])) == NULL) {
+            return -1;
+        }
+        if (p < end && !is_sep(*p) && *p != '\n')
+            return -1;
+        while (p < end && is_sep(*p))
+            p++;
+        if (p == end || *p == '\n')
+            break;
+        if (nf == max)
+            return -1;
+    }
+    *pp = p < end ? p + 1 : p;
+    return nf;
+}
+
 /* Builds the CSR adjacency of k arcs on nodes 1..n.  It accepts the arcs
  * only when every arc has both ends in 1..n, differing, and a weight of at
  * least 0; it then fills the forward CSR -- and for a directed graph the
@@ -376,51 +428,23 @@ int64_t optpaths_check_csr(int64_t n, const int64_t *ptr, const int64_t *idx,
     return 0;
 }
 
-/* The one arc-line scanner of the instance grammar, which optpaths_read and
- * optpaths_audit_block share.  From *pp (before end) it skips blank lines
- * and whole-line '#' comments to the next arc line and reads it: three
- * fields [+-]?[0-9]+ in int64 separated by spaces or tabs, both ends in
- * 1..n and differing, and a weight of at least 0.  *count counts the arc
- * lines read so far, of the k that the header declared.  Returns 1 with
- * the arc in arc[0..2] and *pp past its line, 0 at the end of a block of
- * exactly k arcs, or -1 to refuse. */
+/* The arc lines of an instance's arc block, which optpaths_read and
+ * optpaths_audit_block share: rows of three fields, both ends in 1..n and
+ * differing, and a weight of at least 0.  *count counts the arc lines read
+ * so far, of the k that the header declared.  Returns 1 with the arc in
+ * arc[0..2] and *pp past its line, 0 at the end of a block of exactly k
+ * arcs, or -1 to refuse.  It refuses an arc past the k-th before the
+ * caller can store it, which keeps optpaths_read inside its arc arrays. */
 static inline int next_arc(const char **pp, const char *end, int64_t n,
                            int64_t k, int64_t *count, int64_t *arc)
 {
-    const char *p = *pp;
-    for (;;) {
-        while (p < end && is_sep(*p))
-            p++;
-        if (p < end && *p == '#')
-            p = memchr(p, '\n', (size_t)(end - p));
-        if (p == NULL || p == end)
-            return *count == k ? 0 : -1;
-        if (*p != '\n')
-            break;
-        p++;
-    }
-    if (*count == k)
-        return -1;
-    for (int f = 0; f < 3; f++) {
-        if (f > 0) {
-            if (p == end || !is_sep(*p))
-                return -1;
-            while (p < end && is_sep(*p))
-                p++;
-        }
-        p = read_int(p, end, &arc[f]);
-        if (p == NULL)
-            return -1;
-    }
-    while (p < end && is_sep(*p))
-        p++;
-    if (p < end && *p++ != '\n')
-        return -1;
-    if (arc[0] < 1 || arc[0] > n || arc[1] < 1 || arc[1] > n
-            || arc[0] == arc[1] || arc[2] < 0)
+    int r = next_row(pp, end, 3, arc);
+    if (r == 0)
+        return *count == k ? 0 : -1;
+    if (r != 3 || *count == k || arc[0] < 1 || arc[0] > n || arc[1] < 1
+            || arc[1] > n || arc[0] == arc[1] || arc[2] < 0)
         return -1;
     *count += 1;
-    *pp = p;
     return 1;
 }
 
@@ -504,7 +528,6 @@ static inline char *put_field(char *p, int64_t x, char end)
 int64_t optpaths_format(int64_t lo, int64_t hi, int64_t results,
                         int64_t ncols, const int64_t *const *cols, char *out)
 {
-    static const char unreached[] = "UNREACHED";
     char *p = out;
     for (int64_t i = lo; i < hi; i++) {
         int reached = !results || cols[0][i] != 0;
@@ -527,61 +550,24 @@ int64_t optpaths_format(int64_t lo, int64_t hi, int64_t results,
 }
 
 /* Reads a results file, s[0..len), for n nodes: one row per node,
- * "<id> <region> <parent> <cost|UNREACHED> [tag]".  Like optpaths_read it
- * is stricter than the reference reader (coldpath.scan_results) and
- * refuses without saying why.  It accepts only text whose every byte is printable
- * ASCII, a space, a tab or '\n', in which every line is blank, a
- * whole-line '#' comment, or a row of 4 or 5 fields separated by spaces
- * and tabs; each field is [+-]?[0-9]+ of magnitude at most INT64_MAX,
- * the fourth may instead be UNREACHED, and every row has the width of the
- * first.  Ids must be 1..n, each once, parents 0..n, and every node must
- * have a row.  region, parent, cost, has_cost, tags and seen (n + 1
- * entries each) must arrive zero-filled; an UNREACHED row keeps cost and
- * has_cost 0, every other row sets has_cost to 1, and tags is filled only
- * for 5-field rows.  Returns the width, or 0 to refuse. */
+ * "<id> <region> <parent> <cost|UNREACHED> [tag]", read by next_row.  Like
+ * optpaths_read it is stricter than the reference reader
+ * (coldpath.scan_results) and refuses without saying why.  It accepts
+ * only rows of 4 or 5 fields, every row of the width of the first, with
+ * ids in 1..n, each once, parents in 0..n, and a row for every node.
+ * region, parent, cost, has_cost, tags and seen (n + 1 entries each) must
+ * arrive zero-filled; an UNREACHED row keeps cost and has_cost 0, every
+ * other row sets has_cost to 1, and tags is filled only for 5-field rows.
+ * Returns the width, or 0 to refuse. */
 int64_t optpaths_read_results(const char *s, int64_t len, int64_t n,
                               int64_t *region, int64_t *parent,
                               int64_t *cost, int64_t *has_cost,
                               int64_t *tags, int64_t *seen)
 {
     const char *p = s, *end = s + len;
-    int64_t width = 0, rows = 0;
-    while (p < end) {
-        while (p < end && is_sep(*p))
-            p++;
-        if (p == end)
-            break;
-        if (*p == '\n') {
-            p++;
-            continue;
-        }
-        if (*p == '#') {  /* a byte past 0x7e is below 0 if char is signed */
-            for (; p < end && *p != '\n'; p++)
-                if ((*p < 0x20 && *p != '\t') || *p > 0x7e)
-                    return 0;
-            continue;
-        }
-        int64_t f[5];
-        int nf = 0, is_unreached = 0;
-        for (;;) {  /* p stands on the first byte of a field */
-            if (nf == 5)
-                return 0;
-            if (nf == 3 && end - p >= 9 && memcmp(p, "UNREACHED", 9) == 0) {
-                is_unreached = 1;
-                f[nf++] = 0;
-                p += 9;
-            } else if ((p = read_int(p, end, &f[nf++])) == NULL) {
-                return 0;
-            }
-            if (p < end && !is_sep(*p) && *p != '\n')
-                return 0;
-            while (p < end && is_sep(*p))
-                p++;
-            if (p == end || *p == '\n')
-                break;
-        }
-        if (p < end)
-            p++;
+    int64_t width = 0, rows = 0, f[5];
+    int nf;
+    while ((nf = next_row(&p, end, 5, f)) > 0) {
         if (nf < 4 || (width != 0 && nf != width))
             return 0;
         width = nf;
@@ -592,12 +578,12 @@ int64_t optpaths_read_results(const char *s, int64_t len, int64_t n,
         rows += 1;
         region[v] = f[1];
         parent[v] = par;
-        cost[v] = f[3];
-        has_cost[v] = !is_unreached;
+        has_cost[v] = f[3] != INT64_MIN;
+        cost[v] = has_cost[v] ? f[3] : 0;
         if (nf == 5)
             tags[v] = f[4];
     }
-    if (rows != n)
+    if (nf < 0 || rows != n)
         return 0;
     return width;
 }

@@ -4,8 +4,9 @@ Called with the process's own command line, ``main`` flushes stdio and
 ends the process with ``os._exit``; called with an argv list it returns.
 Each command must give the same exit code, stdout, stderr and ``--out``
 file both ways, apart from the ``*_ms`` fields, on each lane.  A stdout
-that cannot be flushed ends the process with one error line and exit 1,
-and a profiler still gets the interpreter's normal exit.
+that cannot be flushed, or a closed one that a command writes to, ends the
+process with one error line and exit 1, and a profiler still gets the
+interpreter's normal exit.
 """
 
 import os
@@ -241,6 +242,23 @@ def test_no_stdout_at_all(tmp_path):
         stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), timeout=120)
     assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
     assert len((tmp_path / "res.txt").read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("command", [
+    "gen grid --rows 2 --cols 2",
+    "compare --instance tri.txt --out -",
+    "bench --n-total 12 --kc 3 --algos ht",
+])
+def test_no_stdout_for_an_output_to_stdout(command, tmp_path):
+    # a command whose output goes to "-" names the closed stdout in one
+    # error line, with no traceback
+    (tmp_path / "tri.txt").write_text(TRIANGLE)
+    proc = subprocess.run(
+        [sys.executable, "-c", ENTRY, *command.split()], cwd=tmp_path,
+        env=child_env(), stderr=subprocess.PIPE,
+        preexec_fn=lambda: os.close(1), timeout=120)
+    assert (proc.returncode, proc.stderr) == (
+        EXIT_USAGE, b"optpaths: error: standard output is closed\n")
 
 
 def test_profiler_report_follows_the_output(tmp_path):

@@ -372,6 +372,20 @@ def test_signatures_match_the_kernel_source():
     assert set(kernels) <= used
 
 
+#: a function definition of kernels.c: its name and its body, between a
+#: "{" and a "}" that each stand alone at the start of a line
+_FUNCTION = re.compile(r"^\w[^;{}]*?\b(\w+)\([^;{}]*\)\n\{\n(.*?)^\}",
+                       re.MULTILINE | re.DOTALL)
+
+
+def test_one_scanner_skips_comment_lines():
+    # both file kinds share one comment rule, so one function holds it
+    bodies = dict(_FUNCTION.findall(fastlane._SOURCE.read_text()))
+    assert set(fastlane._SIGNATURES) <= set(bodies)
+    assert [name for name, body in bodies.items() if "'#'" in body] \
+        == ["next_row"]
+
+
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_kernels_compile_without_warnings(tmp_path):
     # a full optimizing build, since some warnings (say, a variable that

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import optpaths as op
 from optpaths import GraphError, InvariantViolation, coldpath, fastlane
 from optpaths.coldpath import debug_hook
-from optpaths.partition import SCHEDULERS
+from optpaths.partition import SCHEDULERS, HdaReport, OptReport
 
 needs_lane = pytest.mark.skipif(not fastlane.available(),
                                 reason="no C compiler")
@@ -83,6 +83,50 @@ class TestRunPipeline:
             assert fast.hda_report == ref.hda_report
             assert fast.opt_report == ref.opt_report
             assert fast.origins == ref.origins
+
+
+#: instance -> algorithm -> (arc_inspections, origins, OptReport fields or
+#: None), as both lanes count them; a change to what they count changes
+#: these literals deliberately
+PINNED_COUNTERS = {
+    "grid": {
+        "hda": (4600, 0, None),
+        "eom": (4600, 0, (291, 174600, 7245, 4547, 2698, 669300)),
+        "eom2": (4600, 0, (21, 12600, 4255, 2420, 1835, 48300)),
+        "hrp": (4600, 70, (2, 13906, 3699, 2953, 746, 12576)),
+        "fr": (4600, 70, (2, 2405, 1574, 1027, 547, 4237)),
+        "ht": (4600, 70, (2, 2263, 1540, 1019, 521, 4155)),
+    },
+    "random": {
+        "hda": (3988, 0, None),
+        "eom": (3988, 0, (9, 2691, 651, 219, 432, 17892)),
+        "eom2": (3988, 0, (14, 4186, 649, 213, 436, 27832)),
+        "hrp": (3988, 97, (2, 11684, 716, 359, 357, 3706)),
+        "fr": (3988, 97, (15, 6498, 752, 284, 468, 4973)),
+        "ht": (3988, 97, (6, 2164, 723, 291, 432, 4479)),
+    },
+}
+
+
+@pytest.mark.parametrize("lane", [pytest.param("compiled", marks=needs_lane),
+                                  "reference"])
+def test_counters_are_pinned(lane):
+    # the two-lane tests cannot see a change made to both lanes at once
+    algebra = op.min_plus_algebra() if lane == "reference" else None
+    instances = {
+        "grid": (op.gen_grid(op.GridSpec(30, 20, seed=3, plant_hzp=True))[0],
+                 [1]),
+        "random": (op.gen_random_graph(300, 2000, 0, 9, seed=5,
+                                       directed=True), [1, 17, 250]),
+    }
+    for name, (g, sources) in instances.items():
+        for algo in op.ALGORITHMS:
+            res = op.run_pipeline(g, sources, algo, algebra=algebra)
+            assert res.lane == lane
+            inspections, origins, opt = PINNED_COUNTERS[name][algo]
+            assert (res.hda_report, res.origins, res.opt_report) == (
+                HdaReport(inspections), origins,
+                opt and OptReport(*opt)), (name, algo)
 
 
 def slowed(fn, seconds=0.02):

@@ -542,8 +542,12 @@ def results_examples(test):
         (2, "1 1 0 0\n2 2 1 4\n# \xe9\n"),
         (2, "1 1 0 0\n1 1 0 0\n"),
         (2, "1 1 0 0\n2 2 3 4\n"),
+        # comments the compiled reader refuses, passed to it as they are
+        (2, "1 1 0 0\n# a\rb\n2 2 1 4\n"),
+        (2, "1 1 0 0\n# a\x00b\n2 2 1 4\n"),
     ]):
         test = example((n, text.encode("utf-8")))(test)
+    test = example((2, b"1 1 0 0\n# \xff\n2 2 1 4\n"))(test)
     return example((2, b"1 1 0 0\n2 2 1 4\xff\n"))(test)
 
 
