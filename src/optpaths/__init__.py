@@ -37,7 +37,7 @@ _EXPORTS = {
                  "run_pipeline"),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
-_SUBMODULES = (*_EXPORTS, "fastlane", "coldpath")
+_SUBMODULES = (*_EXPORTS, "fastlane")
 
 __all__ = list(_MODULE_OF)
 __version__ = "0.1.0"

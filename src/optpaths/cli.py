@@ -138,15 +138,6 @@ _SOURCES = (("--sources", "--source"),
              "help": "comma-separated source ids (default 1)"})
 _FORMAT = (("--format",), {"choices": ["csv", "text"], "default": "text"})
 
-#: the help line of each command
-COMMANDS = {
-    "gen": "generate an instance file",
-    "solve": "run one pipeline on an instance",
-    "verify": "audit a result export against its instance",
-    "compare": "run all five optimizers and compare them",
-    "bench": "shape sweep over constant-node grids",
-}
-
 #: the options of each command line, keyed by its command and, for ``gen``,
 #: its kind: option strings and ``add_argument`` keywords.  A ``type``
 #: raises ValueError on a bad value, with the message the user sees.
@@ -288,7 +279,7 @@ def build_parser():
     p = Parser(prog="optpaths",
                description="Single-source optimal-paths engine and benchmark harness")
     sub = p.add_subparsers(dest="command", required=True, parser_class=Parser)
-    for command, help_line in COMMANDS.items():
+    for command, (help_line, _) in COMMANDS.items():
         cp = sub.add_parser(command, help=help_line)
         if command == "gen":
             kinds = cp.add_subparsers(dest="kind", required=True,
@@ -408,6 +399,16 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+#: each command's help line and handler, in the order help lists them
+COMMANDS = {
+    "gen": ("generate an instance file", cmd_gen),
+    "solve": ("run one pipeline on an instance", cmd_solve),
+    "verify": ("audit a result export against its instance", cmd_verify),
+    "compare": ("run all five optimizers and compare them", cmd_compare),
+    "bench": ("shape sweep over constant-node grids", cmd_bench),
+}
+
+
 def _watched() -> bool:
     """Whether a tracer or profiler (coverage, cProfile) is active; it
     writes its report at exit.  From Python 3.12 cProfile registers as one
@@ -432,15 +433,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _read_args(sys.argv[1:] if argv is None else argv)
     if args is None:
         args = build_parser().parse_args(argv)
-    handlers = {
-        "gen": cmd_gen,
-        "solve": cmd_solve,
-        "verify": cmd_verify,
-        "compare": cmd_compare,
-        "bench": cmd_bench,
-    }
     try:
-        code = handlers[args.command](args)
+        code = COMMANDS[args.command][1](args)
     except (GraphError, InstanceFormatError, OSError) as exc:
         print(f"optpaths: error: {exc}", file=sys.stderr)
         code = EXIT_USAGE

@@ -33,7 +33,7 @@ This module needs only the standard library plus, optionally, a C
 compiler: every array it passes to a kernel is an ``array('q')``, and
 ctypes takes its address from ``buffer_info()``.  On the first call that
 needs them -- never at import -- the kernels are compiled with the system
-``cc`` (by :func:`coldpath.build_kernels`) into ``$XDG_CACHE_HOME/optpaths``
+``cc`` (by :func:`oracles.build_kernels`) into ``$XDG_CACHE_HOME/optpaths``
 (default ``~/.cache/optpaths``) under a name keyed by a checksum of the
 source and the compile command, then loaded with ctypes; later processes
 load the cached object.  Without the compiler on the ``PATH`` no compile
@@ -99,7 +99,7 @@ def _load() -> ctypes.CDLL:
         import shutil
         if shutil.which(_BUILD[0]) is None:
             raise OSError(f"no compiler {_BUILD[0]!r} on the PATH")
-        from .coldpath import build_kernels
+        from .oracles import build_kernels
         build_kernels(path, _BUILD, _SOURCE)
     lib = ctypes.CDLL(str(path))
     for name, (argtypes, restype) in _SIGNATURES.items():

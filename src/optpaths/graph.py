@@ -19,7 +19,7 @@ bundle.
 
 Graphs are built from int64 arc columns by one build: the compiled kernel
 of :mod:`fastlane` when it loads and accepts every arc, and otherwise the
-reference build of :mod:`coldpath`, a stable counting sort that names the
+reference build of :mod:`oracles`, a stable counting sort that names the
 first bad arc.
 :func:`build_graph` takes a list of triples, the generators hand their arc
 columns to :func:`graph_from_columns`, and the compiled instance reader
@@ -133,7 +133,7 @@ def build_graph(n: int, arcs: Sequence[tuple[int, int, int]],
             raise TypeError
         head, tail, weight = (array("q", c) for c in columns)
     except OverflowError:
-        from .coldpath import int64_overflow
+        from .oracles import int64_overflow
         raise GraphError(int64_overflow(arcs)) from None
     except (TypeError, ValueError):
         raise GraphError(
@@ -149,7 +149,7 @@ def graph_from_columns(n: int, head: array, tail: array, weight: array,
 
     The compiled build of :mod:`fastlane` assembles the CSR when the lane
     loads and it accepts every arc; otherwise the reference build,
-    :func:`coldpath.build_reference`, builds the same graph or names the
+    :func:`oracles.build_reference`, builds the same graph or names the
     first bad arc.
     """
     if n < 1:
@@ -160,7 +160,7 @@ def graph_from_columns(n: int, head: array, tail: array, weight: array,
 
     g = build(n, head, tail, weight, directed)
     if g is None:
-        from .coldpath import build_reference
+        from .oracles import build_reference
         g = build_reference(n, head, tail, weight, directed)
     return g
 
@@ -293,7 +293,7 @@ def read_instance(data: bytes) -> tuple[Graph, list[str]]:
     and a lone CR end a line as LF does; any other whitespace separates
     fields.  Every integer field is ASCII ``[+-]?[0-9]+``.  The compiled
     reader reads the arc block when it can; any block it refuses goes to
-    the reference reader, the line scanner :func:`coldpath.scan_arc_block`,
+    the reference reader, the line scanner :func:`oracles.scan_arc_block`,
     which gives the same graph or names the fault.
     """
     pin_malloc_thresholds()
@@ -314,14 +314,18 @@ def read_arc_block(data: bytes, h: InstanceHeader) -> Graph:
 
     g = read_graph(data, h)
     if g is None:
-        from .coldpath import scan_arc_block
+        from .oracles import scan_arc_block
         g = scan_arc_block(data[h.body_start:].decode(), h.lineno + 1, h.n,
                            h.arc_count, h.directed)
     return g
 
 
 def read_instance_file(path: str) -> tuple[Graph, list[str]]:
-    return read_instance(read_data(path))
+    """The instance in the file at ``path``.  Its bytes go to
+    :func:`read_instance` as read, which makes them text-mode bytes once."""
+    pin_malloc_thresholds()  # before the file's bytes are allocated
+    with open(path, "rb") as fh:
+        return read_instance(fh.read())
 
 
 def read_data(path: str) -> bytes:

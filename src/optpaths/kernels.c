@@ -19,10 +19,10 @@
  * mirrors of the Python code they stand in for; whatever they refuse, they
  * refuse without saying why, and the reference then decides and names the
  * fault.  optpaths_build assembles the CSR adjacency of an arc list it
- * fully accepts (the reference is coldpath.build_reference);
+ * fully accepts (the reference is oracles.build_reference);
  * optpaths_read parses an arc block it fully accepts and builds it
- * (coldpath.scan_arc_block plus graph.build_graph); optpaths_read_results
- * reads a results file (coldpath.scan_results); and one audit,
+ * (oracles.scan_arc_block plus graph.build_graph); optpaths_read_results
+ * reads a results file (oracles.scan_results); and one audit,
  * optpaths_audit_block, answers whether oracles.verify_export would find
  * no failure in a results export, straight over the arc block of its
  * instance, with no graph built.  One row scanner, next_row, reads every
@@ -351,7 +351,7 @@ static inline int next_row(const char **pp, const char *end, int max,
  * least 0; it then fills the forward CSR -- and for a directed graph the
  * reverse one -- by a stable counting sort, so entries keep arc order and
  * an undirected arc adds its two directions in turn, as the reference
- * build, coldpath.build_reference, does.  fptr and rptr (n + 2 entries)
+ * build, oracles.build_reference, does.  fptr and rptr (n + 2 entries)
  * must arrive zero-filled; fdst and fw hold k entries when directed, 2k
  * when not; rptr, rsrc and rw are unused when undirected.  Returns 0, or
  * 1 to refuse. */
@@ -552,7 +552,7 @@ int64_t optpaths_format(int64_t lo, int64_t hi, int64_t results,
 /* Reads a results file, s[0..len), for n nodes: one row per node,
  * "<id> <region> <parent> <cost|UNREACHED> [tag]", read by next_row.  Like
  * optpaths_read it is stricter than the reference reader
- * (coldpath.scan_results) and refuses without saying why.  It accepts
+ * (oracles.scan_results) and refuses without saying why.  It accepts
  * only rows of 4 or 5 fields, every row of the width of the first, with
  * ids in 1..n, each once, parents in 0..n, and a row for every node.
  * region, parent, cost, has_cost, tags and seen (n + 1 entries each) must

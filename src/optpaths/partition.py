@@ -257,7 +257,7 @@ def read_results_file(path: str, n: int):
     4-column file.  The file is read once (:func:`graph.read_data`).  The
     compiled reader reads its bytes into int64 arrays when it can; any file
     it refuses goes, decoded, to the reference reader,
-    :func:`coldpath.scan_results`, which gives the same lists or names the
+    :func:`oracles.scan_results`, which gives the same lists or names the
     fault.
     """
     from .fastlane import read_results  # fastlane imports this module
@@ -265,6 +265,6 @@ def read_results_file(path: str, n: int):
     data = read_data(path)
     rows = read_results(data, n)
     if rows is None:
-        from .coldpath import scan_results
+        from .oracles import scan_results
         rows = scan_results(data.decode(), n)
     return rows

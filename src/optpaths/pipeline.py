@@ -24,7 +24,7 @@ lane, so an explicit algebra -- even :func:`min_plus_algebra` -- or a debug
 run always gets the reference lane.  A malformed CSR makes ``FastRun``
 raise, and the reference lane then raises the same GraphError.
 The reference lane's code beyond the solvers themselves, its CSR
-check, debug hook and multi-source retagging, is in :mod:`coldpath`.  Both
+check, debug hook and multi-source retagging, is in :mod:`oracles`.  Both
 lanes give identical states, tags and counters.  ``PipelineResult.lane``
 records the lane that ran.
 """
@@ -87,13 +87,13 @@ def run_pipeline(g: Graph, sources: Sequence[int], algo: str,
     if run is not None:
         regions, state, hda_rep = run.regions, run.state, run.hda_report
     else:
-        from . import coldpath
+        from . import oracles
         if algebra is None:
             algebra = min_plus_algebra()
-        coldpath.check_csr(g)
+        oracles.check_csr(g)
         regions, state, hda_rep = hda_multi(g, srcs, algebra)
         if debug_invariants:
-            hook = coldpath.debug_hook(g, regions, state, algo, algebra)
+            hook = oracles.debug_hook(g, regions, state, algo, algebra)
             hook(0)  # audit the partition output itself
     t1 = t2 = time.perf_counter()
 
@@ -119,7 +119,7 @@ def run_pipeline(g: Graph, sources: Sequence[int], algo: str,
                                 debug_check=hook)
     t3 = t2 if rep is None else time.perf_counter()
     if run is None and state.tags is not None:
-        coldpath.root_tags(state)
+        oracles.root_tags(state)
     return PipelineResult(algo, regions, state, hda_rep, origins, rep,
                           "reference" if run is None else "compiled",
                           (t1 - t0) * 1e3, (t2 - t1) * 1e3, (t3 - t2) * 1e3)

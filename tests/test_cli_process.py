@@ -138,7 +138,7 @@ _BAD_SOURCE = """
 import sys
 from optpaths.cli import main
 code = main(sys.argv[1:])
-print(code, "optpaths.coldpath" in sys.modules)
+print(code, "optpaths.oracles" in sys.modules)
 """
 
 
@@ -154,7 +154,7 @@ def test_a_bad_source_is_refused_before_either_lane(lane, tmp_path):
                               cwd=tmp_path, env=env, capture_output=True,
                               text=True, timeout=120)
     assert proc.stderr == "optpaths: error: source 4 out of range 1..3\n"
-    # without a compiler the instance reader itself is in coldpath
+    # without a compiler the instance reader itself is in oracles
     assert proc.stdout == f"{EXIT_USAGE} {lane == 'reference'}\n"
 
 
@@ -162,8 +162,7 @@ _VERIFY_LOADS = """
 import sys
 from optpaths.cli import main
 code = main(sys.argv[1:])
-print(code, [m for m in ("optpaths.oracles", "optpaths.coldpath")
-             if m in sys.modules])
+print(code, [m for m in ("optpaths.oracles", "heapq") if m in sys.modules])
 """
 
 
@@ -194,7 +193,7 @@ def test_a_clean_verify_loads_no_reference_audit(tmp_path):
         "  [parent-arc] node 3: expected arc (1,3) with weight 2-0, got "
         "absent\n"
         "  [fixpoint] arc (1,3,1): expected cost[3] <= 1, got 2\n"
-        f"{EXIT_VERIFY} ['optpaths.oracles', 'optpaths.coldpath']\n")
+        f"{EXIT_VERIFY} ['optpaths.oracles', 'heapq']\n")
 
 
 def test_explicit_argv_always_returns(tmp_path, monkeypatch, capsys):

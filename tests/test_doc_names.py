@@ -1,9 +1,11 @@
 """Every ``<module>.<name>`` that the kernels, the package's modules and the
 README mention names something that exists: a comment or a doc that still
-points at a moved or renamed function fails here."""
+points at a moved or renamed function fails here.  So does a Sphinx role
+whose target names a module that does not exist."""
 
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import optpaths
@@ -37,3 +39,35 @@ def test_every_mentioned_name_exists():
 def test_the_scan_reads_all_three_kinds_of_file():
     where = {w.split(":")[0] for w, _, _ in mentions()}
     assert {"kernels.c", "README.md", "pipeline.py"} <= where
+
+
+#: a Sphinx role and its target, as in :func:`graph.read_data`
+ROLE = re.compile(r":(mod|func|class|data|meth|attr):`~?([\w.]+)`")
+
+
+def role_targets():
+    """(file:line, role, target) for every role in the package's modules."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            for m in ROLE.finditer(line):
+                yield f"{path.name}:{lineno}", *m.groups()
+
+
+def test_every_role_target_names_an_existing_module():
+    # a :mod: target is a module; the first part of any other dotted
+    # target is one, of the package or of the standard library
+    stale = []
+    for where, role, target in role_targets():
+        if role != "mod" and "." not in target:
+            continue
+        name = target.removeprefix("optpaths.")
+        module = name if role == "mod" else name.split(".")[0]
+        if module not in MODULES and module not in sys.stdlib_module_names:
+            stale.append(f"{where}: :{role}:`{target}`")
+    assert stale == []
+
+
+def test_the_role_scan_reads_every_kind_of_target():
+    found = {(role, "." in target) for _, role, target in role_targets()}
+    assert {("mod", False), ("func", True), ("class", True),
+            ("data", True), ("attr", True)} <= found

@@ -407,7 +407,7 @@ from optpaths import fastlane
 STDLIB = ("argparse", "gettext", "locale", "heapq", "subprocess", "hashlib",
           "dataclasses")
 LAZY = STDLIB + ("optpaths.generators", "optpaths.oracles", "optpaths.monarchy",
-                 "optpaths.evolve", "optpaths.coldpath")
+                 "optpaths.evolve")
 print(sorted(m for m in LAZY if m in sys.modules),
       os.path.exists(fastlane._cache_dir()))
 lane, d, *argv = sys.argv[1:]
@@ -426,28 +426,33 @@ print(fastlane.available())
 CLI_MODULES = {"cli", "fastlane", "graph", "partition", "pipeline"}
 
 #: the modules a process loads to compile the kernels: the first on the
-#: compiled lane.  ``subprocess`` loads ``locale``.  With no compiler on
-#: the PATH (the reference lane here) no process tries the compile.
-COMPILE_MODULES = {"coldpath", "subprocess", "locale"}
+#: compiled lane.  ``oracles`` loads ``heapq`` and ``subprocess`` loads
+#: ``locale``.  With no compiler on the PATH (the reference lane here) no
+#: process tries the compile.
+COMPILE_MODULES = {"oracles", "heapq", "subprocess", "locale"}
 
 #: each command, the modules it loads on top of CLI_MODULES, and those it
-#: loads only on the reference lane, where ``coldpath`` holds the reference
-#: readers, build, CSR check and audit, and where ``verify`` runs
-#: ``oracles.verify_export`` since no compiled audit certifies the export.
+#: loads only on the reference lane, where ``oracles`` (with ``heapq``)
+#: holds the reference readers, build, CSR check and audit, and where
+#: ``verify`` runs ``oracles.verify_export`` since no compiled audit
+#: certifies the export.
 #: No well-formed command line loads argparse or its gettext and locale.
 COMMAND_MODULES = [
-    ("solve --instance tri --algo ht", set(), {"monarchy", "coldpath"}),
+    ("solve --instance tri --algo ht", set(),
+     {"monarchy", "oracles", "heapq"}),
     ("gen grid --rows 6 --cols 5 --hzp --out grid", {"generators"}, set()),
     ("gen random --n 30 --arcs 120 --seed 3 --directed --out rand",
      {"generators"}, set()),
     ("solve --instance rand --algo multi --sources 1,17 --out res",
-     set(), {"monarchy", "coldpath"}),
-    ("solve --instance grid --algo eom", set(), {"evolve", "coldpath"}),
+     set(), {"monarchy", "oracles", "heapq"}),
+    ("solve --instance grid --algo eom", set(),
+     {"evolve", "oracles", "heapq"}),
     ("verify --instance rand --results res --fixpoint", set(),
-     {"oracles", "heapq", "coldpath"}),
-    ("compare --instance grid", set(), {"evolve", "monarchy", "coldpath"}),
+     {"oracles", "heapq"}),
+    ("compare --instance grid", set(),
+     {"evolve", "monarchy", "oracles", "heapq"}),
     ("bench --n-total 60 --kc 3,5 --algos eom,ht", {"generators"},
-     {"evolve", "monarchy", "coldpath"}),
+     {"evolve", "monarchy", "oracles", "heapq"}),
 ]
 
 

@@ -13,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import optpaths as op
-from optpaths import GraphError, InstanceFormatError, fastlane
+from optpaths import GraphError, InstanceFormatError, fastlane, graph
+from optpaths.graph import text_mode_bytes
 
 
 #: the fields of a graph, all compared by ==
@@ -181,6 +182,22 @@ class TestInstanceFormat:
         g2, comments = op.read_instance_file(path)
         assert comments == ["c1"]
         assert fields(g2) == fields(op.build_graph(2, arcs))
+
+    def test_a_file_is_made_text_mode_bytes_once(self, tmp_path,
+                                                 monkeypatch):
+        path = tmp_path / "inst.txt"
+        path.write_bytes(b"# crlf\r\nn 2 1 directed\r\n1 2 7\r\n")
+        calls = []
+
+        def counted(data):
+            calls.append(len(data))
+            return text_mode_bytes(data)
+
+        monkeypatch.setattr(graph, "text_mode_bytes", counted)
+        g, comments = op.read_instance_file(str(path))
+        assert calls == [len(path.read_bytes())]
+        assert comments == ["crlf"]
+        assert fields(g) == fields(op.build_graph(2, [(1, 2, 7)], True))
 
     def test_files_are_utf8_under_an_ascii_locale(self, tmp_path):
         # every reader decodes UTF-8, so the writer must not use the

@@ -11,7 +11,7 @@ would, so the reference reads the same text with universal newlines.
 
 Each differential test runs twice: with the compiled reader, which reads
 every arc block it accepts, and with no compiler, where every block goes
-to the reference reader (``coldpath.scan_arc_block``).  The compiled reader
+to the reference reader (``oracles.scan_arc_block``).  The compiled reader
 is not a line-for-line copy of either; these tests are what certify it.
 """
 
@@ -28,9 +28,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import optpaths as op
-# coldpath is imported here, so that no test's traced peak holds the
+# oracles is imported here, so that no test's traced peak holds the
 # reference reader's first import
-from optpaths import GraphError, InstanceFormatError, cli, coldpath, fastlane
+from optpaths import GraphError, InstanceFormatError, cli, fastlane, oracles
 from optpaths.graph import parse_header
 
 INT64_MAX = 2**63 - 1

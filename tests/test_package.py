@@ -9,6 +9,7 @@ import importlib
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -50,7 +51,10 @@ class TestNamespace:
     def test_names_resolve_to_the_defining_module(self, module):
         mod = importlib.import_module(f"optpaths.{module}")
         for name in EXPORTS[module]:
-            assert getattr(op, name) is getattr(mod, name), name
+            obj = getattr(op, name)
+            assert obj is getattr(mod, name), name
+            if isinstance(obj, (type, types.FunctionType)):
+                assert obj.__module__ == f"optpaths.{module}", name
 
     def test_star_import_binds_exactly_the_exports(self):
         ns = {}

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import optpaths as op
-from optpaths import GraphError, InvariantViolation, coldpath, fastlane
-from optpaths.coldpath import debug_hook
+from optpaths import GraphError, InvariantViolation, fastlane, oracles
+from optpaths.oracles import debug_hook
 from optpaths.partition import SCHEDULERS, HdaReport, OptReport
 
 needs_lane = pytest.mark.skipif(not fastlane.available(),
@@ -151,7 +151,7 @@ class TestPhaseClock:
     def test_hda_ms_covers_the_reference_csr_check(self, monkeypatch,
                                                    broken_compiler, triangle):
         broken_compiler()
-        monkeypatch.setattr(coldpath, "check_csr", slowed(coldpath.check_csr))
+        monkeypatch.setattr(oracles, "check_csr", slowed(oracles.check_csr))
         res = op.run_pipeline(triangle, [1], "ht")
         assert res.lane == "reference"
         assert res.hda_ms >= 20.0

@@ -7,7 +7,7 @@ which stays the reference and names every fault:
   ``partition.export_results`` and ``graph.write_instance``, with and
   without a compiler;
 - the results reader (``fastlane.read_results``) against the reference
-  reader ``coldpath.scan_results``: wherever it accepts a file, its
+  reader ``oracles.scan_results``: wherever it accepts a file, its
   arrays must hold the reference's lists, and
   ``partition.read_results_file`` must give the same values or the same
   message;
@@ -31,8 +31,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import optpaths as op
-from optpaths import (InstanceFormatError, cli, coldpath, fastlane,
-                      partition)
+from optpaths import InstanceFormatError, cli, fastlane, oracles, partition
 from optpaths.graph import parse_header, text_mode_bytes
 
 INT64_MAX = 2**63 - 1
@@ -517,7 +516,7 @@ def outcome(read, path, n):
 def reference_read(path, n):
     """The reference reader on the file at ``path``, read as text mode
     would read it."""
-    return coldpath.scan_results(text_mode_bytes(path.read_bytes()).decode(),
+    return oracles.scan_results(text_mode_bytes(path.read_bytes()).decode(),
                                  n)
 
 
@@ -578,7 +577,7 @@ def test_the_compiled_reader_reads_solve_exports(tmp_path):
         assert b"UNREACHED" in data
         rows = fastlane.read_results(data, g.n)
         assert rows is not None
-        assert as_lists(rows) == coldpath.scan_results(data.decode(), g.n)
+        assert as_lists(rows) == oracles.scan_results(data.decode(), g.n)
 
 
 # -- the formatter: exports and instance files -----------------------------------

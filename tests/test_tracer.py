@@ -9,6 +9,8 @@ rather than in a traced benchmark run.
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -90,3 +92,36 @@ def test_annotators_read_the_same_counters_on_both_lanes(tracer):
         metrics[lane] = {k: tr.layer_metrics(spans)[k] for k in counters}
     assert metrics["reference"] == metrics["compiled"]
     assert all(v > 0 for v in metrics["compiled"].values())
+
+
+_TRACED_VERIFY = """
+import sys
+import optpaths.cli, optpaths.oracles  # loaded before install, as run.py does
+sys.path.insert(0, sys.argv[1])
+import tracer as tr
+t = tr.Tracer()
+tr.install(t)
+code = optpaths.cli.main(sys.argv[2:])
+print(code, sorted({s["name"] for s in t.spans}))
+"""
+
+
+def test_a_failing_verify_is_traced(tmp_path):
+    # a fresh process, so that no module is loaded but those the benchmark
+    # loads before it installs the tracer; a failing verify runs
+    # verify_export, which the tracer must have wrapped where cli finds it
+    inst, res = tmp_path / "tri.txt", tmp_path / "tri.res"
+    inst.write_text("n 3 3 directed\n1 2 10\n1 3 1\n3 2 1\n")
+    assert op.cli.main(["solve", "--instance", str(inst), "--algo", "ht",
+                        "--out", str(res)]) == 0
+    clean = res.read_text()
+    res.write_text(clean.replace("3 2 1 1\n", "3 2 1 2\n"))
+    assert res.read_text() != clean
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", _TRACED_VERIFY, str(TRACER.parent), "verify",
+         "--instance", str(inst), "--results", str(res)],
+        env=env, check=True, capture_output=True, text=True).stdout
+    code, names = out.splitlines()[-1].split(" ", 1)
+    assert code == "2"
+    assert "'cli.verify_export'" in names
