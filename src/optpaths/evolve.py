@@ -44,16 +44,13 @@ def _sweep_to_fixpoint(g, regions, state, algebra, two_course, debug_check):
 
     big_loops = 0
     improvements = 0
-    node_scans = 0
     arc_relaxations = 0
     regular = 0
-    wrong = 0
 
     while True:
-        flag = 0
+        before = improvements
         sweep = reversed(order) if (two_course and big_loops % 2 == 1) else order
         for u in sweep:
-            node_scans += 1
             ru = region_of[u]
             for k in range(rev_ptr[u], rev_ptr[u + 1]):
                 v = rev_src[k]
@@ -61,17 +58,15 @@ def _sweep_to_fixpoint(g, regions, state, algebra, two_course, debug_check):
                     continue
                 arc_relaxations += 1
                 if relax(state, algebra, v, u, rev_w[k]):
-                    flag += 1
+                    improvements += 1
                     if ru > region_of[v]:
                         regular += 1
-                    else:
-                        wrong += 1
         big_loops += 1
-        improvements += flag
         if debug_check is not None:
             debug_check(big_loops)
-        if flag == 0:
+        if improvements == before:
             break
 
-    return OptReport(big_loops, node_scans, improvements, regular, wrong,
-                     arc_relaxations)
+    # every sweep scans every reached node
+    return OptReport(big_loops, big_loops * len(order), improvements, regular,
+                     improvements - regular, arc_relaxations)

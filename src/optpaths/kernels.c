@@ -11,9 +11,11 @@
  * with itself and every accepted relaxation copies the new parent's tag.
  * No label keeps its arc's weight.  Every kernel accepts relaxations
  * through relax below, which mirrors partition.relax, the one rule of the
- * reference lane.  The optimizer kernels write their counters to out[] in
- * the field order of partition.OptReport: big_loops, node_scans,
- * improvements, regular_way, wrong_way, arc_relaxations.
+ * reference lane.  The optimizer kernels write their counters to out[]
+ * through report below, in the field order of partition.OptReport:
+ * big_loops, node_scans, improvements, regular_way, wrong_way,
+ * arc_relaxations.  Like the reference loops, they count only what they
+ * cannot derive, and derive the rest.
  *
  * The other kernels certify or refuse, and are not statement-for-statement
  * mirrors of the Python code they stand in for; whatever they refuse, they
@@ -61,7 +63,8 @@ static inline int relax(int64_t u, int64_t v, int64_t w, int64_t *parent,
 
 /* Layered partition with upper-rank pulls.  The caller zero-fills every
  * output array; order needs room for every node.  Returns the reached
- * count and stores the arc inspection count in *inspections. */
+ * count and stores the arc inspection count in *inspections: a scanned
+ * node inspects every arc of its forward and reverse rows. */
 int64_t optpaths_hda(const int64_t *fptr, const int64_t *fdst,
                      const int64_t *rptr, const int64_t *rsrc,
                      const int64_t *rw, const int64_t *sources,
@@ -84,8 +87,8 @@ int64_t optpaths_hda(const int64_t *fptr, const int64_t *fdst,
     while (i < count) {
         int64_t u = order[i];
         int64_t reg = region[u];
+        insp += fptr[u + 1] - fptr[u] + rptr[u + 1] - rptr[u];
         for (int64_t k = fptr[u]; k < fptr[u + 1]; k++) {
-            insp += 1;
             int64_t v = fdst[k];
             if (region[v] == 0) {
                 region[v] = reg + 1;
@@ -95,7 +98,6 @@ int64_t optpaths_hda(const int64_t *fptr, const int64_t *fdst,
             }
         }
         for (int64_t k = rptr[u]; k < rptr[u + 1]; k++) {
-            insp += 1;
             int64_t v = rsrc[k];
             int64_t rv = region[v];
             if (0 < rv && rv < reg)
@@ -137,8 +139,23 @@ int64_t optpaths_classify(const int64_t *order, int64_t n_order,
     return origins;
 }
 
+/* Writes an optimizer's counters to out[] in the field order of
+ * partition.OptReport.  Every improvement not the regular way is the
+ * wrong way, so wrong_way is not counted but derived. */
+static void report(int64_t *out, int64_t big_loops, int64_t node_scans,
+                   int64_t improvements, int64_t regular, int64_t arc_relax)
+{
+    out[0] = big_loops;
+    out[1] = node_scans;
+    out[2] = improvements;
+    out[3] = regular;
+    out[4] = improvements - regular;
+    out[5] = arc_relax;
+}
+
 /* Full pull sweeps over the discovery order until one accepts nothing;
- * with two_course set, every second sweep runs tail to head. */
+ * with two_course set, every second sweep runs tail to head.  Every sweep
+ * scans every reached node, so node_scans is big_loops * n_order. */
 void optpaths_eom(const int64_t *order, int64_t n_order,
                   const int64_t *region, const int64_t *rptr,
                   const int64_t *rsrc, const int64_t *rw, int64_t *parent,
@@ -147,16 +164,13 @@ void optpaths_eom(const int64_t *order, int64_t n_order,
 {
     int64_t big_loops = 0;
     int64_t improvements = 0;
-    int64_t node_scans = 0;
     int64_t arc_relax = 0;
     int64_t regular = 0;
-    int64_t wrong = 0;
     for (;;) {
-        int64_t flag = 0;
+        int64_t before = improvements;
         int backwards = two_course && (big_loops % 2 == 1);
         for (int64_t idx = 0; idx < n_order; idx++) {
             int64_t u = backwards ? order[n_order - 1 - idx] : order[idx];
-            node_scans += 1;
             int64_t ru = region[u];
             for (int64_t k = rptr[u]; k < rptr[u + 1]; k++) {
                 int64_t v = rsrc[k];
@@ -164,29 +178,23 @@ void optpaths_eom(const int64_t *order, int64_t n_order,
                     continue;
                 arc_relax += 1;
                 if (relax(v, u, rw[k], parent, cost, issrc, tags)) {
-                    flag += 1;
+                    improvements += 1;
                     if (ru > region[v])
                         regular += 1;
-                    else
-                        wrong += 1;
                 }
             }
         }
         big_loops += 1;
-        improvements += flag;
-        if (flag == 0)
+        if (improvements == before)
             break;
     }
-    out[0] = big_loops;
-    out[1] = node_scans;
-    out[2] = improvements;
-    out[3] = regular;
-    out[4] = wrong;
-    out[5] = arc_relax;
+    report(out, big_loops, big_loops * n_order, improvements, regular,
+           arc_relax);
 }
 
 /* Origin-driven push relaxation under one worklist pointer rule:
- * code 0 = hrp, 1 = fr, 2 = ht. */
+ * code 0 = hrp, 1 = fr, 2 = ht.  A big loop that ends with improvements
+ * where it began ends the run. */
 void optpaths_schedule(int64_t code, const int64_t *order, int64_t n_order,
                        const int64_t *region, const int64_t *pos,
                        const int64_t *fptr, const int64_t *fdst,
@@ -198,16 +206,15 @@ void optpaths_schedule(int64_t code, const int64_t *order, int64_t n_order,
     int64_t node_scans = 0;
     int64_t improvements = 0;
     int64_t regular = 0;
-    int64_t wrong = 0;
     int64_t arc_relax = 0;
-    int64_t cycle_flag = 0;
+    int64_t loop_start = 0;
     int64_t chase_start = 0;
     int64_t i = 1;
     for (;;) {
         if (i > n_order) {
-            if (cycle_flag == 0)
+            if (improvements == loop_start)
                 break;
-            cycle_flag = 0;
+            loop_start = improvements;
             big_loops += 1;
             chase_start = 0;
             i = 1;
@@ -226,12 +233,9 @@ void optpaths_schedule(int64_t code, const int64_t *order, int64_t n_order,
             int64_t v = fdst[k];
             if (relax(u, v, fw[k], parent, cost, issrc, tags)) {
                 improvements += 1;
-                cycle_flag += 1;
                 status[v] = 1;
                 if (region[v] > ru)
                     regular += 1;
-                else
-                    wrong += 1;
                 int64_t pv = pos[v];
                 if (best_pos == 0 || pv < best_pos)
                     best_pos = pv;
@@ -255,12 +259,7 @@ void optpaths_schedule(int64_t code, const int64_t *order, int64_t n_order,
             }
         }
     }
-    out[0] = big_loops;
-    out[1] = node_scans;
-    out[2] = improvements;
-    out[3] = regular;
-    out[4] = wrong;
-    out[5] = arc_relax;
+    report(out, big_loops, node_scans, improvements, regular, arc_relax);
 }
 
 
@@ -348,28 +347,31 @@ static inline int next_row(const char **pp, const char *end, int max,
 
 /* Builds the CSR adjacency of k arcs on nodes 1..n.  It accepts the arcs
  * only when every arc has both ends in 1..n, differing, and a weight of at
- * least 0; it then fills the forward CSR -- and for a directed graph the
- * reverse one -- by a stable counting sort, so entries keep arc order and
- * an undirected arc adds its two directions in turn, as the reference
- * build, oracles.build_reference, does.  fptr and rptr (n + 2 entries)
- * must arrive zero-filled; fdst and fw hold k entries when directed, 2k
- * when not; rptr, rsrc and rw are unused when undirected.  Returns 0, or
- * 1 to refuse. */
+ * least 0; it then fills the CSRs by a stable counting sort, each arc
+ * h -> t putting t in h's forward row and h in t's reverse row.  An
+ * undirected graph's reverse CSR is its forward one, so there an arc adds
+ * its two directions in turn; entries keep arc order, as in the reference
+ * build, oracles.build_reference.  fptr and rptr (n + 2 entries) must
+ * arrive zero-filled; fdst and fw hold k entries when directed, 2k when
+ * not; rptr, rsrc and rw are ignored when undirected.  Returns 0, or 1 to
+ * refuse. */
 int64_t optpaths_build(int64_t n, int64_t k, int64_t directed,
                        const int64_t *head, const int64_t *tail,
                        const int64_t *weight, int64_t *fptr, int64_t *fdst,
                        int64_t *fw, int64_t *rptr, int64_t *rsrc,
                        int64_t *rw)
 {
+    if (!directed) {
+        rptr = fptr;
+        rsrc = fdst;
+        rw = fw;
+    }
     for (int64_t i = 0; i < k; i++) {
         int64_t h = head[i], t = tail[i], w = weight[i];
         if (h < 1 || h > n || t < 1 || t > n || h == t || w < 0)
             return 1;
         fptr[h + 1] += 1;
-        if (directed)
-            rptr[t + 1] += 1;
-        else
-            fptr[t + 1] += 1;
+        rptr[t + 1] += 1;
     }
     for (int64_t u = 1; u <= n + 1; u++) {
         fptr[u] += fptr[u - 1];
@@ -383,15 +385,9 @@ int64_t optpaths_build(int64_t n, int64_t k, int64_t directed,
         int64_t j = fptr[h]++;
         fdst[j] = t;
         fw[j] = w;
-        if (directed) {
-            j = rptr[t]++;
-            rsrc[j] = h;
-            rw[j] = w;
-        } else {
-            j = fptr[t]++;
-            fdst[j] = h;
-            fw[j] = w;
-        }
+        j = rptr[t]++;
+        rsrc[j] = h;
+        rw[j] = w;
     }
     for (int64_t u = n; u >= 1; u--) {
         fptr[u] = fptr[u - 1];
@@ -489,7 +485,8 @@ void optpaths_draws(uint64_t seed, uint64_t start, uint64_t stride,
         z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
         z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
         z ^= z >> 31;
-        int64_t x = lo + (int64_t)(z % span);
+        /* unsigned, since z % span may pass INT64_MAX when lo < 0 */
+        int64_t x = (int64_t)((uint64_t)lo + z % span);
         out[i] = skip && x >= skip[i] ? x + 1 : x;
     }
 }

@@ -95,9 +95,8 @@ def run_scheduler(kind: str, g: Graph, regions: Regions,
     node_scans = 0
     improvements = 0
     regular = 0
-    wrong = 0
     arc_relaxations = 0
-    cycle_flag = 0
+    loop_start = 0  # improvements when the current big loop began
     chase_start = 0  # 0 = no chase in flight (HT only)
 
     i = 1
@@ -105,9 +104,9 @@ def run_scheduler(kind: str, g: Graph, regions: Regions,
         if i > n_order:
             if debug_check is not None:
                 debug_check(big_loops)
-            if cycle_flag == 0:
+            if improvements == loop_start:
                 break
-            cycle_flag = 0
+            loop_start = improvements
             big_loops += 1
             chase_start = 0
             i = 1
@@ -124,12 +123,9 @@ def run_scheduler(kind: str, g: Graph, regions: Regions,
             v = fwd_dst[k]
             if relax(state, algebra, u, v, fwd_w[k]):
                 improvements += 1
-                cycle_flag += 1
                 status[v] = 1
                 if region_of[v] > ru:
                     regular += 1
-                else:
-                    wrong += 1
                 pv = position_of[v]
                 if best_pos == 0 or pv < best_pos:
                     best_pos = pv
@@ -148,5 +144,5 @@ def run_scheduler(kind: str, g: Graph, regions: Regions,
             else:
                 i += 1
 
-    return OptReport(big_loops, node_scans, improvements, regular, wrong,
-                     arc_relaxations)
+    return OptReport(big_loops, node_scans, improvements, regular,
+                     improvements - regular, arc_relaxations)

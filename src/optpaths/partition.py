@@ -94,7 +94,8 @@ class SolverState:
 
 
 class HdaReport(NamedTuple):
-    """The partition's one counter; its wall time is
+    """The partition's one counter: a scanned node inspects every arc of
+    its forward and reverse rows.  Its wall time is
     :attr:`pipeline.PipelineResult.hda_ms`."""
 
     arc_inspections: int
@@ -105,11 +106,13 @@ class OptReport(NamedTuple):
 
     ``big_loops`` counts full passes, the final clean one included.
     ``node_scans`` counts every position a pass examines, active or dormant;
-    ``arc_relaxations`` counts the calls to :func:`relax`.  Every accepted
-    relaxation is classified by the improved node's layer against its new
-    parent's: strictly below the parent is the regular way, at or above it
-    the wrong way, so ``regular_way + wrong_way == improvements``.  The
-    kernels write their counters in this field order; the wall time is
+    an ``eom`` sweep examines every reached node, so there it is
+    ``big_loops * len(Regions.order)``.  ``arc_relaxations`` counts the
+    calls to :func:`relax`.  Every accepted relaxation is classified by the
+    improved node's layer against its new parent's: strictly below the
+    parent is the regular way, at or above it the wrong way.  Only the
+    regular way is counted; ``wrong_way`` is ``improvements - regular_way``.
+    The kernels write their counters in this field order; the wall time is
     :attr:`pipeline.PipelineResult.schedule_ms`.
     """
 
@@ -194,9 +197,10 @@ def hda_multi(g: Graph, sources: Sequence[NodeId], algebra: CostAlgebra,
     while i < len(order):
         u = order[i]
         reg = region_of[u]
+        inspections += (fwd_ptr[u + 1] - fwd_ptr[u]
+                        + rev_ptr[u + 1] - rev_ptr[u])
         # discovery: append unvisited forward leaves to the next layer
         for k in range(fwd_ptr[u], fwd_ptr[u + 1]):
-            inspections += 1
             v = fwd_dst[k]
             if region_of[v] == 0:
                 region_of[v] = reg + 1
@@ -204,7 +208,6 @@ def hda_multi(g: Graph, sources: Sequence[NodeId], algebra: CostAlgebra,
                 position_of[v] = len(order)
         # pull: adopt the best already-settled in-neighbor one layer up
         for k in range(rev_ptr[u], rev_ptr[u + 1]):
-            inspections += 1
             v = rev_src[k]
             rv = region_of[v]
             if 0 < rv < reg:

@@ -6,6 +6,7 @@ explicitly, which routes them to the reference lane; the compiled runs take
 the default and assert that it routed them to the compiled lane."""
 
 import ctypes
+import json
 import os
 import re
 import shutil
@@ -20,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import optpaths as op
-from optpaths import GraphError, cli, fastlane
+from optpaths import Graph, GraphError, cli, fastlane
+from test_instance_parser import HOSTILE
 
 needs_lane = pytest.mark.skipif(not fastlane.available(),
                                 reason="no C compiler")
@@ -342,6 +344,23 @@ def test_a_malformed_csr_is_refused_on_the_reference_lane(broken_compiler):
             call()
 
 
+@needs_lane
+@pytest.mark.parametrize("typecode", [None, "i"], ids=["list", "int32"])
+def test_a_graph_of_other_arrays_is_refused(triangle, typecode):
+    # a graph built by hand from lists or 32-bit arrays: the compiled lane
+    # takes the address of no such array, and both lanes call it malformed
+    convert = list if typecode is None else (lambda a: array(typecode, a))
+    csr = tuple(map(convert, (triangle.fwd_ptr, triangle.fwd_dst,
+                              triangle.fwd_w)))
+    g = Graph(triangle.n, False, csr, csr, triangle.E)
+    with pytest.raises(GraphError,
+                       match="^the compiled lane needs int64 arrays$"):
+        fastlane.FastRun(g, [1])
+    for algebra in (None, op.min_plus_algebra()):
+        with pytest.raises(GraphError, match="^malformed CSR adjacency$"):
+            op.run_pipeline(g, [1], "ht", algebra=algebra)
+
+
 #: a kernel definition in kernels.c: return type, name, parameter list
 _KERNEL = re.compile(r"^(void|int64_t) (optpaths_\w+)\(([^)]*)\)",
                      re.MULTILINE)
@@ -387,16 +406,122 @@ def test_one_scanner_skips_comment_lines():
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-def test_kernels_compile_without_warnings(tmp_path):
+@pytest.mark.parametrize("std", [[], ["-std=c99", "-pedantic"]],
+                         ids=["default", "c99-pedantic"])
+def test_kernels_compile_without_warnings(tmp_path, std):
     # a full optimizing build, since some warnings (say, a variable that
     # may be used uninitialized) come only from the optimizer's analysis
     obj = tmp_path / "kernels.so"
-    proc = subprocess.run(["cc", "-O2", "-Wall", "-Wextra", "-Werror",
+    proc = subprocess.run(["cc", "-O2", *std, "-Wall", "-Wextra", "-Werror",
                            "-shared", "-fPIC", "-o", str(obj),
                            str(fastlane._SOURCE)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert obj.stat().st_size > 0
+
+
+#: the kernels built to stop at the first out-of-bounds access or
+#: undefined behaviour
+SANITIZED_BUILD = ("cc", "-O1", "-g", "-fsanitize=address,undefined",
+                   "-fno-sanitize-recover=all", "-shared", "-fPIC")
+
+# Builds the kernels with the command in argv and drives every kernel: all
+# six algorithms on an undirected grid and a directed multi-source graph,
+# each read from its instance bytes; the results reader on every prefix of
+# an export and on the export with one byte spoiled; the audit on the clean
+# export and on mutated ones; the formatter on int64's extremes; the draws
+# with and without a skip column; and the instance reader on the arc
+# blocks that it must refuse, read from stdin as a JSON list.
+_UNDER_SANITIZERS = r"""
+import io, json, os, sys
+from array import array
+import optpaths as op
+from optpaths import fastlane, partition
+from optpaths.generators import splitmix64
+from optpaths.graph import parse_header
+
+# the sanitizer runtime is preloaded into this process; the compiler
+# that builds the kernels runs without it
+del os.environ["LD_PRELOAD"]
+fastlane._BUILD = tuple(sys.argv[1:])
+assert fastlane.available(), fastlane._lane()[1]
+LO, HI = -2**63, 2**63 - 1
+
+def instance(n, head, tail, weight, directed):
+    buf = io.BytesIO()
+    op.write_instance(n, head, tail, weight, directed, buf)
+    return buf.getvalue()
+
+grid = op.GridSpec(12, 9, seed=3, plant_hzp=True)
+cases = [(instance(grid.n, *op.grid_columns(grid)[:3], False), [1]),
+         (instance(200, *op.random_columns(200, 900, 0, 9, seed=5), True),
+          [1, 17, 150])]
+for data, sources in cases:
+    h = parse_header(data)
+    g, _ = op.read_instance(data)
+    for algo in op.ALGORITHMS:
+        res = op.run_pipeline(g, sources, algo)
+        assert res.lane == "compiled"
+        buf = io.BytesIO()
+        partition.export_results(res.state, res.regions, buf)
+        export = buf.getvalue()
+        cols = fastlane.read_results(export, g.n)
+        region, parent, cost, has_cost, tags = cols
+        audit = lambda: fastlane.block_is_clean(
+            data, h, region, parent, cost, has_cost, True, tags)
+        assert audit() == (algo != "hda")
+        for v in range(1, g.n + 1, 23):
+            for col in (region, parent, cost, has_cost, tags or region):
+                old = col[v]
+                for x in (old + 1, old - 1, 0, g.n + 1, LO, HI):
+                    col[v] = x
+                    audit()
+                col[v] = old
+        assert fastlane.block_is_clean(data, h, region[:-1], parent, cost,
+                                       has_cost, True, tags) is False
+    for i in range(len(export)):
+        fastlane.read_results(export[:i], g.n)
+        for b in (b"x", b"\xff", b"\r", b"-", b"9" * 20, b" UNREACHED"):
+            fastlane.read_results(export[:i] + b + export[i + 1:], g.n)
+
+for text in json.load(sys.stdin):
+    data = text.encode()
+    assert fastlane.read_graph(data, parse_header(data)) is None, text
+
+cols = [array("q", [LO, -1, 0, 1, HI]), array("q", [HI, 9, 10, 99, LO])]
+buf = io.BytesIO()
+assert fastlane.write_rows(buf, cols)
+assert buf.getvalue() == "".join(
+    f"{a} {b}\n" for a, b in zip(*cols)).encode()
+
+out, skip = array("q", [0]) * 300, array("q", range(300))
+for args in ((7, 0, 1, 1, 10, None), (2**64 - 1, 5, 3, 1, 300, skip),
+             (0, 0, 2**63, LO, 2**64 - 1, None)):
+    seed, start, stride, lo, span, sk = args
+    assert fastlane.draws(out, *args)
+    for i, x in enumerate(out):
+        y = lo + splitmix64(seed, (start + i * stride) % 2**64) % span
+        assert x == (y if sk is None or y < sk[i] else y + 1)
+"""
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_every_kernel_runs_clean_under_the_sanitizers(tmp_path):
+    # PYTHONMALLOC=malloc makes every bytes object a kernel reads a malloc
+    # block, which the address sanitizer fences with redzones
+    asan = subprocess.run(["cc", "-print-file-name=libasan.so"],
+                          capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(asan):  # the bare name: cc found no library
+        pytest.skip("no address sanitizer runtime")
+    src = str(Path(op.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, LD_PRELOAD=asan,
+               ASAN_OPTIONS="detect_leaks=0", PYTHONMALLOC="malloc",
+               XDG_CACHE_HOME=str(tmp_path / "cache"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _UNDER_SANITIZERS, *SANITIZED_BUILD],
+        input=json.dumps([text for text, _ in HOSTILE]), env=env,
+        capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
 
 _CLI_WITHOUT_NUMPY = """

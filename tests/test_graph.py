@@ -73,6 +73,14 @@ class TestBuildValidation:
         with pytest.raises(GraphError, match="sequence of .* triples"):
             op.build_graph(3, arcs)
 
+    def test_columns_need_a_node_and_equal_lengths(self):
+        cols = arc_columns([(1, 2, 3)])
+        with pytest.raises(GraphError,
+                           match="^node count must be >= 1, got 0$"):
+            op.graph_from_columns(0, *cols)
+        with pytest.raises(GraphError, match="^arc columns differ in length$"):
+            op.graph_from_columns(3, cols[0], cols[1], array("q"))
+
     def test_empty_graph(self):
         g = op.build_graph(4, [])
         assert g.E == 0 and max_out_degree(g) == 0

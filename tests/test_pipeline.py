@@ -105,6 +105,22 @@ PINNED_COUNTERS = {
         "fr": (3988, 97, (15, 6498, 752, 284, 468, 4973)),
         "ht": (3988, 97, (6, 2164, 723, 291, 432, 4479)),
     },
+    "sparse": {
+        "hda": (856, 0, None),
+        "eom": (856, 0, (3, 504, 29, 15, 14, 1284)),
+        "eom2": (856, 0, (4, 672, 29, 15, 14, 1712)),
+        "hrp": (856, 11, (2, 427, 29, 16, 13, 115)),
+        "fr": (856, 11, (6, 765, 28, 15, 13, 115)),
+        "ht": (856, 11, (2, 357, 28, 15, 13, 115)),
+    },
+    "sink": {
+        "hda": (760, 0, None),
+        "eom": (760, 0, (4, 548, 71, 32, 39, 1456)),
+        "eom2": (760, 0, (6, 822, 71, 32, 39, 2184)),
+        "hrp": (760, 29, (2, 697, 71, 37, 34, 260)),
+        "fr": (760, 29, (9, 974, 77, 37, 40, 299)),
+        "ht": (760, 29, (2, 327, 78, 41, 37, 284)),
+    },
 }
 
 
@@ -118,6 +134,12 @@ def test_counters_are_pinned(lane):
                  [1]),
         "random": (op.gen_random_graph(300, 2000, 0, 9, seed=5,
                                        directed=True), [1, 17, 250]),
+        # undirected, 168 of 200 nodes reached, 55 zero weights and one
+        # parallel pair
+        "sparse": (op.gen_random_graph(200, 220, 0, 3, seed=11), [1]),
+        # directed, 137 of 150 nodes reached; source 27 has no out-arc
+        "sink": (op.gen_random_graph(150, 400, 0, 5, seed=13,
+                                     directed=True), [3, 27]),
     }
     for name, (g, sources) in instances.items():
         for algo in op.ALGORITHMS:
@@ -259,6 +281,18 @@ class TestDebugHook:
         state.parent[2], state.cost[2] = 3, 2
         state.parent[3], state.cost[3] = 2, 3
         with pytest.raises(InvariantViolation, match="tree audit"):
+            hook(1)
+
+    def test_hook_raises_on_an_unlabeled_reached_leaf(self, algebra):
+        g = op.build_graph(3, [(1, 2, 1), (2, 3, 1)])
+        regions, state, _ = op.hda_multi(g, [1], algebra)
+        hook = debug_hook(g, regions, state, "demo", algebra)
+        hook(0)
+        # the leaf 3 stays reached but loses its parent: the tree audit
+        # has no parent arc of it to check, the reachability audit fails
+        state.parent[3] = op.UNSET
+        with pytest.raises(InvariantViolation,
+                           match="reachability audit failed at big loop 1"):
             hook(1)
 
     def test_hook_raises_on_shrinking_labeled_set(self, algebra):
