@@ -367,7 +367,7 @@ def cmd_verify(args) -> int:
 
 def cmd_compare(args) -> int:
     g, _ = read_instance_file(args.instance)
-    algos = ["eom", "eom2", "hrp", "fr", "ht"]
+    algos = ALGORITHMS[1:]  # every optimizer: all but the partition alone
     as_csv = args.format == "csv"
     lines = [",".join(CSV_COLUMNS)] if as_csv else []
     costs = {}

@@ -60,8 +60,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .graph import INT64_MAX, Graph, GraphError, InstanceHeader, _zeros
-from .partition import (SCHEDULERS, HdaReport, OptReport, Regions,
-                        SolverState, source_set)
+from .partition import (HdaReport, OptReport, Regions, SolverState,
+                        scheduler_code, source_set)
 
 #: compile command; ``-o <object> <source>`` is appended
 _BUILD = ("cc", "-O2", "-shared", "-fPIC")
@@ -423,10 +423,10 @@ class FastRun:
 
     def schedule(self, kind: str) -> OptReport:
         """Push to the fixpoint from the origins under the pointer rule
-        ``kind``, one of :data:`partition.SCHEDULERS`; :meth:`classify` runs
-        first."""
+        ``kind``, one of :data:`partition.SCHEDULERS`; any other kind raises
+        GraphError.  :meth:`classify` runs first."""
         g, r = self.g, self.regions
-        code = SCHEDULERS.index(kind)
+        code = scheduler_code(kind)
         out = _zeros(6)
         self._lib.optpaths_schedule(
             code, _ptr(r.order), len(r.order), _ptr(r.region_of),

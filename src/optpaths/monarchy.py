@@ -26,8 +26,9 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .graph import CostAlgebra, Graph, GraphError
-from .partition import SCHEDULERS, OptReport, Regions, SolverState, relax
+from .graph import CostAlgebra, Graph
+from .partition import (OptReport, Regions, SolverState, relax,
+                        scheduler_code)
 
 
 class StatusMap:
@@ -77,10 +78,7 @@ def run_scheduler(kind: str, g: Graph, regions: Regions,
                   ) -> OptReport:
     """Drive push-relaxation to the fixpoint under the pointer rule ``kind``,
     one of :data:`partition.SCHEDULERS`; any other kind raises GraphError."""
-    try:
-        code = SCHEDULERS.index(kind)
-    except ValueError:
-        raise GraphError(f"unknown scheduler kind: {kind!r}") from None
+    code = scheduler_code(kind)
 
     order = regions.order
     position_of = regions.position_of

@@ -11,7 +11,8 @@ themselves.  The audits :func:`check_tree`, :func:`check_reachability` and
 no-improving-arc fixpoint condition directly on a solver state, and
 :func:`verify_export`, the reference audit of an export, uses the same core;
 all honour the cost algebra and collect every failure rather than stopping
-at the first.
+at the first.  The core's one parent-chain walk also gives the source tags
+of :func:`root_tags`.
 
 On the compiled lane of :mod:`fastlane` a command runs none of this module,
 and imports it only at the point where a kernel refuses its input, a debug
@@ -25,9 +26,9 @@ Besides the oracles and the audits, it holds:
   without naming; they read the decoded text of bytes already read, and
   open no file;
 - the reference lane's CSR check (:func:`check_csr`), its retagging of
-  multi-source runs (:func:`root_tags`) and the debug hook of
-  ``run_pipeline(..., debug_invariants=True)`` (:func:`debug_hook`), for
-  :func:`pipeline.run_pipeline`;
+  multi-source runs from the audit core's walk (:func:`root_tags`) and the
+  debug hook of ``run_pipeline(..., debug_invariants=True)``
+  (:func:`debug_hook`), for :func:`pipeline.run_pipeline`;
 - the compile step of the kernels (:func:`build_kernels`).
 
 A command that the compiled lane answers therefore never compiles this
@@ -219,50 +220,45 @@ def brute_force_oracle(g: Graph, source: NodeId,
 # ---------------------------------------------------------------------------
 # Structural audits.  One core over any integer sequences, lists or int64
 # arrays -- a memoized parent-chain walk and one pass over the forward arcs
-# -- serves both the solver-state checks and the audit of an exported result.
+# -- serves both the solver-state checks and the audit of an exported result;
+# the walk also gives root_tags its roots.
 # All honour the cost algebra and collect every failure in a
 # :class:`VerificationReport` rather than stopping at the first.
 # ---------------------------------------------------------------------------
 
-def _chain_colors(parent: Sequence[int], is_root: Sequence[int],
-                  live: Sequence[int], rep, check: str) -> list[int]:
+def _chain_roots(parent: Sequence[int], is_root: Sequence[int],
+                 live: Sequence[int], rep, check: str) -> list[int]:
     """Walk the parent chain of every live node once (memoized), O(n) total.
 
     A cycle or a dead end (a non-root without a parent) is reported once,
-    by the walk that finds it.  Returns a color array: 2 = the chain
-    reaches a root, 3 = broken.
+    by the walk that finds it.  Returns per node the root its chain ends
+    at, or 0 where the chain is broken or no live node's walk reaches it.
     """
     n = len(parent) - 1
-    color = [0] * (n + 1)  # 0 unknown, 1 on current walk, 2 good, 3 bad
+    root = [0] * (n + 1)
+    walk = [0] * (n + 1)  # the node whose walk first reached each node
     for v in range(1, n + 1):
-        if not live[v] or color[v]:
+        if not live[v] or walk[v]:
             continue
-        path = [v]
-        color[v] = 1
-        u = v
-        verdict = 2
+        path, u = [v], v
+        walk[v] = v
         while not is_root[u]:
             p = parent[u]
-            if p == UNSET:
+            if p == UNSET or walk[p] == v:
                 rep.add(check, f"node {v}", "chain to a source",
-                        f"dead end at {u}")
-                verdict = 3
+                        f"dead end at {u}" if p == UNSET
+                        else f"cycle {path[path.index(p):] + [p]}")
+                u = 0
                 break
-            if color[p] == 1:
-                cyc = path[path.index(p):]
-                rep.add(check, f"node {v}", "chain to a source",
-                        f"cycle {cyc + [p]}")
-                verdict = 3
+            if walk[p]:
+                u = root[p]
                 break
-            if color[p]:
-                verdict = color[p]
-                break
-            color[p] = 1
+            walk[p] = v
             path.append(p)
             u = p
         for x in path:
-            color[x] = verdict
-    return color
+            root[x] = u
+    return root
 
 
 def _arc_pass(g: Graph, parent: Sequence[int],
@@ -333,7 +329,7 @@ def check_tree(state: SolverState, g: Graph,
             continue
         best = next(c for c in offers if not any(better(d, c) for d in offers))
         rep.add("cost-consistency", f"node {v}", f"cost >= {best}", cost[v])
-    _chain_colors(parent, state.is_source, _labeled(state), rep, "acyclic")
+    _chain_roots(parent, state.is_source, _labeled(state), rep, "acyclic")
     # sources never carry a parent
     for s in state.sources:
         if parent[s] != UNSET:
@@ -355,10 +351,9 @@ def check_reachability(state: SolverState,
     for v in range(1, n + 1):
         if regions.position_of[v] != 0 and not live[v]:
             rep.add("reached-set", f"node {v}", "labeled", "unlabeled")
-    color = _chain_colors(state.parent, state.is_source, live, rep,
-                          "reachable")
+    root = _chain_roots(state.parent, state.is_source, live, rep, "reachable")
     for v in range(1, n + 1):
-        if regions.position_of[v] != 0 and live[v] and color[v] != 2:
+        if regions.position_of[v] != 0 and live[v] and not root[v]:
             rep.add("reachable", f"node {v}", "chain to a source", "broken chain")
     return rep
 
@@ -448,7 +443,7 @@ def verify_export(g: Graph, region: Sequence[int], parent: Sequence[int],
                     else tags[parent[v]])
             if tags[v] != want:
                 rep.add("tag", f"node {v}", want, tags[v])
-    _chain_colors(parent, is_root, reached, rep, "acyclic")
+    _chain_roots(parent, is_root, reached, rep, "acyclic")
     # regions == hop layers from the roots (independent BFS)
     level, _ = _bfs_levels(g, roots)
     for v in range(1, n + 1):
@@ -610,7 +605,7 @@ def scan_results(text: str, n: int):
                 f"have {width}")
         # int() also takes '_' and non-ASCII digits; on other tokens it takes
         # exactly graph._INT's [+-]?[0-9]+, for less than a regex per field
-        if not line.isascii() or "_" in line:
+        if not all(p.isascii() and "_" not in p for p in parts):
             raise InstanceFormatError(f"line {lineno}: non-integer field")
         try:
             v, reg, par = int(parts[0]), int(parts[1]), int(parts[2])
@@ -657,24 +652,15 @@ def check_csr(g: Graph) -> None:
 
 
 def root_tags(state: SolverState) -> None:
-    """Retag every node with the source its parent chain ends at.
+    """Retag every node with the source its parent chain ends at, as the
+    audit core's walk (:func:`_chain_roots`) finds it.
 
     Under ``max`` or ``min`` as ``extend``, a node keeps its parent and its
     old tag when that parent improves but offers only an equal cost; under
     min-plus a better parent always offers better, so nothing changes.
     """
-    parent, tags = state.parent, state.tags
-    fixed = [False] * (state.n + 1)  # tags[v] names its chain's source
-    for v in (UNSET, *state.sources):
-        fixed[v] = True
-    for v in range(1, state.n + 1):
-        chain, u = [], v
-        while not fixed[u]:
-            fixed[u] = True
-            chain.append(u)
-            u = parent[u]
-        for x in chain:
-            tags[x] = tags[u]
+    state.tags[:] = _chain_roots(state.parent, state.is_source,
+                                 _labeled(state), VerificationReport(), "tag")
 
 
 def debug_hook(g: Graph, regions: Regions, state: SolverState, label: str,

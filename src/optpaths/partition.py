@@ -129,6 +129,15 @@ class OptReport(NamedTuple):
 SCHEDULERS = ("hrp", "fr", "ht")
 
 
+def scheduler_code(kind: str) -> int:
+    """The code of the scheduler ``kind``; any name outside
+    :data:`SCHEDULERS` raises GraphError."""
+    try:
+        return SCHEDULERS.index(kind)
+    except ValueError:
+        raise GraphError(f"unknown scheduler kind: {kind!r}") from None
+
+
 def relax(state: SolverState, algebra: CostAlgebra,
           u: NodeId, v: NodeId, weight: int) -> bool:
     """``u`` offers itself as parent of ``v``; True when ``v`` accepts.
@@ -182,7 +191,6 @@ def hda_multi(g: Graph, sources: Sequence[NodeId], algebra: CostAlgebra,
 
     fwd_ptr = g.fwd_ptr.tolist()
     fwd_dst = g.fwd_dst.tolist()
-    fwd_w = g.fwd_w.tolist()
     rev_ptr = g.rev_ptr.tolist()
     rev_src = g.rev_src.tolist()
     rev_w = g.rev_w.tolist()

@@ -1,4 +1,5 @@
 import ast
+import errno
 import hashlib
 import os
 import pathlib
@@ -144,10 +145,14 @@ class TestGen:
          "node count 18446744073709551616 is too large to allocate"),
         ("random --n 5 --arcs 4611686018427387904",
          "arc count 4611686018427387904 is too large to allocate"),
+        ("random --n 5 --arcs -1", "arc count must be >= 0"),
+        ("random --n 18446744073709551616 --arcs 1",
+         "node count 18446744073709551616 is too large to allocate"),
     ])
     def test_oversize_spec_is_usage_error(self, argv, err, capsys):
-        # the arc columns are sized first, and these exceed 2^63 bytes, so
-        # they are refused before anything is allocated
+        # the counts are checked and the arc columns sized first; the sizes
+        # here exceed 2^63 bytes, so they are refused before anything is
+        # allocated
         assert run(["gen", *argv.split()]) == EXIT_USAGE
         assert capsys.readouterr().err == f"optpaths: error: {err}\n"
 
@@ -466,15 +471,58 @@ class TestVerify:
         assert run(["verify", "--instance", inst,
                     "--results", out]) == EXIT_USAGE
 
-    # int() takes both; result files, like instance files, hold ASCII
-    # [+-]?[0-9]+ integers only
-    @pytest.mark.parametrize("row", ["9 5 6 1_4", "9 5 6 \uff15"])
-    def test_non_ascii_integers_are_usage_error(self, tmp_path, capsys, row):
+    # int() takes the first two; result files, like instance files, hold
+    # ASCII [+-]?[0-9]+ integers only, whatever whitespace separates them
+    @pytest.mark.parametrize("lane", ["compiled", "reference"])
+    @pytest.mark.parametrize("sep", [" ", "\u00a0"])
+    @pytest.mark.parametrize("node, row", [
+        (9, "9 5 6 1_4"), (9, "9 5 6 \uff15"), (1, "1 1 0 0 \xe9")])
+    def test_non_ascii_integers_are_usage_error(self, tmp_path, capsys,
+                                                request, lane, sep, node,
+                                                row):
+        if lane == "reference":
+            request.getfixturevalue("broken_compiler")()
         inst, out = self.solve_to(tmp_path, "ht")
-        self.tamper(tmp_path / "ht.txt", {9: row})
+        self.tamper(tmp_path / "ht.txt", {node: row.replace(" ", sep)})
         assert run(["verify", "--instance", inst, "--results", out,
                     "--fixpoint"]) == EXIT_USAGE
-        assert "line 9: non-integer field" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"optpaths: error: line {node}: non-integer field\n"
+
+    # as in an instance's arc lines, any whitespace separates fields
+    @pytest.mark.parametrize("lane", ["compiled", "reference"])
+    @pytest.mark.parametrize("sep", ["\u00a0", "\u2003", "\x0c"])
+    def test_unicode_whitespace_separates_fields(self, tmp_path, capsys,
+                                                 request, lane, sep):
+        if lane == "reference":
+            request.getfixturevalue("broken_compiler")()
+        inst, out = self.solve_to(tmp_path, "ht")
+        spaced = tmp_path / "spaced.txt"
+        spaced.write_bytes(pathlib.Path(out).read_text(encoding="utf-8")
+                           .replace(" ", sep).encode())
+        assert [list(c) for c in op.read_results_file(str(spaced), 30)[:4]] \
+            == [list(c) for c in op.read_results_file(out, 30)[:4]]
+        capsys.readouterr()
+        assert run(["verify", "--instance", inst, "--results", str(spaced),
+                    "--fixpoint"]) == EXIT_OK
+        assert capsys.readouterr() == ("OK\n", "")
+
+    @pytest.mark.parametrize("lane", ["compiled", "reference"])
+    def test_fixpoint_names_an_unreached_endpoint(self, tmp_path, capsys,
+                                                  request, lane):
+        if lane == "reference":
+            request.getfixturevalue("broken_compiler")()
+        inst = tmp_path / "path.txt"
+        inst.write_text("n 3 2 directed\n1 2 5\n2 3 1\n")
+        res = tmp_path / "res.txt"
+        res.write_text("1 1 0 0\n2 2 1 5\n3 0 0 UNREACHED\n")
+        assert run(["verify", "--instance", str(inst), "--results", str(res),
+                    "--fixpoint"]) == EXIT_VERIFY
+        assert capsys.readouterr() == (
+            "2 failure(s):\n"
+            "  [region] node 3: expected 3, got 0\n"
+            "  [fixpoint] arc (2,3,1): expected endpoint labeled, got "
+            "unreached endpoint\n", "")
 
     # every cost is off by 7, consistently, and so is the source's
     @pytest.mark.parametrize("lane", ["compiled", "reference"])
@@ -861,6 +909,25 @@ class TestOutputFiles:
         assert (work / "res").read_bytes() == (work / "fresh").read_bytes()
         assert sorted(os.listdir(work)) == ["fresh", "g.txt", "res",
                                             stale.name]
+
+    def test_a_temp_file_that_cannot_be_made_keeps_the_old_file(
+            self, work, capsys, monkeypatch):
+        res = work / "res.txt"
+        res.write_bytes(b"old\n")
+        os_open = os.open
+
+        def no_space(path, flags, *args, **kwargs):
+            if str(path).endswith(".tmp"):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+            return os_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", no_space)
+        assert run(["solve", "--instance", "g.txt", "--algo", "ht",
+                    "--out", "res.txt"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "optpaths: error: [Errno 28] "
+                                       "No space left on device: 'res.txt'\n")
+        assert res.read_bytes() == b"old\n"
+        assert sorted(os.listdir(work)) == ["g.txt", "res.txt"]
 
     @pytest.mark.parametrize("exists", [True, False])
     def test_a_failed_writer_keeps_the_old_file(self, tmp_path, exists):

@@ -146,6 +146,23 @@ def test_fast_run_validates_sources(triangle):
         fastlane.FastRun(triangle, [9])
 
 
+@needs_lane
+def test_both_lanes_refuse_an_unknown_scheduler_alike(triangle):
+    algebra = op.min_plus_algebra()
+    regions, state, _ = op.hda_multi(triangle, [1], algebra)
+    statuses = op.classify_status(triangle, state, algebra, regions)
+    run = fastlane.FastRun(triangle, [1])
+    run.classify()
+    refusals = []
+    for schedule in (lambda: op.run_scheduler("bogus", triangle, regions,
+                                              state, statuses, algebra),
+                     lambda: run.schedule("bogus")):
+        with pytest.raises(GraphError) as exc:
+            schedule()
+        refusals.append((exc.type, str(exc.value)))
+    assert refusals == [(GraphError, "unknown scheduler kind: 'bogus'")] * 2
+
+
 # -- routing: run_pipeline picks the lane -------------------------------------
 
 @needs_lane

@@ -70,6 +70,14 @@ class TestOraclesAgainstBruteForce:
         assert dj.dist[1:] == [0, 4, None]
         assert dj.parent[3] == op.UNSET
 
+    def test_bellman_ford_skips_unreached_nodes(self, algebra):
+        # node 4 has arcs into the reached part, and no arc into it
+        g = op.build_graph(4, [(1, 2, 4), (2, 3, 1), (4, 3, 0), (4, 1, 2)],
+                           directed=True)
+        bl = op.bellman_ford_oracle(g, 1, algebra)
+        assert bl.dist[4] is None and bl.parent[4] == op.UNSET
+        assert bl.dist == op.dijkstra_oracle(g, 1, algebra).dist
+
 
 class TestStructuralAudits:
     def solved(self, triangle, algebra):

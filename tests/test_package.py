@@ -1,12 +1,16 @@
-"""The package namespace and the record types its modules define.
+"""The package namespace, the record types its modules define, and the
+locals of its functions.
 
 ``import optpaths`` imports none of its modules: each public name resolves
 on first use to the object of the module that defines it.  The records are
-named tuples or plain classes, none of them dataclasses.
+named tuples or plain classes, none of them dataclasses.  No function
+assigns a local that it never reads.
 """
 
+import ast
 import importlib
 import os
+import pathlib
 import subprocess
 import sys
 import types
@@ -136,3 +140,41 @@ class TestRecords:
                                "  [tree] node 2: expected 1, got 2")
         kept = [("cost", "node 3", 0, 1)]
         assert op.VerificationReport(kept).failures is kept
+
+
+def unread_locals(tree: ast.AST) -> list[tuple[str, str, int]]:
+    """(function, name, line) of every name a function of ``tree`` assigns
+    and neither it nor a function nested in it reads; ``_`` and names
+    declared global or nonlocal are exempt."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = [n for n in ast.walk(fn) if isinstance(n, ast.Name)]
+        exempt = {"_"}.union(*(n.names for n in ast.walk(fn)
+                               if isinstance(n, (ast.Global, ast.Nonlocal))))
+        exempt |= {n.id for n in names if isinstance(n.ctx, ast.Load)}
+        found += [(fn.name, n.id, n.lineno) for n in names
+                  if isinstance(n.ctx, ast.Store) and n.id not in exempt]
+    return found
+
+
+class TestLocals:
+    def test_no_function_assigns_a_local_it_never_reads(self):
+        files = sorted(pathlib.Path(op.__file__).parent.glob("*.py"))
+        assert len(files) > 1
+        assert [(path.name, *where) for path in files
+                for where in unread_locals(ast.parse(path.read_bytes()))] == []
+
+    def test_the_scan_sees_each_kind_of_binding(self):
+        tree = ast.parse(
+            "def f(a):\n"
+            "    x, _ = a\n"
+            "    for y in a:\n"
+            "        global w\n"
+            "        w = z = y\n"
+            "    def g():\n"
+            "        v = z\n"
+            "    return g\n")
+        assert unread_locals(tree) == [("f", "x", 2), ("f", "v", 7),
+                                       ("g", "v", 7)]
