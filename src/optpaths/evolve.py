@@ -23,7 +23,8 @@ from .partition import OptReport, Regions, SolverState, relax
 
 def eom(g: Graph, regions: Regions, state: SolverState, algebra: CostAlgebra,
         debug_check: Optional[Callable[[int], None]] = None) -> OptReport:
-    """Head-to-tail sweeps until a clean pass."""
+    """Head-to-tail sweeps until a clean pass.  Neither sweep writes
+    ``state.tags``: only ``run_pipeline`` tags a run."""
     return _sweep_to_fixpoint(g, regions, state, algebra, False, debug_check)
 
 

@@ -4,13 +4,13 @@ the instance and results files, and the ``verify`` command.
 The reference solvers in :mod:`partition`, :mod:`evolve` and :mod:`monarchy`
 are generic over the cost algebra and carry debug hooks; the kernels in
 ``kernels.c`` are the same algorithms specialized to min-plus over int64.
-They mirror the reference loops statement for statement -- including every
-counter and the per-node source tags -- and the test suite asserts exact
-equality of states and counters between the two lanes, so either lane
-certifies the other.  Schedulers are named as in
-:data:`partition.SCHEDULERS`, and this module imports none of the
-reference solvers.  Results stay in the kernels' ``array('q')`` buffers
-from solve to export.
+They mirror the reference loops statement for statement, every counter
+included, and :meth:`fastlane.FastRun.root_tags` the reference tag walk;
+the test suite asserts exact equality of states, tags and counters between
+the two lanes, so either lane certifies the other.  Schedulers are named as in
+:data:`partition.SCHEDULERS`, and this module imports none of the reference
+solvers.  Results stay in the kernels' ``array('q')`` buffers from solve to
+export.
 
 The other kernels certify or refuse.  :func:`build` assembles the CSR of
 int64 arc columns, :func:`read_graph` parses an instance's arc block and
@@ -70,10 +70,11 @@ _SOURCE = Path(__file__).with_name("kernels.c")
 _P, _I, _U = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
 #: kernel name -> (argtypes, restype), matching kernels.c
 _SIGNATURES = {
-    "optpaths_hda": ([_P] * 6 + [_I] + [_P] * 8, _I),
+    "optpaths_hda": ([_P] * 6 + [_I] + [_P] * 7, _I),
     "optpaths_classify": ([_P, _I] + [_P] * 5, _I),
-    "optpaths_eom": ([_P, _I] + [_P] * 8 + [_I, _P], None),
-    "optpaths_schedule": ([_I, _P, _I] + [_P] * 11, None),
+    "optpaths_eom": ([_P, _I] + [_P] * 7 + [_I, _P], None),
+    "optpaths_schedule": ([_I, _P, _I] + [_P] * 10, None),
+    "optpaths_chain_roots": ([_I, _P, _P], _I),
     "optpaths_build": ([_I] * 3 + [_P] * 9, _I),
     "optpaths_check_csr": ([_I, _P, _P, _P, _I, _P], _I),
     "optpaths_read": ([ctypes.c_char_p] + [_I] * 5 + [_P] * 9, _I),
@@ -316,12 +317,12 @@ def block_is_clean(data: bytes, h: InstanceHeader, region: Sequence[int],
             + (() if tags is None else (tags,))]
     if any(c is None or len(c) != h.n + 1 for c in cols):
         return False
-    found, color, low = (_zeros(h.n + 1) for _ in range(3))
+    found, root, low = (_zeros(h.n + 1) for _ in range(3))
     tag_ptr = None if tags is None else _ptr(cols[4])
     return lib.optpaths_audit_block(
         data, h.body_start, len(data), h.n, h.arc_count, int(h.directed),
         *map(_ptr, cols[:4]), tag_ptr, int(fixpoint),
-        *map(_ptr, (found, color, low))) == 0
+        *map(_ptr, (found, root, low))) == 0
 
 
 def _check_csr(lib: ctypes.CDLL, g: Graph) -> int:
@@ -384,18 +385,16 @@ class FastRun:
         self.g = g
         src_ids = array("q", srcs)  # alive through the kernel call
         order = _zeros(g.n)
-        region, pos, parent, cost, issrc, self._tags = (
-            _zeros(g.n + 1) for _ in range(6))
+        region, pos, parent, cost, issrc = (_zeros(g.n + 1) for _ in range(5))
         inspections = _zeros(1)
         count = self._lib.optpaths_hda(
             _ptr(g.fwd_ptr), _ptr(g.fwd_dst), _ptr(g.rev_ptr),
             _ptr(g.rev_src), _ptr(g.rev_w), _ptr(src_ids),
             len(srcs), _ptr(order), _ptr(region), _ptr(pos), _ptr(parent),
-            _ptr(cost), _ptr(issrc), _ptr(self._tags), _ptr(inspections))
+            _ptr(cost), _ptr(issrc), _ptr(inspections))
         del order[count:]
         self.regions = Regions(order, region, pos)
-        self.state = SolverState(g.n, tuple(srcs), parent, cost, issrc,
-                                 self._tags if len(srcs) > 1 else None)
+        self.state = SolverState(g.n, tuple(srcs), parent, cost, issrc)
         self.hda_report = HdaReport(arc_inspections=int(inspections[0]))
 
     def classify(self) -> int:
@@ -407,10 +406,9 @@ class FastRun:
             _ptr(g.fwd_w), _ptr(self.state.cost), _ptr(self.status)))
 
     def _labels(self) -> list[int]:
-        """The addresses of the parent, cost, source and tag arrays."""
+        """The addresses of the parent, cost and source arrays."""
         st = self.state
-        return [_ptr(a) for a in (st.parent, st.cost, st.is_source,
-                                  self._tags)]
+        return [_ptr(a) for a in (st.parent, st.cost, st.is_source)]
 
     def eom(self, two_course: bool = False) -> OptReport:
         g, order = self.g, self.regions.order
@@ -433,3 +431,13 @@ class FastRun:
             _ptr(r.position_of), _ptr(g.fwd_ptr), _ptr(g.fwd_dst),
             _ptr(g.fwd_w), *self._labels(), _ptr(self.status), _ptr(out))
         return OptReport(*out.tolist())
+
+    def root_tags(self) -> array:
+        """The tags of :func:`oracles.root_tags`, from the one compiled
+        walk; GraphError if a parent chain loops."""
+        st, tags = self.state, _zeros(self.g.n + 1)
+        if self._lib.optpaths_chain_roots(st.n, _ptr(st.parent), _ptr(tags)):
+            raise GraphError("the parent chains loop")
+        for s in st.sources:
+            tags[s] = s
+        return tags

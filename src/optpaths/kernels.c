@@ -6,16 +6,15 @@
  * every per-node array has n + 1 entries.  Costs are plain int64: the
  * caller refuses graphs whose largest weight, as optpaths_check_csr reads
  * it, times n exceeds INT64_MAX, which bounds every candidate cost + weight
- * below overflow.  tags names, per
- * node, the source whose influence labeled it: each source starts tagged
- * with itself and every accepted relaxation copies the new parent's tag.
- * No label keeps its arc's weight.  Every kernel accepts relaxations
- * through relax below, which mirrors partition.relax, the one rule of the
- * reference lane.  The optimizer kernels write their counters to out[]
- * through report below, in the field order of partition.OptReport:
- * big_loops, node_scans, improvements, regular_way, wrong_way,
- * arc_relaxations.  Like the reference loops, they count only what they
- * cannot derive, and derive the rest.
+ * below overflow.  No solver carries source tags: optpaths_chain_roots
+ * derives them once from the final parent chains.  No label keeps its
+ * arc's weight.  Every kernel accepts relaxations through relax below,
+ * which mirrors partition.relax, the one rule of the reference lane.  The
+ * optimizer kernels write their counters to out[] through report below,
+ * in the field order of partition.OptReport: big_loops, node_scans,
+ * improvements, regular_way, wrong_way, arc_relaxations.  Like the
+ * reference loops, they count only what they cannot derive, and derive
+ * the rest.
  *
  * The other kernels certify or refuse, and are not statement-for-statement
  * mirrors of the Python code they stand in for; whatever they refuse, they
@@ -45,10 +44,10 @@
 #include <string.h>
 
 /* u offers itself as parent of v over an arc of weight w: v accepts its
- * first label or a strictly cheaper cost, and takes u as parent, that cost
- * and u's tag; sources are never relabeled.  Returns 1 when v accepts. */
+ * first label or a strictly cheaper cost, and takes u as parent and that
+ * cost; sources are never relabeled.  Returns 1 when v accepts. */
 static inline int relax(int64_t u, int64_t v, int64_t w, int64_t *parent,
-                        int64_t *cost, const int64_t *issrc, int64_t *tags)
+                        int64_t *cost, const int64_t *issrc)
 {
     if (issrc[v])
         return 0;
@@ -57,7 +56,6 @@ static inline int relax(int64_t u, int64_t v, int64_t w, int64_t *parent,
         return 0;
     parent[v] = u;
     cost[v] = c;
-    tags[v] = tags[u];
     return 1;
 }
 
@@ -70,13 +68,12 @@ int64_t optpaths_hda(const int64_t *fptr, const int64_t *fdst,
                      const int64_t *rw, const int64_t *sources,
                      int64_t n_sources, int64_t *order, int64_t *region,
                      int64_t *pos, int64_t *parent, int64_t *cost,
-                     int64_t *issrc, int64_t *tags, int64_t *inspections)
+                     int64_t *issrc, int64_t *inspections)
 {
     int64_t count = 0;
     for (int64_t j = 0; j < n_sources; j++) {
         int64_t s = sources[j];
         issrc[s] = 1;
-        tags[s] = s;
         order[count] = s;
         count += 1;
         region[s] = 1;
@@ -101,7 +98,7 @@ int64_t optpaths_hda(const int64_t *fptr, const int64_t *fdst,
             int64_t v = rsrc[k];
             int64_t rv = region[v];
             if (0 < rv && rv < reg)
-                relax(v, u, rw[k], parent, cost, issrc, tags);
+                relax(v, u, rw[k], parent, cost, issrc);
         }
         i += 1;
     }
@@ -159,8 +156,8 @@ static void report(int64_t *out, int64_t big_loops, int64_t node_scans,
 void optpaths_eom(const int64_t *order, int64_t n_order,
                   const int64_t *region, const int64_t *rptr,
                   const int64_t *rsrc, const int64_t *rw, int64_t *parent,
-                  int64_t *cost, const int64_t *issrc, int64_t *tags,
-                  int64_t two_course, int64_t *out)
+                  int64_t *cost, const int64_t *issrc, int64_t two_course,
+                  int64_t *out)
 {
     int64_t big_loops = 0;
     int64_t improvements = 0;
@@ -177,7 +174,7 @@ void optpaths_eom(const int64_t *order, int64_t n_order,
                 if (parent[v] == 0 && issrc[v] == 0)
                     continue;
                 arc_relax += 1;
-                if (relax(v, u, rw[k], parent, cost, issrc, tags)) {
+                if (relax(v, u, rw[k], parent, cost, issrc)) {
                     improvements += 1;
                     if (ru > region[v])
                         regular += 1;
@@ -199,8 +196,7 @@ void optpaths_schedule(int64_t code, const int64_t *order, int64_t n_order,
                        const int64_t *region, const int64_t *pos,
                        const int64_t *fptr, const int64_t *fdst,
                        const int64_t *fw, int64_t *parent, int64_t *cost,
-                       const int64_t *issrc, int64_t *tags, int64_t *status,
-                       int64_t *out)
+                       const int64_t *issrc, int64_t *status, int64_t *out)
 {
     int64_t big_loops = 1;
     int64_t node_scans = 0;
@@ -231,7 +227,7 @@ void optpaths_schedule(int64_t code, const int64_t *order, int64_t n_order,
         arc_relax += fptr[u + 1] - fptr[u];
         for (int64_t k = fptr[u]; k < fptr[u + 1]; k++) {
             int64_t v = fdst[k];
-            if (relax(u, v, fw[k], parent, cost, issrc, tags)) {
+            if (relax(u, v, fw[k], parent, cost, issrc)) {
                 improvements += 1;
                 status[v] = 1;
                 if (region[v] > ru)
@@ -262,6 +258,25 @@ void optpaths_schedule(int64_t code, const int64_t *order, int64_t n_order,
     report(out, big_loops, node_scans, improvements, regular, arc_relax);
 }
 
+/* The one parent-chain walk, of fastlane.FastRun.root_tags and the audit
+ * core; oracles._chain_roots is its reference.  For every node with a
+ * parent (each parent[v] is 0 or in 1..n), root (zero-filled, n + 1
+ * entries) ends at the first node on its chain without one.  Memoized: each
+ * node is walked once.  Returns 1 if a chain loops, 0 otherwise. */
+int64_t optpaths_chain_roots(int64_t n, const int64_t *parent, int64_t *root)
+{
+    for (int64_t v = 1; v <= n; v++) {
+        int64_t u = v;
+        for (; parent[u] != 0 && root[u] == 0; u = parent[u])
+            root[u] = -1;  /* on the current walk */
+        if (root[u] == -1)
+            return 1;
+        int64_t end = parent[u] == 0 ? u : root[u];
+        for (u = v; root[u] == -1; u = parent[u])
+            root[u] = end;
+    }
+    return 0;
+}
 
 /* The one field separator of both file kinds, space or tab: the readers
  * get a file's bytes as graph.text_mode_bytes leaves them, so '\n' is the
@@ -627,12 +642,12 @@ int64_t optpaths_read_results(const char *s, int64_t len, int64_t n,
  * n nodes, with tags NULL for an export without the tag column, whether
  * the fixpoint condition is asked for, and zero-filled scratch of n + 1
  * entries each: found[v] is set once an arc from v's parent matches its
- * cost, color serves the parent-chain walk, and low[v] is the smallest
+ * cost, root serves the parent-chain walk, and low[v] is the smallest
  * nonzero region of an in-neighbour of v (0 while there is none). */
 struct export {
     int64_t n, fixpoint;
     const int64_t *region, *parent, *cost, *has_cost, *tags;
-    int64_t *found, *color, *low;
+    int64_t *found, *root, *low;
 };
 
 /* The checks of arc u -> v of weight w; returns 1 to refuse. */
@@ -663,7 +678,6 @@ static int audit_nodes(const struct export *x)
     int64_t n = x->n, roots = 0;
     const int64_t *region = x->region, *parent = x->parent,
                   *has_cost = x->has_cost, *tags = x->tags;
-    int64_t *color = x->color;
     for (int64_t v = 1; v <= n; v++) {
         int64_t p = parent[v], r = region[v];
         if (p < 0 || p > n)
@@ -679,7 +693,6 @@ static int audit_nodes(const struct export *x)
             if (x->cost[v] != 0 || r != 1 || (tags && tags[v] != v))
                 return 1;
             roots += 1;
-            color[v] = 2;
             continue;
         }
         int64_t lo = x->low[v];  /* r - lo cannot wrap once r > lo >= 1 */
@@ -692,23 +705,9 @@ static int audit_nodes(const struct export *x)
     }
     if (tags ? roots < 2 : roots != 1)
         return 1;
-
-    /* color: 0 unknown, 1 on the current walk, 2 reaches a root.  The
-     * parent of a reached non-root is reached, and only roots lack one. */
-    for (int64_t v = 1; v <= n; v++) {
-        if (region[v] == 0 || color[v])
-            continue;
-        int64_t u = v;
-        while (color[u] == 0) {
-            color[u] = 1;
-            u = parent[u];
-        }
-        if (color[u] == 1)
-            return 1;
-        for (u = v; color[u] == 1; u = parent[u])
-            color[u] = 2;
-    }
-    return 0;
+    /* Unreached nodes have no parent and a reached node's parent is
+     * reached, so every chain that does not loop ends at a root. */
+    return optpaths_chain_roots(n, parent, x->root);
 }
 
 /* The audit core's entry point: audits an export against the arc block of
@@ -716,17 +715,17 @@ static int audit_nodes(const struct export *x)
  * a graph; an undirected arc is audited in both directions.  It refuses
  * whatever optpaths_read refuses.  region, parent, cost and has_cost hold
  * n + 1 entries, and has_cost[v] is 0 where the export says UNREACHED;
- * tags is NULL for an export without the tag column; found, color and low
+ * tags is NULL for an export without the tag column; found, root and low
  * are zero-filled scratch of n + 1 entries. */
 int64_t optpaths_audit_block(const char *s, int64_t start, int64_t len,
                              int64_t n, int64_t k, int64_t directed,
                              const int64_t *region, const int64_t *parent,
                              const int64_t *cost, const int64_t *has_cost,
                              const int64_t *tags, int64_t fixpoint,
-                             int64_t *found, int64_t *color, int64_t *low)
+                             int64_t *found, int64_t *root, int64_t *low)
 {
     struct export x = {n, fixpoint, region, parent, cost, has_cost, tags,
-                       found, color, low};
+                       found, root, low};
     const char *p = s + start, *end = s + len;
     int64_t count = 0, arc[3];
     int r;

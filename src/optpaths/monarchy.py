@@ -77,7 +77,8 @@ def run_scheduler(kind: str, g: Graph, regions: Regions,
                   debug_check: Optional[Callable[[int], None]] = None,
                   ) -> OptReport:
     """Drive push-relaxation to the fixpoint under the pointer rule ``kind``,
-    one of :data:`partition.SCHEDULERS`; any other kind raises GraphError."""
+    one of :data:`partition.SCHEDULERS`; any other kind raises GraphError.
+    It writes no ``state.tags``: only ``run_pipeline`` tags a run."""
     code = scheduler_code(kind)
 
     order = regions.order

@@ -12,7 +12,7 @@ no-improving-arc fixpoint condition directly on a solver state, and
 :func:`verify_export`, the reference audit of an export, uses the same core;
 all honour the cost algebra and collect every failure rather than stopping
 at the first.  The core's one parent-chain walk also gives the source tags
-of :func:`root_tags`.
+of :func:`root_tags`, and ``optpaths_chain_roots`` mirrors it.
 
 On the compiled lane of :mod:`fastlane` a command runs none of this module,
 and imports it only at the point where a kernel refuses its input, a debug
@@ -25,7 +25,7 @@ Besides the oracles and the audits, it holds:
   (:func:`scan_results`), which name the first fault the kernels refuse
   without naming; they read the decoded text of bytes already read, and
   open no file;
-- the reference lane's CSR check (:func:`check_csr`), its retagging of
+- the reference lane's CSR check (:func:`check_csr`), its tagging of
   multi-source runs from the audit core's walk (:func:`root_tags`) and the
   debug hook of ``run_pipeline(..., debug_invariants=True)``
   (:func:`debug_hook`), for :func:`pipeline.run_pipeline`;
@@ -302,15 +302,15 @@ def _labeled(state: SolverState) -> list[bool]:
     return [state.labeled(v) for v in range(state.n + 1)]
 
 
-def check_tree(state: SolverState, g: Graph,
-               algebra: CostAlgebra) -> VerificationReport:
+def check_tree(state: SolverState, g: Graph, algebra: CostAlgebra,
+               live: Optional[Sequence[bool]] = None) -> VerificationReport:
     """Audit the parent array: arcs exist, costs are consistent, no cycles.
 
     The parent ``p`` of ``v`` needs an arc ``(p, v, w)`` through which
     ``cost[v]`` is not better than ``extend(cost[p], w)``.  Mid-run, under
     an isotone algebra, a parent that improves after ``v`` adopts it leaves
     ``cost[v]`` stale-worse, which is sound; exact equality is the fixpoint
-    audit's job.
+    audit's job.  ``live``, if given, is ``_labeled(state)``.
     """
     rep = VerificationReport()
     parent, cost = state.parent, state.cost
@@ -329,7 +329,8 @@ def check_tree(state: SolverState, g: Graph,
             continue
         best = next(c for c in offers if not any(better(d, c) for d in offers))
         rep.add("cost-consistency", f"node {v}", f"cost >= {best}", cost[v])
-    _chain_roots(parent, state.is_source, _labeled(state), rep, "acyclic")
+    _chain_roots(parent, state.is_source,
+                 _labeled(state) if live is None else live, rep, "acyclic")
     # sources never carry a parent
     for s in state.sources:
         if parent[s] != UNSET:
@@ -341,21 +342,26 @@ def check_reachability(state: SolverState,
                        regions: Regions) -> VerificationReport:
     """Every partition-reached node must still hang off a source in the tree."""
     rep = VerificationReport()
-    n = state.n
     live = _labeled(state)
-    reached = sum(1 for v in range(1, n + 1) if regions.position_of[v] != 0)
-    labeled = sum(live)
-    if reached != labeled:
-        rep.add("reached-set", "partition vs tree",
-                f"{reached} reached", f"{labeled} labeled")
-    for v in range(1, n + 1):
-        if regions.position_of[v] != 0 and not live[v]:
-            rep.add("reached-set", f"node {v}", "labeled", "unlabeled")
+    _reached_set(live, regions, rep)
     root = _chain_roots(state.parent, state.is_source, live, rep, "reachable")
-    for v in range(1, n + 1):
+    for v in range(1, state.n + 1):
         if regions.position_of[v] != 0 and live[v] and not root[v]:
             rep.add("reachable", f"node {v}", "chain to a source", "broken chain")
     return rep
+
+
+def _reached_set(live: Sequence[bool], regions: Regions, rep) -> int:
+    """The reached-set checks into ``rep``; returns the labeled count."""
+    reached = [v for v in range(1, len(live)) if regions.position_of[v] != 0]
+    labeled = sum(live)
+    if len(reached) != labeled:
+        rep.add("reached-set", "partition vs tree",
+                f"{len(reached)} reached", f"{labeled} labeled")
+    for v in reached:
+        if not live[v]:
+            rep.add("reached-set", f"node {v}", "labeled", "unlabeled")
+    return labeled
 
 
 def check_fixpoint(g: Graph, state: SolverState,
@@ -651,42 +657,39 @@ def check_csr(g: Graph) -> None:
             raise GraphError("malformed CSR adjacency")
 
 
-def root_tags(state: SolverState) -> None:
-    """Retag every node with the source its parent chain ends at, as the
-    audit core's walk (:func:`_chain_roots`) finds it.
-
-    Under ``max`` or ``min`` as ``extend``, a node keeps its parent and its
-    old tag when that parent improves but offers only an equal cost; under
-    min-plus a better parent always offers better, so nothing changes.
-    """
-    state.tags[:] = _chain_roots(state.parent, state.is_source,
-                                 _labeled(state), VerificationReport(), "tag")
+def root_tags(state: SolverState) -> list[int]:
+    """Per node, the source its parent chain ends at, as the audit core's
+    walk (:func:`_chain_roots`) finds it; 0 where unlabeled.
+    :meth:`fastlane.FastRun.root_tags` is its compiled mirror."""
+    return _chain_roots(state.parent, state.is_source, _labeled(state),
+                        VerificationReport(), "tag")
 
 
 def debug_hook(g: Graph, regions: Regions, state: SolverState, label: str,
                algebra: CostAlgebra):
     """The big-loop audit of ``run_pipeline(..., debug_invariants=True)``:
     a hook that raises :class:`pipeline.InvariantViolation` when the tree
-    or reachability audit fails or the labeled set shrinks."""
+    or reachability audit fails or the labeled set shrinks.  A passing tree
+    audit has walked every labeled chain to a source, so the reachability
+    audit needs only its reached-set checks."""
     from .pipeline import InvariantViolation
-    reached_sizes = []
+    last = 0  # the labeled count at the previous call
 
     def hook(big_loop: int) -> None:
-        rep = check_tree(state, g, algebra)
-        if not rep.ok:
-            raise InvariantViolation(
-                f"{label}: tree audit failed at big loop {big_loop}:\n"
-                + rep.summary())
-        rep = check_reachability(state, regions)
-        if not rep.ok:
-            raise InvariantViolation(
-                f"{label}: reachability audit failed at big loop {big_loop}:\n"
-                + rep.summary())
-        labeled = sum(1 for v in range(1, state.n + 1) if state.labeled(v))
-        if reached_sizes and labeled < reached_sizes[-1]:
+        nonlocal last
+        live = _labeled(state)
+        reach = VerificationReport()
+        labeled = _reached_set(live, regions, reach)
+        for audit, rep in (("tree", check_tree(state, g, algebra, live)),
+                           ("reachability", reach)):
+            if not rep.ok:
+                raise InvariantViolation(
+                    f"{label}: {audit} audit failed at big loop {big_loop}:\n"
+                    + rep.summary())
+        if labeled < last:
             raise InvariantViolation(
                 f"{label}: labeled set shrank at big loop {big_loop}: "
-                f"{reached_sizes[-1]} -> {labeled}")
-        reached_sizes.append(labeled)
+                f"{last} -> {labeled}")
+        last = labeled
 
     return hook

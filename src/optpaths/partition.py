@@ -52,42 +52,31 @@ class SolverState:
     """Mutable heart of every solver run.
 
     ``parent[v]`` is the chosen predecessor (0 = unset; always 0 at sources)
-    and ``cost[v]`` the current path cost; no arc weight is kept.  ``tags``
-    is present exactly when the run has two or more distinct sources and
-    names, per node, the source whose influence labeled it.  Lists on the
-    reference lane, which big-int costs and generic algebras need; int64
-    arrays on the compiled one.
+    and ``cost[v]`` the current path cost; no arc weight is kept.  No solver
+    writes ``tags``; ``run_pipeline`` sets them on a run from two or more
+    distinct sources (:func:`oracles.root_tags`).  Lists on the reference
+    lane, which big-int costs and generic algebras need; int64 arrays on the
+    compiled one.
     """
 
 
     def __init__(self, n: int, sources: tuple[int, ...],
                  parent: Sequence[int], cost: Sequence[int],
-                 is_source: Sequence[int], tags: Sequence[int] | None = None):
+                 is_source: Sequence[int]):
         self.n = n
         self.sources = sources
         self.parent = parent
         self.cost = cost
         self.is_source = is_source
-        self.tags = tags
+        self.tags: Sequence[int] | None = None
 
     @classmethod
     def fresh(cls, n: int, sources: Sequence[int], zero: int) -> "SolverState":
         is_source = [False] * (n + 1)
         for s in sources:
             is_source[s] = True
-        tags = None
-        if len(set(sources)) > 1:
-            tags = [UNSET] * (n + 1)
-            for s in sources:
-                tags[s] = s
-        return cls(
-            n=n,
-            sources=tuple(sources),
-            parent=[UNSET] * (n + 1),
-            cost=[zero] * (n + 1),
-            is_source=is_source,
-            tags=tags,
-        )
+        return cls(n, tuple(sources), [UNSET] * (n + 1), [zero] * (n + 1),
+                   is_source)
 
     def labeled(self, v: int) -> bool:
         return self.parent[v] != UNSET or self.is_source[v]
@@ -155,8 +144,6 @@ def relax(state: SolverState, algebra: CostAlgebra,
     if state.parent[v] == UNSET or algebra.better(c, state.cost[v]):
         state.parent[v] = u
         state.cost[v] = c
-        if state.tags is not None:
-            state.tags[v] = state.tags[u]
         return True
     return False
 
@@ -181,6 +168,7 @@ def hda_multi(g: Graph, sources: Sequence[NodeId], algebra: CostAlgebra,
     Disconnected inputs are not an error: unreached nodes keep layer 0 and
     stay out of ``Regions.order``.  Every arc is inspected at most twice
     (once for discovery, once for the pull), so this is a single pass.
+    ``state.tags`` stays None: only ``run_pipeline`` tags a run.
     """
     srcs = source_set(g, sources)
     n = g.n

@@ -3,12 +3,12 @@
 Every command that solves -- ``solve`` (``multi`` included), ``compare`` and
 ``bench`` -- calls ``run_pipeline``: it runs the partition phase from the
 source set, then the selected optimizer, and returns all phase reports plus
-the final state.  A run has per-node source tags exactly when it has two or
-more distinct sources, and each tag names the source its node's parent
-chain ends at.  With ``debug_invariants`` set, the tree and
-reachability audits run under the run's cost algebra at every big-loop
-boundary and any failure raises :class:`InvariantViolation` (the reached
-labeled set must also never shrink).
+the final state.  Once the last timed phase is done, one walk of the final
+parent chains (:func:`oracles.root_tags`) tags each node of a run from two or
+more distinct sources with the source its chain ends at.  With
+``debug_invariants`` set, the tree and reachability audits run under the
+run's cost algebra at every big-loop boundary and any failure raises
+:class:`InvariantViolation` (the reached labeled set must also never shrink).
 
 ``run_pipeline`` checks the sources (:func:`partition.source_set`) before
 it picks a lane, and times the phases of both lanes: ``hda_ms`` includes
@@ -22,11 +22,10 @@ compiled min-plus lane of :mod:`fastlane` exactly when no algebra is passed,
 graph is inside the int64 bound); otherwise it runs the generic reference
 lane, so an explicit algebra -- even :func:`min_plus_algebra` -- or a debug
 run always gets the reference lane.  A malformed CSR makes ``FastRun``
-raise, and the reference lane then raises the same GraphError.
-The reference lane's code beyond the solvers themselves, its CSR
-check, debug hook and multi-source retagging, is in :mod:`oracles`.  Both
-lanes give identical states, tags and counters.  ``PipelineResult.lane``
-records the lane that ran.
+raise, and the reference lane then raises the same GraphError.  The
+reference lane's code beyond the solvers themselves, its CSR check, debug
+hook and tag walk, is in :mod:`oracles`.  Both lanes give identical states,
+tags and counters.  ``PipelineResult.lane`` records the lane that ran.
 """
 
 from __future__ import annotations
@@ -118,8 +117,8 @@ def run_pipeline(g: Graph, sources: Sequence[int], algo: str,
             rep = run_scheduler(algo, g, regions, state, statuses, algebra,
                                 debug_check=hook)
     t3 = t2 if rep is None else time.perf_counter()
-    if run is None and state.tags is not None:
-        oracles.root_tags(state)
+    if len(srcs) > 1:
+        state.tags = run.root_tags() if run else oracles.root_tags(state)
     return PipelineResult(algo, regions, state, hda_rep, origins, rep,
                           "reference" if run is None else "compiled",
                           (t1 - t0) * 1e3, (t2 - t1) * 1e3, (t3 - t2) * 1e3)

@@ -6,6 +6,7 @@ explicitly, which routes them to the reference lane; the compiled runs take
 the default and assert that it routed them to the compiled lane."""
 
 import ctypes
+import io
 import json
 import os
 import re
@@ -21,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import optpaths as op
-from optpaths import Graph, GraphError, cli, fastlane
+from optpaths import Graph, GraphError, cli, fastlane, oracles
+from optpaths.graph import parse_header
 from test_instance_parser import HOSTILE
 
 needs_lane = pytest.mark.skipif(not fastlane.available(),
@@ -161,6 +163,101 @@ def test_both_lanes_refuse_an_unknown_scheduler_alike(triangle):
             schedule()
         refusals.append((exc.type, str(exc.value)))
     assert refusals == [(GraphError, "unknown scheduler kind: 'bogus'")] * 2
+
+
+# -- the one compiled parent-chain walk ---------------------------------------
+
+@st.composite
+def parent_forests(draw):
+    """Parent arrays of forests on 1..30 nodes: several roots, parentless
+    nodes that are no root (unreached), and every other node hanging off
+    a node placed before it in a random order; plus those roots."""
+    n = draw(st.integers(2, 30))
+    order = draw(st.permutations(range(1, n + 1)))
+    k = draw(st.integers(1, min(4, n)))
+    roots, rest = order[:k], order[k:]
+    unreached = set(draw(st.lists(st.sampled_from(rest), max_size=n // 3))
+                    if rest else [])
+    parent = [0] * (n + 1)
+    for i, v in enumerate(rest, start=k):
+        if v not in unreached:
+            candidates = [u for u in order[:i] if u not in unreached]
+            parent[v] = draw(st.sampled_from(candidates))
+    return parent, roots
+
+
+def compiled_walk(parent):
+    """The kernel's return value and the roots it writes for ``parent``."""
+    parent, root = array("q", parent), array("q", [0]) * len(parent)
+    loops = fastlane._lane()[0].optpaths_chain_roots(
+        len(parent) - 1, fastlane._ptr(parent), fastlane._ptr(root))
+    return loops, list(root)
+
+
+def make_loop(parent, nodes):
+    """Point each of ``nodes`` at the one before it: a len(nodes)-loop."""
+    for i, v in enumerate(nodes):
+        parent[v] = nodes[i - 1]
+
+
+@needs_lane
+@settings(max_examples=200, deadline=None)
+@given(forest=parent_forests(), data=st.data())
+def test_the_compiled_walk_gives_the_reference_roots(forest, data):
+    parent, roots = forest
+    n = len(parent) - 1
+    is_root = [v in roots for v in range(n + 1)]
+    live = [is_root[v] or parent[v] != 0 for v in range(n + 1)]
+    rep = oracles.VerificationReport()
+    want = oracles._chain_roots(parent, is_root, live, rep, "tag")
+    assert rep.ok
+    loops, got = compiled_walk(parent)
+    for s in roots:  # the kernel writes only the nodes with a parent
+        got[s] = s
+    assert (loops, got) == (0, want)
+    # a 1-, 2- or 3-node loop anywhere, roots and unreached nodes included
+    k = data.draw(st.integers(1, min(3, n)))
+    make_loop(parent, data.draw(st.permutations(range(1, n + 1)))[:k])
+    assert compiled_walk(parent)[0] == 1
+
+
+@needs_lane
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_root_tags_raise_on_a_parent_loop(k):
+    g = op.gen_random_graph(30, 120, 0, 9, seed=4, directed=True)
+    run = fastlane.FastRun(g, [1, 17])
+    assert list(run.root_tags()) == list(op.run_pipeline(g, [1, 17],
+                                                         "hda").state.tags)
+    make_loop(run.state.parent,
+              [v for v in run.regions.order if run.state.parent[v]][:k])
+    with pytest.raises(GraphError, match="loop"):
+        run.root_tags()
+
+
+@needs_lane
+def test_the_audit_refuses_a_loop_that_passes_every_local_check(algebra):
+    # two nodes of the planted zero path, each the other's parent: every
+    # parent arc matches its cost, so only the chain walk can refuse
+    grid = op.GridSpec(12, 9, seed=3, plant_hzp=True)
+    buf = io.BytesIO()
+    op.write_instance(grid.n, *op.grid_columns(grid)[:3], False, buf)
+    data = buf.getvalue()
+    g, _ = op.read_instance(data)
+    res = op.run_pipeline(g, [1], "ht")
+    region, cost = res.regions.region_of, res.state.cost
+    parent = array("q", res.state.parent)
+    has_cost = array("q", [int(r != 0) for r in region])
+    h = parse_header(data)
+    assert fastlane.block_is_clean(data, h, region, parent, cost, has_cost,
+                                   True, None)
+    v = next(v for v in range(1, g.n + 1)
+             if parent[parent[v]] and cost[v] == cost[parent[v]])
+    make_loop(parent, [v, parent[v]])
+    assert not fastlane.block_is_clean(data, h, region, parent, cost,
+                                       has_cost, True, None)
+    rep = op.verify_export(g, region, parent, cost, has_cost, algebra,
+                           fixpoint=True)
+    assert {check for check, *_ in rep.failures} == {"acyclic"}
 
 
 # -- routing: run_pipeline picks the lane -------------------------------------
@@ -446,9 +543,10 @@ SANITIZED_BUILD = ("cc", "-O1", "-g", "-fsanitize=address,undefined",
 # six algorithms on an undirected grid and a directed multi-source graph,
 # each read from its instance bytes; the results reader on every prefix of
 # an export and on the export with one byte spoiled; the audit on the clean
-# export and on mutated ones; the formatter on int64's extremes; the draws
-# with and without a skip column; and the instance reader on the arc
-# blocks that it must refuse, read from stdin as a JSON list.
+# export and on mutated ones, a parent loop among them; the chain walk of
+# root_tags on parents made to loop; the formatter on int64's extremes;
+# the draws with and without a skip column; and the instance reader on the
+# arc blocks that it must refuse, read from stdin as a JSON list.
 _UNDER_SANITIZERS = r"""
 import io, json, os, sys
 from array import array
@@ -496,6 +594,23 @@ for data, sources in cases:
                 col[v] = old
         assert fastlane.block_is_clean(data, h, region[:-1], parent, cost,
                                        has_cost, True, tags) is False
+    # parent loops: a tree arc turned back on itself, for the audit's walk
+    # (on the grid, zero weight passes every other check), and 1- to
+    # 3-node loops, for the walk of root_tags
+    v = next(v for v in range(1, g.n + 1)
+             if parent[parent[v]] and cost[v] == cost[parent[v]])
+    parent[parent[v]] = v
+    assert audit() is False
+    run = fastlane.FastRun(g, sources)
+    inner = [v for v in run.regions.order if run.state.parent[v]]
+    for k in (1, 2, 3):
+        for i, v in enumerate(inner[:k]):
+            run.state.parent[v] = inner[(i - 1) % k]
+        try:
+            run.root_tags()
+        except op.GraphError:
+            continue
+        raise AssertionError(f"a {k}-node loop passed")
     for i in range(len(export)):
         fastlane.read_results(export[:i], g.n)
         for b in (b"x", b"\xff", b"\r", b"-", b"9" * 20, b" UNREACHED"):

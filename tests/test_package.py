@@ -119,7 +119,10 @@ class TestRecords:
         state = op.SolverState(2, (1,), [0, 0, 1], [0, 0, 5],
                                [False, True, False])
         assert state.tags is None and state.labeled(2)
-        assert op.SolverState.fresh(2, [1, 2], 0).tags == [0, 1, 2]
+        assert op.SolverState.fresh(2, [1, 2], 0).tags is None
+        pair = op.build_graph(2, [(1, 2, 1)])
+        assert op.run_pipeline(pair, [1, 2], "hda",
+                               op.min_plus_algebra()).state.tags == [0, 1, 2]
         status = op.StatusMap(status=[0, 1, 0], origin_count=1)
         assert (status.status, status.origin_count) == ([0, 1, 0], 1)
         hda = op.HdaReport(arc_inspections=2)

@@ -93,7 +93,8 @@ class TestPartitionStructure:
 class TestMultiSourceSeeding:
     def test_all_sources_in_layer_one(self, algebra):
         g = op.build_graph(5, [(1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1)])
-        regions, state, _ = op.hda_multi(g, [5, 1], algebra)
+        res = op.run_pipeline(g, [5, 1], "hda", algebra)
+        regions, state = res.regions, res.state
         assert regions.order[:2] == [1, 5]  # seeded in ascending id order
         assert regions.region_of[1] == regions.region_of[5] == 1
         assert state.tags is not None
@@ -127,8 +128,12 @@ class TestResultExport:
         assert rows[2] == "3 0 0 UNREACHED"
 
     def test_tag_column_on_multi_source(self, algebra):
+        # only run_pipeline tags a run
         g = op.build_graph(3, [(1, 2, 4)], directed=True)
-        rows = self.export(g, [1, 3], algebra)
+        res = op.run_pipeline(g, [1, 3], "hda", algebra)
+        buf = io.BytesIO()
+        op.export_results(res.state, res.regions, buf)
+        rows = buf.getvalue().decode().splitlines()
         assert rows[0].split() == ["1", "1", "0", "0", "1"]
         assert rows[2].split() == ["3", "1", "0", "0", "3"]
 

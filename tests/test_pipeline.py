@@ -268,7 +268,8 @@ class TestTags:
         for algo in op.ALGORITHMS:
             res = op.run_pipeline(g, sources, algo, algebra=algebra)
             assert_tags_are_chain_roots(g, res, algebra)
-            # min-plus, on the compiled lane when it loads, needs no retag
+            # and min-plus, on the compiled lane when it loads, whose tags
+            # come from the compiled walk
             assert_tags_are_chain_roots(g, op.run_pipeline(g, sources, algo),
                                         None)
 
@@ -308,3 +309,23 @@ class TestDebugHook:
         regions.order.remove(3)
         with pytest.raises(InvariantViolation, match="shrank"):
             hook(1)
+
+    def test_hook_walks_the_parent_chains_once_per_boundary(self,
+                                                            monkeypatch):
+        calls = {"_chain_roots": 0, "_labeled": 0}
+
+        def counted(name):
+            helper = getattr(oracles, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return helper(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(oracles, name, counted(name))
+        g, _, _ = op.gen_grid(op.GridSpec(60, 60, seed=3, plant_hzp=True))
+        res = op.run_pipeline(g, [1], "ht", debug_invariants=True)
+        # the partition's output, then each of the scheduler's big loops
+        assert res.opt_report.big_loops == 2
+        assert calls == {"_chain_roots": 3, "_labeled": 3}

@@ -591,8 +591,8 @@ def state_and_regions(region, parent, cost, tags=None):
     state = op.SolverState(
         n=n, sources=tuple(v for v in order if not parent[v]),
         parent=parent, cost=cost,
-        is_source=[bool(region[v]) and not parent[v] for v in range(n + 1)],
-        tags=tags)
+        is_source=[bool(region[v]) and not parent[v] for v in range(n + 1)])
+    state.tags = tags  # as run_pipeline tags a run
     return state, op.Regions(order, region, position)
 
 
