@@ -2,15 +2,16 @@
 the instance and results files, and the ``verify`` command.
 
 The reference solvers in :mod:`partition`, :mod:`evolve` and :mod:`monarchy`
-are generic over the cost algebra and carry debug hooks; the kernels in
-``kernels.c`` are the same algorithms specialized to min-plus over int64.
-They mirror the reference loops statement for statement, every counter
-included, and :meth:`fastlane.FastRun.root_tags` the reference tag walk;
-the test suite asserts exact equality of states, tags and counters between
-the two lanes, so either lane certifies the other.  Schedulers are named as in
-:data:`partition.SCHEDULERS`, and this module imports none of the reference
-solvers.  Results stay in the kernels' ``array('q')`` buffers from solve to
-export.
+are generic over the cost algebra; the kernels in ``kernels.c`` are the
+same algorithms specialized to min-plus over int64.  They mirror the
+reference loops statement for statement, every counter included, and
+:meth:`fastlane.FastRun.root_tags` the reference tag walk; the test suite
+asserts exact equality of states, tags and counters between the two lanes,
+so either lane certifies the other.  Given a ``debug_check``, the optimizer
+kernels return after each big loop, to call it where the reference loops
+do.  Schedulers are named as in :data:`partition.SCHEDULERS`, and this
+module imports none of the reference solvers.  Results stay in the
+kernels' ``array('q')`` buffers from solve to export.
 
 The other kernels certify or refuse.  :func:`build` assembles the CSR of
 int64 arc columns, :func:`read_graph` parses an instance's arc block and
@@ -57,7 +58,7 @@ import os
 import zlib
 from array import array
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .graph import INT64_MAX, Graph, GraphError, InstanceHeader, _zeros
 from .partition import (HdaReport, OptReport, Regions, SolverState,
@@ -72,8 +73,8 @@ _P, _I, _U = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
 _SIGNATURES = {
     "optpaths_hda": ([_P] * 6 + [_I] + [_P] * 7, _I),
     "optpaths_classify": ([_P, _I] + [_P] * 5, _I),
-    "optpaths_eom": ([_P, _I] + [_P] * 7 + [_I, _P], None),
-    "optpaths_schedule": ([_I, _P, _I] + [_P] * 10, None),
+    "optpaths_eom": ([_P, _I] + [_P] * 7 + [_I, _I, _P], _I),
+    "optpaths_schedule": ([_I, _P, _I] + [_P] * 9 + [_I, _P], _I),
     "optpaths_chain_roots": ([_I, _P, _P], _I),
     "optpaths_build": ([_I] * 3 + [_P] * 9, _I),
     "optpaths_check_csr": ([_I, _P, _P, _P, _I, _P], _I),
@@ -366,6 +367,19 @@ def refusal(g: Graph) -> Optional[str]:
     return None
 
 
+def _optimize(kernel, debug_check) -> OptReport:
+    """Run ``kernel``, an optimizer given its arguments up to ``loops``: one
+    call to the fixpoint, or one per big loop with ``debug_check``."""
+    out = _zeros(6)
+    if debug_check is None:
+        kernel(0, _ptr(out))
+    else:
+        while not kernel(1, _ptr(out)):
+            debug_check(out[0])
+        debug_check(out[0])  # after the last big loop too
+    return OptReport(*out.tolist())
+
+
 class FastRun:
     """Array-backed pipeline state for one source set on one graph.
 
@@ -410,27 +424,26 @@ class FastRun:
         st = self.state
         return [_ptr(a) for a in (st.parent, st.cost, st.is_source)]
 
-    def eom(self, two_course: bool = False) -> OptReport:
+    def eom(self, two_course: bool = False,
+            debug_check: Optional[Callable[[int], None]] = None) -> OptReport:
         g, order = self.g, self.regions.order
-        out = _zeros(6)
-        self._lib.optpaths_eom(
-            _ptr(order), len(order), _ptr(self.regions.region_of),
-            _ptr(g.rev_ptr), _ptr(g.rev_src), _ptr(g.rev_w), *self._labels(),
-            int(two_course), _ptr(out))
-        return OptReport(*out.tolist())
+        return _optimize(functools.partial(
+            self._lib.optpaths_eom, _ptr(order), len(order),
+            _ptr(self.regions.region_of), _ptr(g.rev_ptr), _ptr(g.rev_src),
+            _ptr(g.rev_w), *self._labels(), int(two_course)), debug_check)
 
-    def schedule(self, kind: str) -> OptReport:
+    def schedule(self, kind: str,
+                 debug_check: Optional[Callable[[int], None]] = None,
+                 ) -> OptReport:
         """Push to the fixpoint from the origins under the pointer rule
         ``kind``, one of :data:`partition.SCHEDULERS`; any other kind raises
         GraphError.  :meth:`classify` runs first."""
         g, r = self.g, self.regions
-        code = scheduler_code(kind)
-        out = _zeros(6)
-        self._lib.optpaths_schedule(
-            code, _ptr(r.order), len(r.order), _ptr(r.region_of),
-            _ptr(r.position_of), _ptr(g.fwd_ptr), _ptr(g.fwd_dst),
-            _ptr(g.fwd_w), *self._labels(), _ptr(self.status), _ptr(out))
-        return OptReport(*out.tolist())
+        return _optimize(functools.partial(
+            self._lib.optpaths_schedule, scheduler_code(kind), _ptr(r.order),
+            len(r.order), _ptr(r.region_of), _ptr(r.position_of),
+            _ptr(g.fwd_ptr), _ptr(g.fwd_dst), _ptr(g.fwd_w), *self._labels(),
+            _ptr(self.status)), debug_check)
 
     def root_tags(self) -> array:
         """The tags of :func:`oracles.root_tags`, from the one compiled

@@ -10,11 +10,14 @@
  * derives them once from the final parent chains.  No label keeps its
  * arc's weight.  Every kernel accepts relaxations through relax below,
  * which mirrors partition.relax, the one rule of the reference lane.  The
- * optimizer kernels write their counters to out[] through report below,
- * in the field order of partition.OptReport: big_loops, node_scans,
- * improvements, regular_way, wrong_way, arc_relaxations.  Like the
- * reference loops, they count only what they cannot derive, and derive
- * the rest.
+ * optimizer kernels read their counters from out[], zeros before the first
+ * call, and write them back through report below, in the field order of
+ * partition.OptReport: big_loops, node_scans, improvements, regular_way,
+ * wrong_way, arc_relaxations.  out[] is the only state they keep across
+ * calls.  A call runs at most loops big loops (0: no limit) and returns 1
+ * once the run has ended, so the caller can act where the reference loops
+ * call debug_check.  Like the reference loops, they count only what they
+ * cannot derive, and derive the rest.
  *
  * The other kernels certify or refuse, and are not statement-for-statement
  * mirrors of the Python code they stand in for; whatever they refuse, they
@@ -153,17 +156,18 @@ static void report(int64_t *out, int64_t big_loops, int64_t node_scans,
 /* Full pull sweeps over the discovery order until one accepts nothing;
  * with two_course set, every second sweep runs tail to head.  Every sweep
  * scans every reached node, so node_scans is big_loops * n_order. */
-void optpaths_eom(const int64_t *order, int64_t n_order,
-                  const int64_t *region, const int64_t *rptr,
-                  const int64_t *rsrc, const int64_t *rw, int64_t *parent,
-                  int64_t *cost, const int64_t *issrc, int64_t two_course,
-                  int64_t *out)
+int64_t optpaths_eom(const int64_t *order, int64_t n_order,
+                     const int64_t *region, const int64_t *rptr,
+                     const int64_t *rsrc, const int64_t *rw, int64_t *parent,
+                     int64_t *cost, const int64_t *issrc, int64_t two_course,
+                     int64_t loops, int64_t *out)
 {
-    int64_t big_loops = 0;
-    int64_t improvements = 0;
-    int64_t arc_relax = 0;
-    int64_t regular = 0;
-    for (;;) {
+    int64_t big_loops = out[0];
+    int64_t improvements = out[2];
+    int64_t regular = out[3];
+    int64_t arc_relax = out[5];
+    int64_t ended;
+    do {
         int64_t before = improvements;
         int backwards = two_course && (big_loops % 2 == 1);
         for (int64_t idx = 0; idx < n_order; idx++) {
@@ -182,80 +186,76 @@ void optpaths_eom(const int64_t *order, int64_t n_order,
             }
         }
         big_loops += 1;
-        if (improvements == before)
-            break;
-    }
+        ended = improvements == before;
+    } while (!ended && --loops != 0);
     report(out, big_loops, big_loops * n_order, improvements, regular,
            arc_relax);
+    return ended;
 }
 
 /* Origin-driven push relaxation under one worklist pointer rule:
  * code 0 = hrp, 1 = fr, 2 = ht.  A big loop that ends with improvements
  * where it began ends the run. */
-void optpaths_schedule(int64_t code, const int64_t *order, int64_t n_order,
-                       const int64_t *region, const int64_t *pos,
-                       const int64_t *fptr, const int64_t *fdst,
-                       const int64_t *fw, int64_t *parent, int64_t *cost,
-                       const int64_t *issrc, int64_t *status, int64_t *out)
+int64_t optpaths_schedule(int64_t code, const int64_t *order, int64_t n_order,
+                          const int64_t *region, const int64_t *pos,
+                          const int64_t *fptr, const int64_t *fdst,
+                          const int64_t *fw, int64_t *parent, int64_t *cost,
+                          const int64_t *issrc, int64_t *status, int64_t loops,
+                          int64_t *out)
 {
-    int64_t big_loops = 1;
-    int64_t node_scans = 0;
-    int64_t improvements = 0;
-    int64_t regular = 0;
-    int64_t arc_relax = 0;
-    int64_t loop_start = 0;
-    int64_t chase_start = 0;
-    int64_t i = 1;
-    for (;;) {
-        if (i > n_order) {
-            if (improvements == loop_start)
-                break;
-            loop_start = improvements;
-            big_loops += 1;
-            chase_start = 0;
-            i = 1;
-            continue;
-        }
-        int64_t u = order[i - 1];
-        node_scans += 1;
-        if (status[u] != 1) {
-            i += 1;
-            continue;
-        }
-        int64_t best_pos = 0;
-        int64_t ru = region[u];
-        arc_relax += fptr[u + 1] - fptr[u];
-        for (int64_t k = fptr[u]; k < fptr[u + 1]; k++) {
-            int64_t v = fdst[k];
-            if (relax(u, v, fw[k], parent, cost, issrc)) {
-                improvements += 1;
-                status[v] = 1;
-                if (region[v] > ru)
-                    regular += 1;
-                int64_t pv = pos[v];
-                if (best_pos == 0 || pv < best_pos)
-                    best_pos = pv;
-            }
-        }
-        status[u] = 0;
-        if (best_pos) {
-            if (code == 0) {
-                i = best_pos < i ? best_pos : i + 1;
-            } else {
-                if (code == 2 && chase_start == 0)
-                    chase_start = i;
-                i = best_pos;
-            }
-        } else {
-            if (code == 2 && chase_start) {
-                i = chase_start + 1;
-                chase_start = 0;
-            } else {
+    int64_t big_loops = out[0];
+    int64_t node_scans = out[1];
+    int64_t improvements = out[2];
+    int64_t regular = out[3];
+    int64_t arc_relax = out[5];
+    int64_t ended;
+    do {
+        big_loops += 1;
+        int64_t loop_start = improvements, chase_start = 0, i = 1;
+        while (i <= n_order) {
+            int64_t u = order[i - 1];
+            node_scans += 1;
+            if (status[u] != 1) {
                 i += 1;
+                continue;
+            }
+            int64_t best_pos = 0;
+            int64_t ru = region[u];
+            arc_relax += fptr[u + 1] - fptr[u];
+            for (int64_t k = fptr[u]; k < fptr[u + 1]; k++) {
+                int64_t v = fdst[k];
+                if (relax(u, v, fw[k], parent, cost, issrc)) {
+                    improvements += 1;
+                    status[v] = 1;
+                    if (region[v] > ru)
+                        regular += 1;
+                    int64_t pv = pos[v];
+                    if (best_pos == 0 || pv < best_pos)
+                        best_pos = pv;
+                }
+            }
+            status[u] = 0;
+            if (best_pos) {
+                if (code == 0) {
+                    i = best_pos < i ? best_pos : i + 1;
+                } else {
+                    if (code == 2 && chase_start == 0)
+                        chase_start = i;
+                    i = best_pos;
+                }
+            } else {
+                if (code == 2 && chase_start) {
+                    i = chase_start + 1;
+                    chase_start = 0;
+                } else {
+                    i += 1;
+                }
             }
         }
-    }
+        ended = improvements == loop_start;
+    } while (!ended && --loops != 0);
     report(out, big_loops, node_scans, improvements, regular, arc_relax);
+    return ended;
 }
 
 /* The one parent-chain walk, of fastlane.FastRun.root_tags and the audit

@@ -90,58 +90,54 @@ def run_scheduler(kind: str, g: Graph, regions: Regions,
     fwd_w = g.fwd_w.tolist()
 
     n_order = len(order)
-    big_loops = 1
+    big_loops = 0
     node_scans = 0
     improvements = 0
     regular = 0
     arc_relaxations = 0
-    loop_start = 0  # improvements when the current big loop began
-    chase_start = 0  # 0 = no chase in flight (HT only)
 
-    i = 1
     while True:
-        if i > n_order:
-            if debug_check is not None:
-                debug_check(big_loops)
-            if improvements == loop_start:
-                break
-            loop_start = improvements
-            big_loops += 1
-            chase_start = 0
-            i = 1
-            continue
-        u = order[i - 1]
-        node_scans += 1
-        if status[u] != 1:
-            i += 1
-            continue
-        best_pos = 0
-        ru = region_of[u]
-        arc_relaxations += fwd_ptr[u + 1] - fwd_ptr[u]
-        for k in range(fwd_ptr[u], fwd_ptr[u + 1]):
-            v = fwd_dst[k]
-            if relax(state, algebra, u, v, fwd_w[k]):
-                improvements += 1
-                status[v] = 1
-                if region_of[v] > ru:
-                    regular += 1
-                pv = position_of[v]
-                if best_pos == 0 or pv < best_pos:
-                    best_pos = pv
-        status[u] = 0
-        if best_pos:
-            if code == 0:  # HRP: only ever jump backwards
-                i = best_pos if best_pos < i else i + 1
-            else:  # FR / HT: chase the highest-rank improved leaf
-                if code == 2 and chase_start == 0:
-                    chase_start = i
-                i = best_pos
-        else:
-            if code == 2 and chase_start:
-                i = chase_start + 1
-                chase_start = 0
-            else:
+        big_loops += 1
+        loop_start = improvements
+        chase_start = 0  # 0 = no chase in flight (HT only)
+        i = 1
+        while i <= n_order:
+            u = order[i - 1]
+            node_scans += 1
+            if status[u] != 1:
                 i += 1
+                continue
+            best_pos = 0
+            ru = region_of[u]
+            arc_relaxations += fwd_ptr[u + 1] - fwd_ptr[u]
+            for k in range(fwd_ptr[u], fwd_ptr[u + 1]):
+                v = fwd_dst[k]
+                if relax(state, algebra, u, v, fwd_w[k]):
+                    improvements += 1
+                    status[v] = 1
+                    if region_of[v] > ru:
+                        regular += 1
+                    pv = position_of[v]
+                    if best_pos == 0 or pv < best_pos:
+                        best_pos = pv
+            status[u] = 0
+            if best_pos:
+                if code == 0:  # HRP: only ever jump backwards
+                    i = best_pos if best_pos < i else i + 1
+                else:  # FR / HT: chase the highest-rank improved leaf
+                    if code == 2 and chase_start == 0:
+                        chase_start = i
+                    i = best_pos
+            else:
+                if code == 2 and chase_start:
+                    i = chase_start + 1
+                    chase_start = 0
+                else:
+                    i += 1
+        if debug_check is not None:
+            debug_check(big_loops)
+        if improvements == loop_start:
+            break
 
     return OptReport(big_loops, node_scans, improvements, regular,
                      improvements - regular, arc_relaxations)

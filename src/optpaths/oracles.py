@@ -1,5 +1,5 @@
 """Independent reference solvers, the audits, and the rest of the Python
-that the compiled lane never runs.
+that the compiled lane runs only to audit.
 
 Nothing here shares code with the production solvers: the heap-based
 label-setting solver and the round-based full-relaxation solver are textbook
@@ -14,9 +14,9 @@ all honour the cost algebra and collect every failure rather than stopping
 at the first.  The core's one parent-chain walk also gives the source tags
 of :func:`root_tags`, and ``optpaths_chain_roots`` mirrors it.
 
-On the compiled lane of :mod:`fastlane` a command runs none of this module,
-and imports it only at the point where a kernel refuses its input, a debug
-audit runs, no compiler loads, or the kernels must first be compiled.
+On the compiled lane of :mod:`fastlane` a command runs only the debug
+audits here, and imports this module only where a kernel refuses its input,
+a debug audit runs, no compiler loads, or the kernels must first be compiled.
 Besides the oracles and the audits, it holds:
 
 - the reference build (:func:`build_reference`) of
@@ -25,14 +25,14 @@ Besides the oracles and the audits, it holds:
   (:func:`scan_results`), which name the first fault the kernels refuse
   without naming; they read the decoded text of bytes already read, and
   open no file;
-- the reference lane's CSR check (:func:`check_csr`), its tagging of
-  multi-source runs from the audit core's walk (:func:`root_tags`) and the
-  debug hook of ``run_pipeline(..., debug_invariants=True)``
-  (:func:`debug_hook`), for :func:`pipeline.run_pipeline`;
+- the reference lane's CSR check (:func:`check_csr`) and its tagging of
+  multi-source runs from the audit core's walk (:func:`root_tags`), and the
+  debug hook of either lane (:func:`debug_hook`), for
+  :func:`pipeline.run_pipeline`;
 - the compile step of the kernels (:func:`build_kernels`).
 
-A command that the compiled lane answers therefore never compiles this
-module, which matters when the interpreter runs without bytecode caches.
+A command that the compiled lane answers unaudited therefore never compiles
+this module, which matters when the interpreter runs without bytecode caches.
 """
 
 from __future__ import annotations

@@ -16,15 +16,16 @@ the CSR check, and each phase its debug audits.  The clock starts once the
 compiled lane has resolved, so a first-use compile is in no phase.
 
 ``run_pipeline`` also picks the lane, from its inputs alone.  It runs the
-compiled min-plus lane of :mod:`fastlane` exactly when no algebra is passed,
-``debug_invariants`` is off and :class:`fastlane.FastRun` takes the run
-(:func:`fastlane.refusal` has no objection: a compiler is there and the
-graph is inside the int64 bound); otherwise it runs the generic reference
-lane, so an explicit algebra -- even :func:`min_plus_algebra` -- or a debug
-run always gets the reference lane.  A malformed CSR makes ``FastRun``
-raise, and the reference lane then raises the same GraphError.  The
-reference lane's code beyond the solvers themselves, its CSR check, debug
-hook and tag walk, is in :mod:`oracles`.  Both lanes give identical states,
+compiled min-plus lane of :mod:`fastlane` exactly when no algebra is passed
+and :class:`fastlane.FastRun` takes the run (:func:`fastlane.refusal` has
+no objection: a compiler is there and the graph is inside the int64
+bound); otherwise it runs the generic reference lane, so an explicit
+algebra -- even :func:`min_plus_algebra` -- always gets the reference lane.
+A malformed CSR makes ``FastRun`` raise, and the reference lane then raises
+the same GraphError.  The debug hook, built once after either lane's
+partition, audits either lane: only then does the compiled optimizer
+return to Python once per big loop.  It is in :mod:`oracles`, with the
+reference lane's CSR check and tag walk.  Both lanes give identical states,
 tags and counters.  ``PipelineResult.lane`` records the lane that ran.
 """
 
@@ -74,8 +75,9 @@ def run_pipeline(g: Graph, sources: Sequence[int], algo: str,
     if algo not in ALGORITHMS:
         raise GraphError(f"unknown algorithm {algo!r}; pick one of {ALGORITHMS}")
     srcs = source_set(g, sources)
-    compiled = (algebra is None and not debug_invariants
-                and fastlane.available())
+    compiled = algebra is None and fastlane.available()
+    if algebra is None:
+        algebra = min_plus_algebra()
     t0 = time.perf_counter()
     run = hook = None
     if compiled:
@@ -87,19 +89,18 @@ def run_pipeline(g: Graph, sources: Sequence[int], algo: str,
         regions, state, hda_rep = run.regions, run.state, run.hda_report
     else:
         from . import oracles
-        if algebra is None:
-            algebra = min_plus_algebra()
         oracles.check_csr(g)
         regions, state, hda_rep = hda_multi(g, srcs, algebra)
-        if debug_invariants:
-            hook = oracles.debug_hook(g, regions, state, algo, algebra)
-            hook(0)  # audit the partition output itself
+    if debug_invariants:
+        from . import oracles
+        hook = oracles.debug_hook(g, regions, state, algo, algebra)
+        hook(0)  # audit the partition output itself
     t1 = t2 = time.perf_counter()
 
     origins, rep = 0, None
     if algo in ("eom", "eom2"):
         if run is not None:
-            rep = run.eom(two_course=(algo == "eom2"))
+            rep = run.eom(two_course=(algo == "eom2"), debug_check=hook)
         else:
             from .evolve import eom, eom_two_course
             sweep = eom if algo == "eom" else eom_two_course
@@ -108,7 +109,7 @@ def run_pipeline(g: Graph, sources: Sequence[int], algo: str,
         if run is not None:
             origins = run.classify()
             t2 = time.perf_counter()
-            rep = run.schedule(algo)
+            rep = run.schedule(algo, debug_check=hook)
         else:
             from .monarchy import classify_status, run_scheduler
             statuses = classify_status(g, state, algebra, regions)

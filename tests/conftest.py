@@ -7,7 +7,8 @@ planted zero path).  Everything is derived from small integer seeds so the
 suite is reproducible run to run.
 
 ``corpus_results`` runs every algorithm on every instance once, with the
-big-loop invariant audits enabled, and caches the outcomes for the whole
+big-loop invariant audits enabled, on the lane ``run_pipeline`` picks (the
+compiled one when it loads), and caches the outcomes for the whole
 session; the acceptance criteria and several unit tests share it.
 
 ``fresh_lane`` and ``broken_compiler`` let a test run the same commands with

@@ -271,12 +271,126 @@ def test_default_routes_to_the_compiled_lane(algo):
 
 
 @pytest.mark.parametrize("algo", op.ALGORITHMS)
-def test_debug_runs_and_other_algebras_route_to_the_reference_lane(
-        algo, triangle, algebra):
-    assert op.run_pipeline(triangle, [1], algo,
-                           debug_invariants=True).lane == "reference"
+def test_other_algebras_route_to_the_reference_lane(algo, triangle, algebra):
     assert op.run_pipeline(triangle, [1], algo,
                            algebra=algebra).lane == "reference"
+
+
+@needs_lane
+@pytest.mark.parametrize("algo", op.ALGORITHMS)
+def test_debug_runs_route_to_the_compiled_lane(algo, triangle):
+    assert op.run_pipeline(triangle, [1], algo,
+                           debug_invariants=True).lane == "compiled"
+
+
+@pytest.mark.parametrize("algo", op.ALGORITHMS)
+def test_debug_runs_without_a_compiler_route_to_the_reference_lane(
+        algo, triangle, broken_compiler):
+    broken_compiler()
+    assert op.run_pipeline(triangle, [1], algo,
+                           debug_invariants=True).lane == "reference"
+
+
+# -- the big-loop boundary: debug_check on both lanes -------------------------
+
+def boundary_run(g, sources, algo, algebra=None):
+    """A debug run of ``run_pipeline`` and its log of ``(big_loop, parent,
+    cost)`` at each call of the debug hook, the partition's included."""
+    log, real = [], oracles.debug_hook
+
+    def spy(g, regions, state, label, algebra):
+        hook = real(g, regions, state, label, algebra)
+
+        def logged(big_loop):
+            log.append((big_loop, list(state.parent), list(state.cost)))
+            hook(big_loop)
+        return logged
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracles, "debug_hook", spy)
+        res = op.run_pipeline(g, sources, algo, algebra=algebra,
+                              debug_invariants=True)
+    return res, log
+
+
+def assert_boundaries_agree(g, sources, algo):
+    ref, ref_log = boundary_run(g, sources, algo, op.min_plus_algebra())
+    fast, fast_log = boundary_run(g, sources, algo)
+    assert (ref.lane, fast.lane) == ("reference", "compiled")
+    assert fast_log == ref_log
+    loops = fast.opt_report.big_loops if fast.opt_report else 0
+    assert [b for b, _, _ in fast_log] == list(range(loops + 1))
+    assert_states_equal(ref, fast)
+    assert_counters_equal(ref, fast)
+
+
+BOUNDARY_GRAPHS = {
+    "grid-hzp": lambda: op.gen_grid(op.GridSpec(14, 11, seed=4,
+                                                plant_hzp=True))[0],
+    "grid": lambda: op.gen_grid(op.GridSpec(9, 16, seed=5))[0],
+    "directed": lambda: op.gen_random_graph(80, 400, 0, 9, seed=6,
+                                            directed=True),
+    "undirected": lambda: op.gen_random_graph(80, 240, 0, 9, seed=7),
+}
+
+
+@needs_lane
+@pytest.mark.parametrize("algo", op.ALGORITHMS)
+@pytest.mark.parametrize("sources", [[1], [1, 40, 77]])
+@pytest.mark.parametrize("graph", BOUNDARY_GRAPHS)
+def test_lanes_agree_at_every_big_loop_boundary(graph, sources, algo):
+    assert_boundaries_agree(BOUNDARY_GRAPHS[graph](), sources, algo)
+
+
+@needs_lane
+@pytest.mark.parametrize("index", range(0, 550, 25))
+def test_lanes_agree_at_every_boundary_on_the_corpus(corpus, index):
+    # corpus_results audits the compiled lane; this slice ties the
+    # reference solvers to it, and so to the oracles
+    _, g, source = corpus[index]
+    for algo in op.ALGORITHMS:
+        assert_boundaries_agree(g, [source], algo)
+
+
+class KernelLog:
+    """Stands in for a FastRun's kernel library: records the loop limit and
+    the return of every optimizer call."""
+
+    def __init__(self, lib):
+        self._lib, self.calls = lib, []
+
+    def __getattr__(self, name):
+        kernel = getattr(self._lib, name)
+
+        def logged(*args):
+            self.calls.append((args[-2], kernel(*args)))
+            return self.calls[-1][1]
+        return logged
+
+
+@needs_lane
+@pytest.mark.parametrize("algo", ("eom", "eom2", "hrp", "fr", "ht"))
+def test_a_debug_check_runs_one_big_loop_per_kernel_call(algo):
+    g = op.gen_random_graph(300, 2000, 0, 9, seed=5, directed=True)
+
+    def optimize(debug_check):
+        run = fastlane.FastRun(g, [1, 17, 250])
+        if algo not in ("eom", "eom2"):
+            run.classify()
+        run._lib = log = KernelLog(run._lib)
+        rep = (run.eom(algo == "eom2", debug_check) if algo.startswith("eom")
+               else run.schedule(algo, debug_check))
+        return rep, run.state, log.calls
+
+    rep, state, calls = optimize(None)
+    assert calls == [(0, 1)]  # no limit: one call to the fixpoint
+    seen = []
+    checked, checked_state, calls = optimize(seen.append)
+    assert checked == rep
+    assert list(checked_state.parent) == list(state.parent)
+    assert list(checked_state.cost) == list(state.cost)
+    assert seen == list(range(1, rep.big_loops + 1))
+    assert calls == [(1, 0)] * (rep.big_loops - 1) + [(1, 1)]
 
 
 # -- the int64 bound: max_weight * n <= 2**63 - 1 ------------------------------
@@ -541,12 +655,14 @@ SANITIZED_BUILD = ("cc", "-O1", "-g", "-fsanitize=address,undefined",
 
 # Builds the kernels with the command in argv and drives every kernel: all
 # six algorithms on an undirected grid and a directed multi-source graph,
-# each read from its instance bytes; the results reader on every prefix of
-# an export and on the export with one byte spoiled; the audit on the clean
-# export and on mutated ones, a parent loop among them; the chain walk of
-# root_tags on parents made to loop; the formatter on int64's extremes;
-# the draws with and without a skip column; and the instance reader on the
-# arc blocks that it must refuse, read from stdin as a JSON list.
+# each read from its instance bytes, and each again with the debug audits,
+# whose optimizer calls resume from out[] once per big loop; the results
+# reader on every prefix of an export and on the export with one byte
+# spoiled; the audit on the clean export and on mutated ones, a parent loop
+# among them; the chain walk of root_tags on parents made to loop; the
+# formatter on int64's extremes; the draws with and without a skip column;
+# and the instance reader on the arc blocks that it must refuse, read from
+# stdin as a JSON list.
 _UNDER_SANITIZERS = r"""
 import io, json, os, sys
 from array import array
@@ -577,6 +693,8 @@ for data, sources in cases:
     for algo in op.ALGORITHMS:
         res = op.run_pipeline(g, sources, algo)
         assert res.lane == "compiled"
+        dbg = op.run_pipeline(g, sources, algo, debug_invariants=True)
+        assert dbg.lane == "compiled" and dbg.opt_report == res.opt_report
         buf = io.BytesIO()
         partition.export_results(res.state, res.regions, buf)
         export = buf.getvalue()
@@ -652,7 +770,7 @@ def test_every_kernel_runs_clean_under_the_sanitizers(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", _UNDER_SANITIZERS, *SANITIZED_BUILD],
         input=json.dumps([text for text, _ in HOSTILE]), env=env,
-        capture_output=True, text=True)
+        capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
 

@@ -326,6 +326,8 @@ class TestDebugHook:
             monkeypatch.setattr(oracles, name, counted(name))
         g, _, _ = op.gen_grid(op.GridSpec(60, 60, seed=3, plant_hzp=True))
         res = op.run_pipeline(g, [1], "ht", debug_invariants=True)
+        assert res.lane == ("compiled" if fastlane.available()
+                            else "reference")
         # the partition's output, then each of the scheduler's big loops
         assert res.opt_report.big_loops == 2
         assert calls == {"_chain_roots": 3, "_labeled": 3}
