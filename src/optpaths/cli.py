@@ -324,8 +324,18 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _reading(path: str):
+    """Prefix ``path``, as given, to a fault found in the file it names."""
+    try:
+        yield
+    except (GraphError, InstanceFormatError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def cmd_solve(args) -> int:
-    g, _ = read_instance_file(args.instance)
+    with _reading(args.instance):
+        g, _ = read_instance_file(args.instance)
     multi = args.algo == "multi"
     res = run_pipeline(g, args.sources, "ht" if multi else args.algo,
                        debug_invariants=args.debug_invariants)
@@ -346,27 +356,35 @@ def cmd_verify(args) -> int:
     certifies a clean export from the instance's arc block, with no graph
     built; any other export gets the reference audit, which names every
     failure, on the graph of the bytes already read."""
-    data = read_data(args.instance)
-    h = parse_header(data)
+    with _reading(args.instance):
+        data = read_data(args.instance)
+        h = parse_header(data)
+
+    def graph():
+        with _reading(args.instance):
+            return read_arc_block(data, h)
+
     try:
-        region, parent, cost, has_cost, tags = read_results_file(
-            args.results, h.n)
+        with _reading(args.results):
+            region, parent, cost, has_cost, tags = read_results_file(
+                args.results, h.n)
     except Exception:
-        read_arc_block(data, h)  # a fault of the instance is named first
+        graph()  # a fault of the instance is named first
         raise
     if block_is_clean(data, h, region, parent, cost, has_cost,
                       args.fixpoint, tags):
         print("OK")
         return EXIT_OK
     from .oracles import verify_export
-    rep = verify_export(read_arc_block(data, h), region, parent, cost,
-                        has_cost, fixpoint=args.fixpoint, tags=tags)
+    rep = verify_export(graph(), region, parent, cost, has_cost,
+                        fixpoint=args.fixpoint, tags=tags)
     print(rep.summary())
     return EXIT_OK if rep.ok else EXIT_VERIFY
 
 
 def cmd_compare(args) -> int:
-    g, _ = read_instance_file(args.instance)
+    with _reading(args.instance):
+        g, _ = read_instance_file(args.instance)
     algos = ALGORITHMS[1:]  # every optimizer: all but the partition alone
     as_csv = args.format == "csv"
     lines = [",".join(CSV_COLUMNS)] if as_csv else []

@@ -116,18 +116,23 @@ def triangle():
                           directed=False)
 
 
+def reload_lane(monkeypatch, command=None):
+    """Forget the loaded lane, so that its next use resolves it anew; with
+    ``command``, it is built with that instead of ``cc`` from here on."""
+    if command is not None:
+        monkeypatch.setattr(fastlane, "_BUILD",
+                            (command, "-O2", "-shared", "-fPIC"))
+    monkeypatch.setattr(fastlane, "_lane",
+                        functools.cache(fastlane._lane.__wrapped__))
+
+
 @pytest.fixture()
 def fresh_lane(monkeypatch, tmp_path):
     """Resolve the lane anew, with its cache under ``tmp_path``; call the
     returned function to forget the loaded lane again."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-
-    def reset():
-        monkeypatch.setattr(fastlane, "_lane",
-                            functools.cache(fastlane._lane.__wrapped__))
-
-    reset()
-    return reset
+    reload_lane(monkeypatch)
+    return functools.partial(reload_lane, monkeypatch)
 
 
 @pytest.fixture()
@@ -136,19 +141,21 @@ def broken_compiler(monkeypatch, fresh_lane):
     of ``cc`` (by default a missing one) from here on."""
 
     def use(command="/nonexistent/cc"):
-        monkeypatch.setattr(fastlane, "_BUILD",
-                            (command, "-O2", "-shared", "-fPIC"))
-        fresh_lane()
+        reload_lane(monkeypatch, command)
 
     return use
 
 
-@pytest.fixture(autouse=True)
-def no_process_exit(monkeypatch):
-    """``cli.main(argv)`` must return; were it to call ``os._exit`` in-process,
-    the run would stop without a report."""
+def forbid_process_exit(monkeypatch):
+    """Make ``os._exit`` raise: ``cli.main(argv)`` must return; were it to
+    call ``os._exit`` in-process, the run would stop without a report."""
 
     def refuse(code):
         raise AssertionError(f"os._exit({code}) in the test process")
 
     monkeypatch.setattr(os, "_exit", refuse)
+
+
+@pytest.fixture(autouse=True)
+def no_process_exit(monkeypatch):
+    forbid_process_exit(monkeypatch)

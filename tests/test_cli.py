@@ -1,9 +1,7 @@
 import ast
 import errno
-import hashlib
 import os
 import pathlib
-import re
 import stat
 import threading
 import time
@@ -16,6 +14,7 @@ from optpaths.graph import open_output
 from optpaths.pipeline import InvariantViolation
 from optpaths.cli import (CSV_COLUMNS, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
                           main)
+from test_transcript import masked
 
 needs_lane = pytest.mark.skipif(not fastlane.available(),
                                 reason="no C compiler")
@@ -50,31 +49,9 @@ def solve_on_both_lanes(argv, tmp_path, capsys, broken_compiler):
         assert fastlane.available() == (lane == "compiled")
         out = tmp_path / f"{lane}.txt"
         assert run(["solve", *argv, "--out", str(out)]) == EXIT_OK
-        text = re.sub(r"=[0-9.]+ms", "=ms", capsys.readouterr().out)
+        text = masked(capsys.readouterr().out.encode())
         outputs.append((text, out.read_bytes()))
     return outputs
-
-
-#: gen arguments and the sha256 of the bytes the numpy-based generators
-#: wrote for them; both lanes must keep writing exactly these bytes to
-#: stdout's binary buffer
-GEN_DIGESTS = [
-    ("grid --rows 200 --cols 200 --seed 5",
-     "ae8638405b33c80c63a8ffe5c751aa9ebfcbac82efcf1ffe50b01975a075caaa"),
-    ("grid --rows 37 --cols 11 --seed 3 --hzp",
-     "c9c625ac544e7a5f5c024a23a2120a2bae32ca36028602de295fe6933e620904"),
-    ("grid --rows 6 --cols 9 --seed -3 --hzp",
-     "7ec8d92b02038f7ee043532d7402439882eaa11db354ea28b95166285fe2e9eb"),
-    ("grid --rows 3 --cols 4 --wmin 9223372036854775800 "
-     "--wmax 9223372036854775807",
-     "4916430fc37fd5dfc4f947e4d3cad7d1a8976d3fe10e637ba5a1decf5a93a8c1"),
-    ("random --n 20000 --arcs 100000 --directed --seed 9",
-     "b0a9cef87876da41f6a058183f519d4d7dc0972b2be3ceb03706fd956c055d22"),
-    ("random --n 50 --arcs 300 --seed 2 --wmin 5 --wmax 9223372036854775807",
-     "967802a5683cc46bf3db64a896b8446b17561e65b92eb82a84c0ab4a9f90b998"),
-    ("random --n 40 --arcs 200 --seed 18446744073709551621 --directed",
-     "3f305456003219ab4c85416a90607199498d585cc20a4174c6376e34f05d7fc8"),
-]
 
 
 class TestGen:
@@ -118,28 +95,6 @@ class TestGen:
         assert "bad weight range" in err and "9223372036854775807" in err
         assert "Traceback" not in err
 
-    @needs_lane
-    @pytest.mark.parametrize("argv,digest", GEN_DIGESTS)
-    def test_output_bytes_are_pinned_on_both_lanes(self, argv, digest,
-                                                   capsys, broken_compiler,
-                                                   monkeypatch):
-        # gen writes the generator's columns and builds no graph
-        def no_build(*args, **kwargs):
-            raise AssertionError("gen built a graph")
-
-        # generators binds graph_from_columns when first imported: import it
-        # now, so that it does not keep the stand-in after this test
-        assert op.generators.graph_from_columns is op.graph.graph_from_columns
-        monkeypatch.setattr(op.graph, "graph_from_columns", no_build)
-        monkeypatch.setattr(fastlane, "build", no_build)
-        for lane in ("compiled", "reference"):
-            if lane == "reference":
-                broken_compiler()
-            assert fastlane.available() == (lane == "compiled")
-            assert run(["gen", *argv.split(), "--out", "-"]) == EXIT_OK
-            out = capsys.readouterr().out.encode()
-            assert hashlib.sha256(out).hexdigest() == digest, lane
-
     @pytest.mark.parametrize("argv,err", [
         ("grid --rows 4294967296 --cols 4294967296",
          "node count 18446744073709551616 is too large to allocate"),
@@ -168,8 +123,9 @@ class TestGen:
         assert rows[0] == f"n {2**62} 1 undirected" and len(rows) == 2
         assert run(["solve", "--instance", str(path), "--algo", "ht"]) \
             == EXIT_USAGE
-        assert capsys.readouterr().err == (
-            f"optpaths: error: node count {2**62} is too large to allocate\n")
+        assert capsys.readouterr().err == (f"optpaths: error: {path}: node "
+                                           f"count {2**62} is too large to "
+                                           "allocate\n")
 
     def test_largest_int64_weight_is_accepted(self, tmp_path):
         path = str(tmp_path / "rand.txt")
@@ -264,7 +220,7 @@ class TestSolve:
             ["--instance", inst, "--algo", "ht"], tmp_path, capsys,
             broken_compiler)
         assert compiled == reference
-        assert compiled[0].startswith("ht: BL=")
+        assert compiled[0].startswith(b"ht: BL=")
 
     @needs_lane
     def test_multi_reports_measured_classify_time(self, tmp_path, capsys,
@@ -487,7 +443,7 @@ class TestVerify:
         assert run(["verify", "--instance", inst, "--results", out,
                     "--fixpoint"]) == EXIT_USAGE
         assert capsys.readouterr().err == \
-            f"optpaths: error: line {node}: non-integer field\n"
+            f"optpaths: error: {out}: line {node}: non-integer field\n"
 
     # as in an instance's arc lines, any whitespace separates fields
     @pytest.mark.parametrize("lane", ["compiled", "reference"])
@@ -715,42 +671,6 @@ COMMANDS = {
 }
 
 
-def _masked(data: bytes) -> bytes:
-    return re.sub(rb",[0-9]+\.[0-9]{3},[0-9]+\.[0-9]{3},[0-9]+\.[0-9]{3},",
-                  b",ms,ms,ms,", data)
-
-
-#: the commands besides ``gen`` (see GEN_DIGESTS) that write to stdout's
-#: binary buffer with ``--out -``, from an instance ``g.txt``, and the
-#: sha256 of their bytes, with the times of CSV rows and text lines masked
-STDOUT_DIGESTS = [
-    ("compare --instance g.txt",
-     "516c914278b071791e0b000406b8b0b9723c3f3d7eb728c441631da989839688"),
-    ("compare --instance g.txt --format csv",
-     "ca1698c243a50d15da44d6bc54420cdb83aa1571dcf6b8c9152374fb704e75bc"),
-    ("bench --n-total 24 --kc 2,6 --algos ht,fr",
-     "eb522ac24b218d9f1d5ca5f70e8c981456ebd56f485fd457eae642d4a9013588"),
-]
-
-
-@pytest.mark.parametrize("lane", ["compiled", "reference"])
-@pytest.mark.parametrize("argv,digest", STDOUT_DIGESTS)
-def test_stdout_bytes_are_pinned_on_both_lanes(argv, digest, lane, tmp_path,
-                                               monkeypatch, capsysbinary,
-                                               request):
-    if lane == "reference":
-        request.getfixturevalue("broken_compiler")()
-    elif not fastlane.available():
-        pytest.skip("no C compiler")
-    monkeypatch.chdir(tmp_path)
-    assert run(["gen", "grid", "--rows", "8", "--cols", "6", "--seed", "2",
-                "--out", "g.txt"]) == EXIT_OK
-    assert run([*argv.split(), "--out", "-"]) == EXIT_OK
-    out = re.sub(rb"=[0-9.]+ms", b"=ms",
-                 _masked(capsysbinary.readouterr().out))
-    assert hashlib.sha256(out).hexdigest() == digest
-
-
 def test_an_undecodable_instance_path_is_written_back_as_its_bytes(
         tmp_path, monkeypatch, capsysbinary):
     # argv holds the bytes of a path that are no UTF-8 as lone surrogates;
@@ -764,7 +684,7 @@ def test_an_undecodable_instance_path_is_written_back_as_its_bytes(
     assert run([*compare, "-"]) == EXIT_OK
     assert run([*compare, "c.csv"]) == EXIT_OK
     out = capsysbinary.readouterr().out
-    assert _masked(out) == _masked((tmp_path / "c.csv").read_bytes())
+    assert masked(out) == masked((tmp_path / "c.csv").read_bytes())
     assert out.splitlines()[1].startswith(b"\xffg.txt,eom,")
 
 
@@ -830,7 +750,7 @@ class TestOutputFiles:
         old.chmod(0o640)
         inode = old.stat().st_ino
         self.write(kind, "old", capsys)
-        assert _masked(old.read_bytes()) == _masked((work / "fresh").read_bytes())
+        assert masked(old.read_bytes()) == masked((work / "fresh").read_bytes())
         assert stat.S_IMODE(old.stat().st_mode) == 0o640
         assert old.stat().st_ino != inode  # replaced, not truncated
         assert sorted(os.listdir(work)) == ["fresh", "g.txt", "old"]

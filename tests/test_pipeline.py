@@ -10,6 +10,7 @@ import optpaths as op
 from optpaths import GraphError, InvariantViolation, fastlane, oracles
 from optpaths.oracles import debug_hook
 from optpaths.partition import SCHEDULERS, HdaReport, OptReport
+from test_fastlane import small_instances
 
 needs_lane = pytest.mark.skipif(not fastlane.available(),
                                 reason="no C compiler")
@@ -157,6 +158,33 @@ def slowed(fn, seconds=0.02):
         time.sleep(seconds)
         return fn(*args, **kwargs)
     return slow
+
+
+@pytest.mark.parametrize("lane", [pytest.param("compiled", marks=needs_lane),
+                                  "reference"])
+@settings(max_examples=100, deadline=None)
+@given(inst=small_instances())
+@example(inst=(op.build_graph(4, [(1, 2, 1), (2, 3, 1), (4, 3, 1)],
+                              directed=True), [1]))
+@example(inst=(op.build_graph(6, [(1, 2, 3), (5, 2, 0), (6, 3, 1), (2, 3, 1),
+                                  (4, 1, 2)], directed=True), [1, 3, 2]))
+def test_the_labeled_set_is_fixed_after_the_partition(lane, inst):
+    # hda labels every node it reaches, and no optimizer labels another;
+    # so every eom sweep relaxes the same arcs: the reverse-CSR entries of
+    # reached nodes whose tail is labeled
+    g, sources = inst
+    algebra = op.min_plus_algebra() if lane == "reference" else None
+    for algo in op.ALGORITHMS:
+        res = op.run_pipeline(g, sources, algo, algebra=algebra)
+        assert res.lane == lane
+        reached = set(res.regions.order)
+        assert {v for v in range(1, g.n + 1)
+                if res.state.labeled(v)} == reached
+        if algo in ("eom", "eom2"):
+            sweep = sum(res.state.labeled(g.rev_src[k]) for u in reached
+                        for k in range(g.rev_ptr[u], g.rev_ptr[u + 1]))
+            rep = res.opt_report
+            assert rep.arc_relaxations == rep.big_loops * sweep
 
 
 class TestPhaseClock:

@@ -294,7 +294,8 @@ RAISED_COST_FAILURES = (
 
 #: the triangle's instance in forms that ``verify`` reads, each with what
 #: it prints for the triangle's export, or for the results text given
-#: fifth (None: no results file; ``<res>`` in stderr stands for its path):
+#: fifth (None: no results file; ``<inst>`` and ``<res>`` in stderr stand
+#: for the two paths):
 #: stream refusals name the fault as the full reader always has, and a
 #: fault of the instance is named before one of the results
 TRIANGLE_FORMS = {
@@ -306,14 +307,15 @@ TRIANGLE_FORMS = {
                           "# \u00fcber\n1 3 1\n3 2 1\n".encode(), 0,
                           "OK\n", ""),
     "not-utf8": (b"n 3 3 directed\r\n1 2 10\n# \xff\n1 3 1\n3 2 1\n", 1,
-                 "", "optpaths: error: line 3: not UTF-8 text\n"),
+                 "", "optpaths: error: <inst>: line 3: not UTF-8 "
+                 "text\n"),
     "arc-count": (b"n 3 4 directed\n1 2 10\n1 3 1\n3 2 1\n", 1, "",
-                  "optpaths: error: header declares 4 arcs but file "
-                  "contains 3\n"),
+                  "optpaths: error: <inst>: header declares 4 arcs but "
+                  "file contains 3\n"),
     "self-loop": (b"n 3 3 directed\n1 2 10\n1 3 1\n3 3 1\n", 1, "",
-                  "optpaths: error: arc 2 (3,3): self-loop\n"),
+                  "optpaths: error: <inst>: arc 2 (3,3): self-loop\n"),
     "negative-weight": (b"n 3 3 directed\n1 2 10\n1 3 -1\n3 2 1\n", 1, "",
-                        "optpaths: error: arc 1 (1,3,-1): negative "
+                        "optpaths: error: <inst>: arc 1 (1,3,-1): negative "
                         "weight\n"),
     # the export's parent arcs are written tail first: an undirected line
     # serves both directions, a directed one only its own
@@ -329,17 +331,17 @@ TRIANGLE_FORMS = {
         "  [region] node 2: expected 0, got 2\n"
         "  [region] node 3: expected 0, got 2\n", ""),
     "self-loop-no-results": (b"n 3 3 directed\n1 2 10\n1 3 1\n3 3 1\n", 1,
-                             "", "optpaths: error: arc 2 (3,3): self-loop\n",
-                             None),
+                             "", "optpaths: error: <inst>: arc 2 (3,3): "
+                             "self-loop\n", None),
     "no-results": (b"n 3 3 directed\n1 2 10\n1 3 1\n3 2 1\n", 1, "",
                    "optpaths: error: [Errno 2] No such file or directory: "
                    "'<res>'\n", None),
     "non-integer-results": (b"n 3 3 directed\n1 2 10\n1 3 1\n3 2 1\n", 1,
-                            "", "optpaths: error: line 2: non-integer "
+                            "", "optpaths: error: <res>: line 2: non-integer "
                             "field\n", "1 1 0 0\n2 2 x 2\n3 2 1 1\n"),
     "huge-node-count": (b"n 100000000000000000000 0 directed\n", 1, "",
-                        "optpaths: error: node count 100000000000000000000 "
-                        "is too large to allocate\n"),
+                        "optpaths: error: <inst>: node count "
+                        "100000000000000000000 is too large to allocate\n"),
     # separators that only the reference reader takes: the compiled audit
     # refuses the block and the reference audit decides
     "nbsp": ("n 3 3 directed\n1 2 10\n1\u00a03 1\n3 2 1\n".encode(), 0,
@@ -369,7 +371,8 @@ def test_verify_reads_every_form_of_an_instance_as_before(
     argv = ["verify", "--instance", str(tmp_path / "tri.txt"),
             "--results", str(res), "--fixpoint"]
     assert cli.main(argv) == code
-    assert capsys.readouterr() == (out, err.replace("<res>", str(res)))
+    assert capsys.readouterr() == (out, err.replace("<res>", str(res))
+                                   .replace("<inst>", argv[2]))
 
 
 @needs_lane
